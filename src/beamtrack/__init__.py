@@ -1,8 +1,8 @@
 """EKF beam tracking with complex-comparison monopulse measurements."""
 
 from .channel import ArrayConfig, ChannelRealization, PilotConfig
-from .ekf import EkfNoiseConfig, TrackerState
-from .geometry import FlightGeometry, ProcessNoise, SpatialState
+from .ekf import TrackerState
+from .geometry import SpatialState
 from .harness import ScenarioConfig, run_experiment, run_trial
 from .misalign import DetectConfig
 from .monopulse import MonopulseMeasurement
@@ -11,11 +11,8 @@ __all__ = [
     "ArrayConfig",
     "ChannelRealization",
     "DetectConfig",
-    "EkfNoiseConfig",
-    "FlightGeometry",
     "MonopulseMeasurement",
     "PilotConfig",
-    "ProcessNoise",
     "ScenarioConfig",
     "SpatialState",
     "TrackerState",

@@ -7,20 +7,7 @@ absorbs the neglected linearization remainder.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass(frozen=True)
-class BoundConfig:
-    """Relaxed measurement covariance and remainder handling."""
-
-    q_n_relaxed: np.ndarray
-    neglect_remainder: bool = True
-
-    def __post_init__(self):
-        object.__setattr__(self, "q_n_relaxed", np.asarray(self.q_n_relaxed, dtype=float))
 
 
 def bound_step(

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ArrayConfig, PilotConfig, steering_vector
-from .ekf import TrackerState, predict, _symmetrize
+from .channel import ArrayConfig, PilotConfig, beamforming_weight, steering_vector
+from .ekf import TrackerState, predict, step_result, update
 from .errors import MeasurementFailure
 from .geometry import SpatialState
 
@@ -35,10 +35,6 @@ class Codebook:
     weights: np.ndarray         # (N, K^2), unit-norm columns
     arr: ArrayConfig
 
-    @property
-    def m_dim(self) -> int:
-        return 2 * self.k**2
-
     def nearest_axis_angle(self, angle: float) -> float:
         return float(self.axis_angles[np.argmin(np.abs(self.axis_angles - angle))])
 
@@ -48,14 +44,8 @@ def build_codebook(k: int, arr: ArrayConfig) -> Codebook:
     if k < 1:
         raise ValueError("codebook needs at least one beam per axis")
     axis = -np.pi + 2.0 * np.pi * np.arange(k) / k
-    pairs = []
-    cols = []
-    for u in axis:
-        wx = steering_vector(u, arr.n_x) / np.sqrt(arr.n_x)
-        for v in axis:
-            wy = steering_vector(v, arr.n_y) / np.sqrt(arr.n_y)
-            pairs.append((u, v))
-            cols.append(np.outer(wx, wy.conj()).ravel())
+    pairs = [(u, v) for u in axis for v in axis]
+    cols = [beamforming_weight(SpatialState(u, v), arr) for u, v in pairs]
     return Codebook(
         k=k,
         axis_angles=axis,
@@ -148,15 +138,13 @@ class CodebookTracker:
         self.gain_rho = gain_rho
         self.alpha_pred = complex(alpha0)
         self.gain_uncertainty_var = gain_uncertainty_var
-        self.m_dim = codebook.m_dim
-        self.pilot_slots_per_frame = codebook.k**2
 
         n = codebook.arr.n
         # per-component noise variance of the stacked re/im observations;
         # DFT beams are near-orthonormal so the diagonal is exact enough
         sigma2 = pilot.noise_variance(1.0, n)
         inflate = 0.5 * gain_uncertainty_var * n / codebook.k**2
-        self.q_n = (sigma2 / 2.0 + inflate) * np.eye(self.m_dim)
+        self.q_n = (sigma2 / 2.0 + inflate) * np.eye(2 * codebook.k**2)
 
     def step(self, y_vec: np.ndarray) -> dict:
         self.alpha_pred *= self.gain_rho
@@ -168,19 +156,8 @@ class CodebookTracker:
         g = codebook_jacobian(
             pred.x, self.codebook, self.alpha_pred, self.pilot.pilot_symbol
         )
-        innovation = z - z_hat
-        s = g @ pred.p @ g.T + self.q_n
-        k = np.linalg.solve(s.T, (pred.p @ g.T).T).T
-        x_new = pred.x + k @ innovation
-        p_new = _symmetrize(pred.p - k @ s @ k.T)
-        self.state = TrackerState(x=x_new, p=p_new)
-        return {
-            "state": self.state,
-            "innovation_norm": float(np.linalg.norm(innovation)),
-            "meas_valid": True,
-            "kalman_gain": k,
-            "g_mat": g,
-        }
+        self.state, innovation, k = update(pred, z, g, self.q_n, z_hat)
+        return step_result(self.state, g, innovation, k)
 
     def reinitialize(self, state: TrackerState):
         self.state = state
@@ -236,9 +213,7 @@ def abp_ratio_metric(
                 est = SpatialState(center.u + sign * pair.offset, center.v)
             else:
                 est = SpatialState(center.u, center.v + sign * pair.offset)
-            wx = steering_vector(est.u, arr.n_x) / np.sqrt(arr.n_x)
-            wy = steering_vector(est.v, arr.n_y) / np.sqrt(arr.n_y)
-            w = np.outer(wx, wy.conj()).ravel()
+            w = beamforming_weight(est, arr)
             obs2.append(abs(np.vdot(w, y_vec)) ** 2)
         p_plus, p_minus = obs2
         total = p_plus + p_minus
@@ -284,8 +259,6 @@ class AbpTracker:
         self.q_n_source = q_n_source
         self.q_n_floor = q_n_floor
         self.arr = codebook.arr
-        self.m_dim = 2
-        self.pilot_slots_per_frame = codebook.k**2
 
     def _center(self, x_pred: np.ndarray) -> SpatialState:
         return SpatialState(
@@ -339,31 +312,14 @@ class AbpTracker:
             z_hat = self._predicted(pred.x, center)
         except MeasurementFailure:
             self.state = pred
-            return {
-                "state": pred,
-                "innovation_norm": float("nan"),
-                "meas_valid": False,
-                "kalman_gain": np.zeros((2, 2)),
-                "g_mat": np.zeros((2, 2)),
-            }
+            return step_result(pred, np.zeros((2, 2)))
         g = self._jacobian(pred.x, center)
         if self.q_n_source == "fixed":
             q_n = self.sigma_n_sq * np.eye(2)
         else:
             q_n = self._q_n(pred.x, center)
-        innovation = zeta - z_hat
-        s = g @ pred.p @ g.T + q_n
-        k = np.linalg.solve(s.T, (pred.p @ g.T).T).T
-        x_new = pred.x + k @ innovation
-        p_new = _symmetrize(pred.p - k @ s @ k.T)
-        self.state = TrackerState(x=x_new, p=p_new)
-        return {
-            "state": self.state,
-            "innovation_norm": float(np.linalg.norm(innovation)),
-            "meas_valid": True,
-            "kalman_gain": k,
-            "g_mat": g,
-        }
+        self.state, innovation, k = update(pred, zeta, g, q_n, z_hat)
+        return step_result(self.state, g, innovation, k)
 
     def reinitialize(self, state: TrackerState):
         self.state = state

@@ -67,7 +67,6 @@ class PilotConfig:
     snr_db: float
     pilot_symbol: complex = 1.0 + 0.0j
     data_symbol: complex = 1.0 + 0.0j
-    slot_length: float = 1.0    # T_s, seconds
     snr_reference: str = "array"
 
     def __post_init__(self):
@@ -152,11 +151,6 @@ def beamforming_weight(est: SpatialState, arr: ArrayConfig) -> np.ndarray:
     wx = steering_vector(est.u, arr.n_x) / np.sqrt(arr.n_x)
     wy = steering_vector(est.v, arr.n_y) / np.sqrt(arr.n_y)
     return np.outer(wx, wy.conj()).ravel()
-
-
-def vec_channel(h: np.ndarray) -> np.ndarray:
-    """Flatten a channel matrix with the same convention as beamforming_weight."""
-    return h.ravel()
 
 
 def beamformed_signal(

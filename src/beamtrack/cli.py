@@ -20,7 +20,6 @@ from .harness import (
     emit_summary,
     emit_trace,
     run_experiment,
-    run_trial,
 )
 from .presets import get_preset, preset_names
 
@@ -48,9 +47,8 @@ def _out_dir(out: str | None) -> Path:
 
 def _run_one(cfg: ScenarioConfig, scheme: str, out: Path, tag: str) -> None:
     summary = run_experiment(cfg, scheme)
-    trace = run_trial(cfg, 0, scheme)
     try:
-        emit_trace(trace, out / f"{tag}_trace.csv")
+        emit_trace(summary.trace, out / f"{tag}_trace.csv")
         emit_summary(summary, out / f"{tag}_summary.json")
     except OSError as exc:
         click.echo(f"error: {exc}", err=True)

@@ -28,23 +28,6 @@ class TrackerState:
         return SpatialState.from_array(self.x)
 
 
-@dataclass
-class EkfNoiseConfig:
-    """Process / measurement noise used by the filter (not the simulator)."""
-
-    q_p: np.ndarray
-    q_n: np.ndarray
-    q_n_mode: str = "fixed"     # "fixed" | "estimated"
-    estimator_window: int = 50
-    estimator_floor: float = 1e-9
-
-    def __post_init__(self):
-        self.q_p = np.asarray(self.q_p, dtype=float)
-        self.q_n = np.asarray(self.q_n, dtype=float)
-        if self.q_n_mode not in ("fixed", "estimated"):
-            raise ValueError("q_n_mode must be 'fixed' or 'estimated'")
-
-
 def measurement_fn(x: np.ndarray) -> np.ndarray:
     """g(x) = (tan(u/2), tan(v/2))."""
     return np.tan(np.asarray(x, dtype=float) / 2.0)
@@ -79,18 +62,43 @@ def update(
     r: np.ndarray,
     g_mat: np.ndarray,
     q_n: np.ndarray,
+    r_hat: np.ndarray | None = None,
 ) -> tuple[TrackerState, np.ndarray, np.ndarray]:
     """Measurement update; returns (state, innovation, kalman_gain).
 
-    innovation = r - g(x^-); K = P^- G^T S^-1; P = P^- - K S K^T,
-    symmetrized against round-off drift.
+    innovation = r - r_hat, where r_hat defaults to the monopulse model
+    g(x^-); K = P^- G^T S^-1; P = P^- - K S K^T, symmetrized against
+    round-off drift.
     """
-    innovation = np.asarray(r, dtype=float) - measurement_fn(pred.x)
+    if r_hat is None:
+        r_hat = measurement_fn(pred.x)
+    innovation = np.asarray(r, dtype=float) - r_hat
     s = g_mat @ pred.p @ g_mat.T + q_n
     k = np.linalg.solve(s.T, (pred.p @ g_mat.T).T).T
     x_new = pred.x + k @ innovation
     p_new = _symmetrize(pred.p - k @ s @ k.T)
     return TrackerState(x=x_new, p=p_new), innovation, k
+
+
+def step_result(
+    state: TrackerState,
+    g_mat: np.ndarray,
+    innovation: np.ndarray | None = None,
+    k: np.ndarray | None = None,
+) -> dict:
+    """A tracker step's outcome.
+
+    Without an innovation the frame had no usable measurement: the state is
+    the prediction, the gain is zero and the innovation norm is NaN.
+    """
+    valid = innovation is not None
+    return {
+        "state": state,
+        "innovation_norm": float(np.linalg.norm(innovation)) if valid else float("nan"),
+        "meas_valid": valid,
+        "kalman_gain": k if valid else np.zeros((2, 2)),
+        "g_mat": g_mat,
+    }
 
 
 def _symmetrize(p: np.ndarray) -> np.ndarray:
@@ -130,23 +138,6 @@ class InnovationNoiseEstimator:
         innov = np.array(self._innovations)
         raw = innov.var(axis=0, ddof=1) - np.mean(self._gpg_diags, axis=0)
         return np.diag(np.maximum(raw, self.floor))
-
-
-def estimate_measurement_noise(
-    history: list[tuple[np.ndarray, np.ndarray]],
-    window: int,
-    prior: np.ndarray,
-    floor: float = 1e-9,
-) -> np.ndarray:
-    """One-shot form of the innovation-based Q_n estimator.
-
-    `history` holds (innovation, G P^- G^T diagonal) pairs, oldest first.
-    """
-    est = InnovationNoiseEstimator(window=window, floor=floor)
-    for innovation, gpg in history[-window:]:
-        est._innovations.append(np.asarray(innovation, dtype=float))
-        est._gpg_diags.append(np.asarray(gpg, dtype=float))
-    return est.estimate(prior)
 
 
 def initial_state(x0: np.ndarray, sigma_init: float) -> TrackerState:

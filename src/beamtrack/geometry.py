@@ -27,47 +27,6 @@ class SpatialState:
     def from_array(x: np.ndarray) -> "SpatialState":
         return SpatialState(float(x[0]), float(x[1]))
 
-    def in_range(self) -> bool:
-        """Whether both angles are within the unambiguous [-pi, pi] band."""
-        return abs(self.u) <= np.pi and abs(self.v) <= np.pi
-
-
-@dataclass(frozen=True)
-class FlightGeometry:
-    """Circular-flight geometry of the UAV relative to the ground station."""
-
-    flight_radius: float        # R_o, meters
-    station_height: float       # h, meters
-    rotation_per_frame: float   # psi, radians
-    azimuth: float = 0.0        # phi, radians
-    element_spacing_ratio: float = 0.5  # d / lambda
-    frame_period: float = 1.0   # T, seconds
-
-    def __post_init__(self):
-        if self.flight_radius <= 0 or self.station_height <= 0:
-            raise ValueError("flight radius and station height must be positive")
-        if not (0 < self.element_spacing_ratio <= 0.5):
-            raise ValueError("element spacing ratio must lie in (0, 0.5]")
-
-    @property
-    def elevation(self) -> float:
-        return elevation_from_geometry(self.station_height, self.flight_radius)
-
-
-@dataclass(frozen=True)
-class ProcessNoise:
-    """Per-axis standard deviations of the state random walk."""
-
-    sigma_u: float
-    sigma_v: float
-
-    def __post_init__(self):
-        if self.sigma_u < 0 or self.sigma_v < 0:
-            raise ValueError("process noise std-devs must be non-negative")
-
-    def covariance(self) -> np.ndarray:
-        return np.diag([self.sigma_u**2, self.sigma_v**2])
-
 
 def angles_to_spatial(phi: float, theta: float, d_over_lambda: float = 0.5) -> SpatialState:
     """Map azimuth/elevation to spatial angles (u, v).
@@ -98,16 +57,14 @@ def rotation_matrix(psi: float) -> np.ndarray:
 
 
 def evolve_state(
-    x: SpatialState,
-    psi: float,
-    noise: ProcessNoise,
+    x: np.ndarray,
+    f: np.ndarray,
+    sigma: tuple[float, float],
     rng: np.random.Generator,
-) -> SpatialState:
-    """One step of the truth dynamics: rotate by psi, add Gaussian drift.
+) -> np.ndarray:
+    """One step of the truth dynamics x' = F x + w, w ~ N(0, diag(sigma)^2).
 
     The result is not clamped to [-pi, pi]; out-of-range states are the
     misalignment detector's problem, not the dynamics'.
     """
-    f = rotation_matrix(psi)
-    drift = rng.normal(0.0, [noise.sigma_u, noise.sigma_v])
-    return SpatialState.from_array(f @ x.as_array() + drift)
+    return f @ x + rng.normal(0.0, sigma)

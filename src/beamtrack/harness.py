@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -27,17 +27,20 @@ from .channel import (
     ArrayConfig,
     ChannelRealization,
     PilotConfig,
-    channel_matrix,
-    complex_noise,
-    evolve_gain,
+    beamformed_signal,
     beamforming_weight,
+    channel_matrix,
+    evolve_gain,
+    synthesize_rx,
 )
 from .ekf import (
+    JACOBIAN_MODES,
     InnovationNoiseEstimator,
     TrackerState,
     initial_state,
     jacobian,
     predict,
+    step_result,
     update,
 )
 from .errors import ConfigError, MeasurementFailure
@@ -45,6 +48,7 @@ from .geometry import (
     SpatialState,
     angles_to_spatial,
     elevation_from_geometry,
+    evolve_state,
     rotation_matrix,
 )
 from .misalign import DetectConfig, DetectorState, detect_step
@@ -104,7 +108,7 @@ class ScenarioConfig:
             raise ConfigError("std-devs must be non-negative")
         if self.q_n_mode not in ("fixed", "estimated"):
             raise ConfigError("q_n_mode must be 'fixed' or 'estimated'")
-        if self.jacobian_mode not in ("paper-approx", "exact"):
+        if self.jacobian_mode not in JACOBIAN_MODES:
             raise ConfigError("jacobian_mode must be 'paper-approx' or 'exact'")
         if self.abp_q_n not in ("fixed", "delta"):
             raise ConfigError("abp_q_n must be 'fixed' or 'delta'")
@@ -158,8 +162,10 @@ class ScenarioConfig:
         try:
             with open(path) as fh:
                 data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+        except OSError as exc:
+            raise ConfigError(f"{path}: cannot read: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError(f"{path}: expected a JSON object")
         return ScenarioConfig.from_dict(data)
@@ -187,12 +193,8 @@ class ComplexityLedger:
     """Table-of-complexity accounting: measurement size and pilot slots."""
 
     m: int
-    pilot_slots: int = 0        # cumulative, units of T_s
-    solve_cost: int = 0         # cumulative m^3 proxy
-
-    def tick(self, slots_per_frame: int):
-        self.pilot_slots += slots_per_frame
-        self.solve_cost += self.m**3
+    pilot_slots: int            # per trial, units of T_s
+    solve_cost: int             # per trial, m^3 proxy
 
 
 class ProposedTracker:
@@ -212,39 +214,24 @@ class ProposedTracker:
         self.estimator = InnovationNoiseEstimator(
             window=cfg.q_n_window, floor=cfg.sigma_n_sq / 10.0
         )
-        self.m_dim = 2
-        self.pilot_slots_per_frame = 1
         self.last_q_n = self.q_n_prior
 
     def step(self, y_snapshot: np.ndarray) -> dict:
         pred = predict(self.state, self.f, self.q_p)
+        g = jacobian(pred.x, self.jacobian_mode)
         try:
             meas = extract_measurement(y_snapshot, self.arr)
         except MeasurementFailure:
             self.state = pred
-            return {
-                "state": pred,
-                "innovation_norm": float("nan"),
-                "meas_valid": False,
-                "kalman_gain": np.zeros((2, 2)),
-                "g_mat": jacobian(pred.x, self.jacobian_mode),
-            }
-        g = jacobian(pred.x, self.jacobian_mode)
+            return step_result(pred, g)
         if self.q_n_mode == "estimated":
             q_n = self.estimator.estimate(self.q_n_prior)
         else:
             q_n = self.q_n_prior
         self.last_q_n = q_n
-        new_state, innovation, k = update(pred, meas.r, g, q_n)
+        self.state, innovation, k = update(pred, meas.r, g, q_n)
         self.estimator.push(innovation, g, pred.p)
-        self.state = new_state
-        return {
-            "state": new_state,
-            "innovation_norm": float(np.linalg.norm(innovation)),
-            "meas_valid": True,
-            "kalman_gain": k,
-            "g_mat": g,
-        }
+        return step_result(self.state, g, innovation, k)
 
     def reinitialize(self, state: TrackerState):
         self.state = state
@@ -256,10 +243,9 @@ def _build_tracker(cfg: ScenarioConfig, scheme: str, state: TrackerState):
         return ProposedTracker(cfg, state)
     codebook = build_codebook(cfg.k_beams, cfg.arr)
     f = rotation_matrix(cfg.psi_value)
-    gain_var = cfg.gain_innovation_var
-    if gain_var is None:
-        gain_var = 1.0 - cfg.rho_gain**2 / 2.0
     if scheme == "codebook":
+        # evolve_gain's literal default variance is positive for every |rho| <= 1
+        gain_varies = cfg.gain_innovation_var is None or cfg.gain_innovation_var > 0
         return CodebookTracker(
             codebook,
             f,
@@ -267,7 +253,7 @@ def _build_tracker(cfg: ScenarioConfig, scheme: str, state: TrackerState):
             cfg.pilot(),
             state,
             gain_rho=cfg.rho_gain,
-            gain_uncertainty_var=cfg.gain_uncertainty_var if gain_var > 0 else 0.0,
+            gain_uncertainty_var=cfg.gain_uncertainty_var if gain_varies else 0.0,
         )
     if scheme == "abp":
         pair = (
@@ -297,7 +283,7 @@ def run_trial(cfg: ScenarioConfig, trial_index: int, scheme: str | None = None) 
     f = rotation_matrix(cfg.psi_value)
     q_p = cfg.q_p()
     q_n_relaxed = np.eye(2) * cfg.sigma_nb_sq
-    noise = _ProcessDraw(cfg)
+    sigma = (cfg.sigma_u, cfg.sigma_v)
 
     init_rng = rngmod.stream(cfg.seed, trial_index, 0, "init")
     phi = init_rng.uniform(
@@ -311,34 +297,24 @@ def run_trial(cfg: ScenarioConfig, trial_index: int, scheme: str | None = None) 
     detector = DetectorState()
     alpha = 1.0 + 0.0j
     p_prev = tracker.state.p.copy()
-    ledger = ComplexityLedger(m=tracker.m_dim)
     records: list[FrameRecord] = []
 
     for k in range(1, cfg.frames + 1):
-        proc_rng = rngmod.stream(cfg.seed, trial_index, k, "process")
-        truth = f @ truth + proc_rng.normal(0.0, [cfg.sigma_u, cfg.sigma_v])
-        gain_rng = rngmod.stream(cfg.seed, trial_index, k, "gain")
-        alpha = evolve_gain(alpha, cfg.rho_gain, gain_rng, noise.gain_var)
-
+        key = (cfg.seed, trial_index, k)
+        truth = evolve_state(truth, f, sigma, rngmod.stream(*key, "process"))
+        alpha = evolve_gain(
+            alpha, cfg.rho_gain, rngmod.stream(*key, "gain"), cfg.gain_innovation_var
+        )
         chan = ChannelRealization(gain=alpha, spatial=SpatialState.from_array(truth))
         h = channel_matrix(chan, arr)
-        sig = h * pilot.pilot_symbol
-        elem_power = float(np.mean(np.abs(sig) ** 2))
-        var = pilot.noise_variance(elem_power, arr.n)
-        pilot_rng = rngmod.stream(cfg.seed, trial_index, k, "pilot")
-        y = sig + complex_noise(h.shape, var, pilot_rng)
+        y = synthesize_rx(h, pilot, rngmod.stream(*key, "pilot"))
 
         out = tracker.step(y if scheme == "proposed" else y.ravel())
         state: TrackerState = out["state"]
-        ledger.tick(tracker.pilot_slots_per_frame)
 
         # data transmission phase: beamformed power toward the estimate
         w = beamforming_weight(state.estimate, arr)
-        h_vec = h.ravel()
-        data_sig = h_vec * pilot.data_symbol
-        data_var = pilot.noise_variance(float(np.mean(np.abs(data_sig) ** 2)), arr.n)
-        data_rng = rngmod.stream(cfg.seed, trial_index, k, "data")
-        r_d = np.vdot(w, data_sig) + np.vdot(w, complex_noise(h_vec.shape, data_var, data_rng))
+        r_d = beamformed_signal(w, h.ravel(), pilot, rngmod.stream(*key, "data"))
         p_r = float(abs(r_d) ** 2 / (arr.n * abs(chan.scalar_gain * pilot.data_symbol) ** 2))
 
         est = detect_step(p_r, detect_cfg, arr, detector)
@@ -371,24 +347,12 @@ def run_trial(cfg: ScenarioConfig, trial_index: int, scheme: str | None = None) 
         )
 
         if est.realigned:
-            realign_rng = rngmod.stream(cfg.seed, trial_index, k, "realign")
+            realign_rng = rngmod.stream(*key, "realign")
             truth = realign_rng.normal(0.0, detect_cfg.residual_after_realign, 2)
             tracker.reinitialize(initial_state(np.zeros(2), cfg.sigma_init))
             p_prev = tracker.state.p.copy()
 
-    assert ledger.pilot_slots == cfg.frames * tracker.pilot_slots_per_frame
     return records
-
-
-class _ProcessDraw:
-    """Resolved noise settings for a run."""
-
-    def __init__(self, cfg: ScenarioConfig):
-        self.gain_var = (
-            1.0 - cfg.rho_gain**2 / 2.0
-            if cfg.gain_innovation_var is None
-            else cfg.gain_innovation_var
-        )
 
 
 @dataclass
@@ -398,6 +362,8 @@ class ExperimentSummary:
     per_frame_bound: list
     detection_frames: list
     ledger: dict
+    # trial 0's frame records, for the trace; not part of the summary JSON
+    trace: list = field(default_factory=list, repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -419,6 +385,8 @@ def run_experiment(cfg: ScenarioConfig, scheme: str | None = None) -> Experiment
     detections: list[list[int]] = []
     for t in range(cfg.trials):
         records = run_trial(cfg, t, scheme)
+        if t == 0:
+            trace = records
         for rec in records:
             i = rec.frame - 1
             sq_err[i] += rec.err_norm**2
@@ -430,17 +398,13 @@ def run_experiment(cfg: ScenarioConfig, scheme: str | None = None) -> Experiment
     per_frame_mse = (sq_err / cfg.trials).tolist()
     with np.errstate(invalid="ignore", divide="ignore"):
         per_frame_bound = np.where(bound_count > 0, bound_sum / np.maximum(bound_count, 1), np.nan)
-    ledger = trial_ledger(cfg, scheme)
     return ExperimentSummary(
         scenario={**cfg.to_dict(), "scheme": scheme},
         per_frame_mse=per_frame_mse,
         per_frame_bound=[x if math.isfinite(x) else None for x in per_frame_bound],
         detection_frames=detections,
-        ledger={
-            "m": ledger.m,
-            "pilot_slots": ledger.pilot_slots,
-            "solve_cost": ledger.solve_cost,
-        },
+        ledger=asdict(trial_ledger(cfg, scheme)),
+        trace=trace,
     )
 
 
@@ -456,10 +420,7 @@ def trial_ledger(cfg: ScenarioConfig, scheme: str | None = None) -> ComplexityLe
         m, slots = 2 * k2, k2
     else:
         raise ConfigError(f"unknown scheme {scheme!r}")
-    ledger = ComplexityLedger(m=m)
-    for _ in range(cfg.frames):
-        ledger.tick(slots)
-    return ledger
+    return ComplexityLedger(m=m, pilot_slots=cfg.frames * slots, solve_cost=cfg.frames * m**3)
 
 
 # output emission ----------------------------------------------------

@@ -26,7 +26,6 @@ class DetectConfig:
     threshold: float            # p_th, radians of error norm
     consecutive_required: int = 1
     residual_after_realign: float = 0.02
-    coarse_range: float = np.pi / 6.0   # theta_a
     enabled: bool = True
 
     def __post_init__(self):

@@ -30,10 +30,6 @@ class MonopulseMeasurement:
     raw_ry: complex
     excluded_pairs: int = 0
 
-    @property
-    def valid(self) -> bool:
-        return bool(np.all(np.isfinite(self.r)))
-
 
 def normalize_rx(y: np.ndarray) -> np.ndarray:
     """Divide the snapshot by a single complex reference gain.
@@ -62,23 +58,6 @@ def _pair_average(a: np.ndarray, b: np.ndarray) -> tuple[complex, int]:
     if not keep.any():
         raise MeasurementFailure("all adjacent-pair denominators below floor")
     return complex(np.mean(num[keep] / den[keep])), excluded
-
-
-def monopulse_x(y_norm: np.ndarray, arr: ArrayConfig) -> complex:
-    """Average adjacent-pair ratio along the x-axis; noiseless value j tan(u/2)."""
-    r, _ = _pair_average(y_norm[:-1, :], y_norm[1:, :])
-    return r
-
-
-def monopulse_y(y_norm: np.ndarray, arr: ArrayConfig) -> complex:
-    """Average adjacent-pair ratio along the y-axis; noiseless value j tan(v/2).
-
-    The channel is a_x(u) a_y(v)^H, so columns of the snapshot progress as
-    e^{+j m v}; the pair order is swapped relative to the x-axis to keep
-    the sign convention.
-    """
-    r, _ = _pair_average(y_norm[:, 1:], y_norm[:, :-1])
-    return r
 
 
 def extract_measurement(y: np.ndarray, arr: ArrayConfig) -> MonopulseMeasurement:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from beamtrack.analysis import BoundConfig, bound_gap, bound_step
+from beamtrack.analysis import bound_gap, bound_step
 from beamtrack.geometry import rotation_matrix
 
 
@@ -88,9 +88,3 @@ class TestBoundGap:
         q_n = _random_psd(rng, 0.01)
         q_rel = q_n + _random_psd(rng, 0.01)
         assert bound_gap(rng.normal(size=(2, 2)), q_rel, q_n) >= -1e-12
-
-
-def test_bound_config_coerces_array():
-    cfg = BoundConfig(q_n_relaxed=[[3e-5, 0.0], [0.0, 3e-5]])
-    assert cfg.q_n_relaxed.dtype == float
-    assert cfg.neglect_remainder

@@ -14,7 +14,7 @@ from beamtrack.baselines import (
     codebook_measurement,
     codebook_predicted,
 )
-from beamtrack.channel import ArrayConfig, PilotConfig, channel_matrix, ChannelRealization, complex_noise
+from beamtrack.channel import ArrayConfig, PilotConfig, beamforming_weight, complex_noise
 from beamtrack.ekf import initial_state
 from beamtrack.errors import MeasurementFailure
 from beamtrack.geometry import SpatialState
@@ -30,13 +30,21 @@ def _h_vec(u, v, arr, gain=1.0 + 0.0j):
 
 class TestCodebook:
     def test_degenerate_single_beam(self):
-        cb = build_codebook(1, ArrayConfig(2, 2))
-        assert cb.m_dim == 2
+        arr = ArrayConfig(2, 2)
+        cb = build_codebook(1, arr)
+        assert codebook_measurement(_h_vec(0.1, 0.2, arr), cb).shape == (2,)
         assert cb.beam_angles.shape == (1, 2)
 
     def test_k8_measurement_length(self):
-        cb = build_codebook(8, ArrayConfig(8, 8))
-        assert cb.m_dim == 128
+        arr = ArrayConfig(8, 8)
+        cb = build_codebook(8, arr)
+        assert codebook_measurement(_h_vec(0.1, 0.2, arr), cb).shape == (128,)
+
+    def test_columns_are_beamforming_weights(self):
+        arr = ArrayConfig(4, 8)
+        cb = build_codebook(4, arr)
+        for col, (u, v) in zip(cb.weights.T, cb.beam_angles):
+            assert np.array_equal(col, beamforming_weight(SpatialState(u, v), arr))
 
     def test_unit_norm_weights(self):
         cb = build_codebook(4, ArrayConfig(4, 4))
@@ -138,11 +146,14 @@ class TestCodebookTracker:
         assert np.linalg.norm(out["state"].x - truth) < 1e-3
 
     def test_measurement_dimension(self):
-        cb = build_codebook(8, ArrayConfig(8, 8))
-        tracker = CodebookTracker(cb, np.eye(2), np.eye(2) * 1e-6, NOISELESS,
+        arr = ArrayConfig(8, 8)
+        cb = build_codebook(8, arr)
+        tracker = CodebookTracker(cb, np.eye(2), np.eye(2) * 1e-6, PilotConfig(snr_db=10.0),
                                   initial_state(np.zeros(2), 0.01))
-        assert tracker.m_dim == 128
-        assert tracker.pilot_slots_per_frame == 64
+        out = tracker.step(_h_vec(0.1, 0.2, arr))
+        assert tracker.q_n.shape == (128, 128)
+        assert out["g_mat"].shape == (128, 2)
+        assert out["kalman_gain"].shape == (2, 128)
 
 
 class TestAbpRatio:
@@ -205,9 +216,11 @@ def _abp_tracker(arr, state, pilot=NOISELESS, **kw):
 
 class TestAbpTracker:
     def test_measurement_dimension(self):
-        tracker = _abp_tracker(ArrayConfig(8, 8), initial_state(np.zeros(2), 0.01))
-        assert tracker.m_dim == 2
-        assert tracker.pilot_slots_per_frame == 64
+        arr = ArrayConfig(8, 8)
+        tracker = _abp_tracker(arr, initial_state(np.zeros(2), 0.01))
+        out = tracker.step(_h_vec(0.1, 0.2, arr))
+        assert out["g_mat"].shape == (2, 2)
+        assert out["kalman_gain"].shape == (2, 2)
 
     def test_update_beats_prediction_only(self):
         # paired trials: same noise, with and without the measurement update

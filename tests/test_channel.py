@@ -15,7 +15,6 @@ from beamtrack.channel import (
     evolve_gain,
     steering_vector,
     synthesize_rx,
-    vec_channel,
 )
 from beamtrack.geometry import SpatialState
 
@@ -159,7 +158,7 @@ class TestBeamformingWeight:
         arr = ArrayConfig(4, 4)
         x = SpatialState(0.7, -0.4)
         w = beamforming_weight(x, arr)
-        h_vec = vec_channel(channel_matrix(_chan(x.u, x.v), arr))
+        h_vec = channel_matrix(_chan(x.u, x.v), arr).ravel()
         assert np.vdot(w, h_vec) == pytest.approx(np.sqrt(arr.n), abs=1e-12)
 
     @given(u=st.floats(-3, 3), v=st.floats(-3, 3),
@@ -168,7 +167,7 @@ class TestBeamformingWeight:
     def test_gain_bound(self, u, v, uh, vh):
         arr = ArrayConfig(4, 4)
         w = beamforming_weight(SpatialState(uh, vh), arr)
-        h_vec = vec_channel(channel_matrix(_chan(u, v, gain=0.8j), arr))
+        h_vec = channel_matrix(_chan(u, v, gain=0.8j), arr).ravel()
         assert abs(np.vdot(w, h_vec)) <= np.sqrt(arr.n) * 0.8 + 1e-9
 
 
@@ -177,7 +176,7 @@ class TestBeamformedSignal:
         arr = ArrayConfig(4, 4)
         x = SpatialState(0.3, 0.9)
         w = beamforming_weight(x, arr)
-        h_vec = vec_channel(channel_matrix(_chan(x.u, x.v), arr))
+        h_vec = channel_matrix(_chan(x.u, x.v), arr).ravel()
         r = beamformed_signal(w, h_vec, NOISELESS, np.random.default_rng(0))
         assert r == pytest.approx(np.sqrt(arr.n) * NOISELESS.data_symbol, abs=1e-10)
 
@@ -185,7 +184,7 @@ class TestBeamformedSignal:
         arr = ArrayConfig(4, 4)
         # orthogonal DFT directions: grid spacing 2*pi/n
         w = beamforming_weight(SpatialState(2 * np.pi / 4, 0.0), arr)
-        h_vec = vec_channel(channel_matrix(_chan(0.0, 0.0), arr))
+        h_vec = channel_matrix(_chan(0.0, 0.0), arr).ravel()
         r = beamformed_signal(w, h_vec, NOISELESS, np.random.default_rng(0))
         assert abs(r) < 1e-10
 
@@ -194,7 +193,7 @@ class TestBeamformedSignal:
         arr = ArrayConfig(4, 4)
         pilot = PilotConfig(snr_db=0.0, snr_reference="element")
         w = beamforming_weight(SpatialState(0.1, 0.2), arr)
-        h_vec = vec_channel(channel_matrix(_chan(0.5, -0.5), arr))
+        h_vec = channel_matrix(_chan(0.5, -0.5), arr).ravel()
         var = pilot.noise_variance(float(np.mean(np.abs(h_vec) ** 2)), arr.n)
         rng = np.random.default_rng(11)
         clean = np.vdot(w, h_vec) * pilot.data_symbol

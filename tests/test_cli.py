@@ -5,6 +5,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from beamtrack import cli, harness
 from beamtrack.cli import main
 from beamtrack.presets import preset_names
 
@@ -70,6 +71,35 @@ def test_run_invalid_json_exits_2(runner, tmp_path):
     bad.write_text("{oops")
     result = runner.invoke(main, ["run", "--config", str(bad)])
     assert result.exit_code == 2
+
+
+def test_run_directory_config_exits_2(runner, tmp_path):
+    result = runner.invoke(main, ["run", "--config", str(tmp_path)])
+    assert result.exit_code == 2
+    assert "config error" in result.output
+
+
+def test_run_non_utf8_config_exits_2(runner, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    result = runner.invoke(main, ["run", "--config", str(bad)])
+    assert result.exit_code == 2
+
+
+def test_run_simulates_each_trial_once(runner, tiny_config, tmp_path, monkeypatch):
+    calls = []
+    original = harness.run_trial
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_trial", counting)
+    # also count calls the CLI would make through a name of its own
+    monkeypatch.setattr(cli, "run_trial", counting, raising=False)
+    result = runner.invoke(main, ["run", "--config", str(tiny_config), "--out", str(tmp_path)])
+    assert result.exit_code == 0
+    assert sorted(calls) == [0, 1]
 
 
 def test_run_bad_field_exits_2(runner, tmp_path):

@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from beamtrack.ekf import (
-    EkfNoiseConfig,
     InnovationNoiseEstimator,
     TrackerState,
-    estimate_measurement_noise,
     initial_state,
     jacobian,
     measurement_fn,
     predict,
+    step_result,
     update,
 )
 from beamtrack.geometry import rotation_matrix
@@ -89,6 +88,28 @@ class TestUpdate:
         new, innovation, _ = update(pred, r, jacobian(pred.x), np.eye(2) * 1e-6)
         assert np.allclose(innovation, 0.0, atol=1e-15)
         assert np.allclose(new.x, pred.x, atol=1e-15)
+
+    def test_r_hat_defaults_to_monopulse_model(self):
+        pred = TrackerState(np.array([0.3, -0.4]), np.diag([0.01, 0.02]))
+        r = np.array([0.2, -0.1])
+        g, q_n = jacobian(pred.x), np.eye(2) * 1e-4
+        new_a, innov_a, k_a = update(pred, r, g, q_n)
+        new_b, innov_b, k_b = update(pred, r, g, q_n, measurement_fn(pred.x))
+        assert np.array_equal(new_a.x, new_b.x)
+        assert np.array_equal(innov_a, innov_b)
+        assert np.array_equal(k_a, k_b)
+
+    def test_explicit_r_hat_taller_measurement(self):
+        # a 4-dimensional measurement of the 2-dimensional state, as the
+        # codebook tracker forms it: innovation r - r_hat, gain 2 x 4
+        rng = np.random.default_rng(5)
+        pred = TrackerState(np.array([0.1, 0.2]), np.diag([0.01, 0.02]))
+        g = rng.normal(size=(4, 2))
+        r, r_hat = rng.normal(size=4), rng.normal(size=4)
+        new, innovation, k = update(pred, r, g, np.eye(4) * 1e-3, r_hat)
+        assert np.array_equal(innovation, r - r_hat)
+        assert k.shape == (2, 4)
+        assert np.allclose(new.x, pred.x + k @ (r - r_hat), atol=1e-15)
 
     def test_scalarized_gain_formula(self):
         # isotropic case: K = 0.5 p / (0.25 p + sigma^2) * I
@@ -185,28 +206,39 @@ class TestNoiseEstimator:
         mean_est = np.mean(estimates, axis=0)
         assert np.all(np.abs(mean_est - sigma2) / sigma2 < 0.2)
 
-    def test_one_shot_wrapper_matches(self):
+    def test_window_keeps_latest(self):
         rng = np.random.default_rng(4)
         history = [(rng.normal(size=2), rng.uniform(0, 0.1, 2)) for _ in range(30)]
         prior = np.eye(2) * 0.5
-        q = estimate_measurement_noise(history, window=20, prior=prior)
-        est = InnovationNoiseEstimator(window=20)
+        full, latest = InnovationNoiseEstimator(window=20), InnovationNoiseEstimator(window=20)
         for innov, gpg in history:
-            est._innovations.append(innov)
-            est._gpg_diags.append(gpg)
-            if len(est._innovations) > 20:
-                est._innovations.pop(0)
-                est._gpg_diags.pop(0)
-        assert np.allclose(q, est.estimate(prior))
+            full.push(innov, np.eye(2), np.diag(gpg))
+        for innov, gpg in history[-20:]:
+            latest.push(innov, np.eye(2), np.diag(gpg))
+        assert np.array_equal(full.estimate(prior), latest.estimate(prior))
+        assert not np.allclose(full.estimate(prior), prior)
 
     def test_window_validation(self):
         with pytest.raises(ValueError):
             InnovationNoiseEstimator(window=1)
 
 
-def test_noise_config_validation():
-    with pytest.raises(ValueError):
-        EkfNoiseConfig(q_p=np.eye(2), q_n=np.eye(2), q_n_mode="bogus")
+class TestStepResult:
+    def test_measured_frame(self):
+        state = initial_state(np.array([0.1, 0.2]), 0.01)
+        out = step_result(state, 0.5 * np.eye(2), np.array([3.0, 4.0]), np.eye(2))
+        assert out["meas_valid"] is True
+        assert out["innovation_norm"] == 5.0
+        assert np.array_equal(out["kalman_gain"], np.eye(2))
+
+    def test_prediction_only_frame(self):
+        pred = initial_state(np.array([0.1, 0.2]), 0.01)
+        out = step_result(pred, 0.5 * np.eye(2))
+        assert out["state"] is pred
+        assert out["meas_valid"] is False
+        assert np.isnan(out["innovation_norm"])
+        assert np.array_equal(out["kalman_gain"], np.zeros((2, 2)))
+        assert np.array_equal(out["g_mat"], 0.5 * np.eye(2))
 
 
 def test_initial_state_covariance():

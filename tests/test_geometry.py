@@ -5,20 +5,21 @@ import pytest
 from hypothesis import given, strategies as st
 
 from beamtrack.geometry import (
-    FlightGeometry,
-    ProcessNoise,
-    SpatialState,
     angles_to_spatial,
     elevation_from_geometry,
     evolve_state,
     rotation_matrix,
 )
 
-NO_NOISE = ProcessNoise(0.0, 0.0)
+NO_NOISE = (0.0, 0.0)
 
 
 def _rng(seed=0):
     return np.random.default_rng(seed)
+
+
+def _rotate(u, v, psi, sigma=NO_NOISE, seed=0):
+    return evolve_state(np.array([u, v]), rotation_matrix(psi), sigma, _rng(seed))
 
 
 class TestAnglesToSpatial:
@@ -65,35 +66,35 @@ class TestElevationFromGeometry:
 
 class TestEvolveState:
     def test_identity_rotation(self):
-        s = evolve_state(SpatialState(1.0, 0.0), 0.0, NO_NOISE, _rng())
-        assert s.u == pytest.approx(1.0, abs=1e-15)
-        assert s.v == pytest.approx(0.0, abs=1e-15)
+        u, v = _rotate(1.0, 0.0, 0.0)
+        assert u == pytest.approx(1.0, abs=1e-15)
+        assert v == pytest.approx(0.0, abs=1e-15)
 
     def test_quarter_rotation(self):
-        s = evolve_state(SpatialState(1.0, 0.0), np.pi / 2, NO_NOISE, _rng())
-        assert s.u == pytest.approx(0.0, abs=1e-15)
-        assert s.v == pytest.approx(1.0, abs=1e-15)
+        u, v = _rotate(1.0, 0.0, np.pi / 2)
+        assert u == pytest.approx(0.0, abs=1e-15)
+        assert v == pytest.approx(1.0, abs=1e-15)
 
     def test_small_rotation_values(self):
         # oracle: [[cos, -sin], [sin, cos]] @ (0.3, 0.4) at psi = 0.01
-        s = evolve_state(SpatialState(0.3, 0.4), 0.01, NO_NOISE, _rng())
+        u, v = _rotate(0.3, 0.4, 0.01)
         c, sn = np.cos(0.01), np.sin(0.01)
-        assert s.u == pytest.approx(0.3 * c - 0.4 * sn, abs=1e-15)
-        assert s.v == pytest.approx(0.3 * sn + 0.4 * c, abs=1e-15)
-        assert s.u == pytest.approx(0.29599, abs=5e-5)
-        assert s.v == pytest.approx(0.40297, abs=5e-5)
-        assert np.hypot(s.u, s.v) == pytest.approx(0.5, abs=1e-12)
+        assert u == pytest.approx(0.3 * c - 0.4 * sn, abs=1e-15)
+        assert v == pytest.approx(0.3 * sn + 0.4 * c, abs=1e-15)
+        assert u == pytest.approx(0.29599, abs=5e-5)
+        assert v == pytest.approx(0.40297, abs=5e-5)
+        assert np.hypot(u, v) == pytest.approx(0.5, abs=1e-12)
 
     def test_seed_determinism(self):
-        noise = ProcessNoise(0.01, 0.02)
-        a = evolve_state(SpatialState(0.1, 0.2), 0.3, noise, _rng(7))
-        b = evolve_state(SpatialState(0.1, 0.2), 0.3, noise, _rng(7))
-        assert a == b
+        a = _rotate(0.1, 0.2, 0.3, sigma=(0.01, 0.02), seed=7)
+        b = _rotate(0.1, 0.2, 0.3, sigma=(0.01, 0.02), seed=7)
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, _rotate(0.1, 0.2, 0.3))
 
     def test_not_clamped_out_of_range(self):
-        s = evolve_state(SpatialState(3.0, 3.0), 0.5, NO_NOISE, _rng())
-        assert not s.in_range() or abs(s.u) <= np.pi  # value passed through, no clamp
-        assert np.hypot(s.u, s.v) == pytest.approx(np.hypot(3.0, 3.0), abs=1e-12)
+        u, v = _rotate(3.0, 3.0, 0.5)
+        assert max(abs(u), abs(v)) > np.pi  # value passed through, no clamp
+        assert np.hypot(u, v) == pytest.approx(np.hypot(3.0, 3.0), abs=1e-12)
 
 
 @given(
@@ -102,8 +103,8 @@ class TestEvolveState:
     psi=st.floats(-2 * np.pi, 2 * np.pi),
 )
 def test_rotation_preserves_norm(u, v, psi):
-    s = evolve_state(SpatialState(u, v), psi, NO_NOISE, _rng())
-    assert np.hypot(s.u, s.v) == pytest.approx(np.hypot(u, v), abs=1e-12)
+    s = _rotate(u, v, psi)
+    assert np.hypot(*s) == pytest.approx(np.hypot(u, v), abs=1e-12)
 
 
 @given(
@@ -112,28 +113,12 @@ def test_rotation_preserves_norm(u, v, psi):
     psi=st.floats(-np.pi, np.pi),
 )
 def test_rotation_composition(u, v, psi):
-    once = evolve_state(SpatialState(u, v), psi, NO_NOISE, _rng())
-    twice = evolve_state(once, psi, NO_NOISE, _rng())
-    direct = evolve_state(SpatialState(u, v), 2 * psi, NO_NOISE, _rng())
-    assert twice.u == pytest.approx(direct.u, abs=1e-12)
-    assert twice.v == pytest.approx(direct.v, abs=1e-12)
+    once = _rotate(u, v, psi)
+    twice = _rotate(*once, psi)
+    direct = _rotate(u, v, 2 * psi)
+    assert twice == pytest.approx(direct, abs=1e-12)
 
 
 def test_rotation_matrix_orthogonal():
     f = rotation_matrix(0.37)
     assert np.allclose(f @ f.T, np.eye(2), atol=1e-15)
-
-
-def test_process_noise_rejects_negative():
-    with pytest.raises(ValueError):
-        ProcessNoise(-0.1, 0.0)
-
-
-def test_flight_geometry_validation():
-    with pytest.raises(ValueError):
-        FlightGeometry(flight_radius=0.0, station_height=1.0, rotation_per_frame=0.1)
-    with pytest.raises(ValueError):
-        FlightGeometry(flight_radius=1.0, station_height=1.0,
-                       rotation_per_frame=0.1, element_spacing_ratio=0.6)
-    g = FlightGeometry(flight_radius=1.0, station_height=8.0, rotation_per_frame=0.1)
-    assert g.elevation == pytest.approx(0.1244, abs=5e-5)

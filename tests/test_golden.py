@@ -1,0 +1,65 @@
+"""Golden outputs: sha256 of `track run` files for three presets x three schemes.
+
+Each case runs in-process `track run` on a preset with trials=5 and seed 0,
+and hashes the trace CSV and the summary JSON it writes.  The hashes change
+only together with SCHEMA_VERSION or the rng version; on a mismatch the
+assertion message carries the full mapping of actual hashes.
+"""
+
+import dataclasses
+import hashlib
+import json
+
+from click.testing import CliRunner
+
+from beamtrack.cli import main
+from beamtrack.presets import get_preset
+
+PRESETS = ("fig4a", "fig6", "fig9")
+SCHEMES = ("proposed", "codebook", "abp")
+
+GOLDEN = {
+    "fig4a/abp_summary.json": "2f1a34d9c29f7c3fc93054ac23b58e96f454d03c34f461abfcfcba588b7882d2",
+    "fig4a/abp_trace.csv": "291d0c18321321a135c7bd456ff2e6891056895316c013c042abeb252f7ea62a",
+    "fig4a/codebook_summary.json": "78af1a4bf45d88d7f87eb45e73f799ceb72db6b8b1557fb5c5c7783c42bd70f9",
+    "fig4a/codebook_trace.csv": "2999c0940e7f8a53ea1ac6f6745b33daa00b0a7a26b8a0bab1a280fafeec962e",
+    "fig4a/proposed_summary.json": "f9379a8fa3ad39d38364f7522fba21f00f1eaba980af22a2c8a9fa9cd11238d0",
+    "fig4a/proposed_trace.csv": "eac26b0c65943d075ce4617818decb414df282f2447c6e864a1b868c996284f6",
+    "fig6/abp_summary.json": "4d5eb056d714aed609087221df94766c1776a329e769c2a5f354393f43a9a039",
+    "fig6/abp_trace.csv": "ad3b44b186fd930bedd543afb2215bdf234b2f21b85dbadb5a61859806d56cc3",
+    "fig6/codebook_summary.json": "1e6a75bce350f23bb246378b1e74109cde13691cab033595a04fce9b18d60d31",
+    "fig6/codebook_trace.csv": "19d8a2e24106ab6019379a280e700d6b0dfc0266fb378e62894c2b65e5746c27",
+    "fig6/proposed_summary.json": "605e965ce35e25920ed3e168180d2a15fb912199e25d380545a1fe50dda9fd62",
+    "fig6/proposed_trace.csv": "03a0c20aecc5a03eba3bd75a8f885c09551b3cb5d65f3817f362a4f102a8e312",
+    "fig9/abp_summary.json": "661f986dc30d454f42b6fecf6687e3eaccac624bb855ab6b53e47672908cf7ff",
+    "fig9/abp_trace.csv": "288af20485003adcac59a0647ce782053f542c4b779b9164f3ae87b746909477",
+    "fig9/codebook_summary.json": "73b298dd224ce0a1fbea94fb91263c3bb8686a3c9aa49c79fcd832eb64029c46",
+    "fig9/codebook_trace.csv": "40f086c0014152456fadc0f7d1c8b633640598a7b10b9323a7bc8a48b810af2b",
+    "fig9/proposed_summary.json": "b1d596dd075589480ab55e71b476dd4823334d9ed2c389c4ecbd17fd620d02cf",
+    "fig9/proposed_trace.csv": "73e297b5e1500b8441c743d8493715f8be6074db38b17f393ec125af451826f4",
+}
+
+
+def _actual_hashes(tmp_path) -> dict:
+    runner = CliRunner()
+    hashes = {}
+    for name in PRESETS:
+        cfg = dataclasses.replace(get_preset(name), trials=5, seed=0)
+        cfg_path = tmp_path / f"{name}.json"
+        cfg_path.write_text(json.dumps(cfg.to_dict()))
+        for scheme in SCHEMES:
+            out = tmp_path / name
+            result = runner.invoke(
+                main,
+                ["run", "--config", str(cfg_path), "--scheme", scheme, "--out", str(out)],
+            )
+            assert result.exit_code == 0, result.output
+            for suffix in ("trace.csv", "summary.json"):
+                data = (out / f"{scheme}_{suffix}").read_bytes()
+                hashes[f"{name}/{scheme}_{suffix}"] = hashlib.sha256(data).hexdigest()
+    return hashes
+
+
+def test_golden_outputs(tmp_path):
+    actual = _actual_hashes(tmp_path)
+    assert actual == GOLDEN, "actual hashes:\n" + json.dumps(actual, indent=4, sort_keys=True)

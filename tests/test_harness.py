@@ -5,10 +5,13 @@ import json
 import numpy as np
 import pytest
 
+from beamtrack.ekf import initial_state
 from beamtrack.errors import ConfigError
+from beamtrack.geometry import rotation_matrix
 from beamtrack.harness import (
     ExperimentSummary,
     FrameRecord,
+    ProposedTracker,
     ScenarioConfig,
     TRACE_COLUMNS,
     emit_summary,
@@ -18,6 +21,8 @@ from beamtrack.harness import (
     run_trial,
     trial_ledger,
 )
+
+from conftest import rank1_snapshot
 
 
 def small_cfg(**kw):
@@ -145,12 +150,32 @@ class TestRunTrial:
         assert [r.frame for r in records] == [1, 2, 3, 4, 5]
 
 
+class TestProposedTracker:
+    def test_measurement_failure_predicts_only(self):
+        # |u| = |v| = pi: every adjacent-pair sum vanishes, no measurement
+        cfg = small_cfg()
+        x0 = np.array([0.1, 0.1])
+        tracker = ProposedTracker(cfg, initial_state(x0, 0.01))
+        out = tracker.step(rank1_snapshot(np.pi, np.pi, cfg.arr))
+        assert out["meas_valid"] is False
+        assert np.isnan(out["innovation_norm"])
+        assert np.allclose(out["state"].x, rotation_matrix(cfg.psi_value) @ x0, atol=1e-15)
+        assert tracker.state is out["state"]
+
+
 class TestRunExperiment:
     def test_single_trial_matches_trace(self):
         cfg = small_cfg(trials=1)
         summary = run_experiment(cfg)
         records = run_trial(cfg, 0)
         assert summary.per_frame_mse == pytest.approx([r.err_norm**2 for r in records])
+
+    def test_keeps_trial_zero_records_outside_the_json(self):
+        cfg = small_cfg(trials=3)
+        summary = run_experiment(cfg, "abp")
+        # repr, not ==: the abp trace carries NaN bounds
+        assert repr(summary.trace) == repr(run_trial(cfg, 0, "abp"))
+        assert "trace" not in summary.to_dict()
 
     def test_bound_emitted_for_proposed_only(self):
         cfg = small_cfg(trials=1)

@@ -6,12 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from beamtrack.channel import ArrayConfig, PilotConfig, synthesize_rx
 from beamtrack.errors import DegenerateInputError, MeasurementFailure
-from beamtrack.monopulse import (
-    extract_measurement,
-    monopulse_x,
-    monopulse_y,
-    normalize_rx,
-)
+from beamtrack.monopulse import extract_measurement, normalize_rx
 
 from conftest import rank1_snapshot
 
@@ -29,8 +24,8 @@ class TestNormalizeRx:
     def test_common_factor_cancels_in_ratios(self):
         arr = ArrayConfig(4, 4)
         y = rank1_snapshot(0.4, -0.7, arr)
-        r1 = monopulse_x(normalize_rx(y), arr)
-        r2 = monopulse_x(normalize_rx((3.0 - 2.0j) * y), arr)
+        r1 = extract_measurement(y, arr).raw_rx
+        r2 = extract_measurement((3.0 - 2.0j) * y, arr).raw_rx
         assert r1 == pytest.approx(r2, abs=1e-14)
 
     def test_all_zero_raises(self):
@@ -40,31 +35,31 @@ class TestNormalizeRx:
 
 class TestMonopulseAxes:
     def test_x_broadside_zero(self, arr4):
-        y = normalize_rx(rank1_snapshot(0.0, 0.3, arr4))
-        assert monopulse_x(y, arr4).imag == pytest.approx(0.0, abs=1e-14)
+        rx = extract_measurement(rank1_snapshot(0.0, 0.3, arr4), arr4).raw_rx
+        assert rx.imag == pytest.approx(0.0, abs=1e-14)
 
     def test_x_quarter_pi(self, arr4):
-        y = normalize_rx(rank1_snapshot(np.pi / 2, 0.0, arr4))
-        assert monopulse_x(y, arr4).imag == pytest.approx(1.0, abs=1e-12)
+        rx = extract_measurement(rank1_snapshot(np.pi / 2, 0.0, arr4), arr4).raw_rx
+        assert rx.imag == pytest.approx(1.0, abs=1e-12)
 
     def test_x_reference_angle(self, arr4):
         # Im{R_x} = tan(0.5455 / 2), oracle evaluated independently
-        y = normalize_rx(rank1_snapshot(0.5455, 0.0, arr4))
-        assert monopulse_x(y, arr4).imag == pytest.approx(np.tan(0.27275), abs=1e-12)
-        assert monopulse_x(y, arr4).imag == pytest.approx(0.27975, abs=5e-5)
+        rx = extract_measurement(rank1_snapshot(0.5455, 0.0, arr4), arr4).raw_rx
+        assert rx.imag == pytest.approx(np.tan(0.27275), abs=1e-12)
+        assert rx.imag == pytest.approx(0.27975, abs=5e-5)
 
     def test_y_broadside_zero(self, arr4):
-        y = normalize_rx(rank1_snapshot(0.3, 0.0, arr4))
-        assert monopulse_y(y, arr4).imag == pytest.approx(0.0, abs=1e-14)
+        ry = extract_measurement(rank1_snapshot(0.3, 0.0, arr4), arr4).raw_ry
+        assert ry.imag == pytest.approx(0.0, abs=1e-14)
 
     def test_y_quarter_pi(self, arr4):
-        y = normalize_rx(rank1_snapshot(0.0, np.pi / 2, arr4))
-        assert monopulse_y(y, arr4).imag == pytest.approx(1.0, abs=1e-12)
+        ry = extract_measurement(rank1_snapshot(0.0, np.pi / 2, arr4), arr4).raw_ry
+        assert ry.imag == pytest.approx(1.0, abs=1e-12)
 
     def test_y_small_angle(self, arr4):
-        y = normalize_rx(rank1_snapshot(0.39, 0.12, arr4))
-        assert monopulse_y(y, arr4).imag == pytest.approx(np.tan(0.06), abs=1e-12)
-        assert monopulse_y(y, arr4).imag == pytest.approx(0.060072, abs=5e-6)
+        ry = extract_measurement(rank1_snapshot(0.39, 0.12, arr4), arr4).raw_ry
+        assert ry.imag == pytest.approx(np.tan(0.06), abs=1e-12)
+        assert ry.imag == pytest.approx(0.060072, abs=5e-6)
 
 
 class TestExtractMeasurement:
