@@ -1,20 +1,17 @@
 """EKF beam tracking with complex-comparison monopulse measurements."""
 
-from .channel import ArrayConfig, ChannelRealization, PilotConfig
+from .channel import ArrayConfig, PilotConfig
 from .ekf import TrackerState
-from .geometry import SpatialState
 from .harness import ScenarioConfig, run_experiment, run_trial
 from .misalign import DetectConfig
 from .monopulse import MonopulseMeasurement
 
 __all__ = [
     "ArrayConfig",
-    "ChannelRealization",
     "DetectConfig",
     "MonopulseMeasurement",
     "PilotConfig",
     "ScenarioConfig",
-    "SpatialState",
     "TrackerState",
     "run_experiment",
     "run_trial",

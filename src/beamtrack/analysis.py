@@ -27,9 +27,3 @@ def bound_step(
         + np.trace(b @ q_p @ b.T)
         + np.trace(k @ q_n_relaxed @ k.T)
     )
-
-
-def bound_gap(k: np.ndarray, q_n_relaxed: np.ndarray, q_n: np.ndarray) -> float:
-    """Bound-to-MSE gap contribution Tr(K (Q_n' - Q_n) K^T) >= 0."""
-    diff = np.asarray(q_n_relaxed, dtype=float) - np.asarray(q_n, dtype=float)
-    return float(np.trace(k @ diff @ k.T))

@@ -13,16 +13,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ArrayConfig, PilotConfig, beamforming_weight, steering_vector
+from .channel import ArrayConfig, PilotConfig, beamforming_weight, channel_matrix, steering_vector
 from .ekf import TrackerState, predict, step_result, update
 from .errors import MeasurementFailure
-from .geometry import SpatialState
 
 # Half the 3dB beamwidth in spatial-angle units; the standard squint for
 # amplitude-comparison monopulse.
 ABP_SQUINT_FACTOR = 0.445 * np.pi
 
 _POWER_FLOOR = 1e-30
+
+# Lower limit of each delta-method ratio variance.
+_Q_N_FLOOR = 1e-8
 
 
 @dataclass(frozen=True)
@@ -45,7 +47,7 @@ def build_codebook(k: int, arr: ArrayConfig) -> Codebook:
         raise ValueError("codebook needs at least one beam per axis")
     axis = -np.pi + 2.0 * np.pi * np.arange(k) / k
     pairs = [(u, v) for u in axis for v in axis]
-    cols = [beamforming_weight(SpatialState(u, v), arr) for u, v in pairs]
+    cols = [beamforming_weight(pair, arr) for pair in pairs]
     return Codebook(
         k=k,
         axis_angles=axis,
@@ -53,12 +55,6 @@ def build_codebook(k: int, arr: ArrayConfig) -> Codebook:
         weights=np.array(cols).T,
         arr=arr,
     )
-
-
-def _response_vec(x: np.ndarray, arr: ArrayConfig) -> np.ndarray:
-    ax = steering_vector(x[0], arr.n_x)
-    ay = steering_vector(x[1], arr.n_y)
-    return np.outer(ax, ay.conj()).ravel()
 
 
 def _response_grad(x: np.ndarray, arr: ArrayConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -90,10 +86,10 @@ def codebook_predicted(
     x_pred: np.ndarray,
     codebook: Codebook,
     gain: complex,
-    symbol: complex,
 ) -> np.ndarray:
-    """Noiseless beam observations at the predicted state."""
-    obs = gain * symbol * (codebook.weights.conj().T @ _response_vec(x_pred, codebook.arr))
+    """Noiseless beam observations of the unit pilot at the predicted state."""
+    h_vec = channel_matrix(1.0, x_pred, codebook.arr).ravel()
+    obs = gain * (codebook.weights.conj().T @ h_vec)
     return _stack_reim(obs)
 
 
@@ -101,12 +97,11 @@ def codebook_jacobian(
     x_pred: np.ndarray,
     codebook: Codebook,
     gain: complex = 1.0 + 0.0j,
-    symbol: complex = 1.0 + 0.0j,
 ) -> np.ndarray:
     """Analytic (2K^2 x 2) Jacobian of the noiseless beam responses."""
     du, dv = _response_grad(x_pred, codebook.arr)
-    col_u = gain * symbol * (codebook.weights.conj().T @ du)
-    col_v = gain * symbol * (codebook.weights.conj().T @ dv)
+    col_u = gain * (codebook.weights.conj().T @ du)
+    col_v = gain * (codebook.weights.conj().T @ dv)
     return np.column_stack([_stack_reim(col_u), _stack_reim(col_v)])
 
 
@@ -114,7 +109,7 @@ class CodebookTracker:
     """EKF over the stacked codebook beam observations.
 
     The complex channel gain is not observable to the tracker; it uses the
-    conditional mean rho^k * alpha_0 as the predicted gain and folds the
+    conditional mean rho^k (alpha_0 = 1) as the predicted gain and folds the
     residual gain uncertainty isotropically into its measurement
     covariance (gain_uncertainty_var scaled by the mean beam power).
     """
@@ -127,17 +122,14 @@ class CodebookTracker:
         pilot: PilotConfig,
         state: TrackerState,
         gain_rho: float = 1.0,
-        alpha0: complex = 1.0 + 0.0j,
         gain_uncertainty_var: float = 0.0,
     ):
         self.codebook = codebook
         self.f = f
         self.q_p = q_p
-        self.pilot = pilot
         self.state = state
         self.gain_rho = gain_rho
-        self.alpha_pred = complex(alpha0)
-        self.gain_uncertainty_var = gain_uncertainty_var
+        self.alpha_pred = 1.0 + 0.0j
 
         n = codebook.arr.n
         # per-component noise variance of the stacked re/im observations;
@@ -150,12 +142,8 @@ class CodebookTracker:
         self.alpha_pred *= self.gain_rho
         pred = predict(self.state, self.f, self.q_p)
         z = codebook_measurement(y_vec, self.codebook)
-        z_hat = codebook_predicted(
-            pred.x, self.codebook, self.alpha_pred, self.pilot.pilot_symbol
-        )
-        g = codebook_jacobian(
-            pred.x, self.codebook, self.alpha_pred, self.pilot.pilot_symbol
-        )
+        z_hat = codebook_predicted(pred.x, self.codebook, self.alpha_pred)
+        g = codebook_jacobian(pred.x, self.codebook, self.alpha_pred)
         self.state, innovation, k = update(pred, z, g, self.q_n, z_hat)
         return step_result(self.state, g, innovation, k)
 
@@ -189,37 +177,35 @@ def _axis_pair_powers(
     return power(center + delta), power(center - delta)
 
 
-def abp_ratio_curve(u: float, center: float, delta: float, n: int) -> float:
-    """Noiseless ratio metric zeta(u) for one axis; lies in [-1, 1]."""
-    p_plus, p_minus = _axis_pair_powers(u, center, delta, n)
+def _pair_ratio(p_plus: float, p_minus: float) -> float:
+    """Ratio (p+ - p-) / (p+ + p-) of a squinted beam pair's powers."""
     total = p_plus + p_minus
     if total < _POWER_FLOOR:
         raise MeasurementFailure("both squinted-beam powers below floor")
     return (p_plus - p_minus) / total
 
 
+def abp_ratio_curve(u: float, center: float, delta: float, n: int) -> float:
+    """Noiseless ratio metric zeta(u) for one axis; lies in [-1, 1]."""
+    return _pair_ratio(*_axis_pair_powers(u, center, delta, n))
+
+
 def abp_ratio_metric(
     y_vec: np.ndarray,
-    center: SpatialState,
+    center: np.ndarray,
     pair: BeamPairConfig,
     arr: ArrayConfig,
 ) -> np.ndarray:
     """Measured 2-vector [zeta_u, zeta_v] from the shared pilot snapshot."""
     zetas = []
-    for axis in ("u", "v"):
-        obs2 = []
+    for axis in range(2):
+        powers = []
         for sign in (1.0, -1.0):
-            if axis == "u":
-                est = SpatialState(center.u + sign * pair.offset, center.v)
-            else:
-                est = SpatialState(center.u, center.v + sign * pair.offset)
+            est = np.array(center, dtype=float)
+            est[axis] += sign * pair.offset
             w = beamforming_weight(est, arr)
-            obs2.append(abs(np.vdot(w, y_vec)) ** 2)
-        p_plus, p_minus = obs2
-        total = p_plus + p_minus
-        if total < _POWER_FLOOR:
-            raise MeasurementFailure("both squinted-beam powers below floor")
-        zetas.append((p_plus - p_minus) / total)
+            powers.append(abs(np.vdot(w, y_vec)) ** 2)
+        zetas.append(_pair_ratio(*powers))
     return np.array(zetas)
 
 
@@ -245,7 +231,6 @@ class AbpTracker:
         state: TrackerState,
         sigma_n_sq: float = 5e-6,
         q_n_source: str = "delta",
-        q_n_floor: float = 1e-8,
     ):
         if q_n_source not in ("fixed", "delta"):
             raise ValueError("q_n_source must be 'fixed' or 'delta'")
@@ -257,22 +242,21 @@ class AbpTracker:
         self.state = state
         self.sigma_n_sq = sigma_n_sq
         self.q_n_source = q_n_source
-        self.q_n_floor = q_n_floor
         self.arr = codebook.arr
 
-    def _center(self, x_pred: np.ndarray) -> SpatialState:
-        return SpatialState(
+    def _center(self, x_pred: np.ndarray) -> np.ndarray:
+        return np.array([
             self.codebook.nearest_axis_angle(x_pred[0]),
             self.codebook.nearest_axis_angle(x_pred[1]),
-        )
-
-    def _predicted(self, x: np.ndarray, center: SpatialState) -> np.ndarray:
-        return np.array([
-            abp_ratio_curve(x[0], center.u, self.pair.offset, self.arr.n_x),
-            abp_ratio_curve(x[1], center.v, self.pair.offset, self.arr.n_y),
         ])
 
-    def _jacobian(self, x_pred: np.ndarray, center: SpatialState) -> np.ndarray:
+    def _predicted(self, x: np.ndarray, center: np.ndarray) -> np.ndarray:
+        return np.array([
+            abp_ratio_curve(x[0], center[0], self.pair.offset, self.arr.n_x),
+            abp_ratio_curve(x[1], center[1], self.pair.offset, self.arr.n_y),
+        ])
+
+    def _jacobian(self, x_pred: np.ndarray, center: np.ndarray) -> np.ndarray:
         h = self._FD_STEP
         g = np.zeros((2, 2))
         for i in range(2):
@@ -283,13 +267,13 @@ class AbpTracker:
             g[:, i] = (self._predicted(xp, center) - self._predicted(xm, center)) / (2 * h)
         return g
 
-    def _q_n(self, x_pred: np.ndarray, center: SpatialState) -> np.ndarray:
+    def _q_n(self, x_pred: np.ndarray, center: np.ndarray) -> np.ndarray:
         """Delta-method variance of each ratio; gain magnitude cancels."""
         sigma2 = self.pilot.noise_variance(1.0, self.arr.n)
         variances = []
         for axis_val, c, n_axis, n_other in (
-            (x_pred[0], center.u, self.arr.n_x, self.arr.n_y),
-            (x_pred[1], center.v, self.arr.n_y, self.arr.n_x),
+            (x_pred[0], center[0], self.arr.n_x, self.arr.n_y),
+            (x_pred[1], center[1], self.arr.n_y, self.arr.n_x),
         ):
             p_plus, p_minus = _axis_pair_powers(axis_val, c, self.pair.offset, n_axis)
             # cross-axis pattern scales both powers; it cancels in zeta but
@@ -301,7 +285,7 @@ class AbpTracker:
             var_m = 2.0 * sigma2 * p_minus + sigma2**2
             dzp = 2.0 * p_minus / total**2
             dzm = 2.0 * p_plus / total**2
-            variances.append(max(dzp**2 * var_p + dzm**2 * var_m, self.q_n_floor))
+            variances.append(max(dzp**2 * var_p + dzm**2 * var_m, _Q_N_FLOOR))
         return np.diag(variances)
 
     def step(self, y_vec: np.ndarray) -> dict:

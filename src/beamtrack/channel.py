@@ -1,9 +1,9 @@
 """LOS channel synthesis, received snapshots, and beamforming.
 
 The channel between the N_x x N_y ground array and the single-antenna UAV
-is rank one: H = (rho_pl * alpha / D^beta) * a_x(u) a_y(v)^H.  The default
-scenario runs a unit link budget (rho_pl = 1, beta = 0, D = 1) and controls
-the noise level directly through a quoted SNR.
+is rank one: H = alpha * a_x(u) a_y(v)^H.  The link budget is unit (no path
+loss), the pilot and data symbols are 1, and the noise level is set
+directly through a quoted SNR.
 """
 
 from __future__ import annotations
@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .geometry import SpatialState
 
 
 @dataclass(frozen=True)
@@ -32,48 +30,22 @@ class ArrayConfig:
 
 
 @dataclass(frozen=True)
-class ChannelRealization:
-    """One frame's channel parameters."""
-
-    gain: complex               # alpha
-    spatial: SpatialState
-    path_loss_gain: float = 1.0  # rho_pl
-    path_loss_exponent: float = 0.0  # beta
-    distance: float = 1.0       # D, meters
-
-    def __post_init__(self):
-        if self.distance <= 0:
-            raise ValueError("distance must be positive")
-
-    @property
-    def scalar_gain(self) -> complex:
-        """The common complex factor rho_pl * alpha / D^beta."""
-        return self.path_loss_gain * self.gain / self.distance**self.path_loss_exponent
-
-
-@dataclass(frozen=True)
 class PilotConfig:
-    """Pilot/data symbols and the quoted SNR.
+    """The quoted SNR of the unit pilot and data symbols.
 
     snr_reference selects how the quoted SNR maps to per-element noise
-    variance given the per-element signal power |H(n,m) s|^2:
+    variance given the per-element signal power |H(n,m)|^2:
 
-    - "element": sigma^2 = |H s|^2 / SNR (per-element received SNR)
-    - "array":   sigma^2 = |H s|^2 / (N * SNR); the quoted SNR is referenced
+    - "element": sigma^2 = |H|^2 / SNR (per-element received SNR)
+    - "array":   sigma^2 = |H|^2 / (N * SNR); the quoted SNR is referenced
       to the aggregate array signal energy, which is the convention that
       reproduces the measurement-noise magnitudes of the reference results.
     """
 
     snr_db: float
-    pilot_symbol: complex = 1.0 + 0.0j
-    data_symbol: complex = 1.0 + 0.0j
     snr_reference: str = "array"
 
     def __post_init__(self):
-        if not np.isclose(abs(self.pilot_symbol), 1.0):
-            raise ValueError("pilot symbol must be unit modulus")
-        if not np.isclose(abs(self.data_symbol), 1.0):
-            raise ValueError("data symbol must be unit modulus")
         if self.snr_reference not in ("element", "array"):
             raise ValueError("snr_reference must be 'element' or 'array'")
 
@@ -93,11 +65,11 @@ def steering_vector(u: float, n: int) -> np.ndarray:
     return np.exp(-1j * u * np.arange(n))
 
 
-def channel_matrix(c: ChannelRealization, arr: ArrayConfig) -> np.ndarray:
-    """Rank-one channel H = scalar_gain * a_x(u) a_y(v)^H, shape (n_x, n_y)."""
-    ax = steering_vector(c.spatial.u, arr.n_x)
-    ay = steering_vector(c.spatial.v, arr.n_y)
-    return c.scalar_gain * np.outer(ax, ay.conj())
+def channel_matrix(gain: complex, x: np.ndarray, arr: ArrayConfig) -> np.ndarray:
+    """Rank-one channel H = gain * a_x(u) a_y(v)^H at x = [u, v], shape (n_x, n_y)."""
+    ax = steering_vector(x[0], arr.n_x)
+    ay = steering_vector(x[1], arr.n_y)
+    return gain * np.outer(ax, ay.conj())
 
 
 def evolve_gain(
@@ -136,20 +108,19 @@ def synthesize_rx(
     pilot: PilotConfig,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Pilot-phase snapshot Y = H s + N with SNR-calibrated element noise."""
-    signal = h * pilot.pilot_symbol
-    element_power = float(np.mean(np.abs(signal) ** 2))
+    """Pilot-phase snapshot Y = H + N (unit pilot) with SNR-calibrated element noise."""
+    element_power = float(np.mean(np.abs(h) ** 2))
     var = pilot.noise_variance(element_power, h.size)
-    return signal + complex_noise(h.shape, var, rng)
+    return h + complex_noise(h.shape, var, rng)
 
 
-def beamforming_weight(est: SpatialState, arr: ArrayConfig) -> np.ndarray:
-    """Unit-norm conjugate-steering weight toward the estimated direction.
+def beamforming_weight(x: np.ndarray, arr: ArrayConfig) -> np.ndarray:
+    """Unit-norm conjugate-steering weight toward the direction x = [u, v].
 
     Returns vec(w_x w_y^H) of length N; vec() is row-major over (x, y).
     """
-    wx = steering_vector(est.u, arr.n_x) / np.sqrt(arr.n_x)
-    wy = steering_vector(est.v, arr.n_y) / np.sqrt(arr.n_y)
+    wx = steering_vector(x[0], arr.n_x) / np.sqrt(arr.n_x)
+    wy = steering_vector(x[1], arr.n_y) / np.sqrt(arr.n_y)
     return np.outer(wx, wy.conj()).ravel()
 
 
@@ -158,15 +129,13 @@ def beamformed_signal(
     h_vec: np.ndarray,
     pilot: PilotConfig,
     rng: np.random.Generator,
-    symbol: complex | None = None,
 ) -> complex:
-    """Data-phase combiner output r = w^H h s_d + w^H n.
+    """Data-phase combiner output r = w^H h + w^H n for the unit data symbol.
 
     The combiner is unit norm, so the noise term keeps the per-element
     variance.
     """
-    s = pilot.data_symbol if symbol is None else symbol
-    element_power = float(np.mean(np.abs(h_vec * s) ** 2))
+    element_power = float(np.mean(np.abs(h_vec) ** 2))
     var = pilot.noise_variance(element_power, h_vec.size)
     n = complex_noise(h_vec.shape, var, rng)
-    return complex(np.vdot(w, h_vec) * s + np.vdot(w, n))
+    return complex(np.vdot(w, h_vec) + np.vdot(w, n))

@@ -45,17 +45,37 @@ def _out_dir(out: str | None) -> Path:
     return d
 
 
-def _run_one(cfg: ScenarioConfig, scheme: str, out: Path, tag: str) -> None:
-    summary = run_experiment(cfg, scheme)
+def _run_schemes(config_spec: str, seed: int | None, out: str | None,
+                 schemes: list[str] | None) -> None:
+    """Load the scenario, then run and emit each scheme (None: the scenario's own).
+
+    A configuration error exits with EXIT_CONFIG before anything runs.
+    """
     try:
-        emit_trace(summary.trace, out / f"{tag}_trace.csv")
-        emit_summary(summary, out / f"{tag}_summary.json")
-    except OSError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_IO)
-    mse = summary.per_frame_mse
-    mean_mse = sum(mse) / len(mse)
-    click.echo(f"{tag}: frames={cfg.frames} trials={cfg.trials} mean MSE={mean_mse:.3e}")
+        cfg = _load_config(config_spec)
+        if seed is not None:
+            cfg.seed = seed
+        schemes = [cfg.scheme] if schemes is None else schemes
+        if not schemes:
+            raise ConfigError("no scheme given")
+        for s in schemes:
+            if s not in SCHEMES:
+                raise ConfigError(f"unknown scheme {s!r}")
+        out_dir = _out_dir(out)
+    except ConfigError as exc:
+        click.echo(f"config error: {exc}", err=True)
+        sys.exit(EXIT_CONFIG)
+    for s in schemes:
+        summary = run_experiment(cfg, s)
+        try:
+            emit_trace(summary.trace, out_dir / f"{s}_trace.csv")
+            emit_summary(summary, out_dir / f"{s}_summary.json")
+        except OSError as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(EXIT_IO)
+        mse = summary.per_frame_mse
+        mean_mse = sum(mse) / len(mse)
+        click.echo(f"{s}: frames={cfg.frames} trials={cfg.trials} mean MSE={mean_mse:.3e}")
 
 
 @click.group()
@@ -72,16 +92,7 @@ def main():
 @click.option("--out", default=None, help="Output directory (default: cwd).")
 def run(config_spec, scheme, seed, out):
     """Run one scenario; writes <scheme>_trace.csv and <scheme>_summary.json."""
-    try:
-        cfg = _load_config(config_spec)
-        if seed is not None:
-            cfg.seed = seed
-        scheme = scheme or cfg.scheme
-        out_dir = _out_dir(out)
-    except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
-    _run_one(cfg, scheme, out_dir, scheme)
+    _run_schemes(config_spec, seed, out, None if scheme is None else [scheme])
 
 
 @main.group()
@@ -105,20 +116,7 @@ def presets_list():
 @click.option("--out", default=None, help="Output directory (default: cwd).")
 def compare(config_spec, schemes, seed, out):
     """Run several schemes on paired noise; one output pair per scheme."""
-    try:
-        cfg = _load_config(config_spec)
-        if seed is not None:
-            cfg.seed = seed
-        wanted = [s.strip() for s in schemes.split(",") if s.strip()]
-        for s in wanted:
-            if s not in SCHEMES:
-                raise ConfigError(f"unknown scheme {s!r}")
-        out_dir = _out_dir(out)
-    except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
-    for s in wanted:
-        _run_one(cfg, s, out_dir, s)
+    _run_schemes(config_spec, seed, out, [s.strip() for s in schemes.split(",") if s.strip()])
 
 
 if __name__ == "__main__":

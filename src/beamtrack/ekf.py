@@ -11,10 +11,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import SpatialState
-
-JACOBIAN_MODES = ("paper-approx", "exact")
-
 
 @dataclass(frozen=True)
 class TrackerState:
@@ -22,10 +18,6 @@ class TrackerState:
 
     x: np.ndarray               # shape (2,)
     p: np.ndarray               # shape (2, 2), symmetric PSD
-
-    @property
-    def estimate(self) -> SpatialState:
-        return SpatialState.from_array(self.x)
 
 
 def measurement_fn(x: np.ndarray) -> np.ndarray:

@@ -8,28 +8,11 @@ v = (2*pi*d/lambda) * sin(phi) * sin(theta).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
-@dataclass(frozen=True)
-class SpatialState:
-    """Spatial angles (u, v) in radians; the filter state."""
-
-    u: float
-    v: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.u, self.v], dtype=float)
-
-    @staticmethod
-    def from_array(x: np.ndarray) -> "SpatialState":
-        return SpatialState(float(x[0]), float(x[1]))
-
-
-def angles_to_spatial(phi: float, theta: float, d_over_lambda: float = 0.5) -> SpatialState:
-    """Map azimuth/elevation to spatial angles (u, v).
+def angles_to_spatial(phi: float, theta: float, d_over_lambda: float = 0.5) -> np.ndarray:
+    """Map azimuth/elevation to the spatial-angle pair [u, v] in radians.
 
     u = (2*pi*d/lambda) cos(phi) sin(theta), v = (2*pi*d/lambda) sin(phi) sin(theta).
     With half-wavelength spacing the leading factor is exactly pi.
@@ -37,10 +20,10 @@ def angles_to_spatial(phi: float, theta: float, d_over_lambda: float = 0.5) -> S
     if not (0 < d_over_lambda <= 0.5):
         raise ValueError("d/lambda must lie in (0, 0.5]; larger spacing aliases")
     scale = 2.0 * np.pi * d_over_lambda
-    return SpatialState(
-        u=scale * np.cos(phi) * np.sin(theta),
-        v=scale * np.sin(phi) * np.sin(theta),
-    )
+    return np.array([
+        scale * np.cos(phi) * np.sin(theta),
+        scale * np.sin(phi) * np.sin(theta),
+    ])
 
 
 def elevation_from_geometry(station_height: float, flight_radius: float) -> float:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -25,7 +25,6 @@ from .baselines import (
 )
 from .channel import (
     ArrayConfig,
-    ChannelRealization,
     PilotConfig,
     beamformed_signal,
     beamforming_weight,
@@ -34,7 +33,6 @@ from .channel import (
     synthesize_rx,
 )
 from .ekf import (
-    JACOBIAN_MODES,
     InnovationNoiseEstimator,
     TrackerState,
     initial_state,
@@ -45,7 +43,6 @@ from .ekf import (
 )
 from .errors import ConfigError, MeasurementFailure
 from .geometry import (
-    SpatialState,
     angles_to_spatial,
     elevation_from_geometry,
     evolve_state,
@@ -58,10 +55,18 @@ SCHEMES = ("proposed", "codebook", "abp")
 
 SCHEMA_VERSION = 1
 
-TRACE_COLUMNS = (
-    "frame,u_true,v_true,u_hat,v_hat,err_norm,err_norm_hat,p_r,"
-    "detected,realigned,bound,innov_norm,meas_valid"
-)
+# value types each field annotation accepts; bool and int never stand in for each other
+_FIELD_TYPES = {"int": int, "float": (int, float), "str": str, "bool": bool}
+
+
+def _check_field(name: str, annotation: str, value) -> None:
+    base, _, optional = annotation.partition(" | ")
+    if value is None and optional == "None":
+        return
+    if isinstance(value, bool) != (base == "bool") or not isinstance(value, _FIELD_TYPES[base]):
+        raise ConfigError(f"{name} must be {annotation}, got {value!r}")
+    if isinstance(value, float) and math.isnan(value):
+        raise ConfigError(f"{name} must not be NaN")
 
 
 @dataclass
@@ -100,6 +105,8 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            _check_field(f.name, f.type, getattr(self, f.name))
         if self.frames < 1 or self.trials < 1:
             raise ConfigError("frames and trials must be >= 1")
         if self.scheme not in SCHEMES:
@@ -108,14 +115,20 @@ class ScenarioConfig:
             raise ConfigError("std-devs must be non-negative")
         if self.q_n_mode not in ("fixed", "estimated"):
             raise ConfigError("q_n_mode must be 'fixed' or 'estimated'")
-        if self.jacobian_mode not in JACOBIAN_MODES:
-            raise ConfigError("jacobian_mode must be 'paper-approx' or 'exact'")
         if self.abp_q_n not in ("fixed", "delta"):
             raise ConfigError("abp_q_n must be 'fixed' or 'delta'")
-        if self.snr_reference not in ("element", "array"):
-            raise ConfigError("snr_reference must be 'element' or 'array'")
-        if self.n_x < 2 or self.n_y < 2:
-            raise ConfigError("array needs at least 2 elements per axis")
+        if abs(self.rho_gain) > 1:
+            raise ConfigError("|rho_gain| must not exceed 1")
+        # the pieces a run builds check their own values; build them now
+        try:
+            ArrayConfig(self.n_x, self.n_y)
+            self.pilot()
+            self.detect()
+            InnovationNoiseEstimator(window=self.q_n_window)
+            jacobian(np.zeros(2), self.jacobian_mode)
+            angles_to_spatial(0.0, 0.0, self.d_over_lambda)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     # derived pieces -------------------------------------------------
 
@@ -186,6 +199,9 @@ class FrameRecord:
     bound: float
     innov_norm: float
     meas_valid: bool
+
+
+TRACE_COLUMNS = ",".join(f.name for f in fields(FrameRecord))
 
 
 @dataclass
@@ -290,7 +306,7 @@ def run_trial(cfg: ScenarioConfig, trial_index: int, scheme: str | None = None) 
         -np.deg2rad(cfg.azimuth_range_deg), np.deg2rad(cfg.azimuth_range_deg)
     )
     theta = elevation_from_geometry(cfg.height_ratio, 1.0)
-    truth = angles_to_spatial(phi, theta, cfg.d_over_lambda).as_array()
+    truth = angles_to_spatial(phi, theta, cfg.d_over_lambda)
     x_hat0 = truth + init_rng.normal(0.0, cfg.sigma_init, 2)
 
     tracker = _build_tracker(cfg, scheme, initial_state(x_hat0, cfg.sigma_init))
@@ -305,17 +321,16 @@ def run_trial(cfg: ScenarioConfig, trial_index: int, scheme: str | None = None) 
         alpha = evolve_gain(
             alpha, cfg.rho_gain, rngmod.stream(*key, "gain"), cfg.gain_innovation_var
         )
-        chan = ChannelRealization(gain=alpha, spatial=SpatialState.from_array(truth))
-        h = channel_matrix(chan, arr)
+        h = channel_matrix(alpha, truth, arr)
         y = synthesize_rx(h, pilot, rngmod.stream(*key, "pilot"))
 
         out = tracker.step(y if scheme == "proposed" else y.ravel())
         state: TrackerState = out["state"]
 
         # data transmission phase: beamformed power toward the estimate
-        w = beamforming_weight(state.estimate, arr)
+        w = beamforming_weight(state.x, arr)
         r_d = beamformed_signal(w, h.ravel(), pilot, rngmod.stream(*key, "data"))
-        p_r = float(abs(r_d) ** 2 / (arr.n * abs(chan.scalar_gain * pilot.data_symbol) ** 2))
+        p_r = float(abs(r_d) ** 2 / (arr.n * abs(alpha) ** 2))
 
         est = detect_step(p_r, detect_cfg, arr, detector)
 
@@ -337,7 +352,7 @@ def run_trial(cfg: ScenarioConfig, trial_index: int, scheme: str | None = None) 
                 v_hat=float(state.x[1]),
                 err_norm=float(np.linalg.norm(xi)),
                 err_norm_hat=est.xi_hat,
-                p_r=est.p_r,
+                p_r=p_r,
                 detected=est.detected,
                 realigned=est.realigned,
                 bound=bound,
@@ -396,8 +411,7 @@ def run_experiment(cfg: ScenarioConfig, scheme: str | None = None) -> Experiment
             if rec.realigned:
                 detections.append([t, rec.frame])
     per_frame_mse = (sq_err / cfg.trials).tolist()
-    with np.errstate(invalid="ignore", divide="ignore"):
-        per_frame_bound = np.where(bound_count > 0, bound_sum / np.maximum(bound_count, 1), np.nan)
+    per_frame_bound = np.where(bound_count > 0, bound_sum / np.maximum(bound_count, 1), np.nan)
     return ExperimentSummary(
         scenario={**cfg.to_dict(), "scheme": scheme},
         per_frame_mse=per_frame_mse,
@@ -426,46 +440,25 @@ def trial_ledger(cfg: ScenarioConfig, scheme: str | None = None) -> ComplexityLe
 # output emission ----------------------------------------------------
 
 
-def _fmt(x: float) -> str:
+def _fmt(x: float | int | bool) -> str:
     if isinstance(x, bool):
         return "1" if x else "0"
+    if isinstance(x, int):
+        return str(x)
     return repr(float(x))
 
 
 def emit_trace(records: list[FrameRecord], path) -> None:
-    """Write per-frame records as CSV with a fixed column order."""
+    """Write per-frame records as CSV, one column per FrameRecord field in order."""
     lines = [TRACE_COLUMNS]
     for r in records:
-        lines.append(
-            ",".join(
-                [
-                    str(r.frame),
-                    _fmt(r.u_true),
-                    _fmt(r.v_true),
-                    _fmt(r.u_hat),
-                    _fmt(r.v_hat),
-                    _fmt(r.err_norm),
-                    _fmt(r.err_norm_hat),
-                    _fmt(r.p_r),
-                    _fmt(r.detected),
-                    _fmt(r.realigned),
-                    _fmt(r.bound),
-                    _fmt(r.innov_norm),
-                    _fmt(r.meas_valid),
-                ]
-            )
-        )
+        lines.append(",".join(_fmt(v) for v in vars(r).values()))
     _write_text(path, "\n".join(lines) + "\n")
 
 
 def emit_summary(summary: ExperimentSummary, path) -> None:
     """Write the aggregate summary as stable JSON."""
     _write_text(path, json.dumps(summary.to_dict(), sort_keys=True, indent=2) + "\n")
-
-
-def parse_summary(path) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
 
 
 def _write_text(path, text: str) -> None:

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ArrayConfig
-from .geometry import SpatialState
 
 
 @dataclass(frozen=True)
@@ -55,7 +54,6 @@ class ErrorEstimate:
     """Per-frame detector output."""
 
     xi_hat: float
-    p_r: float
     detected: bool
     realigned: bool
     clipped: bool = False
@@ -76,10 +74,10 @@ def _dirichlet_ratio(offset: float, n: int) -> float:
     return float(np.sin(n * offset / 2.0) / den)
 
 
-def received_power(x: SpatialState, est: SpatialState, arr: ArrayConfig) -> float:
-    """Normalized beam-pattern power at offset (u-u_hat, v-v_hat); 1 at zero offset."""
-    gx = _dirichlet_ratio(x.u - est.u, arr.n_x) / arr.n_x
-    gy = _dirichlet_ratio(x.v - est.v, arr.n_y) / arr.n_y
+def received_power(x: np.ndarray, est: np.ndarray, arr: ArrayConfig) -> float:
+    """Normalized beam-pattern power at offset x - est = (u-u_hat, v-v_hat); 1 at zero."""
+    gx = _dirichlet_ratio(x[0] - est[0], arr.n_x) / arr.n_x
+    gy = _dirichlet_ratio(x[1] - est[1], arr.n_y) / arr.n_y
     return float(gx**2 * gy**2)
 
 
@@ -146,7 +144,6 @@ def detect_step(
         det.consecutive = 0
     return ErrorEstimate(
         xi_hat=xi_hat,
-        p_r=float(p_r),
         detected=detected,
         realigned=realigned,
         clipped=clipped,

@@ -11,14 +11,12 @@ os.environ["OPENBLAS_NUM_THREADS"] = "1"
 import numpy as np  # noqa: E402
 import pytest
 
-from beamtrack.channel import ArrayConfig, ChannelRealization, channel_matrix
-from beamtrack.geometry import SpatialState
+from beamtrack.channel import ArrayConfig, channel_matrix
 
 
 def rank1_snapshot(u: float, v: float, arr: ArrayConfig, gain: complex = 1.0 + 0.0j) -> np.ndarray:
     """Noiseless channel snapshot (unit pilot symbol) at spatial angles (u, v)."""
-    chan = ChannelRealization(gain=gain, spatial=SpatialState(u, v))
-    return channel_matrix(chan, arr)
+    return channel_matrix(gain, np.array([u, v]), arr)
 
 
 @pytest.fixture

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from beamtrack.channel import (
     ArrayConfig,
-    ChannelRealization,
     PilotConfig,
     beamformed_signal,
     beamforming_weight,
@@ -16,13 +15,10 @@ from beamtrack.channel import (
     steering_vector,
     synthesize_rx,
 )
-from beamtrack.geometry import SpatialState
+
+from conftest import rank1_snapshot
 
 NOISELESS = PilotConfig(snr_db=np.inf)
-
-
-def _chan(u, v, gain=1.0 + 0.0j, **kw):
-    return ChannelRealization(gain=gain, spatial=SpatialState(u, v), **kw)
 
 
 class TestSteeringVector:
@@ -47,29 +43,27 @@ class TestSteeringVector:
 
 class TestChannelMatrix:
     def test_broadside_all_ones(self):
-        h = channel_matrix(_chan(0.0, 0.0), ArrayConfig(2, 2))
+        h = rank1_snapshot(0.0, 0.0, ArrayConfig(2, 2))
         assert np.allclose(h, np.ones((2, 2)), atol=1e-15)
 
     def test_corner_element_is_scalar_gain(self):
-        c = _chan(0.7, -1.1, gain=0.3 - 0.4j, path_loss_gain=2.0,
-                  path_loss_exponent=2.0, distance=3.0)
-        h = channel_matrix(c, ArrayConfig(4, 4))
-        assert h[0, 0] == pytest.approx(c.scalar_gain, abs=1e-15)
+        h = rank1_snapshot(0.7, -1.1, ArrayConfig(4, 4), gain=0.3 - 0.4j)
+        assert h[0, 0] == pytest.approx(0.3 - 0.4j, abs=1e-15)
 
     def test_outer_product_by_hand(self):
         # u = pi/2, v = 0: rows [1, 1] and [-j, -j]
-        h = channel_matrix(_chan(np.pi / 2, 0.0), ArrayConfig(2, 2))
+        h = rank1_snapshot(np.pi / 2, 0.0, ArrayConfig(2, 2))
         assert np.allclose(h, [[1, 1], [-1j, -1j]], atol=1e-15)
 
     @given(u=st.floats(-np.pi, np.pi), v=st.floats(-np.pi, np.pi))
     @settings(max_examples=50)
     def test_rank_one(self, u, v):
-        h = channel_matrix(_chan(u, v), ArrayConfig(4, 6))
+        h = rank1_snapshot(u, v, ArrayConfig(4, 6))
         sv = np.linalg.svd(h, compute_uv=False)
         assert sv[1] < 1e-10 * sv[0]
 
     def test_constant_magnitude(self):
-        h = channel_matrix(_chan(0.9, -0.3, gain=2.0j), ArrayConfig(3, 5))
+        h = rank1_snapshot(0.9, -0.3, ArrayConfig(3, 5), gain=2.0j)
         assert np.allclose(np.abs(h), 2.0, atol=1e-12)
 
 
@@ -115,18 +109,18 @@ class TestEvolveGain:
 
 class TestSynthesizeRx:
     def test_noiseless_equals_signal(self):
-        h = channel_matrix(_chan(0.4, -0.2), ArrayConfig(4, 4))
+        h = rank1_snapshot(0.4, -0.2, ArrayConfig(4, 4))
         y = synthesize_rx(h, NOISELESS, np.random.default_rng(0))
-        assert np.array_equal(y, h * NOISELESS.pilot_symbol)
+        assert np.array_equal(y, h)
 
     def test_corner_recovers_channel(self):
-        h = channel_matrix(_chan(0.4, -0.2, gain=1.0j), ArrayConfig(4, 4))
+        h = rank1_snapshot(0.4, -0.2, ArrayConfig(4, 4), gain=1.0j)
         y = synthesize_rx(h, NOISELESS, np.random.default_rng(0))
-        assert y[0, 0] / NOISELESS.pilot_symbol == pytest.approx(h[0, 0])
+        assert y[0, 0] == pytest.approx(h[0, 0])
 
     def test_empirical_element_snr(self):
         pilot = PilotConfig(snr_db=10.0, snr_reference="element")
-        h = channel_matrix(_chan(0.3, 0.1), ArrayConfig(2, 2))
+        h = rank1_snapshot(0.3, 0.1, ArrayConfig(2, 2))
         sig_power = np.mean(np.abs(h) ** 2)
         rng = np.random.default_rng(7)
         noise_power = np.mean(
@@ -145,20 +139,20 @@ class TestSynthesizeRx:
 
 class TestBeamformingWeight:
     def test_broadside_uniform(self):
-        w = beamforming_weight(SpatialState(0.0, 0.0), ArrayConfig(2, 2))
+        w = beamforming_weight(np.array([0.0, 0.0]), ArrayConfig(2, 2))
         assert np.allclose(w, 0.5 * np.ones(4), atol=1e-15)
 
     @given(u=st.floats(-np.pi, np.pi), v=st.floats(-np.pi, np.pi))
     @settings(max_examples=50)
     def test_unit_norm(self, u, v):
-        w = beamforming_weight(SpatialState(u, v), ArrayConfig(3, 5))
+        w = beamforming_weight(np.array([u, v]), ArrayConfig(3, 5))
         assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-12)
 
     def test_aligned_gain_sqrt_n(self):
         arr = ArrayConfig(4, 4)
-        x = SpatialState(0.7, -0.4)
+        x = np.array([0.7, -0.4])
         w = beamforming_weight(x, arr)
-        h_vec = channel_matrix(_chan(x.u, x.v), arr).ravel()
+        h_vec = channel_matrix(1.0, x, arr).ravel()
         assert np.vdot(w, h_vec) == pytest.approx(np.sqrt(arr.n), abs=1e-12)
 
     @given(u=st.floats(-3, 3), v=st.floats(-3, 3),
@@ -166,25 +160,25 @@ class TestBeamformingWeight:
     @settings(max_examples=50)
     def test_gain_bound(self, u, v, uh, vh):
         arr = ArrayConfig(4, 4)
-        w = beamforming_weight(SpatialState(uh, vh), arr)
-        h_vec = channel_matrix(_chan(u, v, gain=0.8j), arr).ravel()
+        w = beamforming_weight(np.array([uh, vh]), arr)
+        h_vec = rank1_snapshot(u, v, arr, gain=0.8j).ravel()
         assert abs(np.vdot(w, h_vec)) <= np.sqrt(arr.n) * 0.8 + 1e-9
 
 
 class TestBeamformedSignal:
     def test_coherent_combining(self):
         arr = ArrayConfig(4, 4)
-        x = SpatialState(0.3, 0.9)
+        x = np.array([0.3, 0.9])
         w = beamforming_weight(x, arr)
-        h_vec = channel_matrix(_chan(x.u, x.v), arr).ravel()
+        h_vec = channel_matrix(1.0, x, arr).ravel()
         r = beamformed_signal(w, h_vec, NOISELESS, np.random.default_rng(0))
-        assert r == pytest.approx(np.sqrt(arr.n) * NOISELESS.data_symbol, abs=1e-10)
+        assert r == pytest.approx(np.sqrt(arr.n), abs=1e-10)
 
     def test_orthogonal_weight_nulls(self):
         arr = ArrayConfig(4, 4)
         # orthogonal DFT directions: grid spacing 2*pi/n
-        w = beamforming_weight(SpatialState(2 * np.pi / 4, 0.0), arr)
-        h_vec = channel_matrix(_chan(0.0, 0.0), arr).ravel()
+        w = beamforming_weight(np.array([2 * np.pi / 4, 0.0]), arr)
+        h_vec = rank1_snapshot(0.0, 0.0, arr).ravel()
         r = beamformed_signal(w, h_vec, NOISELESS, np.random.default_rng(0))
         assert abs(r) < 1e-10
 
@@ -192,11 +186,11 @@ class TestBeamformedSignal:
         # unit-norm combiner keeps per-element noise variance
         arr = ArrayConfig(4, 4)
         pilot = PilotConfig(snr_db=0.0, snr_reference="element")
-        w = beamforming_weight(SpatialState(0.1, 0.2), arr)
-        h_vec = channel_matrix(_chan(0.5, -0.5), arr).ravel()
+        w = beamforming_weight(np.array([0.1, 0.2]), arr)
+        h_vec = rank1_snapshot(0.5, -0.5, arr).ravel()
         var = pilot.noise_variance(float(np.mean(np.abs(h_vec) ** 2)), arr.n)
         rng = np.random.default_rng(11)
-        clean = np.vdot(w, h_vec) * pilot.data_symbol
+        clean = np.vdot(w, h_vec)
         draws = np.array(
             [beamformed_signal(w, h_vec, pilot, rng) - clean for _ in range(30_000)]
         )
@@ -208,9 +202,7 @@ def test_complex_noise_zero_variance():
     assert np.array_equal(n, np.zeros((3, 3)))
 
 
-def test_pilot_config_rejects_non_unit_symbols():
-    with pytest.raises(ValueError):
-        PilotConfig(snr_db=10.0, pilot_symbol=2.0 + 0.0j)
+def test_pilot_config_rejects_bad_reference():
     with pytest.raises(ValueError):
         PilotConfig(snr_db=10.0, snr_reference="bogus")
 

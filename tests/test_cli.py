@@ -102,6 +102,25 @@ def test_run_simulates_each_trial_once(runner, tiny_config, tmp_path, monkeypatc
     assert sorted(calls) == [0, 1]
 
 
+@pytest.mark.parametrize("fields", [
+    {"rho_gain": 1.5},
+    {"d_over_lambda": 0.7},
+    {"frames": 2.5},
+    {"psi": "abc"},
+    {"q_n_window": 1},
+    {"detect_threshold": 5.0},
+    {"snr_db": float("nan")},
+])
+def test_run_invalid_value_exits_2(runner, tmp_path, fields):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"frames": 3, "trials": 1, **fields}))
+    result = runner.invoke(main, ["run", "--config", str(bad), "--out", str(tmp_path)])
+    assert result.exit_code == 2
+    assert result.output.startswith("config error: ")
+    assert "Traceback" not in result.output
+    assert not (tmp_path / "proposed_summary.json").exists()
+
+
 def test_run_bad_field_exits_2(runner, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"scheme": "bogus"}))
@@ -140,6 +159,14 @@ def test_compare_unknown_scheme_exits_2(runner, tiny_config):
     result = runner.invoke(main, ["compare", "--config", str(tiny_config),
                                   "--schemes", "proposed,bogus"])
     assert result.exit_code == 2
+
+
+def test_compare_without_schemes_exits_2(runner, tiny_config, tmp_path):
+    result = runner.invoke(main, ["compare", "--config", str(tiny_config),
+                                  "--schemes", ",", "--out", str(tmp_path)])
+    assert result.exit_code == 2
+    assert "config error: no scheme given" in result.output
+    assert not list(tmp_path.glob("*_summary.json"))
 
 
 def test_run_accepts_preset_name(runner, tmp_path, monkeypatch):

@@ -24,21 +24,21 @@ def _rotate(u, v, psi, sigma=NO_NOISE, seed=0):
 
 class TestAnglesToSpatial:
     def test_endfire_boresight_plane(self):
-        s = angles_to_spatial(0.0, np.pi / 2, 0.5)
-        assert s.u == pytest.approx(np.pi, abs=1e-12)
-        assert s.v == pytest.approx(0.0, abs=1e-12)
+        u, v = angles_to_spatial(0.0, np.pi / 2, 0.5)
+        assert u == pytest.approx(np.pi, abs=1e-12)
+        assert v == pytest.approx(0.0, abs=1e-12)
 
     def test_symmetry_quarter_azimuth(self):
-        s = angles_to_spatial(np.pi / 2, np.pi / 2, 0.5)
-        assert s.u == pytest.approx(0.0, abs=1e-12)
-        assert s.v == pytest.approx(np.pi, abs=1e-12)
+        u, v = angles_to_spatial(np.pi / 2, np.pi / 2, 0.5)
+        assert u == pytest.approx(0.0, abs=1e-12)
+        assert v == pytest.approx(np.pi, abs=1e-12)
 
     def test_low_elevation_value(self):
         # oracle: pi * cos(0) * sin(0.1244), evaluated independently
-        s = angles_to_spatial(0.0, 0.1244, 0.5)
-        assert s.u == pytest.approx(np.pi * np.sin(0.1244), abs=1e-12)
-        assert s.u == pytest.approx(0.38985, abs=5e-5)
-        assert s.v == 0.0
+        u, v = angles_to_spatial(0.0, 0.1244, 0.5)
+        assert u == pytest.approx(np.pi * np.sin(0.1244), abs=1e-12)
+        assert u == pytest.approx(0.38985, abs=5e-5)
+        assert v == 0.0
 
     @pytest.mark.parametrize("bad", [0.0, -0.1, 0.50001, 1.0])
     def test_rejects_aliasing_spacing(self, bad):

@@ -16,7 +16,6 @@ from beamtrack.harness import (
     TRACE_COLUMNS,
     emit_summary,
     emit_trace,
-    parse_summary,
     run_experiment,
     run_trial,
     trial_ledger,
@@ -246,7 +245,7 @@ class TestEmission:
         summary = run_experiment(small_cfg(trials=2))
         path = tmp_path / "s.json"
         emit_summary(summary, path)
-        parsed = parse_summary(path)
+        parsed = json.loads(path.read_text())
         assert parsed == summary.to_dict()
 
     def test_byte_stable(self, tmp_path):
