@@ -67,6 +67,9 @@ def _check_field(name: str, annotation: str, value) -> None:
         raise ConfigError(f"{name} must be {annotation}, got {value!r}")
     if isinstance(value, float) and math.isnan(value):
         raise ConfigError(f"{name} must not be NaN")
+    # an infinite SNR is meaningful (+inf is the noiseless branch of complex_noise)
+    if isinstance(value, float) and math.isinf(value) and name != "snr_db":
+        raise ConfigError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass
@@ -119,6 +122,11 @@ class ScenarioConfig:
             raise ConfigError("abp_q_n must be 'fixed' or 'delta'")
         if abs(self.rho_gain) > 1:
             raise ConfigError("|rho_gain| must not exceed 1")
+        if self.gain_innovation_var is not None and self.gain_innovation_var < 0:
+            raise ConfigError("gain_innovation_var must be non-negative")
+        # checked here, not by building the K^2-beam codebook
+        if self.k_beams < 1:
+            raise ConfigError("codebook_k must be >= 1")
         # the pieces a run builds check their own values; build them now
         try:
             ArrayConfig(self.n_x, self.n_y)
@@ -127,6 +135,9 @@ class ScenarioConfig:
             InnovationNoiseEstimator(window=self.q_n_window)
             jacobian(np.zeros(2), self.jacobian_mode)
             angles_to_spatial(0.0, 0.0, self.d_over_lambda)
+            elevation_from_geometry(self.height_ratio, 1.0)
+            if self.abp_offset is not None:
+                BeamPairConfig(self.abp_offset)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 

@@ -9,7 +9,10 @@ threshold crossing triggers mechanical realignment.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -88,8 +91,24 @@ def approx_power(xi_norm: float, n_x: int) -> float:
     return float(np.cos(n_x * xi_norm / 4.0) ** 4)
 
 
-def _grid(cfg: DetectConfig) -> np.ndarray:
-    return np.arange(0.0, cfg.grid_max + cfg.grid_step / 2.0, cfg.grid_step)
+@lru_cache(maxsize=16)
+def _power_table(n_x: int, n_y: int, grid_step: float, grid_max: float):
+    """Search-grid powers sorted ascending, with their norms and tie tolerance.
+
+    Square arrays search a 1-D grid of norms, rectangular arrays a 2-D mesh of
+    at most 201 x 201.  Read-only memoryviews, so lookups see Python floats.
+    """
+    if n_y == n_x:
+        norms = np.arange(0.0, grid_max + grid_step / 2.0, grid_step)
+        vals, tol = np.cos(n_x * norms / 4.0) ** 4, 0.0
+    else:
+        step = max(grid_step, grid_max / 200.0)
+        axis = np.arange(0.0, grid_max + step / 2.0, step)
+        gx, gy = np.meshgrid(axis, axis, indexing="ij")
+        vals = (np.cos(n_x * gx / 4.0) ** 2 * np.cos(n_y * gy / 4.0) ** 2).ravel()
+        norms, tol = np.hypot(gx, gy).ravel(), 1e-15
+    order = np.argsort(vals, kind="stable")
+    return memoryview(vals[order]).toreadonly(), memoryview(norms[order]).toreadonly(), tol
 
 
 def estimate_error_norm(
@@ -103,22 +122,21 @@ def estimate_error_norm(
     For rectangular arrays (n_y != n_x) the search extends over the 2-D
     error grid on a coarser mesh.
     """
+    if not math.isfinite(p_r):
+        raise ValueError("power must be finite")
     if p_r < 0:
         raise ValueError("power must be non-negative")
     p = min(p_r, 1.0)
-    if n_y is None or n_y == n_x:
-        grid = _grid(cfg)
-        vals = np.cos(n_x * grid / 4.0) ** 4
-        return float(grid[np.argmin(np.abs(p - vals))])
-    step = max(cfg.grid_step, cfg.grid_max / 200.0)
-    axis = np.arange(0.0, cfg.grid_max + step / 2.0, step)
-    gx, gy = np.meshgrid(axis, axis, indexing="ij")
-    vals = np.cos(n_x * gx / 4.0) ** 2 * np.cos(n_y * gy / 4.0) ** 2
-    err = np.abs(p - vals)
-    norms = np.hypot(gx, gy)
+    vals, norms, tol = _power_table(n_x, n_y or n_x, cfg.grid_step, cfg.grid_max)
+    i = bisect_left(vals, p)
+    # fl(p - v) is monotone in v, so the (near-)best fits form one run of the
+    # sorted table; bracket it with a few ulps to spare and search only that
+    reach = 2.0 * (min(abs(p - v) for v in vals[max(i - 1, 0):i + 1]) + tol) + 1e-15
+    lo, hi = bisect_left(vals, p - reach), bisect_left(vals, p + reach)
+    err = [abs(p - v) for v in vals[lo:hi]]
+    cut = min(err) + tol
     # smallest norm among (near-)minimal fits
-    near = err <= err.min() + 1e-15
-    return float(norms[near].min())
+    return min(n for e, n in zip(err, norms[lo:hi]) if e <= cut)
 
 
 def detect_step(

@@ -110,6 +110,12 @@ def test_run_simulates_each_trial_once(runner, tiny_config, tmp_path, monkeypatc
     {"q_n_window": 1},
     {"detect_threshold": 5.0},
     {"snr_db": float("nan")},
+    {"gain_innovation_var": -1.0},
+    {"height_ratio": 0},
+    {"scheme": "codebook", "codebook_k": 0},
+    {"scheme": "abp", "abp_offset": -0.1},
+    {"sigma_u": float("inf")},
+    {"sigma_nb_sq": float("inf")},
 ])
 def test_run_invalid_value_exits_2(runner, tmp_path, fields):
     bad = tmp_path / "bad.json"
@@ -119,6 +125,15 @@ def test_run_invalid_value_exits_2(runner, tmp_path, fields):
     assert result.output.startswith("config error: ")
     assert "Traceback" not in result.output
     assert not (tmp_path / "proposed_summary.json").exists()
+
+
+def test_run_accepts_infinite_snr(runner, tmp_path):
+    # +inf SNR is the noiseless branch, the one float field allowed infinite
+    cfg = tmp_path / "noiseless.json"
+    cfg.write_text(json.dumps({"frames": 3, "trials": 1, "snr_db": float("inf")}))
+    result = runner.invoke(main, ["run", "--config", str(cfg), "--out", str(tmp_path)])
+    assert result.exit_code == 0, result.output
+    assert (tmp_path / "proposed_summary.json").exists()
 
 
 def test_run_bad_field_exits_2(runner, tmp_path):

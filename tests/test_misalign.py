@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from beamtrack import misalign
 from beamtrack.channel import ArrayConfig
 from beamtrack.misalign import (
     DetectConfig,
@@ -104,6 +105,72 @@ class TestEstimateErrorNorm:
         # rectangular path: power from a diagonal offset on an 8x4 array
         est = estimate_error_norm(0.9, cfg, 8, 4)
         assert 0.0 < est < cfg.grid_max * np.sqrt(2) + 1e-12
+
+    @pytest.mark.parametrize("n_y", [8, 16])
+    @pytest.mark.parametrize("p_r", [float("nan"), float("inf")])
+    def test_rejects_non_finite(self, p_r, n_y):
+        with pytest.raises(ValueError, match="finite"):
+            estimate_error_norm(p_r, CFG8, 8, n_y)
+
+
+def _reference_search(cfg: DetectConfig, n_x: int, n_y: int):
+    """The exhaustive grid and mesh search the table replaces, kept as the oracle.
+
+    The grid is built once per shape; each probe repeats the full search.
+    """
+    if n_y == n_x:
+        grid = np.arange(0.0, cfg.grid_max + cfg.grid_step / 2.0, cfg.grid_step)
+        vals = np.cos(n_x * grid / 4.0) ** 4
+
+        def search(p):
+            return float(grid[np.argmin(np.abs(p - vals))])
+        return search
+    step = max(cfg.grid_step, cfg.grid_max / 200.0)
+    axis = np.arange(0.0, cfg.grid_max + step / 2.0, step)
+    gx, gy = np.meshgrid(axis, axis, indexing="ij")
+    vals = np.cos(n_x * gx / 4.0) ** 2 * np.cos(n_y * gy / 4.0) ** 2
+    norms = np.hypot(gx, gy)
+
+    def search(p):
+        err = np.abs(p - vals)
+        near = err <= err.min() + 1e-15
+        return float(norms[near].min())
+    return search
+
+
+class TestPowerTable:
+    @pytest.mark.parametrize("n_x,n_y", [(8, 8), (8, 16), (16, 8), (8, 4), (16, 16)])
+    def test_equals_exhaustive_search(self, n_x, n_y):
+        cfg = DetectConfig.for_array(n_x)
+        search = _reference_search(cfg, n_x, n_y)
+        table = np.asarray(misalign._power_table(n_x, n_y, cfg.grid_step, cfg.grid_max)[0])
+        rng = np.random.default_rng(4)
+        every = table[::50]
+        probes = np.concatenate([
+            rng.uniform(0.0, 1.0, 300),
+            rng.uniform(0.0, 1e-3, 300),
+            every,
+            ((table[1:] + table[:-1]) / 2.0)[::50],
+            np.nextafter(every, 2.0),
+            np.nextafter(every, -1.0),
+            [0.0, 1.0, 1.5],
+        ])
+        for p in probes:
+            if p >= 0.0:
+                assert estimate_error_norm(p, cfg, n_x, n_y) == search(min(p, 1.0)), p
+
+    def test_built_once_per_config(self):
+        misalign._power_table.cache_clear()
+        cfg = DetectConfig.for_array(8)
+        for _ in range(3):
+            estimate_error_norm(0.5, cfg, 8, 16)
+        assert misalign._power_table.cache_info().hits == 2
+        estimate_error_norm(0.5, cfg, 8, 4)
+        info = misalign._power_table.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (2, 2, 2)
+        wide = misalign._power_table(8, 16, cfg.grid_step, cfg.grid_max)[0]
+        narrow = misalign._power_table(8, 4, cfg.grid_step, cfg.grid_max)[0]
+        assert not np.array_equal(wide, narrow)
 
 
 class TestDetectConfig:
