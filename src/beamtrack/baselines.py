@@ -138,14 +138,14 @@ class CodebookTracker:
         inflate = 0.5 * gain_uncertainty_var * n / codebook.k**2
         self.q_n = (sigma2 / 2.0 + inflate) * np.eye(2 * codebook.k**2)
 
-    def step(self, y_vec: np.ndarray) -> dict:
+    def step(self, y: np.ndarray) -> dict:
         self.alpha_pred *= self.gain_rho
         pred = predict(self.state, self.f, self.q_p)
-        z = codebook_measurement(y_vec, self.codebook)
+        z = codebook_measurement(y.ravel(), self.codebook)
         z_hat = codebook_predicted(pred.x, self.codebook, self.alpha_pred)
         g = codebook_jacobian(pred.x, self.codebook, self.alpha_pred)
-        self.state, innovation, k = update(pred, z, g, self.q_n, z_hat)
-        return step_result(self.state, g, innovation, k)
+        self.state, innovation, _ = update(pred, z, g, self.q_n, z_hat)
+        return step_result(innovation)
 
     def reinitialize(self, state: TrackerState):
         self.state = state
@@ -288,22 +288,22 @@ class AbpTracker:
             variances.append(max(dzp**2 * var_p + dzm**2 * var_m, _Q_N_FLOOR))
         return np.diag(variances)
 
-    def step(self, y_vec: np.ndarray) -> dict:
+    def step(self, y: np.ndarray) -> dict:
         pred = predict(self.state, self.f, self.q_p)
         center = self._center(pred.x)
         try:
-            zeta = abp_ratio_metric(y_vec, center, self.pair, self.arr)
+            zeta = abp_ratio_metric(y.ravel(), center, self.pair, self.arr)
             z_hat = self._predicted(pred.x, center)
         except MeasurementFailure:
             self.state = pred
-            return step_result(pred, np.zeros((2, 2)))
+            return step_result()
         g = self._jacobian(pred.x, center)
         if self.q_n_source == "fixed":
             q_n = self.sigma_n_sq * np.eye(2)
         else:
             q_n = self._q_n(pred.x, center)
-        self.state, innovation, k = update(pred, zeta, g, q_n, z_hat)
-        return step_result(self.state, g, innovation, k)
+        self.state, innovation, _ = update(pred, zeta, g, q_n, z_hat)
+        return step_result(innovation)
 
     def reinitialize(self, state: TrackerState):
         self.state = state

@@ -72,24 +72,18 @@ def update(
     return TrackerState(x=x_new, p=p_new), innovation, k
 
 
-def step_result(
-    state: TrackerState,
-    g_mat: np.ndarray,
-    innovation: np.ndarray | None = None,
-    k: np.ndarray | None = None,
-) -> dict:
-    """A tracker step's outcome.
+def step_result(innovation: np.ndarray | None = None, bound: float = float("nan")) -> dict:
+    """A tracker step's outcome; the new estimate is the tracker's `state`.
 
-    Without an innovation the frame had no usable measurement: the state is
-    the prediction, the gain is zero and the innovation norm is NaN.
+    Without an innovation the frame had no usable measurement and the
+    innovation norm is NaN.  `bound` is the MSE bound of a tracker that
+    computes one, NaN otherwise.
     """
     valid = innovation is not None
     return {
-        "state": state,
-        "innovation_norm": float(np.linalg.norm(innovation)) if valid else float("nan"),
         "meas_valid": valid,
-        "kalman_gain": k if valid else np.zeros((2, 2)),
-        "g_mat": g_mat,
+        "innovation_norm": float(np.linalg.norm(innovation)) if valid else float("nan"),
+        "bound": bound,
     }
 
 

@@ -1,10 +1,10 @@
 """Scenario configuration, seeded Monte Carlo execution, and output emission.
 
 A trial simulates frames of: truth evolution -> pilot snapshot ->
-tracker predict/update -> data-phase beamformed power -> misalignment
-detection (optional realignment) -> MSE-bound bookkeeping.  All schemes
-consume identical truth and noise streams per (trial, frame), so scheme
-comparisons are paired.
+tracker step (predict/update; the proposed tracker also reports its MSE
+bound) -> data-phase beamformed power -> misalignment detection (optional
+realignment).  All schemes consume identical truth and noise streams per
+(trial, frame), so scheme comparisons are paired.
 """
 
 from __future__ import annotations
@@ -67,8 +67,8 @@ def _check_field(name: str, annotation: str, value) -> None:
         raise ConfigError(f"{name} must be {annotation}, got {value!r}")
     if isinstance(value, float) and math.isnan(value):
         raise ConfigError(f"{name} must not be NaN")
-    # an infinite SNR is meaningful (+inf is the noiseless branch of complex_noise)
-    if isinstance(value, float) and math.isinf(value) and name != "snr_db":
+    # +inf SNR is meaningful (the noiseless branch of complex_noise); -inf is not
+    if isinstance(value, float) and math.isinf(value) and (name, value) != ("snr_db", math.inf):
         raise ConfigError(f"{name} must be finite, got {value!r}")
 
 
@@ -124,6 +124,9 @@ class ScenarioConfig:
             raise ConfigError("|rho_gain| must not exceed 1")
         if self.gain_innovation_var is not None and self.gain_innovation_var < 0:
             raise ConfigError("gain_innovation_var must be non-negative")
+        # without innovations the gain decays to zero and the received power with it
+        if self.gain_innovation_var == 0 and abs(self.rho_gain) < 1:
+            raise ConfigError("gain_innovation_var 0 needs |rho_gain| = 1")
         # checked here, not by building the K^2-beam codebook
         if self.k_beams < 1:
             raise ConfigError("codebook_k must be >= 1")
@@ -138,8 +141,13 @@ class ScenarioConfig:
             elevation_from_geometry(self.height_ratio, 1.0)
             if self.abp_offset is not None:
                 BeamPairConfig(self.abp_offset)
+            self.q_p()
+            initial_state(np.zeros(2), self.sigma_init)
+            self.pilot().noise_variance(1.0, self.n_x * self.n_y)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise ConfigError(f"a value leaves the float range: {exc}") from exc
 
     # derived pieces -------------------------------------------------
 
@@ -242,15 +250,17 @@ class ProposedTracker:
             window=cfg.q_n_window, floor=cfg.sigma_n_sq / 10.0
         )
         self.last_q_n = self.q_n_prior
+        self.q_n_relaxed = np.eye(2) * cfg.sigma_nb_sq   # the bound's Q_n'
 
-    def step(self, y_snapshot: np.ndarray) -> dict:
+    def step(self, y: np.ndarray) -> dict:
+        p_prev = self.state.p
         pred = predict(self.state, self.f, self.q_p)
-        g = jacobian(pred.x, self.jacobian_mode)
         try:
-            meas = extract_measurement(y_snapshot, self.arr)
+            meas = extract_measurement(y, self.arr)
         except MeasurementFailure:
             self.state = pred
-            return step_result(pred, g)
+            return step_result()
+        g = jacobian(pred.x, self.jacobian_mode)
         if self.q_n_mode == "estimated":
             q_n = self.estimator.estimate(self.q_n_prior)
         else:
@@ -258,7 +268,9 @@ class ProposedTracker:
         self.last_q_n = q_n
         self.state, innovation, k = update(pred, meas.r, g, q_n)
         self.estimator.push(innovation, g, pred.p)
-        return step_result(self.state, g, innovation, k)
+        return step_result(
+            innovation, bound_step(p_prev, k, g, self.f, self.q_p, self.q_n_relaxed)
+        )
 
     def reinitialize(self, state: TrackerState):
         self.state = state
@@ -308,8 +320,6 @@ def run_trial(cfg: ScenarioConfig, trial_index: int, scheme: str | None = None) 
     pilot = cfg.pilot()
     detect_cfg = cfg.detect()
     f = rotation_matrix(cfg.psi_value)
-    q_p = cfg.q_p()
-    q_n_relaxed = np.eye(2) * cfg.sigma_nb_sq
     sigma = (cfg.sigma_u, cfg.sigma_v)
 
     init_rng = rngmod.stream(cfg.seed, trial_index, 0, "init")
@@ -323,7 +333,6 @@ def run_trial(cfg: ScenarioConfig, trial_index: int, scheme: str | None = None) 
     tracker = _build_tracker(cfg, scheme, initial_state(x_hat0, cfg.sigma_init))
     detector = DetectorState()
     alpha = 1.0 + 0.0j
-    p_prev = tracker.state.p.copy()
     records: list[FrameRecord] = []
 
     for k in range(1, cfg.frames + 1):
@@ -335,38 +344,30 @@ def run_trial(cfg: ScenarioConfig, trial_index: int, scheme: str | None = None) 
         h = channel_matrix(alpha, truth, arr)
         y = synthesize_rx(h, pilot, rngmod.stream(*key, "pilot"))
 
-        out = tracker.step(y if scheme == "proposed" else y.ravel())
-        state: TrackerState = out["state"]
+        out = tracker.step(y)
+        x_hat = tracker.state.x
 
         # data transmission phase: beamformed power toward the estimate
-        w = beamforming_weight(state.x, arr)
+        w = beamforming_weight(x_hat, arr)
         r_d = beamformed_signal(w, h.ravel(), pilot, rngmod.stream(*key, "data"))
         p_r = float(abs(r_d) ** 2 / (arr.n * abs(alpha) ** 2))
 
         est = detect_step(p_r, detect_cfg, arr, detector)
 
-        if scheme == "proposed" and out["meas_valid"]:
-            bound = bound_step(
-                p_prev, out["kalman_gain"], out["g_mat"], f, q_p, q_n_relaxed
-            )
-        else:
-            bound = float("nan")
-        p_prev = state.p.copy()
-
-        xi = truth - state.x
+        xi = truth - x_hat
         records.append(
             FrameRecord(
                 frame=k,
                 u_true=float(truth[0]),
                 v_true=float(truth[1]),
-                u_hat=float(state.x[0]),
-                v_hat=float(state.x[1]),
+                u_hat=float(x_hat[0]),
+                v_hat=float(x_hat[1]),
                 err_norm=float(np.linalg.norm(xi)),
                 err_norm_hat=est.xi_hat,
                 p_r=p_r,
                 detected=est.detected,
                 realigned=est.realigned,
-                bound=bound,
+                bound=out["bound"],
                 innov_norm=out["innovation_norm"],
                 meas_valid=out["meas_valid"],
             )
@@ -376,7 +377,6 @@ def run_trial(cfg: ScenarioConfig, trial_index: int, scheme: str | None = None) 
             realign_rng = rngmod.stream(*key, "realign")
             truth = realign_rng.normal(0.0, detect_cfg.residual_after_realign, 2)
             tracker.reinitialize(initial_state(np.zeros(2), cfg.sigma_init))
-            p_prev = tracker.state.p.copy()
 
     return records
 

@@ -33,8 +33,10 @@ class DetectConfig:
     def __post_init__(self):
         if not (0 < self.grid_step < self.grid_max):
             raise ValueError("need 0 < grid_step < grid_max")
-        if self.threshold > self.grid_max:
-            raise ValueError("threshold must not exceed grid_max")
+        if not (0 < self.threshold <= self.grid_max):
+            raise ValueError("need 0 < threshold <= grid_max")
+        if self.residual_after_realign < 0:
+            raise ValueError("residual_after_realign must be non-negative")
         if self.consecutive_required < 1:
             raise ValueError("consecutive_required must be >= 1")
 

@@ -8,31 +8,19 @@ from .errors import ConfigError
 from .harness import ScenarioConfig
 
 
-def _base(**kw) -> ScenarioConfig:
-    defaults = dict(
-        n_x=8,
-        n_y=8,
-        scheme="proposed",
-        rho_gain=0.995,
-        gain_innovation_var=1e-4,
-    )
-    defaults.update(kw)
-    return ScenarioConfig(**defaults)
-
-
 PRESETS = {
     # real-time tracking, stable geometry, high SNR
-    "fig4a": lambda: _base(
+    "fig4a": lambda: ScenarioConfig(
         frames=100, trials=100, snr_db=30.0,
         sigma_u=0.005, sigma_v=0.005, sigma_init=0.005,
     ),
     # same, dynamic channel
-    "fig4b": lambda: _base(
+    "fig4b": lambda: ScenarioConfig(
         frames=100, trials=100, snr_db=10.0,
         sigma_u=0.01, sigma_v=0.01, sigma_init=0.005,
     ),
     # normalized beamforming-gain comparison
-    "fig5": lambda: _base(
+    "fig5": lambda: ScenarioConfig(
         frames=100, trials=100, snr_db=10.0,
         sigma_u=0.005, sigma_v=0.005, sigma_init=0.005,
     ),
@@ -44,14 +32,14 @@ PRESETS = {
     # the worst-case (single-axis) beam pattern instead of the diagonal
     # cos^4 approximation; the estimated norm reads ~0.82x low for
     # single-axis offsets, which dominate the divergence excursions here.
-    "fig6": lambda: _base(
+    "fig6": lambda: ScenarioConfig(
         frames=100, trials=200, snr_db=30.0,
         sigma_u=0.05, sigma_v=0.05, sigma_init=0.02,
         height_ratio=2.0, detect_enabled=True, detect_residual=0.02,
         q_n_mode="fixed", detect_threshold=0.8 * 0.89 * pi / 8,
     ),
     # MSE bound dominance
-    "fig7": lambda: _base(
+    "fig7": lambda: ScenarioConfig(
         frames=50, trials=1000, snr_db=10.0,
         sigma_u=0.005, sigma_v=0.005, sigma_init=5e-5,
         sigma_n_sq=5e-6, sigma_nb_sq=3e-5, q_n_mode="fixed",
@@ -61,18 +49,18 @@ PRESETS = {
     # The shared drift (5e-4, geometric mean of the two initial-error
     # levels) is moderate enough that the transient is visible but both
     # settings reach the same steady state within a few frames.
-    "fig8_small": lambda: _base(
+    "fig8_small": lambda: ScenarioConfig(
         frames=50, trials=500, snr_db=10.0,
         sigma_u=5e-4, sigma_v=5e-4, sigma_init=5e-5,
         detect_enabled=False,
     ),
-    "fig8_large": lambda: _base(
+    "fig8_large": lambda: ScenarioConfig(
         frames=50, trials=500, snr_db=10.0,
         sigma_u=5e-4, sigma_v=5e-4, sigma_init=5e-3,
         detect_enabled=False,
     ),
     # base point of the SNR sweep; sweep snr_db around it
-    "fig9": lambda: _base(
+    "fig9": lambda: ScenarioConfig(
         frames=50, trials=500, snr_db=10.0,
         sigma_u=0.01, sigma_v=0.01, sigma_init=5e-5,
         detect_enabled=False,

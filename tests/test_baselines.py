@@ -27,6 +27,9 @@ def _h_vec(u, v, arr, gain=1.0 + 0.0j):
     return rank1_snapshot(u, v, arr, gain).ravel()
 
 
+STEP_KEYS = {"meas_valid", "innovation_norm", "bound"}
+
+
 class TestCodebook:
     def test_degenerate_single_beam(self):
         arr = ArrayConfig(2, 2)
@@ -139,20 +142,22 @@ class TestCodebookTracker:
             initial_state(truth + np.array([0.02, 0.02]), 0.05),
             gain_rho=1.0, gain_uncertainty_var=0.0,
         )
-        y = _h_vec(truth[0], truth[1], arr)
+        y = rank1_snapshot(truth[0], truth[1], arr)
         for _ in range(5):
-            out = tracker.step(y)
-        assert np.linalg.norm(out["state"].x - truth) < 1e-3
+            tracker.step(y)
+        assert np.linalg.norm(tracker.state.x - truth) < 1e-3
 
     def test_measurement_dimension(self):
         arr = ArrayConfig(8, 8)
         cb = build_codebook(8, arr)
         tracker = CodebookTracker(cb, np.eye(2), np.eye(2) * 1e-6, PilotConfig(snr_db=10.0),
                                   initial_state(np.zeros(2), 0.01))
-        out = tracker.step(_h_vec(0.1, 0.2, arr))
+        out = tracker.step(rank1_snapshot(0.1, 0.2, arr))
         assert tracker.q_n.shape == (128, 128)
-        assert out["g_mat"].shape == (128, 2)
-        assert out["kalman_gain"].shape == (2, 128)
+        assert codebook_jacobian(tracker.state.x, cb).shape == (128, 2)
+        assert out.keys() == STEP_KEYS
+        assert out["meas_valid"] is True
+        assert np.isnan(out["bound"])
 
 
 class TestAbpRatio:
@@ -217,9 +222,12 @@ class TestAbpTracker:
     def test_measurement_dimension(self):
         arr = ArrayConfig(8, 8)
         tracker = _abp_tracker(arr, initial_state(np.zeros(2), 0.01))
-        out = tracker.step(_h_vec(0.1, 0.2, arr))
-        assert out["g_mat"].shape == (2, 2)
-        assert out["kalman_gain"].shape == (2, 2)
+        out = tracker.step(rank1_snapshot(0.1, 0.2, arr))
+        x = tracker.state.x
+        assert tracker._jacobian(x, tracker._center(x)).shape == (2, 2)
+        assert out.keys() == STEP_KEYS
+        assert out["meas_valid"] is True
+        assert np.isnan(out["bound"])
 
     def test_update_beats_prediction_only(self):
         # paired trials: same noise, with and without the measurement update
@@ -232,13 +240,13 @@ class TestAbpTracker:
             truth = rng.uniform(-0.1, 0.1, 2)
             x0 = truth + rng.normal(0, 0.02, 2)
             tracker = _abp_tracker(arr, initial_state(x0, 0.02), pilot)
-            h = _h_vec(truth[0], truth[1], arr)
+            h = rank1_snapshot(truth[0], truth[1], arr)
             var = pilot.noise_variance(float(np.mean(np.abs(h) ** 2)), arr.n)
             err_upd, err_pred = None, np.linalg.norm(x0 - truth)
             for _ in range(5):
                 y = h + complex_noise(h.shape, var, rng)
-                out = tracker.step(y)
-            err_upd = np.linalg.norm(out["state"].x - truth)
+                tracker.step(y)
+            err_upd = np.linalg.norm(tracker.state.x - truth)
             if err_upd < err_pred:
                 wins += 1
         assert wins / trials > 0.9
@@ -252,17 +260,18 @@ class TestAbpTracker:
         truth = np.array([2 * beam_spacing + 0.05, 0.0])
         # initialize at zero so the center beam stays wrong
         tracker = _abp_tracker(arr, initial_state(np.zeros(2), 0.01))
-        h = _h_vec(truth[0], truth[1], arr)
+        h = rank1_snapshot(truth[0], truth[1], arr)
         for _ in range(5):
-            out = tracker.step(h)
-        assert np.linalg.norm(out["state"].x - truth) > 0.5
+            tracker.step(h)
+        assert np.linalg.norm(tracker.state.x - truth) > 0.5
 
     def test_measurement_failure_falls_back_to_prediction(self):
         arr = ArrayConfig(8, 8)
         tracker = _abp_tracker(arr, initial_state(np.array([0.1, 0.1]), 0.01))
-        out = tracker.step(np.zeros(arr.n, dtype=complex))
+        out = tracker.step(np.zeros((arr.n_x, arr.n_y), dtype=complex))
         assert out["meas_valid"] is False
-        assert np.allclose(out["state"].x, [0.1, 0.1])
+        assert np.isnan(out["bound"])
+        assert np.allclose(tracker.state.x, [0.1, 0.1])
 
     def test_q_n_source_validation(self):
         arr = ArrayConfig(8, 8)

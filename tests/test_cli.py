@@ -116,6 +116,16 @@ def test_run_simulates_each_trial_once(runner, tiny_config, tmp_path, monkeypatc
     {"scheme": "abp", "abp_offset": -0.1},
     {"sigma_u": float("inf")},
     {"sigma_nb_sq": float("inf")},
+    {"detect_residual": -0.02},
+    {"detect_threshold": 0.0},
+    {"snr_db": float("-inf")},
+    {"rho_gain": 0.0, "gain_innovation_var": 0.0},
+    {"rho_gain": 0.5, "gain_innovation_var": 0.0},
+    {"snr_db": 1e308},
+    {"snr_db": -4000.0},
+    {"sigma_u": 1e300},
+    {"sigma_v": 1e300},
+    {"sigma_init": 1e200},
 ])
 def test_run_invalid_value_exits_2(runner, tmp_path, fields):
     bad = tmp_path / "bad.json"

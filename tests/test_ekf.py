@@ -225,20 +225,16 @@ class TestNoiseEstimator:
 
 class TestStepResult:
     def test_measured_frame(self):
-        state = initial_state(np.array([0.1, 0.2]), 0.01)
-        out = step_result(state, 0.5 * np.eye(2), np.array([3.0, 4.0]), np.eye(2))
-        assert out["meas_valid"] is True
-        assert out["innovation_norm"] == 5.0
-        assert np.array_equal(out["kalman_gain"], np.eye(2))
+        out = step_result(np.array([3.0, 4.0]), 0.25)
+        assert out == {"meas_valid": True, "innovation_norm": 5.0, "bound": 0.25}
+        assert np.isnan(step_result(np.array([3.0, 4.0]))["bound"])
 
     def test_prediction_only_frame(self):
-        pred = initial_state(np.array([0.1, 0.2]), 0.01)
-        out = step_result(pred, 0.5 * np.eye(2))
-        assert out["state"] is pred
+        out = step_result()
+        assert out.keys() == {"meas_valid", "innovation_norm", "bound"}
         assert out["meas_valid"] is False
         assert np.isnan(out["innovation_norm"])
-        assert np.array_equal(out["kalman_gain"], np.zeros((2, 2)))
-        assert np.array_equal(out["g_mat"], 0.5 * np.eye(2))
+        assert np.isnan(out["bound"])
 
 
 def test_initial_state_covariance():

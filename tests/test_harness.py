@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from beamtrack.ekf import initial_state
+from beamtrack.analysis import bound_step
+from beamtrack.ekf import initial_state, jacobian, predict, update
 from beamtrack.errors import ConfigError
 from beamtrack.geometry import rotation_matrix
 from beamtrack.harness import (
@@ -20,6 +21,7 @@ from beamtrack.harness import (
     run_trial,
     trial_ledger,
 )
+from beamtrack.monopulse import extract_measurement
 
 from conftest import rank1_snapshot
 
@@ -58,6 +60,14 @@ class TestScenarioConfig:
     def test_rejects_tiny_array(self):
         with pytest.raises(ConfigError):
             ScenarioConfig(n_x=1)
+
+    def test_rejects_gain_decaying_to_zero(self):
+        for rho in (0.0, 0.5, -0.999):
+            with pytest.raises(ConfigError):
+                ScenarioConfig(rho_gain=rho, gain_innovation_var=0.0)
+        # a unit-modulus gain without innovations stays put (or flips sign)
+        for rho in (1.0, -1.0):
+            assert ScenarioConfig(rho_gain=rho, gain_innovation_var=0.0).rho_gain == rho
 
     def test_dict_roundtrip(self):
         cfg = small_cfg(snr_db=17.0, scheme="abp")
@@ -158,8 +168,23 @@ class TestProposedTracker:
         out = tracker.step(rank1_snapshot(np.pi, np.pi, cfg.arr))
         assert out["meas_valid"] is False
         assert np.isnan(out["innovation_norm"])
-        assert np.allclose(out["state"].x, rotation_matrix(cfg.psi_value) @ x0, atol=1e-15)
-        assert tracker.state is out["state"]
+        assert np.isnan(out["bound"])
+        assert np.allclose(tracker.state.x, rotation_matrix(cfg.psi_value) @ x0, atol=1e-15)
+
+    def test_measured_frame_reports_mse_bound(self):
+        # the bound propagates the prior P through this frame's K and G with Q_n'
+        cfg = small_cfg(q_n_mode="fixed")
+        start = initial_state(np.array([0.1, -0.2]), 0.01)
+        tracker = ProposedTracker(cfg, start)
+        y = rank1_snapshot(0.11, -0.19, cfg.arr)
+        out = tracker.step(y)
+        f, q_p = rotation_matrix(cfg.psi_value), cfg.q_p()
+        pred = predict(start, f, q_p)
+        g = jacobian(pred.x, cfg.jacobian_mode)
+        r = extract_measurement(y, cfg.arr).r
+        _, _, k = update(pred, r, g, np.eye(2) * cfg.sigma_n_sq)
+        assert out["meas_valid"] is True
+        assert out["bound"] == bound_step(start.p, k, g, f, q_p, np.eye(2) * cfg.sigma_nb_sq)
 
 
 class TestRunExperiment:

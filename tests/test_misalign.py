@@ -188,6 +188,12 @@ class TestDetectConfig:
         with pytest.raises(ValueError):
             DetectConfig(grid_step=0.001, grid_max=0.5, threshold=0.1,
                          consecutive_required=0)
+        for threshold in (0.0, -0.1):
+            with pytest.raises(ValueError):
+                DetectConfig.for_array(8, threshold=threshold)
+        with pytest.raises(ValueError):
+            DetectConfig.for_array(8, residual_after_realign=-0.02)
+        assert DetectConfig.for_array(8, residual_after_realign=0.0).residual_after_realign == 0.0
 
 
 class TestDetectStep:
