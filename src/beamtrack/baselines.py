@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ArrayConfig, PilotConfig, beamforming_weight, channel_matrix, steering_vector
+from .channel import ArrayConfig, PilotConfig, beamforming_weight, steering_vector
 from .ekf import TrackerState, predict, step_result, update
 from .errors import MeasurementFailure
 
@@ -57,18 +57,6 @@ def build_codebook(k: int, arr: ArrayConfig) -> Codebook:
     )
 
 
-def _response_grad(x: np.ndarray, arr: ArrayConfig) -> tuple[np.ndarray, np.ndarray]:
-    """d vec(a_x a_y^H) / du and / dv."""
-    ax = steering_vector(x[0], arr.n_x)
-    ay = steering_vector(x[1], arr.n_y)
-    dax = -1j * np.arange(arr.n_x) * ax
-    day = -1j * np.arange(arr.n_y) * ay
-    du = np.outer(dax, ay.conj()).ravel()
-    # conj of a_y picks up +j*m
-    dv = np.outer(ax, (day.conj())).ravel()
-    return du, dv
-
-
 def _stack_reim(z: np.ndarray) -> np.ndarray:
     return np.concatenate([z.real, z.imag])
 
@@ -82,27 +70,26 @@ def codebook_measurement(
     return _stack_reim(obs)
 
 
-def codebook_predicted(
-    x_pred: np.ndarray,
+def codebook_model(
+    x: np.ndarray,
     codebook: Codebook,
     gain: complex,
-) -> np.ndarray:
-    """Noiseless beam observations of the unit pilot at the predicted state."""
-    h_vec = channel_matrix(1.0, x_pred, codebook.arr).ravel()
-    obs = gain * (codebook.weights.conj().T @ h_vec)
-    return _stack_reim(obs)
-
-
-def codebook_jacobian(
-    x_pred: np.ndarray,
-    codebook: Codebook,
-    gain: complex = 1.0 + 0.0j,
-) -> np.ndarray:
-    """Analytic (2K^2 x 2) Jacobian of the noiseless beam responses."""
-    du, dv = _response_grad(x_pred, codebook.arr)
-    col_u = gain * (codebook.weights.conj().T @ du)
-    col_v = gain * (codebook.weights.conj().T @ dv)
-    return np.column_stack([_stack_reim(col_u), _stack_reim(col_v)])
+) -> tuple[np.ndarray, np.ndarray]:
+    """Noiseless beam observations of the unit pilot at x, and their
+    analytic (2K^2 x 2) Jacobian, from one pair of steering vectors."""
+    arr = codebook.arr
+    ax = steering_vector(x[0], arr.n_x)
+    ay = steering_vector(x[1], arr.n_y)
+    w_h = codebook.weights.conj().T
+    h_vec = (1.0 * np.outer(ax, ay.conj())).ravel()
+    dax = -1j * np.arange(arr.n_x) * ax
+    day = -1j * np.arange(arr.n_y) * ay
+    # d vec(a_x a_y^H) / du and / dv; conj of a_y picks up +j*m
+    du = np.outer(dax, ay.conj()).ravel()
+    dv = np.outer(ax, (day.conj())).ravel()
+    z_hat = _stack_reim(gain * (w_h @ h_vec))
+    g = np.column_stack([_stack_reim(gain * (w_h @ du)), _stack_reim(gain * (w_h @ dv))])
+    return z_hat, g
 
 
 class CodebookTracker:
@@ -142,8 +129,7 @@ class CodebookTracker:
         self.alpha_pred *= self.gain_rho
         pred = predict(self.state, self.f, self.q_p)
         z = codebook_measurement(y.ravel(), self.codebook)
-        z_hat = codebook_predicted(pred.x, self.codebook, self.alpha_pred)
-        g = codebook_jacobian(pred.x, self.codebook, self.alpha_pred)
+        z_hat, g = codebook_model(pred.x, self.codebook, self.alpha_pred)
         self.state, innovation, _ = update(pred, z, g, self.q_n, z_hat)
         return step_result(innovation)
 
@@ -158,8 +144,8 @@ class BeamPairConfig:
     offset: float               # delta, radians of spatial angle
 
     def __post_init__(self):
-        if self.offset <= 0:
-            raise ValueError("squint offset must be positive")
+        if not 0 < self.offset <= np.pi:
+            raise ValueError("squint offset must lie in (0, pi]")
 
     @staticmethod
     def for_array(n_x: int) -> "BeamPairConfig":
@@ -238,71 +224,50 @@ class AbpTracker:
         self.pair = pair
         self.f = f
         self.q_p = q_p
-        self.pilot = pilot
         self.state = state
         self.sigma_n_sq = sigma_n_sq
         self.q_n_source = q_n_source
         self.arr = codebook.arr
+        self.sigma2 = pilot.noise_variance(1.0, self.arr.n)
 
     def _center(self, x_pred: np.ndarray) -> np.ndarray:
-        return np.array([
-            self.codebook.nearest_axis_angle(x_pred[0]),
-            self.codebook.nearest_axis_angle(x_pred[1]),
-        ])
+        return np.array([self.codebook.nearest_axis_angle(a) for a in x_pred])
 
-    def _predicted(self, x: np.ndarray, center: np.ndarray) -> np.ndarray:
-        return np.array([
-            abp_ratio_curve(x[0], center[0], self.pair.offset, self.arr.n_x),
-            abp_ratio_curve(x[1], center[1], self.pair.offset, self.arr.n_y),
-        ])
-
-    def _jacobian(self, x_pred: np.ndarray, center: np.ndarray) -> np.ndarray:
-        h = self._FD_STEP
-        g = np.zeros((2, 2))
-        for i in range(2):
-            xp = x_pred.copy()
-            xm = x_pred.copy()
-            xp[i] += h
-            xm[i] -= h
-            g[:, i] = (self._predicted(xp, center) - self._predicted(xm, center)) / (2 * h)
-        return g
-
-    def _q_n(self, x_pred: np.ndarray, center: np.ndarray) -> np.ndarray:
-        """Delta-method variance of each ratio; gain magnitude cancels."""
-        sigma2 = self.pilot.noise_variance(1.0, self.arr.n)
-        variances = []
-        for axis_val, c, n_axis, n_other in (
-            (x_pred[0], center[0], self.arr.n_x, self.arr.n_y),
-            (x_pred[1], center[1], self.arr.n_y, self.arr.n_x),
-        ):
-            p_plus, p_minus = _axis_pair_powers(axis_val, c, self.pair.offset, n_axis)
-            # cross-axis pattern scales both powers; it cancels in zeta but
-            # sets the per-beam signal level seen against the element noise
-            p_plus *= n_other
-            p_minus *= n_other
-            total = p_plus + p_minus
-            var_p = 2.0 * sigma2 * p_plus + sigma2**2
-            var_m = 2.0 * sigma2 * p_minus + sigma2**2
-            dzp = 2.0 * p_minus / total**2
-            dzm = 2.0 * p_plus / total**2
-            variances.append(max(dzp**2 * var_p + dzm**2 * var_m, _Q_N_FLOOR))
-        return np.diag(variances)
+    def _axis_model(
+        self, u: float, center: float, n_axis: int, n_other: int
+    ) -> tuple[float, float, float]:
+        """Noiseless ratio at u, its central-difference slope, and its
+        delta-method variance (the gain magnitude cancels)."""
+        h, delta, sigma2 = self._FD_STEP, self.pair.offset, self.sigma2
+        p_plus, p_minus = _axis_pair_powers(u, center, delta, n_axis)
+        ends = [abp_ratio_curve(u + s, center, delta, n_axis) for s in (h, -h)]
+        slope = (ends[0] - ends[1]) / (2 * h)
+        zeta = _pair_ratio(p_plus, p_minus)
+        # cross-axis pattern scales both powers; it cancels in zeta but
+        # sets the per-beam signal level seen against the element noise
+        p_plus *= n_other
+        p_minus *= n_other
+        total = p_plus + p_minus
+        var_p = 2.0 * sigma2 * p_plus + sigma2**2
+        var_m = 2.0 * sigma2 * p_minus + sigma2**2
+        dzp = 2.0 * p_minus / total**2
+        dzm = 2.0 * p_plus / total**2
+        return zeta, slope, max(dzp**2 * var_p + dzm**2 * var_m, _Q_N_FLOOR)
 
     def step(self, y: np.ndarray) -> dict:
         pred = predict(self.state, self.f, self.q_p)
         center = self._center(pred.x)
         try:
             zeta = abp_ratio_metric(y.ravel(), center, self.pair, self.arr)
-            z_hat = self._predicted(pred.x, center)
+            dims = (self.arr.n_x, self.arr.n_y)
+            axes = [self._axis_model(*a) for a in zip(pred.x, center, dims, dims[::-1])]
         except MeasurementFailure:
             self.state = pred
             return step_result()
-        g = self._jacobian(pred.x, center)
-        if self.q_n_source == "fixed":
-            q_n = self.sigma_n_sq * np.eye(2)
-        else:
-            q_n = self._q_n(pred.x, center)
-        self.state, innovation, _ = update(pred, zeta, g, q_n, z_hat)
+        z_hat, slopes, variances = (np.array(v) for v in zip(*axes))
+        fixed = self.q_n_source == "fixed"
+        q_n = self.sigma_n_sq * np.eye(2) if fixed else np.diag(variances)
+        self.state, innovation, _ = update(pred, zeta, np.diag(slopes), q_n, z_hat)
         return step_result(innovation)
 
     def reinitialize(self, state: TrackerState):

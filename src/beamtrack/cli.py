@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import click
@@ -54,7 +55,7 @@ def _run_schemes(config_spec: str, seed: int | None, out: str | None,
     try:
         cfg = _load_config(config_spec)
         if seed is not None:
-            cfg.seed = seed
+            cfg = replace(cfg, seed=seed)
         schemes = [cfg.scheme] if schemes is None else schemes
         if not schemes:
             raise ConfigError("no scheme given")

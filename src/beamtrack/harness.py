@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -20,6 +21,7 @@ from .analysis import bound_step
 from .baselines import (
     AbpTracker,
     BeamPairConfig,
+    Codebook,
     CodebookTracker,
     build_codebook,
 )
@@ -65,6 +67,8 @@ def _check_field(name: str, annotation: str, value) -> None:
         return
     if isinstance(value, bool) != (base == "bool") or not isinstance(value, _FIELD_TYPES[base]):
         raise ConfigError(f"{name} must be {annotation}, got {value!r}")
+    if base == "float" and isinstance(value, int) and abs(value) > 2**53:
+        raise ConfigError(f"{name}: the integer {value} has no exact float value")
     if isinstance(value, float) and math.isnan(value):
         raise ConfigError(f"{name} must not be NaN")
     # +inf SNR is meaningful (the noiseless branch of complex_noise); -inf is not
@@ -72,9 +76,10 @@ def _check_field(name: str, annotation: str, value) -> None:
         raise ConfigError(f"{name} must be finite, got {value!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
-    """Full description of one experiment."""
+    """Full description of one experiment; the pieces a run reads are
+    built once per config and shared by every trial."""
 
     n_x: int = 8
     n_y: int = 8
@@ -114,44 +119,49 @@ class ScenarioConfig:
             raise ConfigError("frames and trials must be >= 1")
         if self.scheme not in SCHEMES:
             raise ConfigError(f"scheme must be one of {SCHEMES}")
-        if min(self.sigma_u, self.sigma_v, self.sigma_init) < 0:
-            raise ConfigError("std-devs must be non-negative")
+        # spatial-angle std-devs: angles wrap every 2*pi; numpy's normal() rejects -0.0
+        for s in (self.sigma_u, self.sigma_v, self.sigma_init, self.detect_residual):
+            if math.copysign(1.0, s) < 0 or s > 2 * math.pi:
+                raise ConfigError(f"std-devs must lie in [0, 2*pi], got {s!r}")
+        if self.azimuth_range_deg < 0:
+            raise ConfigError("azimuth_range_deg must be non-negative")
         if self.q_n_mode not in ("fixed", "estimated"):
             raise ConfigError("q_n_mode must be 'fixed' or 'estimated'")
         if self.abp_q_n not in ("fixed", "delta"):
             raise ConfigError("abp_q_n must be 'fixed' or 'delta'")
         if abs(self.rho_gain) > 1:
             raise ConfigError("|rho_gain| must not exceed 1")
-        if self.gain_innovation_var is not None and self.gain_innovation_var < 0:
-            raise ConfigError("gain_innovation_var must be non-negative")
+        # above 1 the innovations outgrow the unit link budget; near 1e308 |alpha|^2 overflows
+        if self.gain_innovation_var is not None and not 0 <= self.gain_innovation_var <= 1:
+            raise ConfigError("gain_innovation_var must lie in [0, 1]")
         # without innovations the gain decays to zero and the received power with it
         if self.gain_innovation_var == 0 and abs(self.rho_gain) < 1:
             raise ConfigError("gain_innovation_var 0 needs |rho_gain| = 1")
         # checked here, not by building the K^2-beam codebook
         if self.k_beams < 1:
             raise ConfigError("codebook_k must be >= 1")
-        # the pieces a run builds check their own values; build them now
+        # the pieces a run reads check their own values; build them now
         try:
-            ArrayConfig(self.n_x, self.n_y)
-            self.pilot()
-            self.detect()
+            for piece in ("arr", "pilot", "detect", "f", "q_p", "theta", "pair"):
+                getattr(self, piece)
             InnovationNoiseEstimator(window=self.q_n_window)
             jacobian(np.zeros(2), self.jacobian_mode)
             angles_to_spatial(0.0, 0.0, self.d_over_lambda)
-            elevation_from_geometry(self.height_ratio, 1.0)
-            if self.abp_offset is not None:
-                BeamPairConfig(self.abp_offset)
-            self.q_p()
             initial_state(np.zeros(2), self.sigma_init)
-            self.pilot().noise_variance(1.0, self.n_x * self.n_y)
+            # the ABP delta-method Q_n squares the element noise variance,
+            # and the codebook Q_n adds 0.5 * gain_uncertainty_var * N to it
+            sigma2 = self.pilot.noise_variance(1.0, self.arr.n)
+            inflate = 0.5 * self.gain_uncertainty_var * self.arr.n
+            if not (math.isfinite(sigma2**2) and math.isfinite(inflate)):
+                raise OverflowError("a baseline's measurement noise variance is not finite")
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         except (OverflowError, ZeroDivisionError) as exc:
             raise ConfigError(f"a value leaves the float range: {exc}") from exc
 
-    # derived pieces -------------------------------------------------
+    # derived pieces, built once -----------------------------------
 
-    @property
+    @cached_property
     def arr(self) -> ArrayConfig:
         return ArrayConfig(self.n_x, self.n_y)
 
@@ -163,9 +173,11 @@ class ScenarioConfig:
     def k_beams(self) -> int:
         return self.n_x if self.codebook_k is None else self.codebook_k
 
+    @cached_property
     def pilot(self) -> PilotConfig:
         return PilotConfig(snr_db=self.snr_db, snr_reference=self.snr_reference)
 
+    @cached_property
     def detect(self) -> DetectConfig:
         overrides = dict(
             consecutive_required=self.detect_consecutive,
@@ -176,8 +188,29 @@ class ScenarioConfig:
             overrides["threshold"] = self.detect_threshold
         return DetectConfig.for_array(self.n_x, **overrides)
 
+    @cached_property
+    def f(self) -> np.ndarray:
+        """State transition F, the rotation by psi per frame."""
+        return rotation_matrix(self.psi_value)
+
+    @cached_property
     def q_p(self) -> np.ndarray:
         return np.diag([self.sigma_u**2, self.sigma_v**2])
+
+    @cached_property
+    def theta(self) -> float:
+        """Elevation of the flight path seen from the station."""
+        return elevation_from_geometry(self.height_ratio, 1.0)
+
+    @cached_property
+    def pair(self) -> BeamPairConfig:
+        off = self.abp_offset
+        return BeamPairConfig.for_array(self.n_x) if off is None else BeamPairConfig(off)
+
+    @cached_property
+    def codebook(self) -> Codebook:
+        """The K^2-beam grid of the baselines, built on first use."""
+        return build_codebook(self.k_beams, self.arr)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -237,8 +270,8 @@ class ProposedTracker:
 
     def __init__(self, cfg: ScenarioConfig, state: TrackerState):
         self.arr = cfg.arr
-        self.f = rotation_matrix(cfg.psi_value)
-        self.q_p = cfg.q_p()
+        self.f = cfg.f
+        self.q_p = cfg.q_p
         self.state = state
         self.jacobian_mode = cfg.jacobian_mode
         self.q_n_prior = np.eye(2) * cfg.sigma_n_sq
@@ -280,35 +313,17 @@ class ProposedTracker:
 def _build_tracker(cfg: ScenarioConfig, scheme: str, state: TrackerState):
     if scheme == "proposed":
         return ProposedTracker(cfg, state)
-    codebook = build_codebook(cfg.k_beams, cfg.arr)
-    f = rotation_matrix(cfg.psi_value)
     if scheme == "codebook":
         # evolve_gain's literal default variance is positive for every |rho| <= 1
         gain_varies = cfg.gain_innovation_var is None or cfg.gain_innovation_var > 0
         return CodebookTracker(
-            codebook,
-            f,
-            cfg.q_p(),
-            cfg.pilot(),
-            state,
-            gain_rho=cfg.rho_gain,
+            cfg.codebook, cfg.f, cfg.q_p, cfg.pilot, state, gain_rho=cfg.rho_gain,
             gain_uncertainty_var=cfg.gain_uncertainty_var if gain_varies else 0.0,
         )
     if scheme == "abp":
-        pair = (
-            BeamPairConfig(cfg.abp_offset)
-            if cfg.abp_offset is not None
-            else BeamPairConfig.for_array(cfg.n_x)
-        )
         return AbpTracker(
-            codebook,
-            pair,
-            f,
-            cfg.q_p(),
-            cfg.pilot(),
-            state,
-            sigma_n_sq=cfg.sigma_n_sq,
-            q_n_source=cfg.abp_q_n,
+            cfg.codebook, cfg.pair, cfg.f, cfg.q_p, cfg.pilot, state,
+            sigma_n_sq=cfg.sigma_n_sq, q_n_source=cfg.abp_q_n,
         )
     raise ConfigError(f"unknown scheme {scheme!r}")
 
@@ -316,18 +331,14 @@ def _build_tracker(cfg: ScenarioConfig, scheme: str, state: TrackerState):
 def run_trial(cfg: ScenarioConfig, trial_index: int, scheme: str | None = None) -> list[FrameRecord]:
     """Simulate one trial; deterministic given (cfg.seed, trial_index)."""
     scheme = cfg.scheme if scheme is None else scheme
-    arr = cfg.arr
-    pilot = cfg.pilot()
-    detect_cfg = cfg.detect()
-    f = rotation_matrix(cfg.psi_value)
+    arr, pilot, detect_cfg = cfg.arr, cfg.pilot, cfg.detect
     sigma = (cfg.sigma_u, cfg.sigma_v)
 
     init_rng = rngmod.stream(cfg.seed, trial_index, 0, "init")
     phi = init_rng.uniform(
         -np.deg2rad(cfg.azimuth_range_deg), np.deg2rad(cfg.azimuth_range_deg)
     )
-    theta = elevation_from_geometry(cfg.height_ratio, 1.0)
-    truth = angles_to_spatial(phi, theta, cfg.d_over_lambda)
+    truth = angles_to_spatial(phi, cfg.theta, cfg.d_over_lambda)
     x_hat0 = truth + init_rng.normal(0.0, cfg.sigma_init, 2)
 
     tracker = _build_tracker(cfg, scheme, initial_state(x_hat0, cfg.sigma_init))
@@ -337,7 +348,7 @@ def run_trial(cfg: ScenarioConfig, trial_index: int, scheme: str | None = None) 
 
     for k in range(1, cfg.frames + 1):
         key = (cfg.seed, trial_index, k)
-        truth = evolve_state(truth, f, sigma, rngmod.stream(*key, "process"))
+        truth = evolve_state(truth, cfg.f, sigma, rngmod.stream(*key, "process"))
         alpha = evolve_gain(
             alpha, cfg.rho_gain, rngmod.stream(*key, "gain"), cfg.gain_innovation_var
         )

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from beamtrack import baselines
 from beamtrack.baselines import (
     AbpTracker,
     BeamPairConfig,
@@ -10,12 +11,18 @@ from beamtrack.baselines import (
     abp_ratio_curve,
     abp_ratio_metric,
     build_codebook,
-    codebook_jacobian,
     codebook_measurement,
-    codebook_predicted,
+    codebook_model,
 )
-from beamtrack.channel import ArrayConfig, PilotConfig, beamforming_weight, complex_noise
-from beamtrack.ekf import initial_state
+from beamtrack.channel import (
+    ArrayConfig,
+    PilotConfig,
+    beamforming_weight,
+    channel_matrix,
+    complex_noise,
+    steering_vector,
+)
+from beamtrack.ekf import initial_state, predict, step_result, update
 from beamtrack.errors import MeasurementFailure
 
 from conftest import rank1_snapshot
@@ -87,7 +94,7 @@ class TestCodebookMeasurement:
         cb = build_codebook(4, arr)
         x = np.array([0.3, -0.8])
         z = codebook_measurement(_h_vec(x[0], x[1], arr, gain=0.7 - 0.1j), cb)
-        z_hat = codebook_predicted(x, cb, 0.7 - 0.1j)
+        z_hat, _ = codebook_model(x, cb, 0.7 - 0.1j)
         assert np.allclose(z, z_hat, atol=1e-10)
 
 
@@ -99,13 +106,13 @@ class TestCodebookJacobian:
         h = 1e-6
         for _ in range(10):
             x = rng.uniform(-2, 2, 2)
-            g = codebook_jacobian(x, cb)
+            _, g = codebook_model(x, cb, 1.0)
             for i in range(2):
                 xp, xm = x.copy(), x.copy()
                 xp[i] += h
                 xm[i] -= h
-                fd = (codebook_predicted(xp, cb, 1.0)
-                      - codebook_predicted(xm, cb, 1.0)) / (2 * h)
+                fd = (codebook_model(xp, cb, 1.0)[0]
+                      - codebook_model(xm, cb, 1.0)[0]) / (2 * h)
                 denom = max(np.linalg.norm(fd), 1e-12)
                 assert np.linalg.norm(g[:, i] - fd) / denom < 1e-5
 
@@ -114,11 +121,10 @@ class TestCodebookJacobian:
         cb = build_codebook(4, arr)
         j = 6
         x = cb.beam_angles[j].copy()
-        g = codebook_jacobian(x, cb)
+        z, g = codebook_model(x, cb, 1.0)
         k2 = cb.k**2
         # the aligned beam's response magnitude is at a pattern maximum, so
         # the derivative of |response_j|^2 vanishes: Re(conj(z_j) dz_j) = 0
-        z = codebook_predicted(x, cb, 1.0)
         zc = z[j] + 1j * z[j + k2]
         dz = g[j, :] + 1j * g[j + k2, :]
         assert np.all(np.abs((zc.conjugate() * dz).real) < 1e-8)
@@ -127,8 +133,8 @@ class TestCodebookJacobian:
         arr = ArrayConfig(4, 4)
         cb = build_codebook(4, arr)
         x = np.array([0.4, 0.9])
-        g1 = codebook_jacobian(x, cb, 1.0)
-        g2 = codebook_jacobian(x, cb, 2.0)
+        _, g1 = codebook_model(x, cb, 1.0)
+        _, g2 = codebook_model(x, cb, 2.0)
         assert np.allclose(g2, 2.0 * g1, atol=1e-12)
 
 
@@ -154,7 +160,9 @@ class TestCodebookTracker:
                                   initial_state(np.zeros(2), 0.01))
         out = tracker.step(rank1_snapshot(0.1, 0.2, arr))
         assert tracker.q_n.shape == (128, 128)
-        assert codebook_jacobian(tracker.state.x, cb).shape == (128, 2)
+        z_hat, g = codebook_model(tracker.state.x, cb, 1.0)
+        assert z_hat.shape == (128,)
+        assert g.shape == (128, 2)
         assert out.keys() == STEP_KEYS
         assert out["meas_valid"] is True
         assert np.isnan(out["bound"])
@@ -224,7 +232,8 @@ class TestAbpTracker:
         tracker = _abp_tracker(arr, initial_state(np.zeros(2), 0.01))
         out = tracker.step(rank1_snapshot(0.1, 0.2, arr))
         x = tracker.state.x
-        assert tracker._jacobian(x, tracker._center(x)).shape == (2, 2)
+        zeta, slope, var = tracker._axis_model(x[0], tracker._center(x)[0], arr.n_x, arr.n_y)
+        assert abs(zeta) <= 1.0 and slope > 0 and var >= baselines._Q_N_FLOOR
         assert out.keys() == STEP_KEYS
         assert out["meas_valid"] is True
         assert np.isnan(out["bound"])
@@ -277,3 +286,166 @@ class TestAbpTracker:
         arr = ArrayConfig(8, 8)
         with pytest.raises(ValueError):
             _abp_tracker(arr, initial_state(np.zeros(2), 0.01), q_n_source="bogus")
+
+
+# Reference copies of the measurement models that `codebook_model` and
+# `AbpTracker._axis_model` replace; the new code must give the same bytes.
+
+def _reference_response_grad(x, arr):
+    ax = steering_vector(x[0], arr.n_x)
+    ay = steering_vector(x[1], arr.n_y)
+    dax = -1j * np.arange(arr.n_x) * ax
+    day = -1j * np.arange(arr.n_y) * ay
+    du = np.outer(dax, ay.conj()).ravel()
+    dv = np.outer(ax, (day.conj())).ravel()
+    return du, dv
+
+
+def _stack(z):
+    return np.concatenate([z.real, z.imag])
+
+
+def _reference_codebook_predicted(x_pred, codebook, gain):
+    h_vec = channel_matrix(1.0, x_pred, codebook.arr).ravel()
+    return _stack(gain * (codebook.weights.conj().T @ h_vec))
+
+
+def _reference_codebook_jacobian(x_pred, codebook, gain=1.0 + 0.0j):
+    du, dv = _reference_response_grad(x_pred, codebook.arr)
+    col_u = gain * (codebook.weights.conj().T @ du)
+    col_v = gain * (codebook.weights.conj().T @ dv)
+    return np.column_stack([_stack(col_u), _stack(col_v)])
+
+
+def _reference_abp_predicted(tracker, x, center):
+    return np.array([
+        abp_ratio_curve(x[0], center[0], tracker.pair.offset, tracker.arr.n_x),
+        abp_ratio_curve(x[1], center[1], tracker.pair.offset, tracker.arr.n_y),
+    ])
+
+
+def _reference_abp_jacobian(tracker, x_pred, center):
+    h = tracker._FD_STEP
+    g = np.zeros((2, 2))
+    for i in range(2):
+        xp = x_pred.copy()
+        xm = x_pred.copy()
+        xp[i] += h
+        xm[i] -= h
+        g[:, i] = (_reference_abp_predicted(tracker, xp, center)
+                   - _reference_abp_predicted(tracker, xm, center)) / (2 * h)
+    return g
+
+
+def _reference_abp_q_n(tracker, pilot, x_pred, center):
+    arr = tracker.arr
+    sigma2 = pilot.noise_variance(1.0, arr.n)
+    variances = []
+    for axis_val, c, n_axis, n_other in (
+        (x_pred[0], center[0], arr.n_x, arr.n_y),
+        (x_pred[1], center[1], arr.n_y, arr.n_x),
+    ):
+        p_plus, p_minus = baselines._axis_pair_powers(axis_val, c, tracker.pair.offset, n_axis)
+        p_plus *= n_other
+        p_minus *= n_other
+        total = p_plus + p_minus
+        var_p = 2.0 * sigma2 * p_plus + sigma2**2
+        var_m = 2.0 * sigma2 * p_minus + sigma2**2
+        dzp = 2.0 * p_minus / total**2
+        dzm = 2.0 * p_plus / total**2
+        variances.append(max(dzp**2 * var_p + dzm**2 * var_m, baselines._Q_N_FLOOR))
+    return np.diag(variances)
+
+
+def _reference_abp_step(tracker, pilot, y):
+    """The ABP frame step as it was before the per-axis model; returns the new state."""
+    pred = predict(tracker.state, tracker.f, tracker.q_p)
+    center = tracker._center(pred.x)
+    try:
+        zeta = abp_ratio_metric(y.ravel(), center, tracker.pair, tracker.arr)
+        z_hat = _reference_abp_predicted(tracker, pred.x, center)
+    except MeasurementFailure:
+        return pred, step_result()
+    g = _reference_abp_jacobian(tracker, pred.x, center)
+    if tracker.q_n_source == "fixed":
+        q_n = tracker.sigma_n_sq * np.eye(2)
+    else:
+        q_n = _reference_abp_q_n(tracker, pilot, pred.x, center)
+    state, innovation, _ = update(pred, zeta, g, q_n, z_hat)
+    return state, step_result(innovation)
+
+
+SHAPES = [ArrayConfig(8, 8), ArrayConfig(8, 16)]
+GAINS = [1.0 + 0.0j, 0.995, 0.3 - 0.8j, -2.5 + 1e-3j]
+
+
+class TestModelOracles:
+    @pytest.mark.parametrize("arr", SHAPES, ids=str)
+    def test_codebook_model_equals_reference(self, arr):
+        cb = build_codebook(arr.n_x, arr)
+        rng = np.random.default_rng(11)
+        for i in range(500):
+            x = rng.uniform(-np.pi, np.pi, 2)
+            gain = GAINS[i % len(GAINS)]
+            z_hat, g = codebook_model(x, cb, gain)
+            assert z_hat.tobytes() == _reference_codebook_predicted(x, cb, gain).tobytes()
+            assert g.tobytes() == _reference_codebook_jacobian(x, cb, gain).tobytes()
+
+    @pytest.mark.parametrize("arr", SHAPES, ids=str)
+    @pytest.mark.parametrize("snr_db", [-5.0, 10.0, 40.0])
+    def test_abp_axis_model_equals_reference(self, arr, snr_db):
+        pilot = PilotConfig(snr_db=snr_db)
+        tracker = _abp_tracker(arr, initial_state(np.zeros(2), 0.01), pilot)
+        cb, dims = tracker.codebook, (arr.n_x, arr.n_y)
+        rng = np.random.default_rng(12)
+        spacing = 2 * np.pi / cb.k
+        for _ in range(500):
+            center = rng.choice(cb.axis_angles, 2)
+            # mostly inside the center beam, sometimes well outside it
+            x = center + rng.uniform(-1.5, 1.5, 2) * spacing
+            axes = [tracker._axis_model(*a) for a in zip(x, center, dims, dims[::-1])]
+            z_hat, slopes, variances = (np.array(v) for v in zip(*axes))
+            ref_z = _reference_abp_predicted(tracker, x, center)
+            assert z_hat.tobytes() == ref_z.tobytes()
+            assert np.diag(slopes).tobytes() == _reference_abp_jacobian(tracker, x, center).tobytes()
+            ref_q = _reference_abp_q_n(tracker, pilot, x, center)
+            assert np.diag(variances).tobytes() == ref_q.tobytes()
+
+    @pytest.mark.parametrize("arr", SHAPES, ids=str)
+    @pytest.mark.parametrize("mode", ["delta", "fixed"])
+    def test_abp_step_equals_reference(self, arr, mode):
+        pilot = PilotConfig(snr_db=5.0)
+        rng = np.random.default_rng(13)
+        for gain in GAINS:
+            truth = rng.uniform(-0.5, 0.5, 2)
+            start = initial_state(truth + rng.normal(0, 0.05, 2), 0.05)
+            tracker = _abp_tracker(arr, start, pilot, q_n_source=mode)
+            reference = _abp_tracker(arr, start, pilot, q_n_source=mode)
+            h = rank1_snapshot(truth[0], truth[1], arr, gain)
+            var = pilot.noise_variance(float(np.mean(np.abs(h) ** 2)), arr.n)
+            for _ in range(25):
+                y = h + complex_noise(h.shape, var, rng)
+                out = tracker.step(y)
+                reference.state, ref_out = _reference_abp_step(reference, pilot, y)
+                assert tracker.state.x.tobytes() == reference.state.x.tobytes()
+                assert tracker.state.p.tobytes() == reference.state.p.tobytes()
+                assert repr(out) == repr(ref_out)
+
+
+def test_abp_failure_at_difference_points_predicts_only(monkeypatch):
+    # a pattern-power failure at x +/- h gives a predict-only frame
+    arr = ArrayConfig(8, 8)
+    start = initial_state(np.array([0.1, 0.1]), 0.01)
+    tracker = _abp_tracker(arr, start)
+    pred = predict(start, tracker.f, tracker.q_p)
+    curve = baselines.abp_ratio_curve
+
+    def failing_off_prediction(u, *args):
+        if u not in pred.x:
+            raise MeasurementFailure("both squinted-beam powers below floor")
+        return curve(u, *args)
+
+    monkeypatch.setattr(baselines, "abp_ratio_curve", failing_off_prediction)
+    out = tracker.step(rank1_snapshot(0.1, 0.1, arr))
+    assert out["meas_valid"] is False
+    assert tracker.state.x.tobytes() == pred.x.tobytes()

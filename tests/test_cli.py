@@ -126,6 +126,17 @@ def test_run_simulates_each_trial_once(runner, tiny_config, tmp_path, monkeypatc
     {"sigma_u": 1e300},
     {"sigma_v": 1e300},
     {"sigma_init": 1e200},
+    {"scheme": "codebook", "gain_uncertainty_var": 1e308},
+    {"snr_db": -3100},
+    {"scheme": "abp", "snr_db": -1600},
+    {"gain_innovation_var": 1e308},
+    {"azimuth_range_deg": -1.0},
+    {"sigma_init": -0.0},
+    {"detect_residual": -0.0},
+    {"sigma_u": 10723151780598845931},
+    {"psi": 2**70},
+    {"detect_residual": 1e308, "detect_threshold": 1e-6},
+    {"scheme": "abp", "abp_offset": 1e308},
 ])
 def test_run_invalid_value_exits_2(runner, tmp_path, fields):
     bad = tmp_path / "bad.json"
@@ -144,6 +155,21 @@ def test_run_accepts_infinite_snr(runner, tmp_path):
     result = runner.invoke(main, ["run", "--config", str(cfg), "--out", str(tmp_path)])
     assert result.exit_code == 0, result.output
     assert (tmp_path / "proposed_summary.json").exists()
+
+
+@pytest.mark.parametrize("fields", [
+    {"scheme": "proposed", "snr_db": -1500},
+    {"scheme": "codebook", "snr_db": -1500},
+    {"scheme": "abp", "snr_db": -1500},
+    {"scheme": "codebook", "gain_uncertainty_var": 1e300},
+])
+def test_run_extreme_but_finite_values_exit_0(runner, tmp_path, fields):
+    # the limits above reject only values whose noise variances leave the float range
+    cfg = tmp_path / "extreme.json"
+    cfg.write_text(json.dumps({"frames": 3, "trials": 1, **fields}))
+    result = runner.invoke(main, ["run", "--config", str(cfg), "--out", str(tmp_path)])
+    assert result.exit_code == 0, result.output
+    assert (tmp_path / f"{fields['scheme']}_summary.json").exists()
 
 
 def test_run_bad_field_exits_2(runner, tmp_path):

@@ -1,0 +1,70 @@
+"""Property: any JSON object given to `track run --config` exits 0, 2 or 3.
+
+Keys are ScenarioConfig fields plus unknown names; values range over every
+JSON type and the float extremes.  Each example starts from frames=2,
+trials=1 and a random scheme.  The fields that size the run (array, frames,
+trials, codebook, Q_n window) are drawn only from small values or wrong
+types, so no example allocates more than a few MB.
+"""
+
+import dataclasses
+import json
+import math
+import tempfile
+from pathlib import Path
+
+from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from beamtrack.cli import main
+from beamtrack.harness import SCHEMES, ScenarioConfig
+
+FIELDS = [f.name for f in dataclasses.fields(ScenarioConfig)]
+SIZE_FIELDS = ("n_x", "n_y", "frames", "trials", "codebook_k", "q_n_window")
+
+WRONG_TYPES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(max_size=6),
+    st.lists(st.integers(-3, 3), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(-3, 3), max_size=2),
+)
+EXTREMES = st.sampled_from([1e308, -1e308, math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324])
+HUGE_INTS = st.one_of(st.integers(min_value=2**63), st.integers(max_value=-2**63))
+MODES = st.sampled_from([
+    "proposed", "codebook", "abp", "array", "element", "fixed", "estimated",
+    "delta", "paper-approx", "exact",
+])
+ANY_VALUE = st.one_of(
+    WRONG_TYPES,
+    EXTREMES,
+    HUGE_INTS,
+    MODES,
+    st.integers(-10, 10),
+    st.floats(-50.0, 50.0),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+SIZE_VALUE = st.one_of(WRONG_TYPES, EXTREMES, st.integers(-2, 4))
+UNKNOWN_KEY = st.text(min_size=1, max_size=8).filter(lambda k: k not in FIELDS)
+
+
+@st.composite
+def configs(draw) -> dict:
+    keys = draw(st.lists(st.one_of(st.sampled_from(FIELDS), UNKNOWN_KEY), max_size=5, unique=True))
+    cfg = {"frames": 2, "trials": 1, "scheme": draw(st.sampled_from(SCHEMES))}
+    for key in keys:
+        cfg[key] = draw(SIZE_VALUE if key in SIZE_FIELDS else ANY_VALUE)
+    return cfg
+
+
+@settings(max_examples=600, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(configs())
+def test_any_json_object_exits_0_2_or_3(cfg):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        result = CliRunner().invoke(main, ["run", "--config", str(path), "--out", tmp])
+    assert result.exit_code in (0, 2, 3), (cfg, result.output, result.exc_info)
+    assert "Traceback" not in result.output

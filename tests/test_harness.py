@@ -1,11 +1,14 @@
 """Scenario config, Monte Carlo execution, ledger, and output emission."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from beamtrack import harness
 from beamtrack.analysis import bound_step
+from beamtrack.baselines import BeamPairConfig
 from beamtrack.ekf import initial_state, jacobian, predict, update
 from beamtrack.errors import ConfigError
 from beamtrack.geometry import rotation_matrix
@@ -95,6 +98,23 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError):
             ScenarioConfig.from_file(path)
 
+    def test_fields_are_frozen(self):
+        cfg = small_cfg()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.seed = 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.snr_db = -5.0
+        # replace builds a new config, checked and with its own pieces
+        other = dataclasses.replace(cfg, seed=1, snr_db=-5.0)
+        assert other.pilot.snr_db == -5.0 and cfg.pilot.snr_db == 10.0
+
+    def test_pieces_built_once(self):
+        cfg = small_cfg()
+        for piece in ("arr", "pilot", "detect", "f", "q_p", "theta", "pair", "codebook"):
+            assert getattr(cfg, piece) is getattr(cfg, piece)
+        assert cfg.pair.offset == BeamPairConfig.for_array(cfg.n_x).offset
+        assert small_cfg(abp_offset=0.1).pair.offset == 0.1
+
     def test_derived_defaults(self):
         cfg = ScenarioConfig(frames=40)
         assert cfg.psi_value == pytest.approx(2 * np.pi / 40)
@@ -178,7 +198,7 @@ class TestProposedTracker:
         tracker = ProposedTracker(cfg, start)
         y = rank1_snapshot(0.11, -0.19, cfg.arr)
         out = tracker.step(y)
-        f, q_p = rotation_matrix(cfg.psi_value), cfg.q_p()
+        f, q_p = rotation_matrix(cfg.psi_value), cfg.q_p
         pred = predict(start, f, q_p)
         g = jacobian(pred.x, cfg.jacobian_mode)
         r = extract_measurement(y, cfg.arr).r
@@ -200,6 +220,19 @@ class TestRunExperiment:
         # repr, not ==: the abp trace carries NaN bounds
         assert repr(summary.trace) == repr(run_trial(cfg, 0, "abp"))
         assert "trace" not in summary.to_dict()
+
+    @pytest.mark.parametrize("scheme", ["abp", "codebook"])
+    def test_codebook_built_once_per_experiment(self, monkeypatch, scheme):
+        calls = []
+        original = harness.build_codebook
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(harness, "build_codebook", counting)
+        run_experiment(small_cfg(trials=3, frames=3), scheme)
+        assert len(calls) == 1
 
     def test_bound_emitted_for_proposed_only(self):
         cfg = small_cfg(trials=1)

@@ -1,5 +1,6 @@
 """Smoke runs of the command-line scripts in scripts/ with tiny arguments."""
 
+import json
 import math
 import os
 import subprocess
@@ -47,3 +48,28 @@ def test_snr_sweep_prints_one_row_per_snr():
     rows = [line.split() for line in lines[2:]]
     assert [float(r[0]) for r in rows] == [6.0, 10.0]
     assert all(math.isfinite(float(v)) and float(v) > 0 for r in rows for v in r[1:])
+
+
+def test_bench_record_writes_every_workload_and_criterion(tmp_path):
+    junit = tmp_path / "tier1.xml"
+    junit.write_text(
+        '<testsuites><testsuite name="pytest" tests="3">'
+        '<testcase classname="tests.test_acceptance" name="test_criterion_10_determinism" time="2.5"/>'
+        '<testcase classname="tests.test_acceptance" name="test_criterion_2_ekf_algebra" time="0.25"/>'
+        '<testcase classname="tests.test_cli" name="test_presets_list" time="0.01"/>'
+        '</testsuite></testsuites>'
+    )
+    out = tmp_path / "BENCH_0.json"
+    run_script("bench_record.py", "--out", str(out), "--junit", str(junit),
+               "--tiny", "--seconds", "0.1")
+    record = json.loads(out.read_text())
+    assert record["tier1"]["criterion_s"] == {"C2": 0.25, "C10": 2.5}
+    assert record["tier1"]["tests"] == 3
+    assert set(record["workloads"]) == {"fig9-sweep", "detect-8x16", "cli-runs"}
+    for runs in record["workloads"].values():
+        timed, traced = runs["trace0"], runs["trace1"]
+        for run in (timed, traced):
+            assert run["correct"] and run["failed"] == 0
+            assert run["conditions"]["src_loc"] > 0
+        assert {"tf_per_ref_s", "peak_rss_mb", "setup_s"} <= set(timed["metrics"])
+        assert "rng.stream.calls" in traced["metrics"]
