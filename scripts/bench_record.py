@@ -2,7 +2,7 @@
 """Record one benchmark trajectory point as BENCH_<n>.json.
 
 Usage: bench_record.py --out BENCH_<n>.json --junit TIER1.xml
-                       [--seed N] [--seconds S] [--tiny]
+                       [--seconds S] [--tiny]
 
 Runs ``bench/run.py`` on each workload, once at ``--trace 0`` (the gated
 end-to-end metrics) and once at ``--trace 1`` (the per-layer metrics), one
@@ -30,10 +30,10 @@ WORKLOADS = ("fig9-sweep", "detect-8x16", "cli-runs")
 CRITERION = re.compile(r"test_criterion_(\d+)_")
 
 
-def bench_run(workload: str, trace: int, seed: int, seconds: float, tiny: bool) -> dict:
+def bench_run(workload: str, trace: int, seconds: float, tiny: bool) -> dict:
     """One bench/run.py run: its conditions, verdict and declared metrics."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--trace", str(trace),
-           "--seed", str(seed), "--seconds", str(seconds)] + (["--tiny"] if tiny else [])
+           "--seconds", str(seconds)] + (["--tiny"] if tiny else [])
     proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, check=True)
     lines = proc.stdout.splitlines()
     details = json.loads(next(line for line in lines if line.startswith("details "))[8:])
@@ -69,16 +69,15 @@ def main() -> None:
     ap.add_argument("--out", required=True, type=Path)
     ap.add_argument("--junit", required=True, type=Path,
                     help="junit XML of a tier-1 run (pytest --junitxml)")
-    ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--seconds", type=float, default=25.0)
     ap.add_argument("--tiny", action="store_true")
     args = ap.parse_args()
 
-    record = {"seed": args.seed, "seconds": args.seconds, "tiny": args.tiny,
+    record = {"seconds": args.seconds, "tiny": args.tiny,
               "tier1": criterion_seconds(args.junit), "workloads": {}}
     for workload in WORKLOADS:
         record["workloads"][workload] = {
-            f"trace{trace}": bench_run(workload, trace, args.seed, args.seconds, args.tiny)
+            f"trace{trace}": bench_run(workload, trace, args.seconds, args.tiny)
             for trace in (0, 1)
         }
         print(f"{workload}: done", file=sys.stderr)

@@ -118,12 +118,15 @@ class CodebookTracker:
         self.gain_rho = gain_rho
         self.alpha_pred = 1.0 + 0.0j
 
-        n = codebook.arr.n
-        # per-component noise variance of the stacked re/im observations;
-        # DFT beams are near-orthonormal so the diagonal is exact enough
-        sigma2 = pilot.noise_variance(1.0, n)
-        inflate = 0.5 * gain_uncertainty_var * n / codebook.k**2
-        self.q_n = (sigma2 / 2.0 + inflate) * np.eye(2 * codebook.k**2)
+        var = self.noise_var(pilot, codebook.arr.n, codebook.k, gain_uncertainty_var)
+        self.q_n = var * np.eye(2 * codebook.k**2)
+
+    @staticmethod
+    def noise_var(pilot: PilotConfig, n: int, k: int, gain_uncertainty_var: float) -> float:
+        """Per-component noise variance of the stacked re/im beam observations plus the gain
+        uncertainty scaled by the mean beam power; DFT beams are near-orthonormal, so Q_n
+        is this times I."""
+        return pilot.noise_variance(1.0, n) / 2.0 + 0.5 * gain_uncertainty_var * n / k**2
 
     def step(self, y: np.ndarray) -> dict:
         self.alpha_pred *= self.gain_rho
@@ -228,7 +231,14 @@ class AbpTracker:
         self.sigma_n_sq = sigma_n_sq
         self.q_n_source = q_n_source
         self.arr = codebook.arr
-        self.sigma2 = pilot.noise_variance(1.0, self.arr.n)
+        self.sigma2, self.sigma2_sq = self.noise_terms(pilot, self.arr.n)
+
+    @staticmethod
+    def noise_terms(pilot: PilotConfig, n: int) -> tuple[float, float]:
+        """Element noise variance at unit gain and its square, the delta-method Q_n's
+        noise terms; OverflowError where the square leaves the float range."""
+        sigma2 = pilot.noise_variance(1.0, n)
+        return sigma2, sigma2**2
 
     def _center(self, x_pred: np.ndarray) -> np.ndarray:
         return np.array([self.codebook.nearest_axis_angle(a) for a in x_pred])
@@ -237,19 +247,22 @@ class AbpTracker:
         self, u: float, center: float, n_axis: int, n_other: int
     ) -> tuple[float, float, float]:
         """Noiseless ratio at u, its central-difference slope, and its
-        delta-method variance (the gain magnitude cancels)."""
-        h, delta, sigma2 = self._FD_STEP, self.pair.offset, self.sigma2
+        variance: sigma_n^2 in "fixed" mode, else the delta-method one
+        (the gain magnitude cancels)."""
+        h, delta = self._FD_STEP, self.pair.offset
         p_plus, p_minus = _axis_pair_powers(u, center, delta, n_axis)
         ends = [abp_ratio_curve(u + s, center, delta, n_axis) for s in (h, -h)]
         slope = (ends[0] - ends[1]) / (2 * h)
         zeta = _pair_ratio(p_plus, p_minus)
+        if self.q_n_source == "fixed":
+            return zeta, slope, self.sigma_n_sq
         # cross-axis pattern scales both powers; it cancels in zeta but
         # sets the per-beam signal level seen against the element noise
         p_plus *= n_other
         p_minus *= n_other
         total = p_plus + p_minus
-        var_p = 2.0 * sigma2 * p_plus + sigma2**2
-        var_m = 2.0 * sigma2 * p_minus + sigma2**2
+        var_p = 2.0 * self.sigma2 * p_plus + self.sigma2_sq
+        var_m = 2.0 * self.sigma2 * p_minus + self.sigma2_sq
         dzp = 2.0 * p_minus / total**2
         dzm = 2.0 * p_plus / total**2
         return zeta, slope, max(dzp**2 * var_p + dzm**2 * var_m, _Q_N_FLOOR)
@@ -265,9 +278,7 @@ class AbpTracker:
             self.state = pred
             return step_result()
         z_hat, slopes, variances = (np.array(v) for v in zip(*axes))
-        fixed = self.q_n_source == "fixed"
-        q_n = self.sigma_n_sq * np.eye(2) if fixed else np.diag(variances)
-        self.state, innovation, _ = update(pred, zeta, np.diag(slopes), q_n, z_hat)
+        self.state, innovation, _ = update(pred, zeta, np.diag(slopes), np.diag(variances), z_hat)
         return step_result(innovation)
 
     def reinitialize(self, state: TrackerState):

@@ -119,7 +119,8 @@ class ScenarioConfig:
             raise ConfigError("frames and trials must be >= 1")
         if self.scheme not in SCHEMES:
             raise ConfigError(f"scheme must be one of {SCHEMES}")
-        # spatial-angle std-devs: angles wrap every 2*pi; numpy's normal() rejects -0.0
+        # angle std-devs: steering vectors repeat every 2*pi, so a wider spread only inflates
+        # the filters' P (sigma_init 1e7 makes the codebook's S singular); normal() rejects -0.0
         for s in (self.sigma_u, self.sigma_v, self.sigma_init, self.detect_residual):
             if math.copysign(1.0, s) < 0 or s > 2 * math.pi:
                 raise ConfigError(f"std-devs must lie in [0, 2*pi], got {s!r}")
@@ -131,9 +132,11 @@ class ScenarioConfig:
             raise ConfigError("abp_q_n must be 'fixed' or 'delta'")
         if abs(self.rho_gain) > 1:
             raise ConfigError("|rho_gain| must not exceed 1")
-        # above 1 the innovations outgrow the unit link budget; near 1e308 |alpha|^2 overflows
-        if self.gain_innovation_var is not None and not 0 <= self.gain_innovation_var <= 1:
-            raise ConfigError("gain_innovation_var must lie in [0, 1]")
+        # |alpha|^2 grows like this variance and the pilot power is N |alpha|^2 (1e307
+        # overflows it); a finite square leaves headroom, as for the noise variance
+        giv = self.gain_innovation_var
+        if giv is not None and not (giv >= 0 and math.isfinite(giv * giv)):
+            raise ConfigError("gain_innovation_var must be non-negative with a finite square")
         # without innovations the gain decays to zero and the received power with it
         if self.gain_innovation_var == 0 and abs(self.rho_gain) < 1:
             raise ConfigError("gain_innovation_var 0 needs |rho_gain| = 1")
@@ -148,12 +151,11 @@ class ScenarioConfig:
             jacobian(np.zeros(2), self.jacobian_mode)
             angles_to_spatial(0.0, 0.0, self.d_over_lambda)
             initial_state(np.zeros(2), self.sigma_init)
-            # the ABP delta-method Q_n squares the element noise variance,
-            # and the codebook Q_n adds 0.5 * gain_uncertainty_var * N to it
-            sigma2 = self.pilot.noise_variance(1.0, self.arr.n)
-            inflate = 0.5 * self.gain_uncertainty_var * self.arr.n
-            if not (math.isfinite(sigma2**2) and math.isfinite(inflate)):
-                raise OverflowError("a baseline's measurement noise variance is not finite")
+            # the baselines' measurement noise terms must stay in the float range
+            AbpTracker.noise_terms(self.pilot, self.arr.n)
+            n, k, guv = self.arr.n, self.k_beams, self.gain_uncertainty_var
+            if not math.isfinite(CodebookTracker.noise_var(self.pilot, n, k, guv)):
+                raise OverflowError("the codebook measurement noise variance is not finite")
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         except (OverflowError, ZeroDivisionError) as exc:

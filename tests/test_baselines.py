@@ -432,6 +432,13 @@ class TestModelOracles:
                 assert repr(out) == repr(ref_out)
 
 
+def test_abp_noise_square_overflows_at_construction():
+    # the delta-method Q_n squares the element noise variance once, in __init__
+    arr = ArrayConfig(8, 8)
+    with pytest.raises(OverflowError):
+        _abp_tracker(arr, initial_state(np.zeros(2), 0.01), PilotConfig(snr_db=-1600.0))
+
+
 def test_abp_failure_at_difference_points_predicts_only(monkeypatch):
     # a pattern-power failure at x +/- h gives a predict-only frame
     arr = ArrayConfig(8, 8)

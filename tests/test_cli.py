@@ -1,6 +1,8 @@
 """CLI contract: run / presets list / compare, exit codes, output files."""
 
 import json
+import math
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -170,6 +172,29 @@ def test_run_extreme_but_finite_values_exit_0(runner, tmp_path, fields):
     result = runner.invoke(main, ["run", "--config", str(cfg), "--out", str(tmp_path)])
     assert result.exit_code == 0, result.output
     assert (tmp_path / f"{fields['scheme']}_summary.json").exists()
+
+
+@pytest.mark.parametrize("scheme", harness.SCHEMES)
+@pytest.mark.parametrize("field, limit", [
+    # the largest variance whose square is finite
+    ("gain_innovation_var", math.sqrt(sys.float_info.max)),
+    # one period of the steering vectors
+    ("sigma_u", 2 * math.pi),
+    ("sigma_v", 2 * math.pi),
+    ("sigma_init", 2 * math.pi),
+    ("detect_residual", 2 * math.pi),
+])
+def test_limit_value_runs_and_next_float_exits_2(runner, tmp_path, scheme, field, limit):
+    # a threshold of 1e-6 realigns every frame, so detect_residual is drawn too
+    fields = {"frames": 3, "trials": 1, "scheme": scheme, "detect_threshold": 1e-6}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**fields, field: limit}))
+    result = runner.invoke(main, ["run", "--config", str(cfg), "--out", str(tmp_path)])
+    assert result.exit_code == 0, result.output
+    cfg.write_text(json.dumps({**fields, field: math.nextafter(limit, math.inf)}))
+    result = runner.invoke(main, ["run", "--config", str(cfg), "--out", str(tmp_path)])
+    assert result.exit_code == 2
+    assert result.output.startswith("config error: ")
 
 
 def test_run_bad_field_exits_2(runner, tmp_path):
