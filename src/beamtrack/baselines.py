@@ -10,12 +10,16 @@ nearest the prediction (measurement dimension 2).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .channel import ArrayConfig, PilotConfig, beamforming_weight, steering_vector
+from .channel import ArrayConfig, beamforming_weight, steering_vector
 from .ekf import TrackerState, predict, step_result, update
 from .errors import MeasurementFailure
+
+if TYPE_CHECKING:
+    from .harness import ScenarioConfig
 
 # Half the 3dB beamwidth in spatial-angle units; the standard squint for
 # amplitude-comparison monopulse.
@@ -101,58 +105,40 @@ class CodebookTracker:
     covariance (gain_uncertainty_var scaled by the mean beam power).
     """
 
-    def __init__(
-        self,
-        codebook: Codebook,
-        f: np.ndarray,
-        q_p: np.ndarray,
-        pilot: PilotConfig,
-        state: TrackerState,
-        gain_rho: float = 1.0,
-        gain_uncertainty_var: float = 0.0,
-    ):
-        self.codebook = codebook
-        self.f = f
-        self.q_p = q_p
+    def __init__(self, cfg: ScenarioConfig, state: TrackerState):
+        self.codebook = cfg.codebook
+        self.f = cfg.f
+        self.q_p = cfg.q_p
         self.state = state
-        self.gain_rho = gain_rho
+        self.gain_rho = cfg.rho_gain
         self.alpha_pred = 1.0 + 0.0j
-
-        var = self.noise_var(pilot, codebook.arr.n, codebook.k, gain_uncertainty_var)
-        self.q_n = var * np.eye(2 * codebook.k**2)
+        self.q_n = self.noise_var(cfg) * np.eye(2 * cfg.k_beams**2)
 
     @staticmethod
-    def noise_var(pilot: PilotConfig, n: int, k: int, gain_uncertainty_var: float) -> float:
+    def noise_var(cfg: ScenarioConfig) -> float:
         """Per-component noise variance of the stacked re/im beam observations plus the gain
         uncertainty scaled by the mean beam power; DFT beams are near-orthonormal, so Q_n
-        is this times I."""
-        return pilot.noise_variance(1.0, n) / 2.0 + 0.5 * gain_uncertainty_var * n / k**2
+        is this times I.  A gain without innovations never varies and adds no uncertainty
+        (evolve_gain's literal default variance is positive for every |rho| <= 1)."""
+        n, k, giv = cfg.arr.n, cfg.k_beams, cfg.gain_innovation_var
+        guv = cfg.gain_uncertainty_var if giv is None or giv > 0 else 0.0
+        return cfg.pilot.noise_variance(1.0, n) / 2.0 + 0.5 * guv * n / k**2
 
     def step(self, y: np.ndarray) -> dict:
         self.alpha_pred *= self.gain_rho
         pred = predict(self.state, self.f, self.q_p)
         z = codebook_measurement(y.ravel(), self.codebook)
         z_hat, g = codebook_model(pred.x, self.codebook, self.alpha_pred)
-        self.state, innovation, _ = update(pred, z, g, self.q_n, z_hat)
+        try:
+            self.state, innovation, _ = update(pred, z, g, self.q_n, z_hat)
+        except np.linalg.LinAlgError:
+            # S = G P G^T + Q_n is singular when Q_n is negligible next to G P G^T
+            self.state = pred
+            return step_result()
         return step_result(innovation)
 
     def reinitialize(self, state: TrackerState):
         self.state = state
-
-
-@dataclass(frozen=True)
-class BeamPairConfig:
-    """Squinted beam pair around a codebook center beam."""
-
-    offset: float               # delta, radians of spatial angle
-
-    def __post_init__(self):
-        if not 0 < self.offset <= np.pi:
-            raise ValueError("squint offset must lie in (0, pi]")
-
-    @staticmethod
-    def for_array(n_x: int) -> "BeamPairConfig":
-        return BeamPairConfig(offset=ABP_SQUINT_FACTOR / n_x)
 
 
 def _axis_pair_powers(
@@ -182,16 +168,17 @@ def abp_ratio_curve(u: float, center: float, delta: float, n: int) -> float:
 def abp_ratio_metric(
     y_vec: np.ndarray,
     center: np.ndarray,
-    pair: BeamPairConfig,
+    delta: float,
     arr: ArrayConfig,
 ) -> np.ndarray:
-    """Measured 2-vector [zeta_u, zeta_v] from the shared pilot snapshot."""
+    """Measured 2-vector [zeta_u, zeta_v] from the shared pilot snapshot, with the beams
+    squinted by +/- delta around the center."""
     zetas = []
     for axis in range(2):
         powers = []
         for sign in (1.0, -1.0):
             est = np.array(center, dtype=float)
-            est[axis] += sign * pair.offset
+            est[axis] += sign * delta
             w = beamforming_weight(est, arr)
             powers.append(abs(np.vdot(w, y_vec)) ** 2)
         zetas.append(_pair_ratio(*powers))
@@ -210,34 +197,22 @@ class AbpTracker:
 
     _FD_STEP = 1e-5
 
-    def __init__(
-        self,
-        codebook: Codebook,
-        pair: BeamPairConfig,
-        f: np.ndarray,
-        q_p: np.ndarray,
-        pilot: PilotConfig,
-        state: TrackerState,
-        sigma_n_sq: float = 5e-6,
-        q_n_source: str = "delta",
-    ):
-        if q_n_source not in ("fixed", "delta"):
-            raise ValueError("q_n_source must be 'fixed' or 'delta'")
-        self.codebook = codebook
-        self.pair = pair
-        self.f = f
-        self.q_p = q_p
+    def __init__(self, cfg: ScenarioConfig, state: TrackerState):
+        self.codebook = cfg.codebook
+        self.delta = cfg.squint
+        self.f = cfg.f
+        self.q_p = cfg.q_p
         self.state = state
-        self.sigma_n_sq = sigma_n_sq
-        self.q_n_source = q_n_source
-        self.arr = codebook.arr
-        self.sigma2, self.sigma2_sq = self.noise_terms(pilot, self.arr.n)
+        self.sigma_n_sq = cfg.sigma_n_sq
+        self.q_n_source = cfg.abp_q_n
+        self.arr = cfg.arr
+        self.sigma2, self.sigma2_sq = self.noise_terms(cfg)
 
     @staticmethod
-    def noise_terms(pilot: PilotConfig, n: int) -> tuple[float, float]:
+    def noise_terms(cfg: ScenarioConfig) -> tuple[float, float]:
         """Element noise variance at unit gain and its square, the delta-method Q_n's
         noise terms; OverflowError where the square leaves the float range."""
-        sigma2 = pilot.noise_variance(1.0, n)
+        sigma2 = cfg.pilot.noise_variance(1.0, cfg.arr.n)
         return sigma2, sigma2**2
 
     def _center(self, x_pred: np.ndarray) -> np.ndarray:
@@ -249,7 +224,7 @@ class AbpTracker:
         """Noiseless ratio at u, its central-difference slope, and its
         variance: sigma_n^2 in "fixed" mode, else the delta-method one
         (the gain magnitude cancels)."""
-        h, delta = self._FD_STEP, self.pair.offset
+        h, delta = self._FD_STEP, self.delta
         p_plus, p_minus = _axis_pair_powers(u, center, delta, n_axis)
         ends = [abp_ratio_curve(u + s, center, delta, n_axis) for s in (h, -h)]
         slope = (ends[0] - ends[1]) / (2 * h)
@@ -271,7 +246,7 @@ class AbpTracker:
         pred = predict(self.state, self.f, self.q_p)
         center = self._center(pred.x)
         try:
-            zeta = abp_ratio_metric(y.ravel(), center, self.pair, self.arr)
+            zeta = abp_ratio_metric(y.ravel(), center, self.delta, self.arr)
             dims = (self.arr.n_x, self.arr.n_y)
             axes = [self._axis_model(*a) for a in zip(pred.x, center, dims, dims[::-1])]
         except MeasurementFailure:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
 
@@ -18,13 +19,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .analysis import bound_step
-from .baselines import (
-    AbpTracker,
-    BeamPairConfig,
-    Codebook,
-    CodebookTracker,
-    build_codebook,
-)
+from .baselines import ABP_SQUINT_FACTOR, AbpTracker, Codebook, CodebookTracker, build_codebook
 from .channel import (
     ArrayConfig,
     PilotConfig,
@@ -52,8 +47,6 @@ from .geometry import (
 )
 from .misalign import DetectConfig, DetectorState, detect_step
 from .monopulse import extract_measurement
-
-SCHEMES = ("proposed", "codebook", "abp")
 
 SCHEMA_VERSION = 1
 
@@ -124,7 +117,7 @@ class ScenarioConfig:
         for s in (self.sigma_u, self.sigma_v, self.sigma_init, self.detect_residual):
             if math.copysign(1.0, s) < 0 or s > 2 * math.pi:
                 raise ConfigError(f"std-devs must lie in [0, 2*pi], got {s!r}")
-        if self.azimuth_range_deg < 0:
+        if math.copysign(1.0, self.azimuth_range_deg) < 0:
             raise ConfigError("azimuth_range_deg must be non-negative")
         if self.q_n_mode not in ("fixed", "estimated"):
             raise ConfigError("q_n_mode must be 'fixed' or 'estimated'")
@@ -137,24 +130,27 @@ class ScenarioConfig:
         giv = self.gain_innovation_var
         if giv is not None and not (giv >= 0 and math.isfinite(giv * giv)):
             raise ConfigError("gain_innovation_var must be non-negative with a finite square")
-        # without innovations the gain decays to zero and the received power with it
-        if self.gain_innovation_var == 0 and abs(self.rho_gain) < 1:
-            raise ConfigError("gain_innovation_var 0 needs |rho_gain| = 1")
+        # without innovations the gain decays to zero and the received power with it; below
+        # the smallest normal float |alpha|^2 underflows to zero all the same
+        if giv is not None and giv < sys.float_info.min and abs(self.rho_gain) < 1:
+            raise ConfigError(
+                "gain_innovation_var below the smallest normal float needs |rho_gain| = 1")
         # checked here, not by building the K^2-beam codebook
         if self.k_beams < 1:
             raise ConfigError("codebook_k must be >= 1")
         # the pieces a run reads check their own values; build them now
         try:
-            for piece in ("arr", "pilot", "detect", "f", "q_p", "theta", "pair"):
+            for piece in ("arr", "pilot", "detect", "f", "q_p", "theta"):
                 getattr(self, piece)
+            if not 0 < self.squint <= math.pi:
+                raise ValueError("the ABP squint offset must lie in (0, pi]")
             InnovationNoiseEstimator(window=self.q_n_window)
             jacobian(np.zeros(2), self.jacobian_mode)
             angles_to_spatial(0.0, 0.0, self.d_over_lambda)
             initial_state(np.zeros(2), self.sigma_init)
             # the baselines' measurement noise terms must stay in the float range
-            AbpTracker.noise_terms(self.pilot, self.arr.n)
-            n, k, guv = self.arr.n, self.k_beams, self.gain_uncertainty_var
-            if not math.isfinite(CodebookTracker.noise_var(self.pilot, n, k, guv)):
+            AbpTracker.noise_terms(self)
+            if not math.isfinite(CodebookTracker.noise_var(self)):
                 raise OverflowError("the codebook measurement noise variance is not finite")
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
@@ -204,10 +200,10 @@ class ScenarioConfig:
         """Elevation of the flight path seen from the station."""
         return elevation_from_geometry(self.height_ratio, 1.0)
 
-    @cached_property
-    def pair(self) -> BeamPairConfig:
-        off = self.abp_offset
-        return BeamPairConfig.for_array(self.n_x) if off is None else BeamPairConfig(off)
+    @property
+    def squint(self) -> float:
+        """ABP beam-pair offset delta, radians of spatial angle."""
+        return ABP_SQUINT_FACTOR / self.n_x if self.abp_offset is None else self.abp_offset
 
     @cached_property
     def codebook(self) -> Codebook:
@@ -312,27 +308,16 @@ class ProposedTracker:
         self.estimator = InnovationNoiseEstimator(window=self.estimator.window)
 
 
-def _build_tracker(cfg: ScenarioConfig, scheme: str, state: TrackerState):
-    if scheme == "proposed":
-        return ProposedTracker(cfg, state)
-    if scheme == "codebook":
-        # evolve_gain's literal default variance is positive for every |rho| <= 1
-        gain_varies = cfg.gain_innovation_var is None or cfg.gain_innovation_var > 0
-        return CodebookTracker(
-            cfg.codebook, cfg.f, cfg.q_p, cfg.pilot, state, gain_rho=cfg.rho_gain,
-            gain_uncertainty_var=cfg.gain_uncertainty_var if gain_varies else 0.0,
-        )
-    if scheme == "abp":
-        return AbpTracker(
-            cfg.codebook, cfg.pair, cfg.f, cfg.q_p, cfg.pilot, state,
-            sigma_n_sq=cfg.sigma_n_sq, q_n_source=cfg.abp_q_n,
-        )
-    raise ConfigError(f"unknown scheme {scheme!r}")
+# every tracker is built as Tracker(cfg, state)
+TRACKERS = {"proposed": ProposedTracker, "codebook": CodebookTracker, "abp": AbpTracker}
+SCHEMES = tuple(TRACKERS)
 
 
 def run_trial(cfg: ScenarioConfig, trial_index: int, scheme: str | None = None) -> list[FrameRecord]:
     """Simulate one trial; deterministic given (cfg.seed, trial_index)."""
     scheme = cfg.scheme if scheme is None else scheme
+    if scheme not in TRACKERS:
+        raise ConfigError(f"unknown scheme {scheme!r}")
     arr, pilot, detect_cfg = cfg.arr, cfg.pilot, cfg.detect
     sigma = (cfg.sigma_u, cfg.sigma_v)
 
@@ -343,7 +328,7 @@ def run_trial(cfg: ScenarioConfig, trial_index: int, scheme: str | None = None) 
     truth = angles_to_spatial(phi, cfg.theta, cfg.d_over_lambda)
     x_hat0 = truth + init_rng.normal(0.0, cfg.sigma_init, 2)
 
-    tracker = _build_tracker(cfg, scheme, initial_state(x_hat0, cfg.sigma_init))
+    tracker = TRACKERS[scheme](cfg, initial_state(x_hat0, cfg.sigma_init))
     detector = DetectorState()
     alpha = 1.0 + 0.0j
     records: list[FrameRecord] = []

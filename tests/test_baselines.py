@@ -1,12 +1,15 @@
 """Codebook-beamforming and auxiliary-beam-pair baseline trackers."""
 
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from beamtrack import baselines
 from beamtrack.baselines import (
+    ABP_SQUINT_FACTOR,
     AbpTracker,
-    BeamPairConfig,
     CodebookTracker,
     abp_ratio_curve,
     abp_ratio_metric,
@@ -23,11 +26,19 @@ from beamtrack.channel import (
     steering_vector,
 )
 from beamtrack.ekf import initial_state, predict, step_result, update
-from beamtrack.errors import MeasurementFailure
+from beamtrack.errors import ConfigError, MeasurementFailure
+from beamtrack.harness import ScenarioConfig
 
 from conftest import rank1_snapshot
 
-NOISELESS = PilotConfig(snr_db=np.inf)
+# the default squint of an 8-element axis
+DELTA_8 = ABP_SQUINT_FACTOR / 8
+
+
+def _cfg(n_x=8, n_y=8, **kw):
+    """A noiseless scenario whose trackers predict with F = I and Q_p = 1e-8 I."""
+    base = dict(n_x=n_x, n_y=n_y, psi=0.0, sigma_u=1e-4, sigma_v=1e-4, snr_db=math.inf)
+    return ScenarioConfig(**{**base, **kw})
 
 
 def _h_vec(u, v, arr, gain=1.0 + 0.0j):
@@ -140,32 +151,45 @@ class TestCodebookJacobian:
 
 class TestCodebookTracker:
     def test_noiseless_convergence_within_five_frames(self):
-        arr = ArrayConfig(4, 4)
-        cb = build_codebook(4, arr)
-        truth = cb.beam_angles[5] + np.array([0.05, -0.03])
-        tracker = CodebookTracker(
-            cb, np.eye(2), np.eye(2) * 1e-8, NOISELESS,
-            initial_state(truth + np.array([0.02, 0.02]), 0.05),
-            gain_rho=1.0, gain_uncertainty_var=0.0,
-        )
-        y = rank1_snapshot(truth[0], truth[1], arr)
+        cfg = _cfg(4, 4, rho_gain=1.0, gain_uncertainty_var=0.0)
+        truth = cfg.codebook.beam_angles[5] + np.array([0.05, -0.03])
+        tracker = CodebookTracker(cfg, initial_state(truth + np.array([0.02, 0.02]), 0.05))
+        y = rank1_snapshot(truth[0], truth[1], cfg.arr)
         for _ in range(5):
             tracker.step(y)
         assert np.linalg.norm(tracker.state.x - truth) < 1e-3
 
     def test_measurement_dimension(self):
-        arr = ArrayConfig(8, 8)
-        cb = build_codebook(8, arr)
-        tracker = CodebookTracker(cb, np.eye(2), np.eye(2) * 1e-6, PilotConfig(snr_db=10.0),
-                                  initial_state(np.zeros(2), 0.01))
-        out = tracker.step(rank1_snapshot(0.1, 0.2, arr))
+        cfg = _cfg(snr_db=10.0, rho_gain=1.0, gain_uncertainty_var=0.0)
+        tracker = CodebookTracker(cfg, initial_state(np.zeros(2), 0.01))
+        out = tracker.step(rank1_snapshot(0.1, 0.2, cfg.arr))
         assert tracker.q_n.shape == (128, 128)
-        z_hat, g = codebook_model(tracker.state.x, cb, 1.0)
+        z_hat, g = codebook_model(tracker.state.x, cfg.codebook, 1.0)
         assert z_hat.shape == (128,)
         assert g.shape == (128, 2)
         assert out.keys() == STEP_KEYS
         assert out["meas_valid"] is True
         assert np.isnan(out["bound"])
+
+    def test_gain_without_innovations_adds_no_uncertainty(self):
+        varying = CodebookTracker(_cfg(snr_db=10.0), initial_state(np.zeros(2), 0.01))
+        fixed = CodebookTracker(_cfg(snr_db=10.0, rho_gain=1.0, gain_innovation_var=0.0),
+                                initial_state(np.zeros(2), 0.01))
+        noise = PilotConfig(snr_db=10.0).noise_variance(1.0, 64) / 2.0
+        assert fixed.q_n[0, 0] == noise
+        assert varying.q_n[0, 0] == noise + 0.5 * 0.5 * 64 / 8**2
+
+    def test_singular_innovation_covariance_predicts_only(self):
+        # Q_n = 0 (noiseless, fixed gain) and P = 0 (no process noise, exact start): S = 0
+        cfg = _cfg(rho_gain=1.0, gain_innovation_var=0.0, gain_uncertainty_var=0.0,
+                   sigma_u=0.0, sigma_v=0.0)
+        start = initial_state(np.array([0.1, 0.2]), 0.0)
+        tracker = CodebookTracker(cfg, start)
+        assert not tracker.q_n.any()
+        out = tracker.step(rank1_snapshot(0.1, 0.2, cfg.arr))
+        assert out["meas_valid"] is False
+        assert np.isnan(out["innovation_norm"])
+        assert tracker.state.x.tobytes() == predict(start, cfg.f, cfg.q_p).x.tobytes()
 
 
 class TestAbpRatio:
@@ -173,63 +197,57 @@ class TestAbpRatio:
         assert abp_ratio_curve(0.5, 0.5, 0.2, 8) == pytest.approx(0.0, abs=1e-12)
 
     def test_positive_at_half_offset(self):
-        delta = BeamPairConfig.for_array(8).offset
-        assert abp_ratio_curve(0.1 + delta / 2, 0.1, delta, 8) > 0
+        assert abp_ratio_curve(0.1 + DELTA_8 / 2, 0.1, DELTA_8, 8) > 0
 
     def test_strictly_monotone_over_beam_support(self):
-        delta = BeamPairConfig.for_array(8).offset
         half_beam = np.pi / 8  # half the codebook beam spacing for K = 8
         grid = np.linspace(-half_beam, half_beam, 200)
-        vals = [abp_ratio_curve(0.0 + g, 0.0, delta, 8) for g in grid]
+        vals = [abp_ratio_curve(0.0 + g, 0.0, DELTA_8, 8) for g in grid]
         assert np.all(np.diff(vals) > 0)
 
     def test_metric_in_range_and_matches_curve(self):
         arr = ArrayConfig(8, 8)
-        pair = BeamPairConfig.for_array(8)
         center = np.array([0.0, 0.0])
         y = _h_vec(0.1, -0.15, arr, gain=2.0j)
-        zeta = abp_ratio_metric(y, center, pair, arr)
+        zeta = abp_ratio_metric(y, center, DELTA_8, arr)
         assert np.all(np.abs(zeta) <= 1.0)
-        assert zeta[0] == pytest.approx(abp_ratio_curve(0.1, 0.0, pair.offset, 8), abs=1e-10)
-        assert zeta[1] == pytest.approx(abp_ratio_curve(-0.15, 0.0, pair.offset, 8), abs=1e-10)
+        assert zeta[0] == pytest.approx(abp_ratio_curve(0.1, 0.0, DELTA_8, 8), abs=1e-10)
+        assert zeta[1] == pytest.approx(abp_ratio_curve(-0.15, 0.0, DELTA_8, 8), abs=1e-10)
 
     def test_gain_invariance(self):
         arr = ArrayConfig(8, 8)
-        pair = BeamPairConfig.for_array(8)
         center = np.array([0.0, 0.0])
-        z1 = abp_ratio_metric(_h_vec(0.1, 0.05, arr), center, pair, arr)
-        z2 = abp_ratio_metric(7.7j * _h_vec(0.1, 0.05, arr), center, pair, arr)
+        z1 = abp_ratio_metric(_h_vec(0.1, 0.05, arr), center, DELTA_8, arr)
+        z2 = abp_ratio_metric(7.7j * _h_vec(0.1, 0.05, arr), center, DELTA_8, arr)
         assert np.allclose(z1, z2, atol=1e-12)
 
     def test_mirror_symmetry(self):
         arr = ArrayConfig(8, 8)
-        pair = BeamPairConfig.for_array(8)
         center = np.array([0.0, 0.0])
-        zp = abp_ratio_metric(_h_vec(0.12, 0.07, arr), center, pair, arr)
-        zm = abp_ratio_metric(_h_vec(-0.12, -0.07, arr), center, pair, arr)
+        zp = abp_ratio_metric(_h_vec(0.12, 0.07, arr), center, DELTA_8, arr)
+        zm = abp_ratio_metric(_h_vec(-0.12, -0.07, arr), center, DELTA_8, arr)
         assert np.allclose(zp, -zm, atol=1e-10)
 
     def test_zero_power_raises(self):
         arr = ArrayConfig(8, 8)
-        pair = BeamPairConfig.for_array(8)
         with pytest.raises(MeasurementFailure):
-            abp_ratio_metric(np.zeros(64, dtype=complex), np.array([0, 0]), pair, arr)
+            abp_ratio_metric(np.zeros(64, dtype=complex), np.array([0, 0]), DELTA_8, arr)
 
     def test_offset_validation(self):
-        with pytest.raises(ValueError):
-            BeamPairConfig(offset=0.0)
+        for offset in (0.0, -0.1, math.nextafter(math.pi, 4.0)):
+            with pytest.raises(ConfigError):
+                ScenarioConfig(abp_offset=offset)
+        assert ScenarioConfig(abp_offset=math.pi).squint == math.pi
 
 
-def _abp_tracker(arr, state, pilot=NOISELESS, **kw):
-    cb = build_codebook(arr.n_x, arr)
-    pair = BeamPairConfig.for_array(arr.n_x)
-    return AbpTracker(cb, pair, np.eye(2), np.eye(2) * 1e-8, pilot, state, **kw)
+def _abp_tracker(state, arr=ArrayConfig(8, 8), **kw):
+    return AbpTracker(_cfg(arr.n_x, arr.n_y, **kw), state)
 
 
 class TestAbpTracker:
     def test_measurement_dimension(self):
         arr = ArrayConfig(8, 8)
-        tracker = _abp_tracker(arr, initial_state(np.zeros(2), 0.01))
+        tracker = _abp_tracker(initial_state(np.zeros(2), 0.01))
         out = tracker.step(rank1_snapshot(0.1, 0.2, arr))
         x = tracker.state.x
         zeta, slope, var = tracker._axis_model(x[0], tracker._center(x)[0], arr.n_x, arr.n_y)
@@ -240,15 +258,15 @@ class TestAbpTracker:
 
     def test_update_beats_prediction_only(self):
         # paired trials: same noise, with and without the measurement update
-        arr = ArrayConfig(8, 8)
-        pilot = PilotConfig(snr_db=20.0, snr_reference="element")
+        cfg = _cfg(snr_db=20.0, snr_reference="element")
+        arr, pilot = cfg.arr, cfg.pilot
         rng = np.random.default_rng(77)
         wins = 0
         trials = 100
         for _ in range(trials):
             truth = rng.uniform(-0.1, 0.1, 2)
             x0 = truth + rng.normal(0, 0.02, 2)
-            tracker = _abp_tracker(arr, initial_state(x0, 0.02), pilot)
+            tracker = AbpTracker(cfg, initial_state(x0, 0.02))
             h = rank1_snapshot(truth[0], truth[1], arr)
             var = pilot.noise_variance(float(np.mean(np.abs(h) ** 2)), arr.n)
             err_upd, err_pred = None, np.linalg.norm(x0 - truth)
@@ -264,11 +282,10 @@ class TestAbpTracker:
         # truth two beams away from the selected center: the ratio curve
         # carries no usable slope there, so the filter cannot converge fast
         arr = ArrayConfig(8, 8)
-        cb = build_codebook(8, arr)
         beam_spacing = 2 * np.pi / 8
         truth = np.array([2 * beam_spacing + 0.05, 0.0])
         # initialize at zero so the center beam stays wrong
-        tracker = _abp_tracker(arr, initial_state(np.zeros(2), 0.01))
+        tracker = _abp_tracker(initial_state(np.zeros(2), 0.01))
         h = rank1_snapshot(truth[0], truth[1], arr)
         for _ in range(5):
             tracker.step(h)
@@ -276,16 +293,11 @@ class TestAbpTracker:
 
     def test_measurement_failure_falls_back_to_prediction(self):
         arr = ArrayConfig(8, 8)
-        tracker = _abp_tracker(arr, initial_state(np.array([0.1, 0.1]), 0.01))
+        tracker = _abp_tracker(initial_state(np.array([0.1, 0.1]), 0.01))
         out = tracker.step(np.zeros((arr.n_x, arr.n_y), dtype=complex))
         assert out["meas_valid"] is False
         assert np.isnan(out["bound"])
         assert np.allclose(tracker.state.x, [0.1, 0.1])
-
-    def test_q_n_source_validation(self):
-        arr = ArrayConfig(8, 8)
-        with pytest.raises(ValueError):
-            _abp_tracker(arr, initial_state(np.zeros(2), 0.01), q_n_source="bogus")
 
 
 # Reference copies of the measurement models that `codebook_model` and
@@ -319,8 +331,8 @@ def _reference_codebook_jacobian(x_pred, codebook, gain=1.0 + 0.0j):
 
 def _reference_abp_predicted(tracker, x, center):
     return np.array([
-        abp_ratio_curve(x[0], center[0], tracker.pair.offset, tracker.arr.n_x),
-        abp_ratio_curve(x[1], center[1], tracker.pair.offset, tracker.arr.n_y),
+        abp_ratio_curve(x[0], center[0], tracker.delta, tracker.arr.n_x),
+        abp_ratio_curve(x[1], center[1], tracker.delta, tracker.arr.n_y),
     ])
 
 
@@ -345,7 +357,7 @@ def _reference_abp_q_n(tracker, pilot, x_pred, center):
         (x_pred[0], center[0], arr.n_x, arr.n_y),
         (x_pred[1], center[1], arr.n_y, arr.n_x),
     ):
-        p_plus, p_minus = baselines._axis_pair_powers(axis_val, c, tracker.pair.offset, n_axis)
+        p_plus, p_minus = baselines._axis_pair_powers(axis_val, c, tracker.delta, n_axis)
         p_plus *= n_other
         p_minus *= n_other
         total = p_plus + p_minus
@@ -362,7 +374,7 @@ def _reference_abp_step(tracker, pilot, y):
     pred = predict(tracker.state, tracker.f, tracker.q_p)
     center = tracker._center(pred.x)
     try:
-        zeta = abp_ratio_metric(y.ravel(), center, tracker.pair, tracker.arr)
+        zeta = abp_ratio_metric(y.ravel(), center, tracker.delta, tracker.arr)
         z_hat = _reference_abp_predicted(tracker, pred.x, center)
     except MeasurementFailure:
         return pred, step_result()
@@ -394,8 +406,8 @@ class TestModelOracles:
     @pytest.mark.parametrize("arr", SHAPES, ids=str)
     @pytest.mark.parametrize("snr_db", [-5.0, 10.0, 40.0])
     def test_abp_axis_model_equals_reference(self, arr, snr_db):
+        tracker = _abp_tracker(initial_state(np.zeros(2), 0.01), arr, snr_db=snr_db)
         pilot = PilotConfig(snr_db=snr_db)
-        tracker = _abp_tracker(arr, initial_state(np.zeros(2), 0.01), pilot)
         cb, dims = tracker.codebook, (arr.n_x, arr.n_y)
         rng = np.random.default_rng(12)
         spacing = 2 * np.pi / cb.k
@@ -419,8 +431,8 @@ class TestModelOracles:
         for gain in GAINS:
             truth = rng.uniform(-0.5, 0.5, 2)
             start = initial_state(truth + rng.normal(0, 0.05, 2), 0.05)
-            tracker = _abp_tracker(arr, start, pilot, q_n_source=mode)
-            reference = _abp_tracker(arr, start, pilot, q_n_source=mode)
+            tracker = _abp_tracker(start, arr, snr_db=5.0, abp_q_n=mode)
+            reference = _abp_tracker(start, arr, snr_db=5.0, abp_q_n=mode)
             h = rank1_snapshot(truth[0], truth[1], arr, gain)
             var = pilot.noise_variance(float(np.mean(np.abs(h) ** 2)), arr.n)
             for _ in range(25):
@@ -433,17 +445,20 @@ class TestModelOracles:
 
 
 def test_abp_noise_square_overflows_at_construction():
-    # the delta-method Q_n squares the element noise variance once, in __init__
-    arr = ArrayConfig(8, 8)
+    # the delta-method Q_n squares the element noise variance once, in noise_terms, which
+    # the tracker's __init__ and the config check call
+    scenario = SimpleNamespace(pilot=PilotConfig(snr_db=-1600.0), arr=ArrayConfig(8, 8))
     with pytest.raises(OverflowError):
-        _abp_tracker(arr, initial_state(np.zeros(2), 0.01), PilotConfig(snr_db=-1600.0))
+        AbpTracker.noise_terms(scenario)
+    with pytest.raises(ConfigError, match="float range"):
+        ScenarioConfig(scheme="abp", snr_db=-1600.0)
 
 
 def test_abp_failure_at_difference_points_predicts_only(monkeypatch):
     # a pattern-power failure at x +/- h gives a predict-only frame
     arr = ArrayConfig(8, 8)
     start = initial_state(np.array([0.1, 0.1]), 0.01)
-    tracker = _abp_tracker(arr, start)
+    tracker = _abp_tracker(start)
     pred = predict(start, tracker.f, tracker.q_p)
     curve = baselines.abp_ratio_curve
 

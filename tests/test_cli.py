@@ -139,6 +139,7 @@ def test_run_simulates_each_trial_once(runner, tiny_config, tmp_path, monkeypatc
     {"psi": 2**70},
     {"detect_residual": 1e308, "detect_threshold": 1e-6},
     {"scheme": "abp", "abp_offset": 1e308},
+    {"azimuth_range_deg": -0.0},
 ])
 def test_run_invalid_value_exits_2(runner, tmp_path, fields):
     bad = tmp_path / "bad.json"
@@ -195,6 +196,38 @@ def test_limit_value_runs_and_next_float_exits_2(runner, tmp_path, scheme, field
     result = runner.invoke(main, ["run", "--config", str(cfg), "--out", str(tmp_path)])
     assert result.exit_code == 2
     assert result.output.startswith("config error: ")
+
+
+@pytest.mark.parametrize("scheme", harness.SCHEMES)
+@pytest.mark.parametrize("rho_gain", [0.0, 0.5])
+def test_smallest_normal_gain_innovation_runs_and_next_float_down_exits_2(
+    runner, tmp_path, scheme, rho_gain
+):
+    # a decaying gain needs innovations whose |alpha|^2 does not underflow to zero
+    fields = {"frames": 3, "trials": 1, "scheme": scheme, "rho_gain": rho_gain}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**fields, "gain_innovation_var": sys.float_info.min}))
+    result = runner.invoke(main, ["run", "--config", str(cfg), "--out", str(tmp_path)])
+    assert result.exit_code == 0, result.output
+    below = math.nextafter(sys.float_info.min, 0.0)
+    cfg.write_text(json.dumps({**fields, "gain_innovation_var": below}))
+    result = runner.invoke(main, ["run", "--config", str(cfg), "--out", str(tmp_path)])
+    assert result.exit_code == 2
+    assert result.output.startswith("config error: ")
+
+
+@pytest.mark.parametrize("fields", [
+    {"snr_db": 300, "gain_uncertainty_var": 1e-30, "sigma_init": 6.28},
+    {"gain_uncertainty_var": 1e-300},
+    {"snr_db": float("inf"), "gain_uncertainty_var": 0, "gain_innovation_var": 0, "rho_gain": 1},
+])
+def test_codebook_singular_innovation_covariance_exits_0(runner, tmp_path, fields):
+    # Q_n negligible next to G P G^T makes S singular; such frames are predict-only
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"frames": 5, "trials": 1, "scheme": "codebook", **fields}))
+    result = runner.invoke(main, ["run", "--config", str(cfg), "--out", str(tmp_path)])
+    assert result.exit_code == 0, result.output
+    assert (tmp_path / "codebook_summary.json").exists()
 
 
 def test_run_bad_field_exits_2(runner, tmp_path):

@@ -5,20 +5,26 @@ JSON type and the float extremes.  Each example starts from frames=2,
 trials=1 and a random scheme.  The fields that size the run (array, frames,
 trials, codebook, Q_n window) are drawn only from small values or wrong
 types, so no example allocates more than a few MB.
+
+Random examples seldom set one field to an extreme with every other field at
+its default, so a second test runs each field at each extreme alone.
 """
 
 import dataclasses
 import json
 import math
+import sys
 import tempfile
 from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from beamtrack.cli import main
-from beamtrack.harness import SCHEMES, ScenarioConfig
+from beamtrack.errors import ConfigError
+from beamtrack.harness import SCHEMES, ScenarioConfig, run_experiment
 
 FIELDS = [f.name for f in dataclasses.fields(ScenarioConfig)]
 SIZE_FIELDS = ("n_x", "n_y", "frames", "trials", "codebook_k", "q_n_window")
@@ -68,3 +74,25 @@ def test_any_json_object_exits_0_2_or_3(cfg):
         result = CliRunner().invoke(main, ["run", "--config", str(path), "--out", tmp])
     assert result.exit_code in (0, 2, 3), (cfg, result.output, result.exc_info)
     assert "Traceback" not in result.output
+
+
+SINGLE_EXTREMES = [
+    1e308, -1e308, 5e-324, -5e-324, sys.float_info.min, 0.0, -0.0, 0, 1, -1, 2**53 + 1,
+    math.nan, math.inf, -math.inf, None, True,
+]
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("field", FIELDS)
+def test_single_field_extreme_is_rejected_or_runs(field, scheme):
+    # size fields get small ints only: their upper bound is not checked
+    if field in SIZE_FIELDS:
+        values = [v for v in SINGLE_EXTREMES if v != 2**53 + 1] + [2, 3, 4]
+    else:
+        values = SINGLE_EXTREMES
+    for value in values:
+        try:
+            cfg = ScenarioConfig(**{"frames": 3, "trials": 1, "scheme": scheme, field: value})
+        except ConfigError:
+            continue
+        run_experiment(cfg)

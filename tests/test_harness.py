@@ -8,7 +8,7 @@ import pytest
 
 from beamtrack import harness
 from beamtrack.analysis import bound_step
-from beamtrack.baselines import BeamPairConfig
+from beamtrack.baselines import ABP_SQUINT_FACTOR
 from beamtrack.ekf import initial_state, jacobian, predict, update
 from beamtrack.errors import ConfigError
 from beamtrack.geometry import rotation_matrix
@@ -110,10 +110,10 @@ class TestScenarioConfig:
 
     def test_pieces_built_once(self):
         cfg = small_cfg()
-        for piece in ("arr", "pilot", "detect", "f", "q_p", "theta", "pair", "codebook"):
+        for piece in ("arr", "pilot", "detect", "f", "q_p", "theta", "codebook"):
             assert getattr(cfg, piece) is getattr(cfg, piece)
-        assert cfg.pair.offset == BeamPairConfig.for_array(cfg.n_x).offset
-        assert small_cfg(abp_offset=0.1).pair.offset == 0.1
+        assert cfg.squint == ABP_SQUINT_FACTOR / cfg.n_x
+        assert small_cfg(abp_offset=0.1).squint == 0.1
 
     def test_derived_defaults(self):
         cfg = ScenarioConfig(frames=40)
@@ -173,6 +173,12 @@ class TestRunTrial:
                     nxt = records[i + 1]
                     assert np.hypot(nxt.u_true, nxt.v_true) < 0.5
         assert realigned_any
+
+    def test_unknown_scheme_raises_config_error(self):
+        with pytest.raises(ConfigError, match="unknown scheme"):
+            run_trial(small_cfg(), 0, "bogus")
+        with pytest.raises(ConfigError, match="unknown scheme"):
+            run_experiment(small_cfg(), "bogus")
 
     def test_frame_indices_start_at_one(self):
         records = run_trial(small_cfg(frames=5), 0)
