@@ -299,6 +299,19 @@ class TestAbpTracker:
         assert np.isnan(out["bound"])
         assert np.allclose(tracker.state.x, [0.1, 0.1])
 
+    def test_q_n_source_validation(self):
+        # the ABP's Q_n source is checked where the config is built
+        with pytest.raises(ConfigError):
+            _abp_tracker(initial_state(np.zeros(2), 0.01), abp_q_n="bogus")
+        # "fixed" takes sigma_n^2 as is; "delta" propagates it through the ratio
+        x = np.array([0.1, 0.2])
+        fixed = _abp_tracker(initial_state(x, 0.01), abp_q_n="fixed", snr_db=10.0)
+        delta = _abp_tracker(initial_state(x, 0.01), abp_q_n="delta", snr_db=10.0)
+        assert (fixed.q_n_source, delta.q_n_source) == ("fixed", "delta")
+        center = fixed._center(x)[0]
+        assert fixed._axis_model(x[0], center, 8, 8)[2] == fixed.sigma_n_sq
+        assert delta._axis_model(x[0], center, 8, 8)[2] != delta.sigma_n_sq
+
 
 # Reference copies of the measurement models that `codebook_model` and
 # `AbpTracker._axis_model` replace; the new code must give the same bytes.
