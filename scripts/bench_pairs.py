@@ -1,0 +1,93 @@
+#!/usr/bin/env python3
+"""Compare this checkout with a parent checkout in alternating benchmark runs.
+
+Usage: bench_pairs.py --parent DIR --workload W --pairs N
+                      [--seconds S] [--seed K] [--tiny]
+
+Pair i runs ``bench/run.py --workload W --trace 0 --seed K+i`` once in the
+parent checkout DIR and once in this one, each from its own root (its own
+``src/``, ``bench/`` and ``BENCHMARK.json``), one run after the other.  Which
+side runs first alternates from pair to pair, so a drift in host speed
+favours neither.  For each end-to-end metric of BENCHMARK.json the script
+prints every pair, each side's median and quartiles, and how many pairs the
+change wins (ties count for neither side).  A gain holds when the change wins
+at least nine tenths of the pairs and the medians differ, in the better
+direction, by more than the distance between the parent's quartiles.
+``--tiny`` passes ``--tiny`` to every run, for a smoke run whose numbers mean
+nothing.
+"""
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def bench_run(root: Path, workload: str, seed: int, seconds: float, tiny: bool) -> dict:
+    """One ``--trace 0`` run in the checkout at root: its JSON result."""
+    cmd = [sys.executable, "bench/run.py", "--workload", workload, "--trace", "0",
+           "--seed", str(seed), "--seconds", str(seconds)] + (["--tiny"] if tiny else [])
+    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def quartiles(values: list) -> tuple[float, float, float]:
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--parent", required=True, type=Path, help="root of the parent checkout")
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--pairs", required=True, type=int)
+    ap.add_argument("--seconds", type=float, default=25.0)
+    ap.add_argument("--seed", type=int, default=101, help="seed of the first pair")
+    ap.add_argument("--tiny", action="store_true")
+    args = ap.parse_args()
+    if args.pairs < 1:
+        ap.error("--pairs must be at least 1")
+
+    sides = {"parent": args.parent.resolve(), "change": ROOT}
+    runs = {side: [] for side in sides}
+    for i in range(args.pairs):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            runs[side].append(bench_run(sides[side], args.workload, args.seed + i,
+                                        args.seconds, args.tiny))
+        print(f"pair {i + 1}/{args.pairs} done ({order[0]} first)", file=sys.stderr)
+
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    print(f"workload {args.workload}  pairs {args.pairs}  seconds {args.seconds:g}  "
+          f"seeds {args.seed}..{args.seed + args.pairs - 1}")
+    for side in sides:
+        failed = sum(r["failed"] for r in runs[side])
+        attempted = sum(r["attempted"] for r in runs[side])
+        correct = all(r["correct"] for r in runs[side])
+        print(f"{side}: failed {failed} of {attempted}, correct {correct}")
+    for metric in declared:
+        name, higher = metric["name"], metric["better"] == "higher"
+        values = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in sides}
+        wins = sum((c > p) if higher else (c < p)
+                   for p, c in zip(values["parent"], values["change"]))
+        (p1, pm, p3), (c1, cm, c3) = (quartiles(values[side]) for side in sides)
+        gain = (cm - pm) if higher else (pm - cm)
+        holds = wins >= 0.9 * args.pairs and gain > p3 - p1
+        print(f"{name} ({metric['unit']}, {metric['better']} is better)")
+        for side in sides:
+            print(f"  {side:6s} " + " ".join(f"{v:.6g}" for v in values[side]))
+        print(f"  parent median {pm:.6g} [{p1:.6g}, {p3:.6g}]  "
+              f"change median {cm:.6g} [{c1:.6g}, {c3:.6g}]  "
+              f"change/parent {cm / pm if pm else float('nan'):.4f}  "
+              f"wins {wins}/{args.pairs}  gain holds {holds}")
+
+
+if __name__ == "__main__":
+    main()

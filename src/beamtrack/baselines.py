@@ -39,10 +39,11 @@ class Codebook:
     axis_angles: np.ndarray     # (K,), strictly increasing over [-pi, pi)
     beam_angles: np.ndarray     # (K^2, 2) (u, v) pairs, x-major
     weights: np.ndarray         # (N, K^2), unit-norm columns
+    w_h: np.ndarray             # weights.conj().T, the beamformer of every frame
     arr: ArrayConfig
 
-    def nearest_axis_angle(self, angle: float) -> float:
-        return float(self.axis_angles[np.argmin(np.abs(self.axis_angles - angle))])
+    def nearest_axis_index(self, angle: float) -> int:
+        return int(np.argmin(np.abs(self.axis_angles - angle)))
 
 
 def build_codebook(k: int, arr: ArrayConfig) -> Codebook:
@@ -57,8 +58,17 @@ def build_codebook(k: int, arr: ArrayConfig) -> Codebook:
         axis_angles=axis,
         beam_angles=np.array(pairs),
         weights=np.array(cols).T,
+        w_h=np.array(cols).conj(),
         arr=arr,
     )
+
+
+def squinted_weights(centers: np.ndarray, delta: float, n: int) -> np.ndarray:
+    """Unit axis weights steering_vector(a, n)/sqrt(n) at a = c + delta, c and c - delta
+    for each center c, shape (len(centers), 3, n); ABP's table per axis has the codebook's
+    axis angles as centers and is indexed by Codebook.nearest_axis_index."""
+    return np.array([[steering_vector(a, n) / np.sqrt(n) for a in (c + delta, c, c - delta)]
+                     for c in centers])
 
 
 def _stack_reim(z: np.ndarray) -> np.ndarray:
@@ -70,7 +80,7 @@ def codebook_measurement(
     codebook: Codebook,
 ) -> np.ndarray:
     """Beamform the pilot snapshot on every codebook beam; stack re/im."""
-    obs = codebook.weights.conj().T @ y_vec
+    obs = codebook.w_h @ y_vec
     return _stack_reim(obs)
 
 
@@ -84,7 +94,7 @@ def codebook_model(
     arr = codebook.arr
     ax = steering_vector(x[0], arr.n_x)
     ay = steering_vector(x[1], arr.n_y)
-    w_h = codebook.weights.conj().T
+    w_h = codebook.w_h
     h_vec = (1.0 * np.outer(ax, ay.conj())).ravel()
     dax = -1j * np.arange(arr.n_x) * ax
     day = -1j * np.arange(arr.n_y) * ay
@@ -114,6 +124,8 @@ class CodebookTracker:
         self.alpha_pred = 1.0 + 0.0j
         self.q_n = self.noise_var(cfg) * np.eye(2 * cfg.k_beams**2)
 
+    frame_cost = staticmethod(lambda k2: (2 * k2, k2))  # (measurement size, pilot slots) per frame
+
     @staticmethod
     def noise_var(cfg: ScenarioConfig) -> float:
         """Per-component noise variance of the stacked re/im beam observations plus the gain
@@ -141,15 +153,10 @@ class CodebookTracker:
         self.state = state
 
 
-def _axis_pair_powers(
-    u: float, center: float, delta: float, n: int
-) -> tuple[float, float]:
-    """Noiseless powers of the +/- squinted axis beams at spatial angle u."""
-    def power(c):
-        w = steering_vector(c, n) / np.sqrt(n)
-        return abs(np.vdot(w, steering_vector(u, n))) ** 2
-
-    return power(center + delta), power(center - delta)
+def _axis_pair_powers(u: float, beams: np.ndarray) -> tuple[float, float]:
+    """Noiseless powers at spatial angle u of the +/- squinted rows of squinted_weights."""
+    a = steering_vector(u, beams.shape[1])
+    return abs(np.vdot(beams[0], a)) ** 2, abs(np.vdot(beams[2], a)) ** 2
 
 
 def _pair_ratio(p_plus: float, p_minus: float) -> float:
@@ -160,29 +167,17 @@ def _pair_ratio(p_plus: float, p_minus: float) -> float:
     return (p_plus - p_minus) / total
 
 
-def abp_ratio_curve(u: float, center: float, delta: float, n: int) -> float:
-    """Noiseless ratio metric zeta(u) for one axis; lies in [-1, 1]."""
-    return _pair_ratio(*_axis_pair_powers(u, center, delta, n))
+def abp_ratio_curve(u: float, beams: np.ndarray) -> float:
+    """Noiseless ratio metric zeta(u) for one axis, beams from squinted_weights; lies in [-1, 1]."""
+    return _pair_ratio(*_axis_pair_powers(u, beams))
 
 
-def abp_ratio_metric(
-    y_vec: np.ndarray,
-    center: np.ndarray,
-    delta: float,
-    arr: ArrayConfig,
-) -> np.ndarray:
-    """Measured 2-vector [zeta_u, zeta_v] from the shared pilot snapshot, with the beams
-    squinted by +/- delta around the center."""
-    zetas = []
-    for axis in range(2):
-        powers = []
-        for sign in (1.0, -1.0):
-            est = np.array(center, dtype=float)
-            est[axis] += sign * delta
-            w = beamforming_weight(est, arr)
-            powers.append(abs(np.vdot(w, y_vec)) ** 2)
-        zetas.append(_pair_ratio(*powers))
-    return np.array(zetas)
+def abp_ratio_metric(y_vec: np.ndarray, beams_x: np.ndarray, beams_y: np.ndarray) -> np.ndarray:
+    """Measured 2-vector [zeta_u, zeta_v] from the shared pilot snapshot: the powers of the beams
+    vec(w_x w_y^H) from squinted_weights rows, u squinted by +delta and -delta, then v."""
+    p = [abs(np.vdot(np.outer(beams_x[i], beams_y[j].conj()).ravel(), y_vec)) ** 2
+         for i, j in ((0, 1), (2, 1), (1, 0), (1, 2))]
+    return np.array([_pair_ratio(p[0], p[1]), _pair_ratio(p[2], p[3])])
 
 
 class AbpTracker:
@@ -199,7 +194,7 @@ class AbpTracker:
 
     def __init__(self, cfg: ScenarioConfig, state: TrackerState):
         self.codebook = cfg.codebook
-        self.delta = cfg.squint
+        self.weights = cfg.abp_weights
         self.f = cfg.f
         self.q_p = cfg.q_p
         self.state = state
@@ -208,6 +203,8 @@ class AbpTracker:
         self.arr = cfg.arr
         self.sigma2, self.sigma2_sq = self.noise_terms(cfg)
 
+    frame_cost = staticmethod(lambda k2: (2, k2))  # (measurement size, pilot slots) per frame
+
     @staticmethod
     def noise_terms(cfg: ScenarioConfig) -> tuple[float, float]:
         """Element noise variance at unit gain and its square, the delta-method Q_n's
@@ -215,18 +212,19 @@ class AbpTracker:
         sigma2 = cfg.pilot.noise_variance(1.0, cfg.arr.n)
         return sigma2, sigma2**2
 
-    def _center(self, x_pred: np.ndarray) -> np.ndarray:
-        return np.array([self.codebook.nearest_axis_angle(a) for a in x_pred])
+    def _beams(self, x_pred: np.ndarray) -> list[np.ndarray]:
+        """Each axis's squinted weights around the codebook axis angle nearest x_pred."""
+        return [w[self.codebook.nearest_axis_index(a)] for w, a in zip(self.weights, x_pred)]
 
     def _axis_model(
-        self, u: float, center: float, n_axis: int, n_other: int
+        self, u: float, beams: np.ndarray, n_other: int
     ) -> tuple[float, float, float]:
         """Noiseless ratio at u, its central-difference slope, and its
         variance: sigma_n^2 in "fixed" mode, else the delta-method one
         (the gain magnitude cancels)."""
-        h, delta = self._FD_STEP, self.delta
-        p_plus, p_minus = _axis_pair_powers(u, center, delta, n_axis)
-        ends = [abp_ratio_curve(u + s, center, delta, n_axis) for s in (h, -h)]
+        h = self._FD_STEP
+        p_plus, p_minus = _axis_pair_powers(u, beams)
+        ends = [abp_ratio_curve(u + s, beams) for s in (h, -h)]
         slope = (ends[0] - ends[1]) / (2 * h)
         zeta = _pair_ratio(p_plus, p_minus)
         if self.q_n_source == "fixed":
@@ -244,11 +242,11 @@ class AbpTracker:
 
     def step(self, y: np.ndarray) -> dict:
         pred = predict(self.state, self.f, self.q_p)
-        center = self._center(pred.x)
+        beams = self._beams(pred.x)
         try:
-            zeta = abp_ratio_metric(y.ravel(), center, self.delta, self.arr)
-            dims = (self.arr.n_x, self.arr.n_y)
-            axes = [self._axis_model(*a) for a in zip(pred.x, center, dims, dims[::-1])]
+            zeta = abp_ratio_metric(y.ravel(), *beams)
+            others = (self.arr.n_y, self.arr.n_x)
+            axes = [self._axis_model(*a) for a in zip(pred.x, beams, others)]
         except MeasurementFailure:
             self.state = pred
             return step_result()

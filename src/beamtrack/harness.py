@@ -19,7 +19,8 @@ import numpy as np
 
 from . import rng as rngmod
 from .analysis import bound_step
-from .baselines import ABP_SQUINT_FACTOR, AbpTracker, Codebook, CodebookTracker, build_codebook
+from .baselines import (ABP_SQUINT_FACTOR, AbpTracker, Codebook, CodebookTracker, build_codebook,
+                        squinted_weights)
 from .channel import (
     ArrayConfig,
     PilotConfig,
@@ -119,6 +120,12 @@ class ScenarioConfig:
                 raise ConfigError(f"std-devs must lie in [0, 2*pi], got {s!r}")
         if math.copysign(1.0, self.azimuth_range_deg) < 0:
             raise ConfigError("azimuth_range_deg must be non-negative")
+        for name in ("sigma_n_sq", "sigma_nb_sq", "gain_uncertainty_var"):
+            if math.copysign(1.0, getattr(self, name)) < 0:
+                raise ConfigError(f"{name} must be non-negative, got {getattr(self, name)!r}")
+        # the bound adds sigma_nb_sq |K|^2 (|K|^2 <= 8, G >= I/2): a finite square has room
+        if not math.isfinite(self.sigma_nb_sq * self.sigma_nb_sq):
+            raise ConfigError("sigma_nb_sq must have a finite square")
         if self.q_n_mode not in ("fixed", "estimated"):
             raise ConfigError("q_n_mode must be 'fixed' or 'estimated'")
         if self.abp_q_n not in ("fixed", "delta"):
@@ -210,6 +217,12 @@ class ScenarioConfig:
         """The K^2-beam grid of the baselines, built on first use."""
         return build_codebook(self.k_beams, self.arr)
 
+    @cached_property
+    def abp_weights(self) -> tuple[np.ndarray, ...]:
+        """ABP's squinted_weights around the codebook axis angles, per axis, built on first use."""
+        centers, delta = self.codebook.axis_angles, self.squint
+        return tuple(squinted_weights(centers, delta, n) for n in (self.n_x, self.n_y))
+
     def to_dict(self) -> dict:
         return asdict(self)
 
@@ -266,6 +279,8 @@ class ComplexityLedger:
 class ProposedTracker:
     """The monopulse-measurement EKF (the scheme under study)."""
 
+    frame_cost = staticmethod(lambda k2: (2, 1))  # (measurement size, pilot slots) per frame
+
     def __init__(self, cfg: ScenarioConfig, state: TrackerState):
         self.arr = cfg.arr
         self.f = cfg.f
@@ -313,11 +328,16 @@ TRACKERS = {"proposed": ProposedTracker, "codebook": CodebookTracker, "abp": Abp
 SCHEMES = tuple(TRACKERS)
 
 
-def run_trial(cfg: ScenarioConfig, trial_index: int, scheme: str | None = None) -> list[FrameRecord]:
-    """Simulate one trial; deterministic given (cfg.seed, trial_index)."""
-    scheme = cfg.scheme if scheme is None else scheme
+def tracker_class(scheme: str) -> type:
+    """The tracker class of a scheme; ConfigError for an unknown one."""
     if scheme not in TRACKERS:
         raise ConfigError(f"unknown scheme {scheme!r}")
+    return TRACKERS[scheme]
+
+
+def run_trial(cfg: ScenarioConfig, trial_index: int, scheme: str | None = None) -> list[FrameRecord]:
+    """Simulate one trial; deterministic given (cfg.seed, trial_index)."""
+    tracker_cls = tracker_class(cfg.scheme if scheme is None else scheme)
     arr, pilot, detect_cfg = cfg.arr, cfg.pilot, cfg.detect
     sigma = (cfg.sigma_u, cfg.sigma_v)
 
@@ -328,7 +348,7 @@ def run_trial(cfg: ScenarioConfig, trial_index: int, scheme: str | None = None) 
     truth = angles_to_spatial(phi, cfg.theta, cfg.d_over_lambda)
     x_hat0 = truth + init_rng.normal(0.0, cfg.sigma_init, 2)
 
-    tracker = TRACKERS[scheme](cfg, initial_state(x_hat0, cfg.sigma_init))
+    tracker = tracker_cls(cfg, initial_state(x_hat0, cfg.sigma_init))
     detector = DetectorState()
     alpha = 1.0 + 0.0j
     records: list[FrameRecord] = []
@@ -433,16 +453,7 @@ def run_experiment(cfg: ScenarioConfig, scheme: str | None = None) -> Experiment
 
 def trial_ledger(cfg: ScenarioConfig, scheme: str | None = None) -> ComplexityLedger:
     """Per-trial complexity accounting without running the simulation."""
-    scheme = cfg.scheme if scheme is None else scheme
-    k2 = cfg.k_beams**2
-    if scheme == "proposed":
-        m, slots = 2, 1
-    elif scheme == "abp":
-        m, slots = 2, k2
-    elif scheme == "codebook":
-        m, slots = 2 * k2, k2
-    else:
-        raise ConfigError(f"unknown scheme {scheme!r}")
+    m, slots = tracker_class(cfg.scheme if scheme is None else scheme).frame_cost(cfg.k_beams**2)
     return ComplexityLedger(m=m, pilot_slots=cfg.frames * slots, solve_cost=cfg.frames * m**3)
 
 

@@ -30,10 +30,20 @@ def _mix64(x: int) -> int:
     return (z ^ (z >> 31)) & _MASK
 
 
+# a Philox stream is its key and counter, so re-keying draws what a new generator would
+_GENERATOR = np.random.Generator(np.random.Philox(key=(0, 0)))
+_ZEROS = np.zeros(4, dtype=np.uint64)
+
+
 def stream(seed: int, trial: int, frame: int, purpose: str) -> np.random.Generator:
-    """Deterministic generator keyed by (seed, trial, frame, purpose)."""
+    """Deterministic generator keyed by (seed, trial, frame, purpose): the module's one
+    generator, re-keyed, so it is valid only until the next stream call (in any thread)."""
     tag = PURPOSES[purpose]
     key_lo = _mix64(seed ^ _mix64(trial))
     key_hi = _mix64((frame << 8) ^ tag ^ _mix64(seed + 0x5555))
-    bitgen = np.random.Philox(key=(key_lo, key_hi))
-    return np.random.Generator(bitgen)
+    # Philox(key=(lo, hi))'s own conversion, float64 for a tuple with a half >= 2**63
+    key = np.asarray((key_lo, key_hi)).astype(np.uint64, casting="unsafe")
+    _GENERATOR.bit_generator.state = {
+        "bit_generator": "Philox", "state": {"counter": _ZEROS, "key": key},
+        "buffer": _ZEROS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return _GENERATOR

@@ -16,6 +16,7 @@ from beamtrack.baselines import (
     build_codebook,
     codebook_measurement,
     codebook_model,
+    squinted_weights,
 )
 from beamtrack.channel import (
     ArrayConfig,
@@ -43,6 +44,15 @@ def _cfg(n_x=8, n_y=8, **kw):
 
 def _h_vec(u, v, arr, gain=1.0 + 0.0j):
     return rank1_snapshot(u, v, arr, gain).ravel()
+
+
+def _curve(u, center, delta, n):
+    return abp_ratio_curve(u, squinted_weights([center], delta, n)[0])
+
+
+def _metric(y_vec, center, delta, arr):
+    beams = (squinted_weights([c], delta, n)[0] for c, n in zip(center, (arr.n_x, arr.n_y)))
+    return abp_ratio_metric(y_vec, *beams)
 
 
 STEP_KEYS = {"meas_valid", "innovation_norm", "bound"}
@@ -80,8 +90,11 @@ class TestCodebook:
 
     def test_nearest_axis_angle(self):
         cb = build_codebook(8, ArrayConfig(8, 8))
-        target = cb.axis_angles[3]
-        assert cb.nearest_axis_angle(target + 0.01) == pytest.approx(target)
+        assert cb.nearest_axis_index(cb.axis_angles[3] + 0.01) == 3
+
+    def test_conjugate_weights_built_once(self):
+        cb = build_codebook(4, ArrayConfig(4, 8))
+        assert np.array_equal(cb.w_h, cb.weights.conj().T)
 
 
 class TestCodebookMeasurement:
@@ -194,44 +207,44 @@ class TestCodebookTracker:
 
 class TestAbpRatio:
     def test_zero_at_center(self):
-        assert abp_ratio_curve(0.5, 0.5, 0.2, 8) == pytest.approx(0.0, abs=1e-12)
+        assert _curve(0.5, 0.5, 0.2, 8) == pytest.approx(0.0, abs=1e-12)
 
     def test_positive_at_half_offset(self):
-        assert abp_ratio_curve(0.1 + DELTA_8 / 2, 0.1, DELTA_8, 8) > 0
+        assert _curve(0.1 + DELTA_8 / 2, 0.1, DELTA_8, 8) > 0
 
     def test_strictly_monotone_over_beam_support(self):
         half_beam = np.pi / 8  # half the codebook beam spacing for K = 8
         grid = np.linspace(-half_beam, half_beam, 200)
-        vals = [abp_ratio_curve(0.0 + g, 0.0, DELTA_8, 8) for g in grid]
+        vals = [_curve(0.0 + g, 0.0, DELTA_8, 8) for g in grid]
         assert np.all(np.diff(vals) > 0)
 
     def test_metric_in_range_and_matches_curve(self):
         arr = ArrayConfig(8, 8)
         center = np.array([0.0, 0.0])
         y = _h_vec(0.1, -0.15, arr, gain=2.0j)
-        zeta = abp_ratio_metric(y, center, DELTA_8, arr)
+        zeta = _metric(y, center, DELTA_8, arr)
         assert np.all(np.abs(zeta) <= 1.0)
-        assert zeta[0] == pytest.approx(abp_ratio_curve(0.1, 0.0, DELTA_8, 8), abs=1e-10)
-        assert zeta[1] == pytest.approx(abp_ratio_curve(-0.15, 0.0, DELTA_8, 8), abs=1e-10)
+        assert zeta[0] == pytest.approx(_curve(0.1, 0.0, DELTA_8, 8), abs=1e-10)
+        assert zeta[1] == pytest.approx(_curve(-0.15, 0.0, DELTA_8, 8), abs=1e-10)
 
     def test_gain_invariance(self):
         arr = ArrayConfig(8, 8)
         center = np.array([0.0, 0.0])
-        z1 = abp_ratio_metric(_h_vec(0.1, 0.05, arr), center, DELTA_8, arr)
-        z2 = abp_ratio_metric(7.7j * _h_vec(0.1, 0.05, arr), center, DELTA_8, arr)
+        z1 = _metric(_h_vec(0.1, 0.05, arr), center, DELTA_8, arr)
+        z2 = _metric(7.7j * _h_vec(0.1, 0.05, arr), center, DELTA_8, arr)
         assert np.allclose(z1, z2, atol=1e-12)
 
     def test_mirror_symmetry(self):
         arr = ArrayConfig(8, 8)
         center = np.array([0.0, 0.0])
-        zp = abp_ratio_metric(_h_vec(0.12, 0.07, arr), center, DELTA_8, arr)
-        zm = abp_ratio_metric(_h_vec(-0.12, -0.07, arr), center, DELTA_8, arr)
+        zp = _metric(_h_vec(0.12, 0.07, arr), center, DELTA_8, arr)
+        zm = _metric(_h_vec(-0.12, -0.07, arr), center, DELTA_8, arr)
         assert np.allclose(zp, -zm, atol=1e-10)
 
     def test_zero_power_raises(self):
         arr = ArrayConfig(8, 8)
         with pytest.raises(MeasurementFailure):
-            abp_ratio_metric(np.zeros(64, dtype=complex), np.array([0, 0]), DELTA_8, arr)
+            _metric(np.zeros(64, dtype=complex), np.array([0, 0]), DELTA_8, arr)
 
     def test_offset_validation(self):
         for offset in (0.0, -0.1, math.nextafter(math.pi, 4.0)):
@@ -250,7 +263,7 @@ class TestAbpTracker:
         tracker = _abp_tracker(initial_state(np.zeros(2), 0.01))
         out = tracker.step(rank1_snapshot(0.1, 0.2, arr))
         x = tracker.state.x
-        zeta, slope, var = tracker._axis_model(x[0], tracker._center(x)[0], arr.n_x, arr.n_y)
+        zeta, slope, var = tracker._axis_model(x[0], tracker._beams(x)[0], arr.n_y)
         assert abs(zeta) <= 1.0 and slope > 0 and var >= baselines._Q_N_FLOOR
         assert out.keys() == STEP_KEYS
         assert out["meas_valid"] is True
@@ -308,13 +321,44 @@ class TestAbpTracker:
         fixed = _abp_tracker(initial_state(x, 0.01), abp_q_n="fixed", snr_db=10.0)
         delta = _abp_tracker(initial_state(x, 0.01), abp_q_n="delta", snr_db=10.0)
         assert (fixed.q_n_source, delta.q_n_source) == ("fixed", "delta")
-        center = fixed._center(x)[0]
-        assert fixed._axis_model(x[0], center, 8, 8)[2] == fixed.sigma_n_sq
-        assert delta._axis_model(x[0], center, 8, 8)[2] != delta.sigma_n_sq
+        beams = fixed._beams(x)[0]
+        assert fixed._axis_model(x[0], beams, 8)[2] == fixed.sigma_n_sq
+        assert delta._axis_model(x[0], beams, 8)[2] != delta.sigma_n_sq
+
+
+class TestAbpWeights:
+    @pytest.mark.parametrize("arr", [ArrayConfig(8, 8), ArrayConfig(8, 16)], ids=str)
+    def test_rows_are_squinted_steering_vectors(self, arr):
+        cfg = _cfg(arr.n_x, arr.n_y, scheme="abp")
+        cb, delta = cfg.codebook, cfg.squint
+        assert cfg.abp_weights is cfg.abp_weights
+        for table, n in zip(cfg.abp_weights, (arr.n_x, arr.n_y)):
+            assert table.shape == (cb.k, 3, n)
+            for c, rows in zip(cb.axis_angles, table):
+                for row, angle in zip(rows, (c + delta, c, c - delta)):
+                    assert np.array_equal(row, steering_vector(angle, n) / np.sqrt(n))
+
+    @pytest.mark.parametrize("arr", [ArrayConfig(8, 8), ArrayConfig(8, 16)], ids=str)
+    def test_metric_beams_are_beamforming_weights(self, arr, monkeypatch):
+        cfg = _cfg(arr.n_x, arr.n_y, scheme="abp")
+        cb, delta = cfg.codebook, cfg.squint
+        vdot, beams = np.vdot, []
+        monkeypatch.setattr(np, "vdot", lambda w, y: beams.append(w) or vdot(w, y))
+        y = rank1_snapshot(0.3, -0.2, arr).ravel()
+        for ix, iy in [(0, 0), (3, 5), (7, 2)]:
+            beams.clear()
+            abp_ratio_metric(y, cfg.abp_weights[0][ix], cfg.abp_weights[1][iy])
+            squints = [(0, delta), (0, -delta), (1, delta), (1, -delta)]
+            assert len(beams) == len(squints)
+            for w, (axis, offset) in zip(beams, squints):
+                est = cb.axis_angles[[ix, iy]]
+                est[axis] += offset
+                assert np.array_equal(w, beamforming_weight(est, arr))
 
 
 # Reference copies of the measurement models that `codebook_model` and
-# `AbpTracker._axis_model` replace; the new code must give the same bytes.
+# `AbpTracker._axis_model` replace, and of the ABP beams and ratio metric as
+# they were before the weight tables; the new code must give the same bytes.
 
 def _reference_response_grad(x, arr):
     ax = steering_vector(x[0], arr.n_x)
@@ -342,10 +386,40 @@ def _reference_codebook_jacobian(x_pred, codebook, gain=1.0 + 0.0j):
     return np.column_stack([_stack(col_u), _stack(col_v)])
 
 
+def _delta(tracker):
+    return ABP_SQUINT_FACTOR / tracker.arr.n_x
+
+
+def _reference_center(tracker, x_pred):
+    axis = tracker.codebook.axis_angles
+    return np.array([float(axis[np.argmin(np.abs(axis - a))]) for a in x_pred])
+
+
+def _reference_pair_powers(u, center, delta, n):
+    def power(c):
+        w = steering_vector(c, n) / np.sqrt(n)
+        return abs(np.vdot(w, steering_vector(u, n))) ** 2
+
+    return power(center + delta), power(center - delta)
+
+
+def _reference_ratio_metric(y_vec, center, delta, arr):
+    zetas = []
+    for axis in range(2):
+        powers = []
+        for sign in (1.0, -1.0):
+            est = np.array(center, dtype=float)
+            est[axis] += sign * delta
+            w = beamforming_weight(est, arr)
+            powers.append(abs(np.vdot(w, y_vec)) ** 2)
+        zetas.append(baselines._pair_ratio(*powers))
+    return np.array(zetas)
+
+
 def _reference_abp_predicted(tracker, x, center):
     return np.array([
-        abp_ratio_curve(x[0], center[0], tracker.delta, tracker.arr.n_x),
-        abp_ratio_curve(x[1], center[1], tracker.delta, tracker.arr.n_y),
+        baselines._pair_ratio(*_reference_pair_powers(x[i], center[i], _delta(tracker), n))
+        for i, n in enumerate((tracker.arr.n_x, tracker.arr.n_y))
     ])
 
 
@@ -370,7 +444,7 @@ def _reference_abp_q_n(tracker, pilot, x_pred, center):
         (x_pred[0], center[0], arr.n_x, arr.n_y),
         (x_pred[1], center[1], arr.n_y, arr.n_x),
     ):
-        p_plus, p_minus = baselines._axis_pair_powers(axis_val, c, tracker.delta, n_axis)
+        p_plus, p_minus = _reference_pair_powers(axis_val, c, _delta(tracker), n_axis)
         p_plus *= n_other
         p_minus *= n_other
         total = p_plus + p_minus
@@ -385,9 +459,9 @@ def _reference_abp_q_n(tracker, pilot, x_pred, center):
 def _reference_abp_step(tracker, pilot, y):
     """The ABP frame step as it was before the per-axis model; returns the new state."""
     pred = predict(tracker.state, tracker.f, tracker.q_p)
-    center = tracker._center(pred.x)
+    center = _reference_center(tracker, pred.x)
     try:
-        zeta = abp_ratio_metric(y.ravel(), center, tracker.delta, tracker.arr)
+        zeta = _reference_ratio_metric(y.ravel(), center, _delta(tracker), tracker.arr)
         z_hat = _reference_abp_predicted(tracker, pred.x, center)
     except MeasurementFailure:
         return pred, step_result()
@@ -425,10 +499,12 @@ class TestModelOracles:
         rng = np.random.default_rng(12)
         spacing = 2 * np.pi / cb.k
         for _ in range(500):
-            center = rng.choice(cb.axis_angles, 2)
+            index = rng.choice(cb.k, 2)
+            center = cb.axis_angles[index]
             # mostly inside the center beam, sometimes well outside it
             x = center + rng.uniform(-1.5, 1.5, 2) * spacing
-            axes = [tracker._axis_model(*a) for a in zip(x, center, dims, dims[::-1])]
+            beams = [w[i] for w, i in zip(tracker.weights, index)]
+            axes = [tracker._axis_model(*a) for a in zip(x, beams, dims[::-1])]
             z_hat, slopes, variances = (np.array(v) for v in zip(*axes))
             ref_z = _reference_abp_predicted(tracker, x, center)
             assert z_hat.tobytes() == ref_z.tobytes()

@@ -140,6 +140,14 @@ def test_run_simulates_each_trial_once(runner, tiny_config, tmp_path, monkeypatc
     {"detect_residual": 1e308, "detect_threshold": 1e-6},
     {"scheme": "abp", "abp_offset": 1e308},
     {"azimuth_range_deg": -0.0},
+    {"sigma_nb_sq": -1.0},
+    {"sigma_n_sq": -1.0, "q_n_mode": "fixed"},
+    {"scheme": "abp", "sigma_n_sq": -1.0, "abp_q_n": "fixed"},
+    {"scheme": "codebook", "gain_uncertainty_var": -5.0},
+    {"sigma_n_sq": -0.0},
+    {"sigma_nb_sq": -0.0},
+    {"gain_uncertainty_var": -0.0},
+    {"sigma_nb_sq": 1e308},
 ])
 def test_run_invalid_value_exits_2(runner, tmp_path, fields):
     bad = tmp_path / "bad.json"
@@ -179,6 +187,7 @@ def test_run_extreme_but_finite_values_exit_0(runner, tmp_path, fields):
 @pytest.mark.parametrize("field, limit", [
     # the largest variance whose square is finite
     ("gain_innovation_var", math.sqrt(sys.float_info.max)),
+    ("sigma_nb_sq", math.sqrt(sys.float_info.max)),
     # one period of the steering vectors
     ("sigma_u", 2 * math.pi),
     ("sigma_v", 2 * math.pi),

@@ -7,7 +7,8 @@ trials, codebook, Q_n window) are drawn only from small values or wrong
 types, so no example allocates more than a few MB.
 
 Random examples seldom set one field to an extreme with every other field at
-its default, so a second test runs each field at each extreme alone.
+its default, so a second test runs each field at each extreme alone and
+requires a finished run to have a finite, non-negative MSE and bound.
 """
 
 import dataclasses
@@ -95,4 +96,10 @@ def test_single_field_extreme_is_rejected_or_runs(field, scheme):
             cfg = ScenarioConfig(**{"frames": 3, "trials": 1, "scheme": scheme, field: value})
         except ConfigError:
             continue
-        run_experiment(cfg)
+        summary = run_experiment(cfg)
+        assert all(math.isfinite(m) and m >= 0 for m in summary.per_frame_mse), (field, value)
+        assert all(b is None or (math.isfinite(b) and b >= 0) for b in summary.per_frame_bound)
+        # a computed bound is never lost to an overflow: only frames without a bound have none
+        for rec in summary.trace:
+            if scheme == "proposed" and rec.meas_valid:
+                assert math.isfinite(rec.bound) and rec.bound >= 0, (field, value, rec)

@@ -110,7 +110,7 @@ class TestScenarioConfig:
 
     def test_pieces_built_once(self):
         cfg = small_cfg()
-        for piece in ("arr", "pilot", "detect", "f", "q_p", "theta", "codebook"):
+        for piece in ("arr", "pilot", "detect", "f", "q_p", "theta", "codebook", "abp_weights"):
             assert getattr(cfg, piece) is getattr(cfg, piece)
         assert cfg.squint == ABP_SQUINT_FACTOR / cfg.n_x
         assert small_cfg(abp_offset=0.1).squint == 0.1
@@ -179,6 +179,8 @@ class TestRunTrial:
             run_trial(small_cfg(), 0, "bogus")
         with pytest.raises(ConfigError, match="unknown scheme"):
             run_experiment(small_cfg(), "bogus")
+        with pytest.raises(ConfigError, match="unknown scheme"):
+            trial_ledger(small_cfg(), "bogus")
 
     def test_frame_indices_start_at_one(self):
         records = run_trial(small_cfg(frames=5), 0)

@@ -43,3 +43,34 @@ def test_purpose_tags_stable():
     assert rngmod.PURPOSES == {
         "init": 1, "process": 2, "gain": 3, "pilot": 4, "data": 5, "realign": 6,
     }
+
+
+def _fresh(seed, trial, frame, purpose):
+    """A new generator with the documented key, built the way numpy builds one."""
+    mix = rngmod._mix64
+    key_lo = mix(seed ^ mix(trial))
+    key_hi = mix((frame << 8) ^ rngmod.PURPOSES[purpose] ^ mix(seed + 0x5555))
+    return np.random.Generator(np.random.Philox(key=(key_lo, key_hi))), (key_lo, key_hi)
+
+
+def test_rekeyed_stream_draws_equal_a_fresh_generator():
+    purposes = list(rngmod.PURPOSES)
+    halves = set()
+    for i in range(1200):
+        key = (i % 7, i // 7 % 13, i // 91 + (i % 3) * 1000, purposes[i % len(purposes)])
+        fresh, (lo, hi) = _fresh(*key)
+        halves.add((lo >= 2**63, hi >= 2**63, key[3]))
+        got = rngmod.stream(*key)
+        assert np.array_equal(got.normal(size=5), fresh.normal(size=5)), key
+        assert np.array_equal(got.uniform(-1.0, 1.0, 3), fresh.uniform(-1.0, 1.0, 3)), key
+        # leaves half a word buffered, which the next key must not see
+        assert got.integers(2**32, dtype=np.uint32) == fresh.integers(2**32, dtype=np.uint32)
+    # every purpose with each half below and at or above 2**63
+    assert halves == {(a, b, p) for a in (False, True) for b in (False, True) for p in purposes}
+
+
+def test_second_call_rekeys_the_first_generator():
+    first = rngmod.stream(0, 1, 2, "pilot")
+    second = rngmod.stream(0, 1, 3, "pilot")
+    assert first is second
+    assert np.array_equal(first.normal(size=4), _fresh(0, 1, 3, "pilot")[0].normal(size=4))

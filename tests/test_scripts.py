@@ -73,3 +73,17 @@ def test_bench_record_writes_every_workload_and_criterion(tmp_path):
             assert run["conditions"]["src_loc"] > 0
         assert {"tf_per_ref_s", "peak_rss_mb", "setup_s"} <= set(timed["metrics"])
         assert "rng.stream.calls" in traced["metrics"]
+
+
+def test_bench_pairs_reports_each_metric_with_wins():
+    # this checkout as both sides: the script only has to run and report
+    lines = run_script("bench_pairs.py", "--parent", str(ROOT), "--workload", "cli-runs",
+                       "--pairs", "2", "--seconds", "0.1", "--tiny")
+    assert lines[0].startswith("workload cli-runs  pairs 2")
+    assert lines[1].startswith("parent: failed 0 of ") and lines[1].endswith("correct True")
+    assert lines[2].startswith("change: failed 0 of ") and lines[2].endswith("correct True")
+    summaries = [line for line in lines if "change/parent" in line]
+    assert len(summaries) == 3
+    assert all("wins " in line and "/2  gain holds " in line for line in summaries)
+    for name in ("tf_per_ref_s", "peak_rss_mb", "setup_s"):
+        assert any(line.startswith(f"{name} (") for line in lines)
