@@ -3,12 +3,10 @@
 from .channel import ArrayConfig, PilotConfig
 from .ekf import TrackerState
 from .harness import ScenarioConfig, run_experiment, run_trial
-from .misalign import DetectConfig
 from .monopulse import MonopulseMeasurement
 
 __all__ = [
     "ArrayConfig",
-    "DetectConfig",
     "MonopulseMeasurement",
     "PilotConfig",
     "ScenarioConfig",

@@ -35,11 +35,8 @@ _Q_N_FLOOR = 1e-8
 class Codebook:
     """Uniform spatial-angle beam grid with K beams per axis."""
 
-    k: int
     axis_angles: np.ndarray     # (K,), strictly increasing over [-pi, pi)
-    beam_angles: np.ndarray     # (K^2, 2) (u, v) pairs, x-major
-    weights: np.ndarray         # (N, K^2), unit-norm columns
-    w_h: np.ndarray             # weights.conj().T, the beamformer of every frame
+    w_h: np.ndarray             # (K^2, N) conjugated unit-norm beam weights, (u, v) x-major
     arr: ArrayConfig
 
     def nearest_axis_index(self, angle: float) -> int:
@@ -51,16 +48,8 @@ def build_codebook(k: int, arr: ArrayConfig) -> Codebook:
     if k < 1:
         raise ValueError("codebook needs at least one beam per axis")
     axis = -np.pi + 2.0 * np.pi * np.arange(k) / k
-    pairs = [(u, v) for u in axis for v in axis]
-    cols = [beamforming_weight(pair, arr) for pair in pairs]
-    return Codebook(
-        k=k,
-        axis_angles=axis,
-        beam_angles=np.array(pairs),
-        weights=np.array(cols).T,
-        w_h=np.array(cols).conj(),
-        arr=arr,
-    )
+    cols = [beamforming_weight((u, v), arr) for u in axis for v in axis]
+    return Codebook(axis_angles=axis, w_h=np.array(cols).conj(), arr=arr)
 
 
 def squinted_weights(centers: np.ndarray, delta: float, n: int) -> np.ndarray:

@@ -62,6 +62,8 @@ def _run_schemes(config_spec: str, seed: int | None, out: str | None,
         for s in schemes:
             if s not in SCHEMES:
                 raise ConfigError(f"unknown scheme {s!r}")
+            if s != cfg.scheme:
+                replace(cfg, scheme=s)  # a baseline scheme checks its codebook size
         out_dir = _out_dir(out)
     except ConfigError as exc:
         click.echo(f"config error: {exc}", err=True)

@@ -46,7 +46,7 @@ from .geometry import (
     evolve_state,
     rotation_matrix,
 )
-from .misalign import DetectConfig, DetectorState, detect_step
+from .misalign import DetectorState, detect_step, search_grid
 from .monopulse import extract_measurement
 
 SCHEMA_VERSION = 1
@@ -101,7 +101,7 @@ class ScenarioConfig:
     gain_uncertainty_var: float = 0.5   # codebook filter's design inflation
     sigma_nb_sq: float = 3e-5           # relaxed bound measurement variance
     detect_enabled: bool = True
-    detect_threshold: float | None = None       # None -> 0.89*pi/n_x
+    detect_threshold: float | None = None       # None -> 3dB beamwidth, see threshold
     detect_consecutive: int = 1
     detect_residual: float = 0.02
     seed: int = 0
@@ -145,16 +145,24 @@ class ScenarioConfig:
         # checked here, not by building the K^2-beam codebook
         if self.k_beams < 1:
             raise ConfigError("codebook_k must be >= 1")
+        if self.detect_consecutive < 1:
+            raise ConfigError("detect_consecutive must be >= 1")
         # the pieces a run reads check their own values; build them now
         try:
-            for piece in ("arr", "pilot", "detect", "f", "q_p", "theta"):
+            for piece in ("arr", "pilot", "f", "q_p", "theta"):
                 getattr(self, piece)
+            # numpy describes no array of more bytes than an intp counts: the complex snapshot
+            # (K^2 of them as a baseline's codebook weights), the float frames-long sums
+            beams = 1 if self.scheme == "proposed" else self.k_beams**2
+            if max(16 * beams * self.arr.n, 8 * self.frames) > np.iinfo(np.intp).max:
+                raise ValueError("n_x, n_y, codebook_k or frames size an array numpy cannot address")
+            if not 0 < self.threshold <= search_grid(self.n_x)[1]:
+                raise ValueError("detect_threshold must lie in (0, the search grid extent]")
             if not 0 < self.squint <= math.pi:
                 raise ValueError("the ABP squint offset must lie in (0, pi]")
             InnovationNoiseEstimator(window=self.q_n_window)
             jacobian(np.zeros(2), self.jacobian_mode)
             angles_to_spatial(0.0, 0.0, self.d_over_lambda)
-            initial_state(np.zeros(2), self.sigma_init)
             # the baselines' measurement noise terms must stay in the float range
             AbpTracker.noise_terms(self)
             if not math.isfinite(CodebookTracker.noise_var(self)):
@@ -183,15 +191,9 @@ class ScenarioConfig:
         return PilotConfig(snr_db=self.snr_db, snr_reference=self.snr_reference)
 
     @cached_property
-    def detect(self) -> DetectConfig:
-        overrides = dict(
-            consecutive_required=self.detect_consecutive,
-            residual_after_realign=self.detect_residual,
-            enabled=self.detect_enabled,
-        )
-        if self.detect_threshold is not None:
-            overrides["threshold"] = self.detect_threshold
-        return DetectConfig.for_array(self.n_x, **overrides)
+    def threshold(self) -> float:
+        """Detector threshold p_th on the error norm; by default the 3dB beamwidth."""
+        return 0.89 * np.pi / self.n_x if self.detect_threshold is None else self.detect_threshold
 
     @cached_property
     def f(self) -> np.ndarray:
@@ -338,7 +340,7 @@ def tracker_class(scheme: str) -> type:
 def run_trial(cfg: ScenarioConfig, trial_index: int, scheme: str | None = None) -> list[FrameRecord]:
     """Simulate one trial; deterministic given (cfg.seed, trial_index)."""
     tracker_cls = tracker_class(cfg.scheme if scheme is None else scheme)
-    arr, pilot, detect_cfg = cfg.arr, cfg.pilot, cfg.detect
+    arr, pilot = cfg.arr, cfg.pilot
     sigma = (cfg.sigma_u, cfg.sigma_v)
 
     init_rng = rngmod.stream(cfg.seed, trial_index, 0, "init")
@@ -370,7 +372,7 @@ def run_trial(cfg: ScenarioConfig, trial_index: int, scheme: str | None = None) 
         r_d = beamformed_signal(w, h.ravel(), pilot, rngmod.stream(*key, "data"))
         p_r = float(abs(r_d) ** 2 / (arr.n * abs(alpha) ** 2))
 
-        est = detect_step(p_r, detect_cfg, arr, detector)
+        est = detect_step(p_r, cfg, detector)
 
         xi = truth - x_hat
         records.append(
@@ -393,7 +395,7 @@ def run_trial(cfg: ScenarioConfig, trial_index: int, scheme: str | None = None) 
 
         if est.realigned:
             realign_rng = rngmod.stream(*key, "realign")
-            truth = realign_rng.normal(0.0, detect_cfg.residual_after_realign, 2)
+            truth = realign_rng.normal(0.0, cfg.detect_residual, 2)
             tracker.reinitialize(initial_state(np.zeros(2), cfg.sigma_init))
 
     return records

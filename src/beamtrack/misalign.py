@@ -13,45 +13,21 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .channel import ArrayConfig
 
+if TYPE_CHECKING:
+    from .harness import ScenarioConfig
 
-@dataclass(frozen=True)
-class DetectConfig:
-    """Grid, threshold, and realignment parameters for an n_x-element axis."""
 
-    grid_step: float            # Delta
-    grid_max: float             # gamma, below the first null 2*pi/N_x
-    threshold: float            # p_th, radians of error norm
-    consecutive_required: int = 1
-    residual_after_realign: float = 0.02
-    enabled: bool = True
-
-    def __post_init__(self):
-        if not (0 < self.grid_step < self.grid_max):
-            raise ValueError("need 0 < grid_step < grid_max")
-        if not (0 < self.threshold <= self.grid_max):
-            raise ValueError("need 0 < threshold <= grid_max")
-        if self.residual_after_realign < 0:
-            raise ValueError("residual_after_realign must be non-negative")
-        if self.consecutive_required < 1:
-            raise ValueError("consecutive_required must be >= 1")
-
-    @staticmethod
-    def for_array(n_x: int, **overrides) -> "DetectConfig":
-        """Defaults: Delta = (2pi/N_x)/1000, gamma = 0.95*(2pi/N_x),
-        threshold = 3dB beamwidth 0.89*pi/N_x."""
-        null = 2.0 * np.pi / n_x
-        kw = dict(
-            grid_step=null / 1000.0,
-            grid_max=0.95 * null,
-            threshold=0.89 * np.pi / n_x,
-        )
-        kw.update(overrides)
-        return DetectConfig(**kw)
+def search_grid(n_x: int) -> tuple[float, float]:
+    """Inversion grid step Delta = (2pi/N_x)/1000 and extent gamma = 0.95*(2pi/N_x),
+    below the first null 2pi/N_x."""
+    null = 2.0 * np.pi / n_x
+    return null / 1000.0, 0.95 * null
 
 
 @dataclass(frozen=True)
@@ -86,20 +62,15 @@ def received_power(x: np.ndarray, est: np.ndarray, arr: ArrayConfig) -> float:
     return float(gx**2 * gy**2)
 
 
-def approx_power(xi_norm: float, n_x: int) -> float:
-    """Main-lobe approximation cos^4(n_x * ||xi|| / 4) for a square array."""
-    if not (0 <= xi_norm <= 2.0 * np.pi / n_x):
-        raise ValueError("error norm outside the main lobe")
-    return float(np.cos(n_x * xi_norm / 4.0) ** 4)
-
-
 @lru_cache(maxsize=16)
-def _power_table(n_x: int, n_y: int, grid_step: float, grid_max: float):
-    """Search-grid powers sorted ascending, with their norms and tie tolerance.
+def _power_table(n_x: int, n_y: int):
+    """Main-lobe powers of the search grid sorted ascending, with their norms and
+    tie tolerance; the one place the cos^4 power model is written.
 
     Square arrays search a 1-D grid of norms, rectangular arrays a 2-D mesh of
     at most 201 x 201.  Read-only memoryviews, so lookups see Python floats.
     """
+    grid_step, grid_max = search_grid(n_x)
     if n_y == n_x:
         norms = np.arange(0.0, grid_max + grid_step / 2.0, grid_step)
         vals, tol = np.cos(n_x * norms / 4.0) ** 4, 0.0
@@ -113,12 +84,7 @@ def _power_table(n_x: int, n_y: int, grid_step: float, grid_max: float):
     return memoryview(vals[order]).toreadonly(), memoryview(norms[order]).toreadonly(), tol
 
 
-def estimate_error_norm(
-    p_r: float,
-    cfg: DetectConfig,
-    n_x: int,
-    n_y: int | None = None,
-) -> float:
+def estimate_error_norm(p_r: float, n_x: int, n_y: int | None = None) -> float:
     """Grid inversion of the power approximation; ties go to the smaller norm.
 
     For rectangular arrays (n_y != n_x) the search extends over the 2-D
@@ -129,7 +95,7 @@ def estimate_error_norm(
     if p_r < 0:
         raise ValueError("power must be non-negative")
     p = min(p_r, 1.0)
-    vals, norms, tol = _power_table(n_x, n_y or n_x, cfg.grid_step, cfg.grid_max)
+    vals, norms, tol = _power_table(n_x, n_y or n_x)
     i = bisect_left(vals, p)
     # fl(p - v) is monotone in v, so the (near-)best fits form one run of the
     # sorted table; bracket it with a few ulps to spare and search only that
@@ -141,25 +107,21 @@ def estimate_error_norm(
     return min(n for e, n in zip(err, norms[lo:hi]) if e <= cut)
 
 
-def detect_step(
-    p_r: float,
-    cfg: DetectConfig,
-    arr: ArrayConfig,
-    det: DetectorState,
-) -> ErrorEstimate:
-    """One detection step; mutates the consecutive counter.
+def detect_step(p_r: float, cfg: ScenarioConfig, det: DetectorState) -> ErrorEstimate:
+    """One detection step on the scenario's array and detector fields; mutates the
+    consecutive counter.
 
     realigned=True means the caller must re-center the truth, re-initialize
     the tracker, and reset its own bookkeeping; the counter resets here.
     """
     clipped = p_r > 1.0
-    xi_hat = estimate_error_norm(p_r, cfg, arr.n_x, arr.n_y)
-    detected = bool(cfg.enabled and xi_hat > cfg.threshold)
+    xi_hat = estimate_error_norm(p_r, cfg.arr.n_x, cfg.arr.n_y)
+    detected = bool(cfg.detect_enabled and xi_hat > cfg.threshold)
     if detected:
         det.consecutive += 1
     else:
         det.consecutive = 0
-    realigned = det.consecutive >= cfg.consecutive_required
+    realigned = det.consecutive >= cfg.detect_consecutive
     if realigned:
         det.consecutive = 0
     return ErrorEstimate(

@@ -42,6 +42,16 @@ def _cfg(n_x=8, n_y=8, **kw):
     return ScenarioConfig(**{**base, **kw})
 
 
+def _beam_angles(cb):
+    """The codebook's (u, v) beam directions, x-major like the rows of w_h."""
+    return np.array([(u, v) for u in cb.axis_angles for v in cb.axis_angles])
+
+
+def _weights(cb):
+    """The codebook's (N, K^2) beam weights, unit-norm columns."""
+    return cb.w_h.conj().T
+
+
 def _h_vec(u, v, arr, gain=1.0 + 0.0j):
     return rank1_snapshot(u, v, arr, gain).ravel()
 
@@ -63,7 +73,7 @@ class TestCodebook:
         arr = ArrayConfig(2, 2)
         cb = build_codebook(1, arr)
         assert codebook_measurement(_h_vec(0.1, 0.2, arr), cb).shape == (2,)
-        assert cb.beam_angles.shape == (1, 2)
+        assert cb.axis_angles.shape == (1,) and cb.w_h.shape == (1, 4)
 
     def test_k8_measurement_length(self):
         arr = ArrayConfig(8, 8)
@@ -73,12 +83,12 @@ class TestCodebook:
     def test_columns_are_beamforming_weights(self):
         arr = ArrayConfig(4, 8)
         cb = build_codebook(4, arr)
-        for col, (u, v) in zip(cb.weights.T, cb.beam_angles):
+        for col, (u, v) in zip(_weights(cb).T, _beam_angles(cb)):
             assert np.array_equal(col, beamforming_weight(np.array([u, v]), arr))
 
     def test_unit_norm_weights(self):
         cb = build_codebook(4, ArrayConfig(4, 4))
-        assert np.allclose(np.linalg.norm(cb.weights, axis=0), 1.0, atol=1e-12)
+        assert np.allclose(np.linalg.norm(_weights(cb), axis=0), 1.0, atol=1e-12)
 
     def test_axis_angles_strictly_increasing(self):
         cb = build_codebook(8, ArrayConfig(8, 8))
@@ -93,8 +103,10 @@ class TestCodebook:
         assert cb.nearest_axis_index(cb.axis_angles[3] + 0.01) == 3
 
     def test_conjugate_weights_built_once(self):
-        cb = build_codebook(4, ArrayConfig(4, 8))
-        assert np.array_equal(cb.w_h, cb.weights.conj().T)
+        arr = ArrayConfig(4, 8)
+        cb = build_codebook(4, arr)
+        rows = [beamforming_weight(pair, arr).conj() for pair in _beam_angles(cb)]
+        assert np.array_equal(cb.w_h, np.array(rows))
 
 
 class TestCodebookMeasurement:
@@ -102,9 +114,9 @@ class TestCodebookMeasurement:
         arr = ArrayConfig(4, 4)
         cb = build_codebook(4, arr)
         j = 5
-        u, v = cb.beam_angles[j]
+        u, v = _beam_angles(cb)[j]
         z = codebook_measurement(_h_vec(u, v, arr), cb)
-        mags = np.hypot(z[: cb.k**2], z[cb.k**2:])
+        mags = np.hypot(z[:16], z[16:])
         assert mags[j] == pytest.approx(np.sqrt(arr.n), abs=1e-10)
         assert j == int(np.argmax(mags))
 
@@ -144,9 +156,9 @@ class TestCodebookJacobian:
         arr = ArrayConfig(4, 4)
         cb = build_codebook(4, arr)
         j = 6
-        x = cb.beam_angles[j].copy()
+        x = _beam_angles(cb)[j]
         z, g = codebook_model(x, cb, 1.0)
-        k2 = cb.k**2
+        k2 = 16
         # the aligned beam's response magnitude is at a pattern maximum, so
         # the derivative of |response_j|^2 vanishes: Re(conj(z_j) dz_j) = 0
         zc = z[j] + 1j * z[j + k2]
@@ -165,7 +177,7 @@ class TestCodebookJacobian:
 class TestCodebookTracker:
     def test_noiseless_convergence_within_five_frames(self):
         cfg = _cfg(4, 4, rho_gain=1.0, gain_uncertainty_var=0.0)
-        truth = cfg.codebook.beam_angles[5] + np.array([0.05, -0.03])
+        truth = _beam_angles(cfg.codebook)[5] + np.array([0.05, -0.03])
         tracker = CodebookTracker(cfg, initial_state(truth + np.array([0.02, 0.02]), 0.05))
         y = rank1_snapshot(truth[0], truth[1], cfg.arr)
         for _ in range(5):
@@ -333,7 +345,7 @@ class TestAbpWeights:
         cb, delta = cfg.codebook, cfg.squint
         assert cfg.abp_weights is cfg.abp_weights
         for table, n in zip(cfg.abp_weights, (arr.n_x, arr.n_y)):
-            assert table.shape == (cb.k, 3, n)
+            assert table.shape == (len(cb.axis_angles), 3, n)
             for c, rows in zip(cb.axis_angles, table):
                 for row, angle in zip(rows, (c + delta, c, c - delta)):
                     assert np.array_equal(row, steering_vector(angle, n) / np.sqrt(n))
@@ -376,13 +388,14 @@ def _stack(z):
 
 def _reference_codebook_predicted(x_pred, codebook, gain):
     h_vec = channel_matrix(1.0, x_pred, codebook.arr).ravel()
-    return _stack(gain * (codebook.weights.conj().T @ h_vec))
+    return _stack(gain * (_weights(codebook).conj().T @ h_vec))
 
 
 def _reference_codebook_jacobian(x_pred, codebook, gain=1.0 + 0.0j):
     du, dv = _reference_response_grad(x_pred, codebook.arr)
-    col_u = gain * (codebook.weights.conj().T @ du)
-    col_v = gain * (codebook.weights.conj().T @ dv)
+    weights = _weights(codebook)
+    col_u = gain * (weights.conj().T @ du)
+    col_v = gain * (weights.conj().T @ dv)
     return np.column_stack([_stack(col_u), _stack(col_v)])
 
 
@@ -497,9 +510,10 @@ class TestModelOracles:
         pilot = PilotConfig(snr_db=snr_db)
         cb, dims = tracker.codebook, (arr.n_x, arr.n_y)
         rng = np.random.default_rng(12)
-        spacing = 2 * np.pi / cb.k
+        k = len(cb.axis_angles)
+        spacing = 2 * np.pi / k
         for _ in range(500):
-            index = rng.choice(cb.k, 2)
+            index = rng.choice(k, 2)
             center = cb.axis_angles[index]
             # mostly inside the center beam, sometimes well outside it
             x = center + rng.uniform(-1.5, 1.5, 2) * spacing

@@ -148,6 +148,11 @@ def test_run_simulates_each_trial_once(runner, tiny_config, tmp_path, monkeypatc
     {"sigma_nb_sq": -0.0},
     {"gain_uncertainty_var": -0.0},
     {"sigma_nb_sq": 1e308},
+    # sizes whose arrays have more bytes than numpy can address
+    {"n_x": 2**63},
+    {"n_y": 2**62},
+    {"scheme": "abp", "codebook_k": 2**63},
+    {"frames": 2**63},
 ])
 def test_run_invalid_value_exits_2(runner, tmp_path, fields):
     bad = tmp_path / "bad.json"
@@ -157,6 +162,19 @@ def test_run_invalid_value_exits_2(runner, tmp_path, fields):
     assert result.output.startswith("config error: ")
     assert "Traceback" not in result.output
     assert not (tmp_path / "proposed_summary.json").exists()
+
+
+@pytest.mark.parametrize("args", [["run", "--scheme", "abp"], ["compare"]])
+def test_scheme_override_checks_codebook_size(runner, tmp_path, args):
+    # a proposed run builds no codebook; a baseline chosen on the command line does
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"frames": 3, "trials": 1, "codebook_k": 2**63}))
+    result = runner.invoke(main, [*args, "--config", str(cfg), "--out", str(tmp_path)])
+    assert result.exit_code == 2
+    assert result.output.startswith("config error: ")
+    assert not list(tmp_path.glob("*_summary.json"))
+    result = runner.invoke(main, ["run", "--config", str(cfg), "--out", str(tmp_path)])
+    assert result.exit_code == 0, result.output
 
 
 def test_run_accepts_infinite_snr(runner, tmp_path):

@@ -86,9 +86,11 @@ SINGLE_EXTREMES = [
 @pytest.mark.parametrize("scheme", SCHEMES)
 @pytest.mark.parametrize("field", FIELDS)
 def test_single_field_extreme_is_rejected_or_runs(field, scheme):
-    # size fields get small ints only: their upper bound is not checked
+    # size fields get small ints and 2**63, which sizes no array numpy can address;
+    # 2**63 trials is an endless run of small arrays, so trials gets no huge value
     if field in SIZE_FIELDS:
-        values = [v for v in SINGLE_EXTREMES if v != 2**53 + 1] + [2, 3, 4]
+        huge = [] if field == "trials" else [2**63]
+        values = [v for v in SINGLE_EXTREMES if v != 2**53 + 1] + [2, 3, 4] + huge
     else:
         values = SINGLE_EXTREMES
     for value in values:

@@ -1,4 +1,5 @@
-"""Golden outputs: sha256 of `track run` files for three presets x three schemes.
+"""Golden outputs: sha256 of `track run` files for three presets x three schemes,
+plus fig6 on an 8x16 array (the detector's rectangular mesh) with the proposed scheme.
 
 Each case runs in-process `track run` on a preset with trials=5 and seed 0,
 and hashes the trace CSV and the summary JSON it writes.  The hashes change
@@ -15,8 +16,11 @@ from click.testing import CliRunner
 from beamtrack.cli import main
 from beamtrack.presets import get_preset
 
-PRESETS = ("fig4a", "fig6", "fig9")
 SCHEMES = ("proposed", "codebook", "abp")
+# (label, preset, field overrides, schemes)
+CASES = [(name, name, {}, SCHEMES) for name in ("fig4a", "fig6", "fig9")] + [
+    ("fig6-8x16", "fig6", {"n_y": 16}, ("proposed",)),
+]
 
 GOLDEN = {
     "fig4a/abp_summary.json": "2f1a34d9c29f7c3fc93054ac23b58e96f454d03c34f461abfcfcba588b7882d2",
@@ -25,6 +29,8 @@ GOLDEN = {
     "fig4a/codebook_trace.csv": "2999c0940e7f8a53ea1ac6f6745b33daa00b0a7a26b8a0bab1a280fafeec962e",
     "fig4a/proposed_summary.json": "f9379a8fa3ad39d38364f7522fba21f00f1eaba980af22a2c8a9fa9cd11238d0",
     "fig4a/proposed_trace.csv": "eac26b0c65943d075ce4617818decb414df282f2447c6e864a1b868c996284f6",
+    "fig6-8x16/proposed_summary.json": "77ffae9ca762194484de8a8b51f6ba88582a839a28460743ef8a6acf201a6b1c",
+    "fig6-8x16/proposed_trace.csv": "5a0d68f3441fb7060c7fbb41e271c109e25b55142919415e72878d8d2d46d76c",
     "fig6/abp_summary.json": "4d5eb056d714aed609087221df94766c1776a329e769c2a5f354393f43a9a039",
     "fig6/abp_trace.csv": "ad3b44b186fd930bedd543afb2215bdf234b2f21b85dbadb5a61859806d56cc3",
     "fig6/codebook_summary.json": "1e6a75bce350f23bb246378b1e74109cde13691cab033595a04fce9b18d60d31",
@@ -43,11 +49,11 @@ GOLDEN = {
 def _actual_hashes(tmp_path) -> dict:
     runner = CliRunner()
     hashes = {}
-    for name in PRESETS:
-        cfg = dataclasses.replace(get_preset(name), trials=5, seed=0)
+    for name, preset, overrides, schemes in CASES:
+        cfg = dataclasses.replace(get_preset(preset), trials=5, seed=0, **overrides)
         cfg_path = tmp_path / f"{name}.json"
         cfg_path.write_text(json.dumps(cfg.to_dict()))
-        for scheme in SCHEMES:
+        for scheme in schemes:
             out = tmp_path / name
             result = runner.invoke(
                 main,

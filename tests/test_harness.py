@@ -110,7 +110,7 @@ class TestScenarioConfig:
 
     def test_pieces_built_once(self):
         cfg = small_cfg()
-        for piece in ("arr", "pilot", "detect", "f", "q_p", "theta", "codebook", "abp_weights"):
+        for piece in ("arr", "pilot", "threshold", "f", "q_p", "theta", "codebook", "abp_weights"):
             assert getattr(cfg, piece) is getattr(cfg, piece)
         assert cfg.squint == ABP_SQUINT_FACTOR / cfg.n_x
         assert small_cfg(abp_offset=0.1).squint == 0.1
