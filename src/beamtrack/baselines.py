@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .channel import ArrayConfig, beamforming_weight, steering_vector
+from .channel import beamforming_weight, noise_variance, steering_vector
 from .ekf import TrackerState, predict, step_result, update
 from .errors import MeasurementFailure
 
@@ -37,19 +37,17 @@ class Codebook:
 
     axis_angles: np.ndarray     # (K,), strictly increasing over [-pi, pi)
     w_h: np.ndarray             # (K^2, N) conjugated unit-norm beam weights, (u, v) x-major
-    arr: ArrayConfig
 
     def nearest_axis_index(self, angle: float) -> int:
         return int(np.argmin(np.abs(self.axis_angles - angle)))
 
 
-def build_codebook(k: int, arr: ArrayConfig) -> Codebook:
-    """DFT-style grid: K uniformly spaced spatial angles per axis."""
-    if k < 1:
-        raise ValueError("codebook needs at least one beam per axis")
+def build_codebook(cfg: ScenarioConfig) -> Codebook:
+    """DFT-style grid: K = cfg.k_beams uniformly spaced spatial angles per axis."""
+    k = cfg.k_beams
     axis = -np.pi + 2.0 * np.pi * np.arange(k) / k
-    cols = [beamforming_weight((u, v), arr) for u in axis for v in axis]
-    return Codebook(axis_angles=axis, w_h=np.array(cols).conj(), arr=arr)
+    cols = [beamforming_weight((u, v), cfg) for u in axis for v in axis]
+    return Codebook(axis_angles=axis, w_h=np.array(cols).conj())
 
 
 def squinted_weights(centers: np.ndarray, delta: float, n: int) -> np.ndarray:
@@ -75,18 +73,17 @@ def codebook_measurement(
 
 def codebook_model(
     x: np.ndarray,
-    codebook: Codebook,
+    cfg: ScenarioConfig,
     gain: complex,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Noiseless beam observations of the unit pilot at x, and their
-    analytic (2K^2 x 2) Jacobian, from one pair of steering vectors."""
-    arr = codebook.arr
-    ax = steering_vector(x[0], arr.n_x)
-    ay = steering_vector(x[1], arr.n_y)
-    w_h = codebook.w_h
+    """Noiseless observations of the unit pilot at x on the scenario's codebook beams,
+    and their analytic (2K^2 x 2) Jacobian, from one pair of steering vectors."""
+    ax = steering_vector(x[0], cfg.n_x)
+    ay = steering_vector(x[1], cfg.n_y)
+    w_h = cfg.codebook.w_h
     h_vec = (1.0 * np.outer(ax, ay.conj())).ravel()
-    dax = -1j * np.arange(arr.n_x) * ax
-    day = -1j * np.arange(arr.n_y) * ay
+    dax = -1j * np.arange(cfg.n_x) * ax
+    day = -1j * np.arange(cfg.n_y) * ay
     # d vec(a_x a_y^H) / du and / dv; conj of a_y picks up +j*m
     du = np.outer(dax, ay.conj()).ravel()
     dv = np.outer(ax, (day.conj())).ravel()
@@ -105,11 +102,8 @@ class CodebookTracker:
     """
 
     def __init__(self, cfg: ScenarioConfig, state: TrackerState):
-        self.codebook = cfg.codebook
-        self.f = cfg.f
-        self.q_p = cfg.q_p
+        self.cfg = cfg
         self.state = state
-        self.gain_rho = cfg.rho_gain
         self.alpha_pred = 1.0 + 0.0j
         self.q_n = self.noise_var(cfg) * np.eye(2 * cfg.k_beams**2)
 
@@ -121,19 +115,19 @@ class CodebookTracker:
         uncertainty scaled by the mean beam power; DFT beams are near-orthonormal, so Q_n
         is this times I.  A gain without innovations never varies and adds no uncertainty
         (evolve_gain's literal default variance is positive for every |rho| <= 1)."""
-        n, k, giv = cfg.arr.n, cfg.k_beams, cfg.gain_innovation_var
+        n, k, giv = cfg.n, cfg.k_beams, cfg.gain_innovation_var
         guv = cfg.gain_uncertainty_var if giv is None or giv > 0 else 0.0
-        return cfg.pilot.noise_variance(1.0, n) / 2.0 + 0.5 * guv * n / k**2
+        return noise_variance(cfg, 1.0, n) / 2.0 + 0.5 * guv * n / k**2
 
     def step(self, y: np.ndarray) -> dict:
-        self.alpha_pred *= self.gain_rho
-        pred = predict(self.state, self.f, self.q_p)
-        z = codebook_measurement(y.ravel(), self.codebook)
-        z_hat, g = codebook_model(pred.x, self.codebook, self.alpha_pred)
+        cfg = self.cfg
+        self.alpha_pred *= cfg.rho_gain
+        pred = predict(self.state, cfg.f, cfg.q_p)
+        z = codebook_measurement(y.ravel(), cfg.codebook)
+        z_hat, g = codebook_model(pred.x, cfg, self.alpha_pred)
         try:
             self.state, innovation, _ = update(pred, z, g, self.q_n, z_hat)
-        except np.linalg.LinAlgError:
-            # S = G P G^T + Q_n is singular when Q_n is negligible next to G P G^T
+        except MeasurementFailure:
             self.state = pred
             return step_result()
         return step_result(innovation)
@@ -182,14 +176,8 @@ class AbpTracker:
     _FD_STEP = 1e-5
 
     def __init__(self, cfg: ScenarioConfig, state: TrackerState):
-        self.codebook = cfg.codebook
-        self.weights = cfg.abp_weights
-        self.f = cfg.f
-        self.q_p = cfg.q_p
+        self.cfg = cfg
         self.state = state
-        self.sigma_n_sq = cfg.sigma_n_sq
-        self.q_n_source = cfg.abp_q_n
-        self.arr = cfg.arr
         self.sigma2, self.sigma2_sq = self.noise_terms(cfg)
 
     frame_cost = staticmethod(lambda k2: (2, k2))  # (measurement size, pilot slots) per frame
@@ -198,12 +186,13 @@ class AbpTracker:
     def noise_terms(cfg: ScenarioConfig) -> tuple[float, float]:
         """Element noise variance at unit gain and its square, the delta-method Q_n's
         noise terms; OverflowError where the square leaves the float range."""
-        sigma2 = cfg.pilot.noise_variance(1.0, cfg.arr.n)
+        sigma2 = noise_variance(cfg, 1.0, cfg.n)
         return sigma2, sigma2**2
 
     def _beams(self, x_pred: np.ndarray) -> list[np.ndarray]:
         """Each axis's squinted weights around the codebook axis angle nearest x_pred."""
-        return [w[self.codebook.nearest_axis_index(a)] for w, a in zip(self.weights, x_pred)]
+        nearest = self.cfg.codebook.nearest_axis_index
+        return [w[nearest(a)] for w, a in zip(self.cfg.abp_weights, x_pred)]
 
     def _axis_model(
         self, u: float, beams: np.ndarray, n_other: int
@@ -216,8 +205,8 @@ class AbpTracker:
         ends = [abp_ratio_curve(u + s, beams) for s in (h, -h)]
         slope = (ends[0] - ends[1]) / (2 * h)
         zeta = _pair_ratio(p_plus, p_minus)
-        if self.q_n_source == "fixed":
-            return zeta, slope, self.sigma_n_sq
+        if self.cfg.abp_q_n == "fixed":
+            return zeta, slope, self.cfg.sigma_n_sq
         # cross-axis pattern scales both powers; it cancels in zeta but
         # sets the per-beam signal level seen against the element noise
         p_plus *= n_other
@@ -230,17 +219,18 @@ class AbpTracker:
         return zeta, slope, max(dzp**2 * var_p + dzm**2 * var_m, _Q_N_FLOOR)
 
     def step(self, y: np.ndarray) -> dict:
-        pred = predict(self.state, self.f, self.q_p)
+        cfg = self.cfg
+        pred = predict(self.state, cfg.f, cfg.q_p)
         beams = self._beams(pred.x)
         try:
             zeta = abp_ratio_metric(y.ravel(), *beams)
-            others = (self.arr.n_y, self.arr.n_x)
-            axes = [self._axis_model(*a) for a in zip(pred.x, beams, others)]
+            axes = [self._axis_model(*a) for a in zip(pred.x, beams, (cfg.n_y, cfg.n_x))]
+            z_hat, slopes, variances = (np.array(v) for v in zip(*axes))
+            q_n = np.diag(variances)
+            self.state, innovation, _ = update(pred, zeta, np.diag(slopes), q_n, z_hat)
         except MeasurementFailure:
             self.state = pred
             return step_result()
-        z_hat, slopes, variances = (np.array(v) for v in zip(*axes))
-        self.state, innovation, _ = update(pred, zeta, np.diag(slopes), np.diag(variances), z_hat)
         return step_result(innovation)
 
     def reinitialize(self, state: TrackerState):

@@ -8,32 +8,18 @@ directly through a quoted SNR.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-
-@dataclass(frozen=True)
-class ArrayConfig:
-    """Uniform planar array dimensions."""
-
-    n_x: int
-    n_y: int
-
-    def __post_init__(self):
-        if self.n_x < 2 or self.n_y < 2:
-            raise ValueError("monopulse extraction needs at least 2 elements per axis")
-
-    @property
-    def n(self) -> int:
-        return self.n_x * self.n_y
+if TYPE_CHECKING:
+    from .harness import ScenarioConfig
 
 
-@dataclass(frozen=True)
-class PilotConfig:
-    """The quoted SNR of the unit pilot and data symbols.
+def noise_variance(cfg: ScenarioConfig, element_signal_power: float, n_elements: int) -> float:
+    """Per-element complex noise variance implied by the scenario's quoted SNR.
 
-    snr_reference selects how the quoted SNR maps to per-element noise
+    cfg.snr_reference selects how the quoted SNR maps to per-element noise
     variance given the per-element signal power |H(n,m)|^2:
 
     - "element": sigma^2 = |H|^2 / SNR (per-element received SNR)
@@ -41,21 +27,11 @@ class PilotConfig:
       to the aggregate array signal energy, which is the convention that
       reproduces the measurement-noise magnitudes of the reference results.
     """
-
-    snr_db: float
-    snr_reference: str = "array"
-
-    def __post_init__(self):
-        if self.snr_reference not in ("element", "array"):
-            raise ValueError("snr_reference must be 'element' or 'array'")
-
-    def noise_variance(self, element_signal_power: float, n_elements: int) -> float:
-        """Per-element complex noise variance implied by the quoted SNR."""
-        snr_lin = 10.0 ** (self.snr_db / 10.0)
-        var = element_signal_power / snr_lin
-        if self.snr_reference == "array":
-            var /= n_elements
-        return var
+    snr_lin = 10.0 ** (cfg.snr_db / 10.0)
+    var = element_signal_power / snr_lin
+    if cfg.snr_reference == "array":
+        var /= n_elements
+    return var
 
 
 def steering_vector(u: float, n: int) -> np.ndarray:
@@ -65,10 +41,10 @@ def steering_vector(u: float, n: int) -> np.ndarray:
     return np.exp(-1j * u * np.arange(n))
 
 
-def channel_matrix(gain: complex, x: np.ndarray, arr: ArrayConfig) -> np.ndarray:
+def channel_matrix(gain: complex, x: np.ndarray, cfg: ScenarioConfig) -> np.ndarray:
     """Rank-one channel H = gain * a_x(u) a_y(v)^H at x = [u, v], shape (n_x, n_y)."""
-    ax = steering_vector(x[0], arr.n_x)
-    ay = steering_vector(x[1], arr.n_y)
+    ax = steering_vector(x[0], cfg.n_x)
+    ay = steering_vector(x[1], cfg.n_y)
     return gain * np.outer(ax, ay.conj())
 
 
@@ -103,32 +79,25 @@ def complex_noise(shape, variance: float, rng: np.random.Generator) -> np.ndarra
     return rng.normal(0.0, s, shape) + 1j * rng.normal(0.0, s, shape)
 
 
-def synthesize_rx(
-    h: np.ndarray,
-    pilot: PilotConfig,
-    rng: np.random.Generator,
-) -> np.ndarray:
+def synthesize_rx(h: np.ndarray, cfg: ScenarioConfig, rng: np.random.Generator) -> np.ndarray:
     """Pilot-phase snapshot Y = H + N (unit pilot) with SNR-calibrated element noise."""
     element_power = float(np.mean(np.abs(h) ** 2))
-    var = pilot.noise_variance(element_power, h.size)
+    var = noise_variance(cfg, element_power, h.size)
     return h + complex_noise(h.shape, var, rng)
 
 
-def beamforming_weight(x: np.ndarray, arr: ArrayConfig) -> np.ndarray:
+def beamforming_weight(x: np.ndarray, cfg: ScenarioConfig) -> np.ndarray:
     """Unit-norm conjugate-steering weight toward the direction x = [u, v].
 
     Returns vec(w_x w_y^H) of length N; vec() is row-major over (x, y).
     """
-    wx = steering_vector(x[0], arr.n_x) / np.sqrt(arr.n_x)
-    wy = steering_vector(x[1], arr.n_y) / np.sqrt(arr.n_y)
+    wx = steering_vector(x[0], cfg.n_x) / np.sqrt(cfg.n_x)
+    wy = steering_vector(x[1], cfg.n_y) / np.sqrt(cfg.n_y)
     return np.outer(wx, wy.conj()).ravel()
 
 
 def beamformed_signal(
-    w: np.ndarray,
-    h_vec: np.ndarray,
-    pilot: PilotConfig,
-    rng: np.random.Generator,
+    w: np.ndarray, h_vec: np.ndarray, cfg: ScenarioConfig, rng: np.random.Generator
 ) -> complex:
     """Data-phase combiner output r = w^H h + w^H n for the unit data symbol.
 
@@ -136,6 +105,6 @@ def beamformed_signal(
     variance.
     """
     element_power = float(np.mean(np.abs(h_vec) ** 2))
-    var = pilot.noise_variance(element_power, h_vec.size)
+    var = noise_variance(cfg, element_power, h_vec.size)
     n = complex_noise(h_vec.shape, var, rng)
     return complex(np.vdot(w, h_vec) + np.vdot(w, n))

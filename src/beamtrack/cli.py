@@ -50,7 +50,8 @@ def _run_schemes(config_spec: str, seed: int | None, out: str | None,
                  schemes: list[str] | None) -> None:
     """Load the scenario, then run and emit each scheme (None: the scenario's own).
 
-    A configuration error exits with EXIT_CONFIG before anything runs.
+    A configuration error exits with EXIT_CONFIG before anything runs; so does a valid
+    size that does not fit in memory, once a run meets it.
     """
     try:
         cfg = _load_config(config_spec)
@@ -69,7 +70,11 @@ def _run_schemes(config_spec: str, seed: int | None, out: str | None,
         click.echo(f"config error: {exc}", err=True)
         sys.exit(EXIT_CONFIG)
     for s in schemes:
-        summary = run_experiment(cfg, s)
+        try:
+            summary = run_experiment(cfg, s)
+        except MemoryError:
+            click.echo(f"config error: the {s} run does not fit in memory", err=True)
+            sys.exit(EXIT_CONFIG)
         try:
             emit_trace(summary.trace, out_dir / f"{s}_trace.csv")
             emit_summary(summary, out_dir / f"{s}_summary.json")

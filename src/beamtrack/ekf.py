@@ -11,6 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import MeasurementFailure
+
 
 @dataclass(frozen=True)
 class TrackerState:
@@ -36,15 +38,15 @@ def jacobian(x_pred: np.ndarray, mode: str = "paper-approx") -> np.ndarray:
     """Measurement Jacobian G at the predicted state.
 
     "paper-approx" returns the constant 0.5 * I; "exact" returns
-    diag(0.5 sec^2(u/2), 0.5 sec^2(v/2)) and rejects angles at the tan
-    singularity.
+    diag(0.5 sec^2(u/2), 0.5 sec^2(v/2)) and fails the frame's measurement
+    (MeasurementFailure) at the tan singularity.
     """
     if mode == "paper-approx":
         return 0.5 * np.eye(2)
     if mode == "exact":
         x = np.asarray(x_pred, dtype=float)
         if np.any(np.abs(x) >= np.pi - 1e-6):
-            raise ValueError("exact Jacobian singular at |angle| -> pi")
+            raise MeasurementFailure("exact Jacobian singular at |angle| -> pi")
         return np.diag(0.5 / np.cos(x / 2.0) ** 2)
     raise ValueError(f"unknown Jacobian mode {mode!r}")
 
@@ -60,13 +62,17 @@ def update(
 
     innovation = r - r_hat, where r_hat defaults to the monopulse model
     g(x^-); K = P^- G^T S^-1; P = P^- - K S K^T, symmetrized against
-    round-off drift.
+    round-off drift.  A singular S (Q_n negligible next to G P^- G^T) is a
+    MeasurementFailure: the frame gets no update.
     """
     if r_hat is None:
         r_hat = measurement_fn(pred.x)
     innovation = np.asarray(r, dtype=float) - r_hat
     s = g_mat @ pred.p @ g_mat.T + q_n
-    k = np.linalg.solve(s.T, (pred.p @ g_mat.T).T).T
+    try:
+        k = np.linalg.solve(s.T, (pred.p @ g_mat.T).T).T
+    except np.linalg.LinAlgError as exc:
+        raise MeasurementFailure(f"singular innovation covariance: {exc}") from exc
     x_new = pred.x + k @ innovation
     p_new = _symmetrize(pred.p - k @ s @ k.T)
     return TrackerState(x=x_new, p=p_new), innovation, k

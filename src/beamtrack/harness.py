@@ -21,15 +21,8 @@ from . import rng as rngmod
 from .analysis import bound_step
 from .baselines import (ABP_SQUINT_FACTOR, AbpTracker, Codebook, CodebookTracker, build_codebook,
                         squinted_weights)
-from .channel import (
-    ArrayConfig,
-    PilotConfig,
-    beamformed_signal,
-    beamforming_weight,
-    channel_matrix,
-    evolve_gain,
-    synthesize_rx,
-)
+from .channel import (beamformed_signal, beamforming_weight, channel_matrix, evolve_gain,
+                      synthesize_rx)
 from .ekf import (
     InnovationNoiseEstimator,
     TrackerState,
@@ -142,19 +135,23 @@ class ScenarioConfig:
         if giv is not None and giv < sys.float_info.min and abs(self.rho_gain) < 1:
             raise ConfigError(
                 "gain_innovation_var below the smallest normal float needs |rho_gain| = 1")
+        if self.n_x < 2 or self.n_y < 2:
+            raise ConfigError("monopulse extraction needs at least 2 elements per axis")
         # checked here, not by building the K^2-beam codebook
         if self.k_beams < 1:
             raise ConfigError("codebook_k must be >= 1")
         if self.detect_consecutive < 1:
             raise ConfigError("detect_consecutive must be >= 1")
+        if self.snr_reference not in ("element", "array"):
+            raise ConfigError("snr_reference must be 'element' or 'array'")
         # the pieces a run reads check their own values; build them now
         try:
-            for piece in ("arr", "pilot", "f", "q_p", "theta"):
+            for piece in ("f", "q_p", "theta"):
                 getattr(self, piece)
             # numpy describes no array of more bytes than an intp counts: the complex snapshot
             # (K^2 of them as a baseline's codebook weights), the float frames-long sums
             beams = 1 if self.scheme == "proposed" else self.k_beams**2
-            if max(16 * beams * self.arr.n, 8 * self.frames) > np.iinfo(np.intp).max:
+            if max(16 * beams * self.n, 8 * self.frames) > np.iinfo(np.intp).max:
                 raise ValueError("n_x, n_y, codebook_k or frames size an array numpy cannot address")
             if not 0 < self.threshold <= search_grid(self.n_x)[1]:
                 raise ValueError("detect_threshold must lie in (0, the search grid extent]")
@@ -174,9 +171,10 @@ class ScenarioConfig:
 
     # derived pieces, built once -----------------------------------
 
-    @cached_property
-    def arr(self) -> ArrayConfig:
-        return ArrayConfig(self.n_x, self.n_y)
+    @property
+    def n(self) -> int:
+        """Element count N = n_x * n_y."""
+        return self.n_x * self.n_y
 
     @property
     def psi_value(self) -> float:
@@ -185,10 +183,6 @@ class ScenarioConfig:
     @property
     def k_beams(self) -> int:
         return self.n_x if self.codebook_k is None else self.codebook_k
-
-    @cached_property
-    def pilot(self) -> PilotConfig:
-        return PilotConfig(snr_db=self.snr_db, snr_reference=self.snr_reference)
 
     @cached_property
     def threshold(self) -> float:
@@ -217,7 +211,7 @@ class ScenarioConfig:
     @cached_property
     def codebook(self) -> Codebook:
         """The K^2-beam grid of the baselines, built on first use."""
-        return build_codebook(self.k_beams, self.arr)
+        return build_codebook(self)
 
     @cached_property
     def abp_weights(self) -> tuple[np.ndarray, ...]:
@@ -284,13 +278,9 @@ class ProposedTracker:
     frame_cost = staticmethod(lambda k2: (2, 1))  # (measurement size, pilot slots) per frame
 
     def __init__(self, cfg: ScenarioConfig, state: TrackerState):
-        self.arr = cfg.arr
-        self.f = cfg.f
-        self.q_p = cfg.q_p
+        self.cfg = cfg
         self.state = state
-        self.jacobian_mode = cfg.jacobian_mode
         self.q_n_prior = np.eye(2) * cfg.sigma_n_sq
-        self.q_n_mode = cfg.q_n_mode
         # floor the estimate at a tenth of the design prior: an estimate
         # near zero (transient-biased window) would saturate the gain and
         # inject raw measurement noise into the state
@@ -301,24 +291,23 @@ class ProposedTracker:
         self.q_n_relaxed = np.eye(2) * cfg.sigma_nb_sq   # the bound's Q_n'
 
     def step(self, y: np.ndarray) -> dict:
+        cfg = self.cfg
         p_prev = self.state.p
-        pred = predict(self.state, self.f, self.q_p)
+        pred = predict(self.state, cfg.f, cfg.q_p)
         try:
-            meas = extract_measurement(y, self.arr)
+            meas = extract_measurement(y, cfg)
+            g = jacobian(pred.x, cfg.jacobian_mode)
+            if cfg.q_n_mode == "estimated":
+                q_n = self.estimator.estimate(self.q_n_prior)
+            else:
+                q_n = self.q_n_prior
+            self.state, innovation, k = update(pred, meas.r, g, q_n)
         except MeasurementFailure:
             self.state = pred
             return step_result()
-        g = jacobian(pred.x, self.jacobian_mode)
-        if self.q_n_mode == "estimated":
-            q_n = self.estimator.estimate(self.q_n_prior)
-        else:
-            q_n = self.q_n_prior
         self.last_q_n = q_n
-        self.state, innovation, k = update(pred, meas.r, g, q_n)
         self.estimator.push(innovation, g, pred.p)
-        return step_result(
-            innovation, bound_step(p_prev, k, g, self.f, self.q_p, self.q_n_relaxed)
-        )
+        return step_result(innovation, bound_step(p_prev, k, g, cfg.f, cfg.q_p, self.q_n_relaxed))
 
     def reinitialize(self, state: TrackerState):
         self.state = state
@@ -340,7 +329,6 @@ def tracker_class(scheme: str) -> type:
 def run_trial(cfg: ScenarioConfig, trial_index: int, scheme: str | None = None) -> list[FrameRecord]:
     """Simulate one trial; deterministic given (cfg.seed, trial_index)."""
     tracker_cls = tracker_class(cfg.scheme if scheme is None else scheme)
-    arr, pilot = cfg.arr, cfg.pilot
     sigma = (cfg.sigma_u, cfg.sigma_v)
 
     init_rng = rngmod.stream(cfg.seed, trial_index, 0, "init")
@@ -361,16 +349,16 @@ def run_trial(cfg: ScenarioConfig, trial_index: int, scheme: str | None = None) 
         alpha = evolve_gain(
             alpha, cfg.rho_gain, rngmod.stream(*key, "gain"), cfg.gain_innovation_var
         )
-        h = channel_matrix(alpha, truth, arr)
-        y = synthesize_rx(h, pilot, rngmod.stream(*key, "pilot"))
+        h = channel_matrix(alpha, truth, cfg)
+        y = synthesize_rx(h, cfg, rngmod.stream(*key, "pilot"))
 
         out = tracker.step(y)
         x_hat = tracker.state.x
 
         # data transmission phase: beamformed power toward the estimate
-        w = beamforming_weight(x_hat, arr)
-        r_d = beamformed_signal(w, h.ravel(), pilot, rngmod.stream(*key, "data"))
-        p_r = float(abs(r_d) ** 2 / (arr.n * abs(alpha) ** 2))
+        w = beamforming_weight(x_hat, cfg)
+        r_d = beamformed_signal(w, h.ravel(), cfg, rngmod.stream(*key, "data"))
+        p_r = float(abs(r_d) ** 2 / (cfg.n * abs(alpha) ** 2))
 
         est = detect_step(p_r, cfg, detector)
 

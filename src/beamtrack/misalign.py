@@ -17,8 +17,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .channel import ArrayConfig
-
 if TYPE_CHECKING:
     from .harness import ScenarioConfig
 
@@ -55,10 +53,10 @@ def _dirichlet_ratio(offset: float, n: int) -> float:
     return float(np.sin(n * offset / 2.0) / den)
 
 
-def received_power(x: np.ndarray, est: np.ndarray, arr: ArrayConfig) -> float:
+def received_power(x: np.ndarray, est: np.ndarray, cfg: ScenarioConfig) -> float:
     """Normalized beam-pattern power at offset x - est = (u-u_hat, v-v_hat); 1 at zero."""
-    gx = _dirichlet_ratio(x[0] - est[0], arr.n_x) / arr.n_x
-    gy = _dirichlet_ratio(x[1] - est[1], arr.n_y) / arr.n_y
+    gx = _dirichlet_ratio(x[0] - est[0], cfg.n_x) / cfg.n_x
+    gy = _dirichlet_ratio(x[1] - est[1], cfg.n_y) / cfg.n_y
     return float(gx**2 * gy**2)
 
 
@@ -115,7 +113,7 @@ def detect_step(p_r: float, cfg: ScenarioConfig, det: DetectorState) -> ErrorEst
     the tracker, and reset its own bookkeeping; the counter resets here.
     """
     clipped = p_r > 1.0
-    xi_hat = estimate_error_norm(p_r, cfg.arr.n_x, cfg.arr.n_y)
+    xi_hat = estimate_error_norm(p_r, cfg.n_x, cfg.n_y)
     detected = bool(cfg.detect_enabled and xi_hat > cfg.threshold)
     if detected:
         det.consecutive += 1

@@ -9,11 +9,14 @@ noiseless case.  Averaging over all adjacent pairs on each axis gives a
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .channel import ArrayConfig
 from .errors import DegenerateInputError, MeasurementFailure
+
+if TYPE_CHECKING:
+    from .harness import ScenarioConfig
 
 # Pairs whose sum magnitude falls below this fraction of the mean element
 # magnitude are dropped from the average: near |u| = pi the sum vanishes
@@ -60,10 +63,10 @@ def _pair_average(a: np.ndarray, b: np.ndarray) -> tuple[complex, int]:
     return complex(np.mean(num[keep] / den[keep])), excluded
 
 
-def extract_measurement(y: np.ndarray, arr: ArrayConfig) -> MonopulseMeasurement:
+def extract_measurement(y: np.ndarray, cfg: ScenarioConfig) -> MonopulseMeasurement:
     """Full monopulse measurement r = [Im Rx, Im Ry] from a raw snapshot."""
-    if y.shape != (arr.n_x, arr.n_y):
-        raise ValueError(f"snapshot shape {y.shape} does not match array {arr}")
+    if y.shape != (cfg.n_x, cfg.n_y):
+        raise ValueError(f"snapshot shape {y.shape} does not match the {cfg.n_x}x{cfg.n_y} array")
     y_norm = normalize_rx(y)
     rx, ex_x = _pair_average(y_norm[:-1, :], y_norm[1:, :])
     # columns carry e^{+j m v} (the channel conjugates a_y), so the pair

@@ -11,19 +11,20 @@ os.environ["OPENBLAS_NUM_THREADS"] = "1"
 import numpy as np  # noqa: E402
 import pytest
 
-from beamtrack.channel import ArrayConfig, channel_matrix
+from beamtrack.channel import channel_matrix
+from beamtrack.harness import ScenarioConfig
 
 
-def rank1_snapshot(u: float, v: float, arr: ArrayConfig, gain: complex = 1.0 + 0.0j) -> np.ndarray:
-    """Noiseless channel snapshot (unit pilot symbol) at spatial angles (u, v)."""
-    return channel_matrix(gain, np.array([u, v]), arr)
-
-
-@pytest.fixture
-def arr8() -> ArrayConfig:
-    return ArrayConfig(8, 8)
+def rank1_snapshot(u: float, v: float, cfg: ScenarioConfig, gain: complex = 1.0 + 0.0j) -> np.ndarray:
+    """Noiseless channel snapshot (unit pilot symbol) at spatial angles (u, v) on cfg's array."""
+    return channel_matrix(gain, np.array([u, v]), cfg)
 
 
 @pytest.fixture
-def arr4() -> ArrayConfig:
-    return ArrayConfig(4, 4)
+def cfg8() -> ScenarioConfig:
+    return ScenarioConfig(n_x=8, n_y=8)
+
+
+@pytest.fixture
+def cfg4() -> ScenarioConfig:
+    return ScenarioConfig(n_x=4, n_y=4)

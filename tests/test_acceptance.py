@@ -15,7 +15,6 @@ import pytest
 from click.testing import CliRunner
 
 from beamtrack import rng as rngmod
-from beamtrack.channel import ArrayConfig
 from beamtrack.cli import main as cli_main
 from beamtrack.ekf import TrackerState, update
 from beamtrack.geometry import elevation_from_geometry, rotation_matrix
@@ -46,7 +45,7 @@ def test_criterion_1_monopulse_exactness():
     start = time.perf_counter()
     worst = 0.0
     for nx, ny in ((2, 2), (4, 4), (8, 8), (16, 16)):
-        arr = ArrayConfig(nx, ny)
+        arr = ScenarioConfig(n_x=nx, n_y=ny)
         for _ in range(1000):
             u, v = rng.uniform(-2.0, 2.0, 2)
             meas = extract_measurement(rank1_snapshot(u, v, arr), arr)

@@ -5,20 +5,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from beamtrack.channel import (
-    ArrayConfig,
-    PilotConfig,
     beamformed_signal,
     beamforming_weight,
     channel_matrix,
     complex_noise,
     evolve_gain,
+    noise_variance,
     steering_vector,
     synthesize_rx,
 )
+from beamtrack.errors import ConfigError
+from beamtrack.harness import ScenarioConfig
 
 from conftest import rank1_snapshot
 
-NOISELESS = PilotConfig(snr_db=np.inf)
+NOISELESS4 = ScenarioConfig(n_x=4, n_y=4, snr_db=np.inf)
 
 
 class TestSteeringVector:
@@ -43,27 +44,27 @@ class TestSteeringVector:
 
 class TestChannelMatrix:
     def test_broadside_all_ones(self):
-        h = rank1_snapshot(0.0, 0.0, ArrayConfig(2, 2))
+        h = rank1_snapshot(0.0, 0.0, ScenarioConfig(n_x=2, n_y=2))
         assert np.allclose(h, np.ones((2, 2)), atol=1e-15)
 
     def test_corner_element_is_scalar_gain(self):
-        h = rank1_snapshot(0.7, -1.1, ArrayConfig(4, 4), gain=0.3 - 0.4j)
+        h = rank1_snapshot(0.7, -1.1, ScenarioConfig(n_x=4, n_y=4), gain=0.3 - 0.4j)
         assert h[0, 0] == pytest.approx(0.3 - 0.4j, abs=1e-15)
 
     def test_outer_product_by_hand(self):
         # u = pi/2, v = 0: rows [1, 1] and [-j, -j]
-        h = rank1_snapshot(np.pi / 2, 0.0, ArrayConfig(2, 2))
+        h = rank1_snapshot(np.pi / 2, 0.0, ScenarioConfig(n_x=2, n_y=2))
         assert np.allclose(h, [[1, 1], [-1j, -1j]], atol=1e-15)
 
     @given(u=st.floats(-np.pi, np.pi), v=st.floats(-np.pi, np.pi))
     @settings(max_examples=50)
     def test_rank_one(self, u, v):
-        h = rank1_snapshot(u, v, ArrayConfig(4, 6))
+        h = rank1_snapshot(u, v, ScenarioConfig(n_x=4, n_y=6))
         sv = np.linalg.svd(h, compute_uv=False)
         assert sv[1] < 1e-10 * sv[0]
 
     def test_constant_magnitude(self):
-        h = rank1_snapshot(0.9, -0.3, ArrayConfig(3, 5), gain=2.0j)
+        h = rank1_snapshot(0.9, -0.3, ScenarioConfig(n_x=3, n_y=5), gain=2.0j)
         assert np.allclose(np.abs(h), 2.0, atol=1e-12)
 
 
@@ -109,90 +110,85 @@ class TestEvolveGain:
 
 class TestSynthesizeRx:
     def test_noiseless_equals_signal(self):
-        h = rank1_snapshot(0.4, -0.2, ArrayConfig(4, 4))
-        y = synthesize_rx(h, NOISELESS, np.random.default_rng(0))
+        h = rank1_snapshot(0.4, -0.2, NOISELESS4)
+        y = synthesize_rx(h, NOISELESS4, np.random.default_rng(0))
         assert np.array_equal(y, h)
 
     def test_corner_recovers_channel(self):
-        h = rank1_snapshot(0.4, -0.2, ArrayConfig(4, 4), gain=1.0j)
-        y = synthesize_rx(h, NOISELESS, np.random.default_rng(0))
+        h = rank1_snapshot(0.4, -0.2, NOISELESS4, gain=1.0j)
+        y = synthesize_rx(h, NOISELESS4, np.random.default_rng(0))
         assert y[0, 0] == pytest.approx(h[0, 0])
 
     def test_empirical_element_snr(self):
-        pilot = PilotConfig(snr_db=10.0, snr_reference="element")
-        h = rank1_snapshot(0.3, 0.1, ArrayConfig(2, 2))
+        cfg = ScenarioConfig(n_x=2, n_y=2, snr_db=10.0, snr_reference="element")
+        h = rank1_snapshot(0.3, 0.1, cfg)
         sig_power = np.mean(np.abs(h) ** 2)
         rng = np.random.default_rng(7)
         noise_power = np.mean(
-            [np.mean(np.abs(synthesize_rx(h, pilot, rng) - h) ** 2) for _ in range(20_000)]
+            [np.mean(np.abs(synthesize_rx(h, cfg, rng) - h) ** 2) for _ in range(20_000)]
         )
         measured_db = 10 * np.log10(sig_power / noise_power)
         assert measured_db == pytest.approx(10.0, abs=0.1)
 
     def test_array_reference_scales_by_n(self):
-        pilot_e = PilotConfig(snr_db=10.0, snr_reference="element")
-        pilot_a = PilotConfig(snr_db=10.0, snr_reference="array")
-        assert pilot_a.noise_variance(1.0, 64) == pytest.approx(
-            pilot_e.noise_variance(1.0, 64) / 64
-        )
+        cfg_e = ScenarioConfig(snr_db=10.0, snr_reference="element")
+        cfg_a = ScenarioConfig(snr_db=10.0, snr_reference="array")
+        assert noise_variance(cfg_a, 1.0, 64) == pytest.approx(noise_variance(cfg_e, 1.0, 64) / 64)
 
 
 class TestBeamformingWeight:
     def test_broadside_uniform(self):
-        w = beamforming_weight(np.array([0.0, 0.0]), ArrayConfig(2, 2))
+        w = beamforming_weight(np.array([0.0, 0.0]), ScenarioConfig(n_x=2, n_y=2))
         assert np.allclose(w, 0.5 * np.ones(4), atol=1e-15)
 
     @given(u=st.floats(-np.pi, np.pi), v=st.floats(-np.pi, np.pi))
     @settings(max_examples=50)
     def test_unit_norm(self, u, v):
-        w = beamforming_weight(np.array([u, v]), ArrayConfig(3, 5))
+        w = beamforming_weight(np.array([u, v]), ScenarioConfig(n_x=3, n_y=5))
         assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-12)
 
     def test_aligned_gain_sqrt_n(self):
-        arr = ArrayConfig(4, 4)
+        cfg = ScenarioConfig(n_x=4, n_y=4)
         x = np.array([0.7, -0.4])
-        w = beamforming_weight(x, arr)
-        h_vec = channel_matrix(1.0, x, arr).ravel()
-        assert np.vdot(w, h_vec) == pytest.approx(np.sqrt(arr.n), abs=1e-12)
+        w = beamforming_weight(x, cfg)
+        h_vec = channel_matrix(1.0, x, cfg).ravel()
+        assert np.vdot(w, h_vec) == pytest.approx(np.sqrt(cfg.n), abs=1e-12)
 
     @given(u=st.floats(-3, 3), v=st.floats(-3, 3),
            uh=st.floats(-3, 3), vh=st.floats(-3, 3))
     @settings(max_examples=50)
     def test_gain_bound(self, u, v, uh, vh):
-        arr = ArrayConfig(4, 4)
-        w = beamforming_weight(np.array([uh, vh]), arr)
-        h_vec = rank1_snapshot(u, v, arr, gain=0.8j).ravel()
-        assert abs(np.vdot(w, h_vec)) <= np.sqrt(arr.n) * 0.8 + 1e-9
+        cfg = ScenarioConfig(n_x=4, n_y=4)
+        w = beamforming_weight(np.array([uh, vh]), cfg)
+        h_vec = rank1_snapshot(u, v, cfg, gain=0.8j).ravel()
+        assert abs(np.vdot(w, h_vec)) <= np.sqrt(cfg.n) * 0.8 + 1e-9
 
 
 class TestBeamformedSignal:
     def test_coherent_combining(self):
-        arr = ArrayConfig(4, 4)
         x = np.array([0.3, 0.9])
-        w = beamforming_weight(x, arr)
-        h_vec = channel_matrix(1.0, x, arr).ravel()
-        r = beamformed_signal(w, h_vec, NOISELESS, np.random.default_rng(0))
-        assert r == pytest.approx(np.sqrt(arr.n), abs=1e-10)
+        w = beamforming_weight(x, NOISELESS4)
+        h_vec = channel_matrix(1.0, x, NOISELESS4).ravel()
+        r = beamformed_signal(w, h_vec, NOISELESS4, np.random.default_rng(0))
+        assert r == pytest.approx(np.sqrt(NOISELESS4.n), abs=1e-10)
 
     def test_orthogonal_weight_nulls(self):
-        arr = ArrayConfig(4, 4)
         # orthogonal DFT directions: grid spacing 2*pi/n
-        w = beamforming_weight(np.array([2 * np.pi / 4, 0.0]), arr)
-        h_vec = rank1_snapshot(0.0, 0.0, arr).ravel()
-        r = beamformed_signal(w, h_vec, NOISELESS, np.random.default_rng(0))
+        w = beamforming_weight(np.array([2 * np.pi / 4, 0.0]), NOISELESS4)
+        h_vec = rank1_snapshot(0.0, 0.0, NOISELESS4).ravel()
+        r = beamformed_signal(w, h_vec, NOISELESS4, np.random.default_rng(0))
         assert abs(r) < 1e-10
 
     def test_combined_noise_variance(self):
         # unit-norm combiner keeps per-element noise variance
-        arr = ArrayConfig(4, 4)
-        pilot = PilotConfig(snr_db=0.0, snr_reference="element")
-        w = beamforming_weight(np.array([0.1, 0.2]), arr)
-        h_vec = rank1_snapshot(0.5, -0.5, arr).ravel()
-        var = pilot.noise_variance(float(np.mean(np.abs(h_vec) ** 2)), arr.n)
+        cfg = ScenarioConfig(n_x=4, n_y=4, snr_db=0.0, snr_reference="element")
+        w = beamforming_weight(np.array([0.1, 0.2]), cfg)
+        h_vec = rank1_snapshot(0.5, -0.5, cfg).ravel()
+        var = noise_variance(cfg, float(np.mean(np.abs(h_vec) ** 2)), cfg.n)
         rng = np.random.default_rng(11)
         clean = np.vdot(w, h_vec)
         draws = np.array(
-            [beamformed_signal(w, h_vec, pilot, rng) - clean for _ in range(30_000)]
+            [beamformed_signal(w, h_vec, cfg, rng) - clean for _ in range(30_000)]
         )
         assert np.mean(np.abs(draws) ** 2) == pytest.approx(var, rel=0.03)
 
@@ -203,10 +199,11 @@ def test_complex_noise_zero_variance():
 
 
 def test_pilot_config_rejects_bad_reference():
-    with pytest.raises(ValueError):
-        PilotConfig(snr_db=10.0, snr_reference="bogus")
+    with pytest.raises(ConfigError, match="snr_reference"):
+        ScenarioConfig(snr_db=10.0, snr_reference="bogus")
 
 
 def test_array_config_minimum_size():
-    with pytest.raises(ValueError):
-        ArrayConfig(1, 4)
+    for n_x, n_y in ((1, 4), (4, 1), (0, 2)):
+        with pytest.raises(ConfigError, match="at least 2 elements"):
+            ScenarioConfig(n_x=n_x, n_y=n_y)

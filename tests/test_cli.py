@@ -247,14 +247,34 @@ def test_smallest_normal_gain_innovation_runs_and_next_float_down_exits_2(
     {"snr_db": 300, "gain_uncertainty_var": 1e-30, "sigma_init": 6.28},
     {"gain_uncertainty_var": 1e-300},
     {"snr_db": float("inf"), "gain_uncertainty_var": 0, "gain_innovation_var": 0, "rho_gain": 1},
+    # no process noise, an exact start and no assumed noise: S = 0 for the proposed and
+    # fixed-Q_n ABP filters
+    {"sigma_u": 0, "sigma_v": 0, "sigma_init": 0, "sigma_n_sq": 0, "abp_q_n": "fixed"},
+    # a low flight path reaches the exact Jacobian's singularity at |u| = pi
+    {"jacobian_mode": "exact", "height_ratio": 0.01, "frames": 20, "trials": 5},
 ])
 def test_codebook_singular_innovation_covariance_exits_0(runner, tmp_path, fields):
-    # Q_n negligible next to G P G^T makes S singular; such frames are predict-only
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"frames": 5, "trials": 1, "scheme": "codebook", **fields}))
-    result = runner.invoke(main, ["run", "--config", str(cfg), "--out", str(tmp_path)])
-    assert result.exit_code == 0, result.output
-    assert (tmp_path / "codebook_summary.json").exists()
+    # Q_n negligible next to G P G^T makes S singular; on every scheme such frames are
+    # predict-only
+    for scheme in harness.SCHEMES:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"frames": 5, "trials": 1, "scheme": scheme, **fields}))
+        result = runner.invoke(main, ["run", "--config", str(cfg), "--out", str(tmp_path)])
+        assert result.exit_code == 0, (scheme, result.output)
+        assert (tmp_path / f"{scheme}_summary.json").exists()
+
+
+def test_size_that_does_not_fit_in_memory_exits_2(runner, tiny_config, tmp_path, monkeypatch):
+    # a valid size such as frames = 2**40 fails its first allocation; the real size is
+    # never allocated here
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "run_experiment", out_of_memory)
+    result = runner.invoke(main, ["run", "--config", str(tiny_config), "--out", str(tmp_path)])
+    assert result.exit_code == 2
+    assert "config error: the proposed run does not fit in memory" in result.output
+    assert "Traceback" not in result.output
 
 
 def test_run_bad_field_exits_2(runner, tmp_path):

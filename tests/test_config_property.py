@@ -8,7 +8,10 @@ types, so no example allocates more than a few MB.
 
 Random examples seldom set one field to an extreme with every other field at
 its default, so a second test runs each field at each extreme alone and
-requires a finished run to have a finite, non-negative MSE and bound.
+requires a finished run to have a finite, non-negative MSE and bound.  Every
+Kalman update of such a run must see a finite, symmetric, positive-semidefinite
+innovation covariance S = G P^- G^T + Q_n and leave a posterior P^+ with a
+finite, non-negative diagonal.
 """
 
 import dataclasses
@@ -18,13 +21,15 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from beamtrack import baselines, ekf, harness
 from beamtrack.cli import main
-from beamtrack.errors import ConfigError
+from beamtrack.errors import ConfigError, MeasurementFailure
 from beamtrack.harness import SCHEMES, ScenarioConfig, run_experiment
 
 FIELDS = [f.name for f in dataclasses.fields(ScenarioConfig)]
@@ -83,9 +88,59 @@ SINGLE_EXTREMES = [
 ]
 
 
+def _filter_problems(pred, g_mat, q_n, post) -> list[str]:
+    """What is wrong with one update's S = G P^- G^T + Q_n and, if it returned, its P^+."""
+    s = g_mat @ pred.p @ g_mat.T + q_n
+    if not np.isfinite(s).all():
+        return ["S not finite"]
+    problems = []
+    # scaled to a largest entry of 1 (S may hold 1e308); G P G^T is symmetric only up to
+    # the round-off of its two products, and eigvalsh reads the lower triangle
+    scaled = s / max(np.abs(s).max(), np.finfo(float).tiny)
+    if np.abs(scaled - scaled.T).max() > 1e-12:
+        problems.append("S not symmetric")
+    if np.linalg.eigvalsh(scaled).min() < -1e-12:
+        problems.append("S not positive semidefinite")
+    if post is not None and not (np.isfinite(post.p).all() and (np.diag(post.p) >= 0).all()):
+        problems.append("P+ diagonal not finite and non-negative")
+    return problems
+
+
+@pytest.fixture
+def checked_update(monkeypatch):
+    """Wraps ekf.update where the trackers look it up, as the benchmark's tracer does;
+    the list collects every problem its checks find."""
+    problems = []
+
+    def checked(pred, r, g_mat, q_n, r_hat=None):
+        try:
+            out = ekf.update(pred, r, g_mat, q_n, r_hat)
+        except MeasurementFailure:
+            problems.extend(_filter_problems(pred, g_mat, q_n, None))
+            raise
+        problems.extend(_filter_problems(pred, g_mat, q_n, out[0]))
+        return out
+
+    for module in (harness, baselines):
+        monkeypatch.setattr(module, "update", checked)
+    return problems
+
+
+def _check_run(cfg: ScenarioConfig, problems: list, label) -> None:
+    """Run cfg and check its outputs and every filter update it made."""
+    summary = run_experiment(cfg)
+    assert all(math.isfinite(m) and m >= 0 for m in summary.per_frame_mse), label
+    assert all(b is None or (math.isfinite(b) and b >= 0) for b in summary.per_frame_bound)
+    # a computed bound is never lost to an overflow: only frames without a bound have none
+    for rec in summary.trace:
+        if cfg.scheme == "proposed" and rec.meas_valid:
+            assert math.isfinite(rec.bound) and rec.bound >= 0, (label, rec)
+    assert not problems, (label, sorted(set(problems)))
+
+
 @pytest.mark.parametrize("scheme", SCHEMES)
 @pytest.mark.parametrize("field", FIELDS)
-def test_single_field_extreme_is_rejected_or_runs(field, scheme):
+def test_single_field_extreme_is_rejected_or_runs(field, scheme, checked_update):
     # size fields get small ints and 2**63, which sizes no array numpy can address;
     # 2**63 trials is an endless run of small arrays, so trials gets no huge value
     if field in SIZE_FIELDS:
@@ -98,10 +153,19 @@ def test_single_field_extreme_is_rejected_or_runs(field, scheme):
             cfg = ScenarioConfig(**{"frames": 3, "trials": 1, "scheme": scheme, field: value})
         except ConfigError:
             continue
-        summary = run_experiment(cfg)
-        assert all(math.isfinite(m) and m >= 0 for m in summary.per_frame_mse), (field, value)
-        assert all(b is None or (math.isfinite(b) and b >= 0) for b in summary.per_frame_bound)
-        # a computed bound is never lost to an overflow: only frames without a bound have none
-        for rec in summary.trace:
-            if scheme == "proposed" and rec.meas_valid:
-                assert math.isfinite(rec.bound) and rec.bound >= 0, (field, value, rec)
+        _check_run(cfg, checked_update, (field, value))
+
+
+# valid configs whose S is singular (the first two) or whose exact Jacobian meets the
+# tan singularity: every such frame is predict-only
+SINGULAR_CONFIGS = [
+    {"sigma_u": 0, "sigma_v": 0, "sigma_init": 0, "sigma_n_sq": 0, "frames": 3, "trials": 1},
+    {"sigma_u": 0, "sigma_v": 0, "sigma_init": 0, "sigma_n_sq": 0, "frames": 3, "trials": 1,
+     "scheme": "abp", "abp_q_n": "fixed"},
+    {"jacobian_mode": "exact", "height_ratio": 0.01, "frames": 20, "trials": 5},
+]
+
+
+@pytest.mark.parametrize("fields", SINGULAR_CONFIGS)
+def test_singular_config_runs(fields, checked_update):
+    _check_run(ScenarioConfig(**fields), checked_update, fields)

@@ -14,6 +14,7 @@ from beamtrack.ekf import (
     step_result,
     update,
 )
+from beamtrack.errors import MeasurementFailure
 from beamtrack.geometry import rotation_matrix
 
 
@@ -60,7 +61,8 @@ class TestJacobian:
         assert np.allclose(g, np.diag([1.0, 0.5]), atol=1e-12)
 
     def test_exact_singularity(self):
-        with pytest.raises(ValueError):
+        # the frame gets no measurement update, as for any failed measurement
+        with pytest.raises(MeasurementFailure):
             jacobian(np.array([np.pi, 0.0]), "exact")
 
     def test_unknown_mode(self):
@@ -110,6 +112,12 @@ class TestUpdate:
         assert np.array_equal(innovation, r - r_hat)
         assert k.shape == (2, 4)
         assert np.allclose(new.x, pred.x + k @ (r - r_hat), atol=1e-15)
+
+    def test_singular_innovation_covariance_fails_the_measurement(self):
+        # P = 0 and Q_n = 0 make S = 0: no gain exists, so the frame has no usable measurement
+        pred = TrackerState(np.array([0.1, 0.2]), np.zeros((2, 2)))
+        with pytest.raises(MeasurementFailure, match="singular"):
+            update(pred, np.array([0.05, 0.1]), jacobian(pred.x), np.zeros((2, 2)))
 
     def test_scalarized_gain_formula(self):
         # isotropic case: K = 0.5 p / (0.25 p + sigma^2) * I

@@ -106,11 +106,12 @@ class TestScenarioConfig:
             cfg.snr_db = -5.0
         # replace builds a new config, checked and with its own pieces
         other = dataclasses.replace(cfg, seed=1, snr_db=-5.0)
-        assert other.pilot.snr_db == -5.0 and cfg.pilot.snr_db == 10.0
+        assert other.snr_db == -5.0 and cfg.snr_db == 10.0
+        assert other.f is not cfg.f
 
     def test_pieces_built_once(self):
         cfg = small_cfg()
-        for piece in ("arr", "pilot", "threshold", "f", "q_p", "theta", "codebook", "abp_weights"):
+        for piece in ("threshold", "f", "q_p", "theta", "codebook", "abp_weights"):
             assert getattr(cfg, piece) is getattr(cfg, piece)
         assert cfg.squint == ABP_SQUINT_FACTOR / cfg.n_x
         assert small_cfg(abp_offset=0.1).squint == 0.1
@@ -122,6 +123,7 @@ class TestScenarioConfig:
         cfg2 = ScenarioConfig(psi=0.1, codebook_k=4)
         assert cfg2.psi_value == 0.1
         assert cfg2.k_beams == 4
+        assert ScenarioConfig(n_x=8, n_y=16).n == 128
 
 
 class TestRunTrial:
@@ -193,7 +195,7 @@ class TestProposedTracker:
         cfg = small_cfg()
         x0 = np.array([0.1, 0.1])
         tracker = ProposedTracker(cfg, initial_state(x0, 0.01))
-        out = tracker.step(rank1_snapshot(np.pi, np.pi, cfg.arr))
+        out = tracker.step(rank1_snapshot(np.pi, np.pi, cfg))
         assert out["meas_valid"] is False
         assert np.isnan(out["innovation_norm"])
         assert np.isnan(out["bound"])
@@ -204,12 +206,12 @@ class TestProposedTracker:
         cfg = small_cfg(q_n_mode="fixed")
         start = initial_state(np.array([0.1, -0.2]), 0.01)
         tracker = ProposedTracker(cfg, start)
-        y = rank1_snapshot(0.11, -0.19, cfg.arr)
+        y = rank1_snapshot(0.11, -0.19, cfg)
         out = tracker.step(y)
         f, q_p = rotation_matrix(cfg.psi_value), cfg.q_p
         pred = predict(start, f, q_p)
         g = jacobian(pred.x, cfg.jacobian_mode)
-        r = extract_measurement(y, cfg.arr).r
+        r = extract_measurement(y, cfg).r
         _, _, k = update(pred, r, g, np.eye(2) * cfg.sigma_n_sq)
         assert out["meas_valid"] is True
         assert out["bound"] == bound_step(start.p, k, g, f, q_p, np.eye(2) * cfg.sigma_nb_sq)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from beamtrack import misalign
-from beamtrack.channel import ArrayConfig
 from beamtrack.errors import ConfigError
 from beamtrack.harness import ScenarioConfig
 from beamtrack.misalign import (
@@ -15,7 +14,6 @@ from beamtrack.misalign import (
     search_grid,
 )
 
-ARR8 = ArrayConfig(8, 8)
 CFG8 = ScenarioConfig()
 STEP8, EXTENT8 = search_grid(8)
 
@@ -34,23 +32,23 @@ def _table_pairs(n_x=8):
 
 class TestReceivedPower:
     def test_aligned_is_one(self):
-        assert received_power(np.array([0.3, -0.2]), np.array([0.3, -0.2]), ARR8) == 1.0
+        assert received_power(np.array([0.3, -0.2]), np.array([0.3, -0.2]), CFG8) == 1.0
 
     def test_first_null(self):
         x = np.array([2 * np.pi / 8, 0.0])
-        assert received_power(x, np.array([0.0, 0.0]), ARR8) == pytest.approx(0.0, abs=1e-12)
+        assert received_power(x, np.array([0.0, 0.0]), CFG8) == pytest.approx(0.0, abs=1e-12)
 
     def test_known_offset_value(self):
         # oracle: (sin(0.8) / (8 sin(0.1)))^2, evaluated independently
-        p = received_power(np.array([0.2, 0.0]), np.array([0.0, 0.0]), ARR8)
+        p = received_power(np.array([0.2, 0.0]), np.array([0.0, 0.0]), CFG8)
         expected = (np.sin(0.8) / (8 * np.sin(0.1))) ** 2
         assert p == pytest.approx(expected, abs=1e-12)
         assert p == pytest.approx(0.806748, abs=1e-6)
 
     def test_symmetric_in_sign(self):
         est = np.array([0.0, 0.0])
-        pp = received_power(np.array([0.15, 0.1]), est, ARR8)
-        pm = received_power(np.array([-0.15, -0.1]), est, ARR8)
+        pp = received_power(np.array([0.15, 0.1]), est, CFG8)
+        pm = received_power(np.array([-0.15, -0.1]), est, CFG8)
         assert pp == pytest.approx(pm, abs=1e-14)
 
 
@@ -84,7 +82,7 @@ class TestApproxPower:
         worst = 0.0
         for xi, p in zip(norms[norms <= np.pi / 8], powers):
             off = xi / np.sqrt(2)
-            exact = received_power(np.array([off, off]), np.array([0, 0]), ARR8)
+            exact = received_power(np.array([off, off]), np.array([0, 0]), CFG8)
             worst = max(worst, abs(exact - p))
         print(f"main-lobe approximation max deviation: {worst:.5f}")
         assert worst == pytest.approx(0.179, abs=0.002)
@@ -240,7 +238,7 @@ class TestDetectStep:
             if first_crossing is None and xi > nominal:
                 first_crossing = k
             off = xi / np.sqrt(2)
-            p = received_power(np.array([off, off]), np.array([0, 0]), ARR8)
+            p = received_power(np.array([off, off]), np.array([0, 0]), CFG8)
             est = detect_step(p, cfg, det)
             if est.realigned:
                 realign_frame = k
