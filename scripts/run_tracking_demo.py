@@ -6,15 +6,14 @@ Usage: run_tracking_demo.py [--preset NAME] [--scheme SCHEME] [--trial N]
 
 import argparse
 
-from beamtrack.harness import run_trial
+from beamtrack.harness import SCHEMES, run_trial
 from beamtrack.presets import get_preset, preset_names
 
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--preset", default="fig4a", choices=preset_names())
-    ap.add_argument("--scheme", default=None,
-                    choices=["proposed", "codebook", "abp"])
+    ap.add_argument("--scheme", default=None, choices=SCHEMES)
     ap.add_argument("--trial", type=int, default=0)
     args = ap.parse_args()
 

@@ -10,6 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from beamtrack.errors import ConfigError
 from beamtrack.harness import run_experiment
 from beamtrack.presets import get_preset
 
@@ -23,19 +24,20 @@ def main() -> None:
     ap.add_argument("--schemes", default="proposed")
     args = ap.parse_args()
 
-    base = replace(get_preset("fig9"), trials=args.trials)
     schemes = args.schemes.split(",")
     snrs = np.arange(args.snr_min, args.snr_max + args.step / 2, args.step)
+    # every point's config is built, and so checked, before any runs
+    try:
+        base = replace(get_preset("fig9"), trials=args.trials)
+        grid = [[replace(base, snr_db=float(snr), scheme=s) for s in schemes] for snr in snrs]
+    except ConfigError as exc:
+        ap.error(str(exc))
 
     print("steady-state MSE (mean over frames 20-50), "
           f"{args.trials} trials per point")
     print("snr_db  " + "  ".join(f"{s:>12}" for s in schemes))
-    for snr in snrs:
-        cfg = replace(base, snr_db=float(snr))
-        row = []
-        for scheme in schemes:
-            mse = np.array(run_experiment(cfg, scheme).per_frame_mse)
-            row.append(float(mse[19:50].mean()))
+    for snr, cfgs in zip(snrs, grid):
+        row = [float(np.mean(run_experiment(cfg).per_frame_mse[19:50])) for cfg in cfgs]
         print(f"{snr:>6.1f}  " + "  ".join(f"{v:>12.4e}" for v in row))
 
 

@@ -18,6 +18,7 @@ from .errors import ConfigError
 from .harness import (
     ScenarioConfig,
     SCHEMES,
+    _for_scheme,
     emit_summary,
     emit_trace,
     run_experiment,
@@ -47,7 +48,7 @@ def _out_dir(out: str | None) -> Path:
 
 
 def _run_schemes(config_spec: str, seed: int | None, out: str | None,
-                 schemes: list[str] | None) -> None:
+                 schemes: list[str | None]) -> None:
     """Load the scenario, then run and emit each scheme (None: the scenario's own).
 
     A configuration error exits with EXIT_CONFIG before anything runs; so does a valid
@@ -57,33 +58,28 @@ def _run_schemes(config_spec: str, seed: int | None, out: str | None,
         cfg = _load_config(config_spec)
         if seed is not None:
             cfg = replace(cfg, seed=seed)
-        schemes = [cfg.scheme] if schemes is None else schemes
         if not schemes:
             raise ConfigError("no scheme given")
-        for s in schemes:
-            if s not in SCHEMES:
-                raise ConfigError(f"unknown scheme {s!r}")
-            if s != cfg.scheme:
-                replace(cfg, scheme=s)  # a baseline scheme checks its codebook size
+        cfgs = [_for_scheme(cfg, s) for s in schemes]
         out_dir = _out_dir(out)
     except ConfigError as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(EXIT_CONFIG)
-    for s in schemes:
+    for cfg in cfgs:
         try:
-            summary = run_experiment(cfg, s)
+            summary = run_experiment(cfg)
         except MemoryError:
-            click.echo(f"config error: the {s} run does not fit in memory", err=True)
+            click.echo(f"config error: the {cfg.scheme} run does not fit in memory", err=True)
             sys.exit(EXIT_CONFIG)
         try:
-            emit_trace(summary.trace, out_dir / f"{s}_trace.csv")
-            emit_summary(summary, out_dir / f"{s}_summary.json")
+            emit_trace(summary.trace, out_dir / f"{cfg.scheme}_trace.csv")
+            emit_summary(summary, out_dir / f"{cfg.scheme}_summary.json")
         except OSError as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(EXIT_IO)
         mse = summary.per_frame_mse
         mean_mse = sum(mse) / len(mse)
-        click.echo(f"{s}: frames={cfg.frames} trials={cfg.trials} mean MSE={mean_mse:.3e}")
+        click.echo(f"{cfg.scheme}: frames={cfg.frames} trials={cfg.trials} mean MSE={mean_mse:.3e}")
 
 
 @click.group()
@@ -100,7 +96,7 @@ def main():
 @click.option("--out", default=None, help="Output directory (default: cwd).")
 def run(config_spec, scheme, seed, out):
     """Run one scenario; writes <scheme>_trace.csv and <scheme>_summary.json."""
-    _run_schemes(config_spec, seed, out, None if scheme is None else [scheme])
+    _run_schemes(config_spec, seed, out, [scheme])
 
 
 @main.group()

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -47,6 +47,33 @@ SCHEMA_VERSION = 1
 # value types each field annotation accepts; bool and int never stand in for each other
 _FIELD_TYPES = {"int": int, "float": (int, float), "str": str, "bool": bool}
 
+_FLOAT_MAX = sys.float_info.max
+
+# Per-field rules, read after the type check: a closed range (lo, hi[, why]), where a lower
+# limit of +0.0 also rejects -0.0, or the tuple of allowed strings.  A float field without a
+# row must be finite.  A rule that lives in a function the config probes has no row.
+FIELD_RULES = {
+    **dict.fromkeys(
+        ("n_x", "n_y"), (2, math.inf, "monopulse extraction needs at least 2 elements per axis")),
+    # codebook_k is checked here, not by building the K^2-beam codebook
+    **dict.fromkeys(("frames", "trials", "codebook_k", "detect_consecutive"), (1, math.inf)),
+    # +inf SNR is meaningful (the noiseless branch of complex_noise); -inf is not
+    "snr_db": (-_FLOAT_MAX, math.inf),
+    # angle std-devs: steering vectors repeat every 2*pi, so a wider spread only inflates
+    # the filters' P (sigma_init 1e7 makes the codebook's S singular); normal() rejects -0.0
+    **dict.fromkeys(("sigma_u", "sigma_v", "sigma_init", "detect_residual"), (0.0, 2 * math.pi)),
+    **dict.fromkeys(("azimuth_range_deg", "sigma_n_sq", "gain_uncertainty_var"), (0.0, _FLOAT_MAX)),
+    # the bound adds sigma_nb_sq |K|^2 (|K|^2 <= 8, G >= I/2): a finite square has room
+    "sigma_nb_sq": (0.0, math.sqrt(_FLOAT_MAX)),
+    # |alpha|^2 grows like this variance and the pilot power is N |alpha|^2 (1e307 overflows
+    # it): a finite square leaves headroom.  -0.0 means no innovations, as in evolve_gain
+    "gain_innovation_var": (-0.0, math.sqrt(_FLOAT_MAX)),
+    "rho_gain": (-1.0, 1.0),
+    "snr_reference": ("element", "array"),
+    "q_n_mode": ("fixed", "estimated"),
+    "abp_q_n": ("fixed", "delta"),
+}
+
 
 def _check_field(name: str, annotation: str, value) -> None:
     base, _, optional = annotation.partition(" | ")
@@ -56,11 +83,14 @@ def _check_field(name: str, annotation: str, value) -> None:
         raise ConfigError(f"{name} must be {annotation}, got {value!r}")
     if base == "float" and isinstance(value, int) and abs(value) > 2**53:
         raise ConfigError(f"{name}: the integer {value} has no exact float value")
-    if isinstance(value, float) and math.isnan(value):
-        raise ConfigError(f"{name} must not be NaN")
-    # +inf SNR is meaningful (the noiseless branch of complex_noise); -inf is not
-    if isinstance(value, float) and math.isinf(value) and (name, value) != ("snr_db", math.inf):
-        raise ConfigError(f"{name} must be finite, got {value!r}")
+    rule = FIELD_RULES.get(name, (-_FLOAT_MAX, _FLOAT_MAX) if base == "float" else ())
+    if isinstance(value, str):
+        if rule and value not in rule:
+            raise ConfigError(f"{name} must be one of {rule}, got {value!r}")
+    elif rule:
+        lo, hi, *why = rule
+        if not (lo <= value <= hi and (value or math.copysign(1, value) >= math.copysign(1, lo))):
+            raise ConfigError("; ".join([f"{name} must lie in [{lo}, {hi}], got {value!r}", *why]))
 
 
 @dataclass(frozen=True)
@@ -102,52 +132,17 @@ class ScenarioConfig:
     def __post_init__(self):
         for f in fields(self):
             _check_field(f.name, f.type, getattr(self, f.name))
-        if self.frames < 1 or self.trials < 1:
-            raise ConfigError("frames and trials must be >= 1")
         if self.scheme not in SCHEMES:
-            raise ConfigError(f"scheme must be one of {SCHEMES}")
-        # angle std-devs: steering vectors repeat every 2*pi, so a wider spread only inflates
-        # the filters' P (sigma_init 1e7 makes the codebook's S singular); normal() rejects -0.0
-        for s in (self.sigma_u, self.sigma_v, self.sigma_init, self.detect_residual):
-            if math.copysign(1.0, s) < 0 or s > 2 * math.pi:
-                raise ConfigError(f"std-devs must lie in [0, 2*pi], got {s!r}")
-        if math.copysign(1.0, self.azimuth_range_deg) < 0:
-            raise ConfigError("azimuth_range_deg must be non-negative")
-        for name in ("sigma_n_sq", "sigma_nb_sq", "gain_uncertainty_var"):
-            if math.copysign(1.0, getattr(self, name)) < 0:
-                raise ConfigError(f"{name} must be non-negative, got {getattr(self, name)!r}")
-        # the bound adds sigma_nb_sq |K|^2 (|K|^2 <= 8, G >= I/2): a finite square has room
-        if not math.isfinite(self.sigma_nb_sq * self.sigma_nb_sq):
-            raise ConfigError("sigma_nb_sq must have a finite square")
-        if self.q_n_mode not in ("fixed", "estimated"):
-            raise ConfigError("q_n_mode must be 'fixed' or 'estimated'")
-        if self.abp_q_n not in ("fixed", "delta"):
-            raise ConfigError("abp_q_n must be 'fixed' or 'delta'")
-        if abs(self.rho_gain) > 1:
-            raise ConfigError("|rho_gain| must not exceed 1")
-        # |alpha|^2 grows like this variance and the pilot power is N |alpha|^2 (1e307
-        # overflows it); a finite square leaves headroom, as for the noise variance
-        giv = self.gain_innovation_var
-        if giv is not None and not (giv >= 0 and math.isfinite(giv * giv)):
-            raise ConfigError("gain_innovation_var must be non-negative with a finite square")
+            raise ConfigError(f"unknown scheme {self.scheme!r}, not one of {SCHEMES}")
         # without innovations the gain decays to zero and the received power with it; below
         # the smallest normal float |alpha|^2 underflows to zero all the same
+        giv = self.gain_innovation_var
         if giv is not None and giv < sys.float_info.min and abs(self.rho_gain) < 1:
             raise ConfigError(
                 "gain_innovation_var below the smallest normal float needs |rho_gain| = 1")
-        if self.n_x < 2 or self.n_y < 2:
-            raise ConfigError("monopulse extraction needs at least 2 elements per axis")
-        # checked here, not by building the K^2-beam codebook
-        if self.k_beams < 1:
-            raise ConfigError("codebook_k must be >= 1")
-        if self.detect_consecutive < 1:
-            raise ConfigError("detect_consecutive must be >= 1")
-        if self.snr_reference not in ("element", "array"):
-            raise ConfigError("snr_reference must be 'element' or 'array'")
         # the pieces a run reads check their own values; build them now
         try:
-            for piece in ("f", "q_p", "theta"):
-                getattr(self, piece)
+            self.theta  # elevation_from_geometry rejects a height_ratio that is not positive
             # numpy describes no array of more bytes than an intp counts: the complex snapshot
             # (K^2 of them as a baseline's codebook weights), the float frames-long sums
             beams = 1 if self.scheme == "proposed" else self.k_beams**2
@@ -319,16 +314,14 @@ TRACKERS = {"proposed": ProposedTracker, "codebook": CodebookTracker, "abp": Abp
 SCHEMES = tuple(TRACKERS)
 
 
-def tracker_class(scheme: str) -> type:
-    """The tracker class of a scheme; ConfigError for an unknown one."""
-    if scheme not in TRACKERS:
-        raise ConfigError(f"unknown scheme {scheme!r}")
-    return TRACKERS[scheme]
+def _for_scheme(cfg: ScenarioConfig, scheme: str | None) -> ScenarioConfig:
+    """cfg, or a copy that runs another scheme, checked like any config."""
+    return cfg if scheme in (None, cfg.scheme) else replace(cfg, scheme=scheme)
 
 
 def run_trial(cfg: ScenarioConfig, trial_index: int, scheme: str | None = None) -> list[FrameRecord]:
     """Simulate one trial; deterministic given (cfg.seed, trial_index)."""
-    tracker_cls = tracker_class(cfg.scheme if scheme is None else scheme)
+    cfg = _for_scheme(cfg, scheme)
     sigma = (cfg.sigma_u, cfg.sigma_v)
 
     init_rng = rngmod.stream(cfg.seed, trial_index, 0, "init")
@@ -338,7 +331,7 @@ def run_trial(cfg: ScenarioConfig, trial_index: int, scheme: str | None = None) 
     truth = angles_to_spatial(phi, cfg.theta, cfg.d_over_lambda)
     x_hat0 = truth + init_rng.normal(0.0, cfg.sigma_init, 2)
 
-    tracker = tracker_cls(cfg, initial_state(x_hat0, cfg.sigma_init))
+    tracker = TRACKERS[cfg.scheme](cfg, initial_state(x_hat0, cfg.sigma_init))
     detector = DetectorState()
     alpha = 1.0 + 0.0j
     records: list[FrameRecord] = []
@@ -412,13 +405,13 @@ class ExperimentSummary:
 
 def run_experiment(cfg: ScenarioConfig, scheme: str | None = None) -> ExperimentSummary:
     """Run all trials and aggregate per-frame statistics."""
-    scheme = cfg.scheme if scheme is None else scheme
+    cfg = _for_scheme(cfg, scheme)
     sq_err = np.zeros(cfg.frames)
     bound_sum = np.zeros(cfg.frames)
     bound_count = np.zeros(cfg.frames)
     detections: list[list[int]] = []
     for t in range(cfg.trials):
-        records = run_trial(cfg, t, scheme)
+        records = run_trial(cfg, t)
         if t == 0:
             trace = records
         for rec in records:
@@ -432,18 +425,19 @@ def run_experiment(cfg: ScenarioConfig, scheme: str | None = None) -> Experiment
     per_frame_mse = (sq_err / cfg.trials).tolist()
     per_frame_bound = np.where(bound_count > 0, bound_sum / np.maximum(bound_count, 1), np.nan)
     return ExperimentSummary(
-        scenario={**cfg.to_dict(), "scheme": scheme},
+        scenario=cfg.to_dict(),
         per_frame_mse=per_frame_mse,
         per_frame_bound=[x if math.isfinite(x) else None for x in per_frame_bound],
         detection_frames=detections,
-        ledger=asdict(trial_ledger(cfg, scheme)),
+        ledger=asdict(trial_ledger(cfg)),
         trace=trace,
     )
 
 
 def trial_ledger(cfg: ScenarioConfig, scheme: str | None = None) -> ComplexityLedger:
     """Per-trial complexity accounting without running the simulation."""
-    m, slots = tracker_class(cfg.scheme if scheme is None else scheme).frame_cost(cfg.k_beams**2)
+    cfg = _for_scheme(cfg, scheme)
+    m, slots = TRACKERS[cfg.scheme].frame_cost(cfg.k_beams**2)
     return ComplexityLedger(m=m, pilot_slots=cfg.frames * slots, solve_cost=cfg.frames * m**3)
 
 

@@ -1,11 +1,15 @@
 """Recursive MSE upper bound and its gap from the relaxed measurement covariance."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from beamtrack.analysis import bound_step
 from beamtrack.geometry import rotation_matrix
+from beamtrack.harness import run_experiment
+from beamtrack.presets import get_preset
 
 
 def _random_psd(rng, scale=1.0):
@@ -66,6 +70,24 @@ class TestBoundStep:
         q_small = _random_psd(rng, 0.01)
         q_big = q_small + _random_psd(rng, 0.01)
         assert bound_step(p, k, g, f, q_p, q_big) >= bound_step(p, k, g, f, q_p, q_small) - 1e-12
+
+
+@pytest.mark.parametrize("preset", ["fig7", "fig9"])
+def test_harness_bound_is_the_scalar_riccati_recursion(preset):
+    # fixed Q_n = r I, G = 0.5 I and Q_p = q I keep P = p I isotropic, and the rotation F
+    # leaves it so: the harness's per-frame bound, wired through P, K and G across frames,
+    # is then a scalar recursion from p = sigma_init^2
+    cfg = replace(get_preset(preset), q_n_mode="fixed", trials=2)
+    assert cfg.jacobian_mode == "paper-approx" and cfg.sigma_u == cfg.sigma_v
+    g, q, r, r_relaxed = 0.5, cfg.sigma_u**2, cfg.sigma_n_sq, cfg.sigma_nb_sq
+    p, expected = cfg.sigma_init**2, []
+    for _ in range(cfg.frames):
+        p_pred = p + q
+        k = g * p_pred / (g**2 * p_pred + r)
+        b = 1 - k * g
+        expected.append(2 * (b**2 * p + b**2 * q + k**2 * r_relaxed))
+        p = b * p_pred
+    assert run_experiment(cfg).per_frame_bound == pytest.approx(expected, rel=1e-13, abs=0)
 
 
 def _gap(k, q_n_relaxed, q_n):

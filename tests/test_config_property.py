@@ -1,10 +1,12 @@
 """Property: any JSON object given to `track run --config` exits 0, 2 or 3.
 
 Keys are ScenarioConfig fields plus unknown names; values range over every
-JSON type and the float extremes.  Each example starts from frames=2,
-trials=1 and a random scheme.  The fields that size the run (array, frames,
-trials, codebook, Q_n window) are drawn only from small values or wrong
-types, so no example allocates more than a few MB.
+JSON type, the float extremes and each limit of the field's rule in
+`harness.FIELD_RULES` with the next value outside it.  Each example starts
+from frames=2, trials=1 and a random scheme.  The int fields whose range has
+no upper limit size the run (array, frames, trials, codebook) and are drawn
+only from small values or wrong types, so no example allocates more than a
+few MB.
 
 Random examples seldom set one field to an extreme with every other field at
 its default, so a second test runs each field at each extreme alone and
@@ -12,9 +14,14 @@ requires a finished run to have a finite, non-negative MSE and bound.  Every
 Kalman update of such a run must see a finite, symmetric, positive-semidefinite
 innovation covariance S = G P^- G^T + Q_n and leave a posterior P^+ with a
 finite, non-negative diagonal.
+
+A third test pins the accept/reject verdict of ScenarioConfig on each field,
+scheme and value of a fixed grid by hash, as tests/test_golden.py pins output
+bytes, so a change to a rule shows as a changed verdict.
 """
 
 import dataclasses
+import hashlib
 import json
 import math
 import sys
@@ -30,10 +37,12 @@ from hypothesis import strategies as st
 from beamtrack import baselines, ekf, harness
 from beamtrack.cli import main
 from beamtrack.errors import ConfigError, MeasurementFailure
-from beamtrack.harness import SCHEMES, ScenarioConfig, run_experiment
+from beamtrack.harness import FIELD_RULES, SCHEMES, ScenarioConfig, run_experiment
 
 FIELDS = [f.name for f in dataclasses.fields(ScenarioConfig)]
-SIZE_FIELDS = ("n_x", "n_y", "frames", "trials", "codebook_k", "q_n_window")
+INT_FIELDS = {f.name for f in dataclasses.fields(ScenarioConfig) if f.type.startswith("int")}
+RANGES = {name: rule[:2] for name, rule in FIELD_RULES.items() if not isinstance(rule[0], str)}
+SIZE_FIELDS = tuple(name for name, (_, hi) in RANGES.items() if name in INT_FIELDS and hi == math.inf)
 
 WRONG_TYPES = st.one_of(
     st.none(),
@@ -44,10 +53,10 @@ WRONG_TYPES = st.one_of(
 )
 EXTREMES = st.sampled_from([1e308, -1e308, math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324])
 HUGE_INTS = st.one_of(st.integers(min_value=2**63), st.integers(max_value=-2**63))
-MODES = st.sampled_from([
-    "proposed", "codebook", "abp", "array", "element", "fixed", "estimated",
-    "delta", "paper-approx", "exact",
-])
+CHOICES = [c for rule in FIELD_RULES.values() if isinstance(rule[0], str) for c in rule]
+# ekf.jacobian owns the Jacobian modes, so the table has no row for them
+MODE_STRINGS = list(dict.fromkeys([*SCHEMES, *CHOICES, "paper-approx", "exact"]))
+MODES = st.sampled_from(MODE_STRINGS)
 ANY_VALUE = st.one_of(
     WRONG_TYPES,
     EXTREMES,
@@ -61,12 +70,24 @@ SIZE_VALUE = st.one_of(WRONG_TYPES, EXTREMES, st.integers(-2, 4))
 UNKNOWN_KEY = st.text(min_size=1, max_size=8).filter(lambda k: k not in FIELDS)
 
 
+def limit_values(name: str) -> list:
+    """Each finite limit of a field's range and the next value outside it."""
+    values = []
+    for limit, outward in zip(RANGES.get(name, ()), (-1, 1)):
+        if math.isfinite(limit):
+            beyond = limit + outward if name in INT_FIELDS else math.nextafter(limit, outward * math.inf)
+            values += [limit, beyond]
+    return values
+
+
 @st.composite
 def configs(draw) -> dict:
     keys = draw(st.lists(st.one_of(st.sampled_from(FIELDS), UNKNOWN_KEY), max_size=5, unique=True))
     cfg = {"frames": 2, "trials": 1, "scheme": draw(st.sampled_from(SCHEMES))}
     for key in keys:
-        cfg[key] = draw(SIZE_VALUE if key in SIZE_FIELDS else ANY_VALUE)
+        value = SIZE_VALUE if key in SIZE_FIELDS else ANY_VALUE
+        limits = limit_values(key)
+        cfg[key] = draw(st.one_of(value, st.sampled_from(limits)) if limits else value)
     return cfg
 
 
@@ -148,7 +169,7 @@ def test_single_field_extreme_is_rejected_or_runs(field, scheme, checked_update)
         values = [v for v in SINGLE_EXTREMES if v != 2**53 + 1] + [2, 3, 4] + huge
     else:
         values = SINGLE_EXTREMES
-    for value in values:
+    for value in values + limit_values(field):
         try:
             cfg = ScenarioConfig(**{"frames": 3, "trials": 1, "scheme": scheme, field: value})
         except ConfigError:
@@ -169,3 +190,72 @@ SINGULAR_CONFIGS = [
 @pytest.mark.parametrize("fields", SINGULAR_CONFIGS)
 def test_singular_config_runs(fields, checked_update):
     _check_run(ScenarioConfig(**fields), checked_update, fields)
+
+
+# every limit in FIELD_RULES with the floats (and, for an int limit, the ints) beside it
+LIMITS = [limit for pair in RANGES.values() for limit in pair]
+VERDICT_VALUES = list({(type(v), repr(v)): v for v in [
+    *SINGLE_EXTREMES, *MODE_STRINGS, 2**63,
+    *(v for x in LIMITS for v in (x, math.nextafter(x, -math.inf), math.nextafter(x, math.inf))),
+    *(v for x in LIMITS if isinstance(x, int) for v in (x - 1, x + 1)),
+]}.values())
+
+
+def _verdicts(field: str) -> list:
+    """Whether ScenarioConfig accepts each value of the field on each scheme, sorted."""
+    out = []
+    for scheme in SCHEMES:
+        for value in VERDICT_VALUES:
+            try:
+                ScenarioConfig(**{"scheme": scheme, field: value})
+                out.append((scheme, repr(value), "accept"))
+            except ConfigError:
+                out.append((scheme, repr(value), "reject"))
+    return sorted(out)
+
+
+def _digest(verdicts: list) -> str:
+    return hashlib.sha256(json.dumps(verdicts).encode()).hexdigest()[:16]
+
+
+# sha256 prefixes of each field's sorted verdicts on VERDICT_VALUES.  A changed rule changes
+# its field's hash; a changed limit also changes the values, and so every hash
+GOLDEN_VERDICTS = {
+    "n_x": "7d8aeca3b711952d",
+    "n_y": "7d8aeca3b711952d",
+    "scheme": "0385427a68e8113d",
+    "frames": "c9a4d05d2720caa4",
+    "trials": "b9826ed8ff63fc66",
+    "snr_db": "3d996a96ac5b43d2",
+    "snr_reference": "a1435ec1dd7ae16a",
+    "sigma_u": "ba207c0f30ae4882",
+    "sigma_v": "ba207c0f30ae4882",
+    "sigma_init": "ba207c0f30ae4882",
+    "psi": "7d86284a87d5236d",
+    "height_ratio": "bc363edf1ba922b1",
+    "azimuth_range_deg": "547d639cb639a8b5",
+    "d_over_lambda": "7fa23aa98fb661fd",
+    "rho_gain": "2506b5a72e68df58",
+    "gain_innovation_var": "aa05a373f3e4f892",
+    "sigma_n_sq": "547d639cb639a8b5",
+    "q_n_mode": "9480ef9a18a6df23",
+    "q_n_window": "b06e87f2a36e8f4c",
+    "jacobian_mode": "dd50216e8ccd7813",
+    "codebook_k": "a26ad2b72b3a88c0",
+    "abp_offset": "eaa64b15ac7de1f4",
+    "abp_q_n": "c1ec77fb8baf01d1",
+    "gain_uncertainty_var": "8316f8b2ab9d8747",
+    "sigma_nb_sq": "2403a61dfb00783f",
+    "detect_enabled": "f255457f89cc3651",
+    "detect_threshold": "d78cc0dc01a425ea",
+    "detect_consecutive": "b9826ed8ff63fc66",
+    "detect_residual": "ba207c0f30ae4882",
+    "seed": "3a0b0350595ead1c",
+}
+
+
+def test_config_verdicts_match_golden():
+    verdicts = {field: _verdicts(field) for field in FIELDS}
+    changed = {field: [f"{scheme} {value}" for scheme, value, v in verdicts[field] if v == "accept"]
+               for field in FIELDS if _digest(verdicts[field]) != GOLDEN_VERDICTS.get(field)}
+    assert not changed, f"fields whose verdicts changed, with the cases they accept: {changed}"

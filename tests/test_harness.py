@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -183,6 +184,21 @@ class TestRunTrial:
             run_experiment(small_cfg(), "bogus")
         with pytest.raises(ConfigError, match="unknown scheme"):
             trial_ledger(small_cfg(), "bogus")
+
+    def test_scheme_override_is_checked_before_anything_is_allocated(self):
+        # a proposed run builds no codebook; 2**63 beams per axis is no size for a baseline's
+        cfg = ScenarioConfig(codebook_k=2**63, frames=2, trials=1)
+        calls = [(run_experiment, (cfg, "codebook")), (run_trial, (cfg, 0, "abp")),
+                 (trial_ledger, (cfg, "codebook"))]
+        tracemalloc.start()
+        try:
+            for fn, args in calls:
+                with pytest.raises(ConfigError, match="numpy cannot address"):
+                    fn(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_frame_indices_start_at_one(self):
         records = run_trial(small_cfg(frames=5), 0)

@@ -12,13 +12,17 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_script(name: str, *args: str) -> list[str]:
+def _run(name: str, *args: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *args],
         capture_output=True, text=True, env=env, timeout=120,
     )
+
+
+def run_script(name: str, *args: str) -> list[str]:
+    proc = _run(name, *args)
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
     return proc.stdout.splitlines()
@@ -48,6 +52,13 @@ def test_snr_sweep_prints_one_row_per_snr():
     rows = [line.split() for line in lines[2:]]
     assert [float(r[0]) for r in rows] == [6.0, 10.0]
     assert all(math.isfinite(float(v)) and float(v) > 0 for r in rows for v in r[1:])
+
+
+def test_snr_sweep_unknown_scheme_is_a_usage_error():
+    proc = _run("snr_sweep.py", "--trials", "2", "--schemes", "proposed,bogus")
+    assert proc.returncode == 2
+    assert "error: unknown scheme 'bogus'" in proc.stderr
+    assert "Traceback" not in proc.stderr and not proc.stdout
 
 
 def test_bench_record_writes_every_workload_and_criterion(tmp_path):
