@@ -17,13 +17,10 @@ def bound_step(
     f: np.ndarray,
     q_p: np.ndarray,
     q_n_relaxed: np.ndarray,
-) -> float:
+):
     """One-frame MSE bound Tr(A P A^T) + Tr(B Q_p B^T) + Tr(K Q_n' K^T)
-    with A = (I - K G) F and B = (I - K G)."""
-    b = np.eye(k.shape[0]) - k @ g
+    with A = (I - K G) F and B = (I - K G), for each entry of a batch."""
+    b = np.eye(k.shape[-2]) - k @ g
     a = b @ f
-    return float(
-        np.trace(a @ p_prev @ a.T)
-        + np.trace(b @ q_p @ b.T)
-        + np.trace(k @ q_n_relaxed @ k.T)
-    )
+    return (np.linalg.trace(a @ p_prev @ a.mT) + np.linalg.trace(b @ q_p @ b.mT)
+            + np.linalg.trace(k @ q_n_relaxed @ k.mT))

@@ -5,6 +5,9 @@ snapshot.  The codebook tracker stacks real/imag parts of all K^2 beam
 outputs (measurement dimension 2*K^2); the auxiliary-beam-pair (ABP)
 tracker forms a gain-invariant power-ratio metric around the codebook beam
 nearest the prediction (measurement dimension 2).
+
+Both step a batch of trials at once: states and snapshots carry a leading
+batch axis, and an entry whose measurement fails gets a predict-only frame.
 """
 
 from __future__ import annotations
@@ -14,8 +17,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .channel import beamforming_weight, noise_variance, steering_vector
-from .ekf import TrackerState, predict, step_result, update
+from .channel import beamforming_weight, noise_variance, outer, steering_vector, vdot
+from .ekf import TrackerState, diag, predict, settle, step_result, update
 from .errors import MeasurementFailure
 
 if TYPE_CHECKING:
@@ -38,8 +41,9 @@ class Codebook:
     axis_angles: np.ndarray     # (K,), strictly increasing over [-pi, pi)
     w_h: np.ndarray             # (K^2, N) conjugated unit-norm beam weights, (u, v) x-major
 
-    def nearest_axis_index(self, angle: float) -> int:
-        return int(np.argmin(np.abs(self.axis_angles - angle)))
+    def nearest_axis_index(self, angle):
+        """Index of the axis angle nearest each angle."""
+        return np.argmin(np.abs(self.axis_angles - np.asarray(angle)[..., None]), axis=-1)
 
 
 def build_codebook(cfg: ScenarioConfig) -> Codebook:
@@ -59,7 +63,12 @@ def squinted_weights(centers: np.ndarray, delta: float, n: int) -> np.ndarray:
 
 
 def _stack_reim(z: np.ndarray) -> np.ndarray:
-    return np.concatenate([z.real, z.imag])
+    return np.concatenate([z.real, z.imag], axis=-1)
+
+
+def _beamform(w_h: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """w_h @ v for each vector v of a batch, as one matrix-vector product each."""
+    return (w_h @ v[..., None])[..., 0]
 
 
 def codebook_measurement(
@@ -67,8 +76,7 @@ def codebook_measurement(
     codebook: Codebook,
 ) -> np.ndarray:
     """Beamform the pilot snapshot on every codebook beam; stack re/im."""
-    obs = codebook.w_h @ y_vec
-    return _stack_reim(obs)
+    return _stack_reim(_beamform(codebook.w_h, y_vec))
 
 
 def codebook_model(
@@ -78,17 +86,19 @@ def codebook_model(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Noiseless observations of the unit pilot at x on the scenario's codebook beams,
     and their analytic (2K^2 x 2) Jacobian, from one pair of steering vectors."""
-    ax = steering_vector(x[0], cfg.n_x)
-    ay = steering_vector(x[1], cfg.n_y)
+    ax = steering_vector(x[..., 0], cfg.n_x)
+    ay = steering_vector(x[..., 1], cfg.n_y)
     w_h = cfg.codebook.w_h
-    h_vec = (1.0 * np.outer(ax, ay.conj())).ravel()
+    vec_shape = ax.shape[:-1] + (-1,)
+    h_vec = (1.0 * outer(ax, ay.conj())).reshape(vec_shape)
     dax = -1j * np.arange(cfg.n_x) * ax
     day = -1j * np.arange(cfg.n_y) * ay
     # d vec(a_x a_y^H) / du and / dv; conj of a_y picks up +j*m
-    du = np.outer(dax, ay.conj()).ravel()
-    dv = np.outer(ax, (day.conj())).ravel()
-    z_hat = _stack_reim(gain * (w_h @ h_vec))
-    g = np.column_stack([_stack_reim(gain * (w_h @ du)), _stack_reim(gain * (w_h @ dv))])
+    du = outer(dax, ay.conj()).reshape(vec_shape)
+    dv = outer(ax, (day.conj())).reshape(vec_shape)
+    z_hat = _stack_reim(gain * _beamform(w_h, h_vec))
+    g = np.stack([_stack_reim(gain * _beamform(w_h, du)), _stack_reim(gain * _beamform(w_h, dv))],
+                 axis=-1)
     return z_hat, g
 
 
@@ -123,34 +133,53 @@ class CodebookTracker:
         cfg = self.cfg
         self.alpha_pred *= cfg.rho_gain
         pred = predict(self.state, cfg.f, cfg.q_p)
-        z = codebook_measurement(y.ravel(), cfg.codebook)
+        z = codebook_measurement(y.reshape(y.shape[:-2] + (-1,)), cfg.codebook)
         z_hat, g = codebook_model(pred.x, cfg, self.alpha_pred)
-        try:
-            self.state, innovation, _ = update(pred, z, g, self.q_n, z_hat)
-        except MeasurementFailure:
-            self.state = pred
-            return step_result()
+        # the 2K^2 x 2K^2 update is BLAS-bound and large: one trial at a time
+        x, p = pred.x.copy(), pred.p.copy()
+        innovation = np.full(z.shape, np.nan)
+        for i in np.ndindex(x.shape[:-1]):
+            one = TrackerState(pred.x[i], pred.p[i])
+            try:
+                new, innov, _ = update(one, z[i], g[i], self.q_n, z_hat[i])
+            except MeasurementFailure:
+                continue
+            new, innovation[i] = settle(one, new, innov)
+            x[i], p[i] = new.x, new.p
+        self.state = TrackerState(x, p)
         return step_result(innovation)
 
-    def reinitialize(self, state: TrackerState):
-        self.state = state
+    def reinitialize(self, mask: np.ndarray, state: TrackerState):
+        """Restart the trials in mask from state."""
+        self.state = state.where(mask, self.state)
 
 
-def _axis_pair_powers(u: float, beams: np.ndarray) -> tuple[float, float]:
+def _power(w: np.ndarray, v: np.ndarray):
+    """|w^H v|^2 of each batch entry, rounded as abs(complex) ** 2."""
+    r = vdot(w, v)
+    return np.float_power(np.hypot(r.real, r.imag), 2)
+
+
+def _axis_pair_powers(u, beams: np.ndarray):
     """Noiseless powers at spatial angle u of the +/- squinted rows of squinted_weights."""
-    a = steering_vector(u, beams.shape[1])
-    return abs(np.vdot(beams[0], a)) ** 2, abs(np.vdot(beams[2], a)) ** 2
+    a = steering_vector(u, beams.shape[-1])
+    p = _power(beams[..., ::2, :], a[..., None, :])
+    return p[..., 0], p[..., 1]
 
 
-def _pair_ratio(p_plus: float, p_minus: float) -> float:
-    """Ratio (p+ - p-) / (p+ + p-) of a squinted beam pair's powers."""
+def _pair_ratio(p_plus, p_minus):
+    """Ratio (p+ - p-) / (p+ + p-) of a squinted beam pair's powers; NaN for an entry whose
+    powers are both below the floor, MeasurementFailure if every entry's are."""
     total = p_plus + p_minus
-    if total < _POWER_FLOOR:
+    low = total < _POWER_FLOOR
+    if not low.any():
+        return (p_plus - p_minus) / total
+    if low.all():
         raise MeasurementFailure("both squinted-beam powers below floor")
-    return (p_plus - p_minus) / total
+    return np.where(low, np.nan, (p_plus - p_minus) / np.where(low, 1.0, total))
 
 
-def abp_ratio_curve(u: float, beams: np.ndarray) -> float:
+def abp_ratio_curve(u, beams: np.ndarray):
     """Noiseless ratio metric zeta(u) for one axis, beams from squinted_weights; lies in [-1, 1]."""
     return _pair_ratio(*_axis_pair_powers(u, beams))
 
@@ -158,9 +187,10 @@ def abp_ratio_curve(u: float, beams: np.ndarray) -> float:
 def abp_ratio_metric(y_vec: np.ndarray, beams_x: np.ndarray, beams_y: np.ndarray) -> np.ndarray:
     """Measured 2-vector [zeta_u, zeta_v] from the shared pilot snapshot: the powers of the beams
     vec(w_x w_y^H) from squinted_weights rows, u squinted by +delta and -delta, then v."""
-    p = [abs(np.vdot(np.outer(beams_x[i], beams_y[j].conj()).ravel(), y_vec)) ** 2
-         for i, j in ((0, 1), (2, 1), (1, 0), (1, 2))]
-    return np.array([_pair_ratio(p[0], p[1]), _pair_ratio(p[2], p[3])])
+    rows_x, rows_y = [0, 2, 1, 1], [1, 1, 0, 2]
+    w = outer(beams_x[..., rows_x, :], beams_y[..., rows_y, :].conj())
+    p = _power(w.reshape(w.shape[:-2] + (-1,)), y_vec[..., None, :])
+    return _pair_ratio(p[..., ::2], p[..., 1::2])
 
 
 class AbpTracker:
@@ -192,17 +222,15 @@ class AbpTracker:
     def _beams(self, x_pred: np.ndarray) -> list[np.ndarray]:
         """Each axis's squinted weights around the codebook axis angle nearest x_pred."""
         nearest = self.cfg.codebook.nearest_axis_index
-        return [w[nearest(a)] for w, a in zip(self.cfg.abp_weights, x_pred)]
+        return [w[nearest(x_pred[..., i])] for i, w in enumerate(self.cfg.abp_weights)]
 
-    def _axis_model(
-        self, u: float, beams: np.ndarray, n_other: int
-    ) -> tuple[float, float, float]:
+    def _axis_model(self, u, beams: np.ndarray, n_other: int) -> tuple:
         """Noiseless ratio at u, its central-difference slope, and its
         variance: sigma_n^2 in "fixed" mode, else the delta-method one
         (the gain magnitude cancels)."""
         h = self._FD_STEP
         p_plus, p_minus = _axis_pair_powers(u, beams)
-        ends = [abp_ratio_curve(u + s, beams) for s in (h, -h)]
+        ends = abp_ratio_curve(u + np.reshape([h, -h], (2,) + (1,) * np.ndim(u)), beams)
         slope = (ends[0] - ends[1]) / (2 * h)
         zeta = _pair_ratio(p_plus, p_minus)
         if self.cfg.abp_q_n == "fixed":
@@ -214,24 +242,27 @@ class AbpTracker:
         total = p_plus + p_minus
         var_p = 2.0 * self.sigma2 * p_plus + self.sigma2_sq
         var_m = 2.0 * self.sigma2 * p_minus + self.sigma2_sq
-        dzp = 2.0 * p_minus / total**2
-        dzm = 2.0 * p_plus / total**2
-        return zeta, slope, max(dzp**2 * var_p + dzm**2 * var_m, _Q_N_FLOOR)
+        square = np.float_power
+        dzp = 2.0 * p_minus / square(total, 2)
+        dzm = 2.0 * p_plus / square(total, 2)
+        return zeta, slope, np.maximum(square(dzp, 2) * var_p + square(dzm, 2) * var_m, _Q_N_FLOOR)
 
     def step(self, y: np.ndarray) -> dict:
         cfg = self.cfg
         pred = predict(self.state, cfg.f, cfg.q_p)
         beams = self._beams(pred.x)
         try:
-            zeta = abp_ratio_metric(y.ravel(), *beams)
-            axes = [self._axis_model(*a) for a in zip(pred.x, beams, (cfg.n_y, cfg.n_x))]
-            z_hat, slopes, variances = (np.array(v) for v in zip(*axes))
-            q_n = np.diag(variances)
-            self.state, innovation, _ = update(pred, zeta, np.diag(slopes), q_n, z_hat)
+            zeta = abp_ratio_metric(y.reshape(y.shape[:-2] + (-1,)), *beams)
+            axes = [self._axis_model(pred.x[..., i], b, n)
+                    for i, (b, n) in enumerate(zip(beams, (cfg.n_y, cfg.n_x)))]
+            z_hat, slopes, variances = (np.stack(v, axis=-1) for v in zip(*axes))
+            new, innovation, _ = update(pred, zeta, diag(slopes), diag(variances), z_hat)
         except MeasurementFailure:
             self.state = pred
-            return step_result()
+            return step_result(np.full(pred.x.shape, np.nan))
+        self.state, innovation = settle(pred, new, innovation)
         return step_result(innovation)
 
-    def reinitialize(self, state: TrackerState):
-        self.state = state
+    def reinitialize(self, mask: np.ndarray, state: TrackerState):
+        """Restart the trials in mask from state."""
+        self.state = state.where(mask, self.state)

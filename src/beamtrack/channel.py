@@ -4,6 +4,9 @@ The channel between the N_x x N_y ground array and the single-antenna UAV
 is rank one: H = alpha * a_x(u) a_y(v)^H.  The link budget is unit (no path
 loss), the pilot and data symbols are 1, and the noise level is set
 directly through a quoted SNR.
+
+Angles, gains and snapshots may carry leading batch axes (one entry per
+trial); the functions then work on each entry as on a single one.
 """
 
 from __future__ import annotations
@@ -34,18 +37,28 @@ def noise_variance(cfg: ScenarioConfig, element_signal_power: float, n_elements:
     return var
 
 
-def steering_vector(u: float, n: int) -> np.ndarray:
-    """Array response along one axis: element i is exp(-1j * i * u)."""
+def steering_vector(u, n: int) -> np.ndarray:
+    """Array response along one axis: element i is exp(-1j * i * u), shape (*shape(u), n)."""
     if n < 1:
         raise ValueError("need at least one element")
-    return np.exp(-1j * u * np.arange(n))
+    return np.exp(np.multiply.outer(-1j * np.asarray(u), np.arange(n)))
 
 
-def channel_matrix(gain: complex, x: np.ndarray, cfg: ScenarioConfig) -> np.ndarray:
-    """Rank-one channel H = gain * a_x(u) a_y(v)^H at x = [u, v], shape (n_x, n_y)."""
-    ax = steering_vector(x[0], cfg.n_x)
-    ay = steering_vector(x[1], cfg.n_y)
-    return gain * np.outer(ax, ay.conj())
+def outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.outer(a, b) of each batch entry, shape (..., len_a, len_b)."""
+    return a[..., :, None] * b[..., None, :]
+
+
+def vdot(a: np.ndarray, b: np.ndarray):
+    """np.vdot(a, b) of each batch entry, through matmul's dot of a unit row and column."""
+    return np.matmul(a.conj()[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+def channel_matrix(gain, x: np.ndarray, cfg: ScenarioConfig) -> np.ndarray:
+    """Rank-one channel H = gain * a_x(u) a_y(v)^H at x = [..., u, v], shape (..., n_x, n_y)."""
+    ax = steering_vector(x[..., 0], cfg.n_x)
+    ay = steering_vector(x[..., 1], cfg.n_y)
+    return np.asarray(gain)[..., None, None] * outer(ax, ay.conj())
 
 
 def evolve_gain(
@@ -71,40 +84,47 @@ def evolve_gain(
     return rho * alpha + eps
 
 
-def complex_noise(shape, variance: float, rng: np.random.Generator) -> np.ndarray:
-    """Circularly-symmetric complex Gaussian noise with total variance per entry."""
-    if variance == 0.0:
+def complex_noise(shape, variance, rng) -> np.ndarray:
+    """Circularly-symmetric complex Gaussian noise with total variance per entry; the
+    variance broadcasts against shape.  rng is a Generator, or a rng.TrialDraws whose
+    trial axis leads shape."""
+    if not np.any(variance):
         return np.zeros(shape, dtype=complex)
     s = np.sqrt(variance / 2.0)
     return rng.normal(0.0, s, shape) + 1j * rng.normal(0.0, s, shape)
 
 
-def synthesize_rx(h: np.ndarray, cfg: ScenarioConfig, rng: np.random.Generator) -> np.ndarray:
+def _element_power(h: np.ndarray, axes: int) -> np.ndarray:
+    """Mean |h|^2 over the last `axes` axes, kept as unit axes."""
+    mags = np.abs(h) ** 2
+    flat = mags.reshape(mags.shape[:mags.ndim - axes] + (-1,))
+    # np.mean's own sum and division, without its per-call overhead
+    return (np.add.reduce(flat, axis=-1) / flat.shape[-1]).reshape(flat.shape[:-1] + (1,) * axes)
+
+
+def synthesize_rx(h: np.ndarray, cfg: ScenarioConfig, rng) -> np.ndarray:
     """Pilot-phase snapshot Y = H + N (unit pilot) with SNR-calibrated element noise."""
-    element_power = float(np.mean(np.abs(h) ** 2))
-    var = noise_variance(cfg, element_power, h.size)
+    var = noise_variance(cfg, _element_power(h, 2), h.shape[-2] * h.shape[-1])
     return h + complex_noise(h.shape, var, rng)
 
 
-def beamforming_weight(x: np.ndarray, cfg: ScenarioConfig) -> np.ndarray:
-    """Unit-norm conjugate-steering weight toward the direction x = [u, v].
+def beamforming_weight(x, cfg: ScenarioConfig) -> np.ndarray:
+    """Unit-norm conjugate-steering weight toward the direction x = [..., u, v].
 
     Returns vec(w_x w_y^H) of length N; vec() is row-major over (x, y).
     """
-    wx = steering_vector(x[0], cfg.n_x) / np.sqrt(cfg.n_x)
-    wy = steering_vector(x[1], cfg.n_y) / np.sqrt(cfg.n_y)
-    return np.outer(wx, wy.conj()).ravel()
+    x = np.asarray(x)
+    wx = steering_vector(x[..., 0], cfg.n_x) / np.sqrt(cfg.n_x)
+    wy = steering_vector(x[..., 1], cfg.n_y) / np.sqrt(cfg.n_y)
+    return outer(wx, wy.conj()).reshape(x.shape[:-1] + (-1,))
 
 
-def beamformed_signal(
-    w: np.ndarray, h_vec: np.ndarray, cfg: ScenarioConfig, rng: np.random.Generator
-) -> complex:
+def beamformed_signal(w: np.ndarray, h_vec: np.ndarray, cfg: ScenarioConfig, rng):
     """Data-phase combiner output r = w^H h + w^H n for the unit data symbol.
 
     The combiner is unit norm, so the noise term keeps the per-element
     variance.
     """
-    element_power = float(np.mean(np.abs(h_vec) ** 2))
-    var = noise_variance(cfg, element_power, h_vec.size)
+    var = noise_variance(cfg, _element_power(h_vec, 1), h_vec.shape[-1])
     n = complex_noise(h_vec.shape, var, rng)
-    return complex(np.vdot(w, h_vec) + np.vdot(w, n))
+    return vdot(w, h_vec) + vdot(w, n)

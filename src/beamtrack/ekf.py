@@ -3,11 +3,16 @@
 The measurement function is g(u, v) = (tan(u/2), tan(v/2)).  The default
 Jacobian is the small-angle constant 0.5 * I; the exact diagonal
 0.5 * sec^2(./2) form is available for ablation.
+
+States, measurements and covariances may carry leading batch axes (one
+entry per trial).  An entry without a usable measurement carries NaN: in
+its measurement, its Jacobian or its gain.  A function fails the whole call
+with MeasurementFailure only when no entry is usable, as for a single one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,8 +23,27 @@ from .errors import MeasurementFailure
 class TrackerState:
     """State estimate and error covariance of any EKF variant."""
 
-    x: np.ndarray               # shape (2,)
-    p: np.ndarray               # shape (2, 2), symmetric PSD
+    x: np.ndarray               # shape (..., 2)
+    p: np.ndarray               # shape (..., 2, 2), symmetric PSD
+
+    def where(self, mask: np.ndarray, other: "TrackerState") -> "TrackerState":
+        """This state for the batch entries in mask, other's elsewhere."""
+        mask = np.asarray(mask)
+        return TrackerState(x=np.where(mask[..., None], self.x, other.x),
+                            p=np.where(mask[..., None, None], self.p, other.p))
+
+
+def diag(v: np.ndarray) -> np.ndarray:
+    """np.diag of each vector of a stack: zeros off the diagonal."""
+    n = v.shape[-1]
+    out = np.zeros(v.shape + (n,))
+    out[..., range(n), range(n)] = v
+    return out
+
+
+def norm(v: np.ndarray):
+    """np.linalg.norm of each vector of a stack, through matmul's dot."""
+    return np.sqrt(np.matmul(v[..., None, :], v[..., :, None])[..., 0, 0])
 
 
 def measurement_fn(x: np.ndarray) -> np.ndarray:
@@ -29,7 +53,7 @@ def measurement_fn(x: np.ndarray) -> np.ndarray:
 
 def predict(state: TrackerState, f: np.ndarray, q_p: np.ndarray) -> TrackerState:
     """Time update: x^- = F x, P^- = F P F^T + Q_p."""
-    x_pred = f @ state.x
+    x_pred = (f @ state.x[..., None])[..., 0]
     p_pred = f @ state.p @ f.T + q_p
     return TrackerState(x=x_pred, p=_symmetrize(p_pred))
 
@@ -38,17 +62,37 @@ def jacobian(x_pred: np.ndarray, mode: str = "paper-approx") -> np.ndarray:
     """Measurement Jacobian G at the predicted state.
 
     "paper-approx" returns the constant 0.5 * I; "exact" returns
-    diag(0.5 sec^2(u/2), 0.5 sec^2(v/2)) and fails the frame's measurement
-    (MeasurementFailure) at the tan singularity.
+    diag(0.5 sec^2(u/2), 0.5 sec^2(v/2)), NaN for an entry at the tan
+    singularity, whose measurement fails (MeasurementFailure if every entry's does).
     """
     if mode == "paper-approx":
         return 0.5 * np.eye(2)
     if mode == "exact":
         x = np.asarray(x_pred, dtype=float)
-        if np.any(np.abs(x) >= np.pi - 1e-6):
+        singular = np.any(np.abs(x) >= np.pi - 1e-6, axis=-1)
+        if np.all(singular):
             raise MeasurementFailure("exact Jacobian singular at |angle| -> pi")
-        return np.diag(0.5 / np.cos(x / 2.0) ** 2)
+        d = np.where(singular[..., None], np.nan, 0.5 / np.cos(x / 2.0) ** 2)
+        return diag(d)
     raise ValueError(f"unknown Jacobian mode {mode!r}")
+
+
+def _gain(s: np.ndarray, pgt: np.ndarray) -> np.ndarray:
+    """K = P^- G^T S^-1 as solve(S^T, (P^- G^T)^T)^T; NaN for an entry whose S is singular."""
+    try:
+        return np.linalg.solve(s.mT, pgt.mT).mT
+    except np.linalg.LinAlgError:
+        pass
+    # one singular S fails only its own entry
+    k = np.full(pgt.shape, np.nan)
+    for i in np.ndindex(s.shape[:-2]):
+        try:
+            k[i] = np.linalg.solve(s[i].T, pgt[i].T).T
+        except np.linalg.LinAlgError:
+            continue
+    if np.isnan(k).all():
+        raise MeasurementFailure("singular innovation covariance")
+    return k
 
 
 def update(
@@ -62,39 +106,50 @@ def update(
 
     innovation = r - r_hat, where r_hat defaults to the monopulse model
     g(x^-); K = P^- G^T S^-1; P = P^- - K S K^T, symmetrized against
-    round-off drift.  A singular S (Q_n negligible next to G P^- G^T) is a
-    MeasurementFailure: the frame gets no update.
+    round-off drift.  A singular S (Q_n negligible next to G P^- G^T) fails
+    the entry's measurement: its gain is NaN, or MeasurementFailure if every
+    entry's S is singular.
     """
     if r_hat is None:
         r_hat = measurement_fn(pred.x)
     innovation = np.asarray(r, dtype=float) - r_hat
-    s = g_mat @ pred.p @ g_mat.T + q_n
-    try:
-        k = np.linalg.solve(s.T, (pred.p @ g_mat.T).T).T
-    except np.linalg.LinAlgError as exc:
-        raise MeasurementFailure(f"singular innovation covariance: {exc}") from exc
-    x_new = pred.x + k @ innovation
-    p_new = _symmetrize(pred.p - k @ s @ k.T)
+    s = g_mat @ pred.p @ g_mat.mT + q_n
+    k = _gain(s, pred.p @ g_mat.mT)
+    x_new = pred.x + (k @ innovation[..., None])[..., 0]
+    p_new = _symmetrize(pred.p - k @ s @ k.mT)
     return TrackerState(x=x_new, p=p_new), innovation, k
 
 
-def step_result(innovation: np.ndarray | None = None, bound: float = float("nan")) -> dict:
+def settle(pred: TrackerState, new: TrackerState, innovation: np.ndarray):
+    """The updated state of each entry whose update is finite, the prediction elsewhere
+    (a predict-only frame), and the innovation with NaN rows for those entries."""
+    ok = np.isfinite(new.x).all(axis=-1) & np.isfinite(new.p).all(axis=(-2, -1))
+    if ok.all():
+        return new, innovation
+    return new.where(ok, pred), np.where(ok[..., None], innovation, np.nan)
+
+
+def step_result(innovation: np.ndarray | None = None, bound=float("nan")) -> dict:
     """A tracker step's outcome; the new estimate is the tracker's `state`.
 
-    Without an innovation the frame had no usable measurement and the
-    innovation norm is NaN.  `bound` is the MSE bound of a tracker that
-    computes one, NaN otherwise.
+    Without an innovation (None, or a NaN row of a batch) the frame had no usable
+    measurement and the innovation norm and bound are NaN.  `bound` is the MSE bound of
+    a tracker that computes one, NaN otherwise.  Values are Python scalars, or lists of them with
+    one per batch entry.
     """
-    valid = innovation is not None
+    if innovation is None:
+        innovation = np.full(2, np.nan)
+    innovation = np.asarray(innovation, dtype=float)
+    valid = ~np.isnan(innovation).any(axis=-1)
     return {
-        "meas_valid": valid,
-        "innovation_norm": float(np.linalg.norm(innovation)) if valid else float("nan"),
-        "bound": bound,
+        "meas_valid": valid.tolist(),
+        "innovation_norm": norm(innovation).tolist(),
+        "bound": np.where(valid, bound, np.nan).tolist(),
     }
 
 
 def _symmetrize(p: np.ndarray) -> np.ndarray:
-    return (p + p.T) / 2.0
+    return (p + p.mT) / 2.0
 
 
 @dataclass
@@ -102,39 +157,57 @@ class InnovationNoiseEstimator:
     """Innovation-based running estimate of the measurement covariance.
 
     Keeps the last `window` innovations together with the predicted
-    innovation covariance contribution G P^- G^T; the estimate is the
-    diagonal sample covariance of the innovations minus the mean predicted
-    contribution, floored elementwise.
+    innovation covariance contribution G P^- G^T, in time order, for each
+    entry of a batch of shape `batch`; the estimate is the diagonal sample
+    covariance of the innovations minus the mean predicted contribution,
+    floored elementwise.
     """
 
     window: int = 50
-    floor: float = 1e-9
-    _innovations: list = field(default_factory=list)
-    _gpg_diags: list = field(default_factory=list)
+    floor: float | np.ndarray = 1e-9
+    batch: tuple = ()
 
     def __post_init__(self):
         if self.window < 2:
             raise ValueError("window must be at least 2")
+        self.floor = np.broadcast_to(self.floor, self.batch).copy()
+        # each entry's history is the last `count` rows; rows grow with the pushes, up to window
+        self._innovations = np.zeros((*self.batch, 0, 2))
+        self._gpg_diags = np.zeros((*self.batch, 0, 2))
+        self._count = np.zeros(self.batch, dtype=int)
 
     def push(self, innovation: np.ndarray, g_mat: np.ndarray, p_pred: np.ndarray):
-        self._innovations.append(np.asarray(innovation, dtype=float))
-        self._gpg_diags.append(np.diag(g_mat @ p_pred @ g_mat.T).copy())
-        if len(self._innovations) > self.window:
-            self._innovations.pop(0)
-            self._gpg_diags.pop(0)
+        """Append each entry's innovation; an entry with a NaN innovation appends nothing."""
+        gpg = np.diagonal(g_mat @ p_pred @ g_mat.mT, axis1=-2, axis2=-1)
+        new = ~np.isnan(innovation).any(axis=-1)
+        history = []
+        for rows, value in ((self._innovations, innovation), (self._gpg_diags, gpg)):
+            value = value[..., None, :]
+            pushed = np.concatenate([rows, value], axis=-2)
+            if not new.all():
+                # an entry that appends nothing keeps its rows last
+                kept = np.concatenate([np.zeros_like(value), rows], axis=-2)
+                pushed = np.where(new[..., None, None], pushed, kept)
+            history.append(pushed[..., -self.window:, :])
+        self._innovations, self._gpg_diags = history
+        self._count += new
+
+    def reset(self, mask: np.ndarray):
+        """Forget the history of the entries in mask."""
+        self._count[mask] = 0
 
     def estimate(self, prior: np.ndarray) -> np.ndarray:
-        """Current Q_n estimate, or the prior while history is short."""
-        if len(self._innovations) < self.window:
-            return np.asarray(prior, dtype=float)
-        innov = np.array(self._innovations)
-        raw = innov.var(axis=0, ddof=1) - np.mean(self._gpg_diags, axis=0)
-        return np.diag(np.maximum(raw, self.floor))
+        """Current Q_n estimate, or the prior while an entry's history is short."""
+        prior = np.asarray(prior, dtype=float)
+        ready = self._count >= self.window
+        if not ready.any():
+            return prior
+        raw = self._innovations.var(axis=-2, ddof=1) - self._gpg_diags.mean(axis=-2)
+        est = diag(np.maximum(raw, self.floor[..., None]))
+        return np.where(ready[..., None, None], est, prior)
 
 
 def initial_state(x0: np.ndarray, sigma_init: float) -> TrackerState:
     """Initial tracker state with P0 = sigma_init^2 * I."""
-    return TrackerState(
-        x=np.asarray(x0, dtype=float).copy(),
-        p=np.eye(2) * sigma_init**2,
-    )
+    x = np.asarray(x0, dtype=float).copy()
+    return TrackerState(x=x, p=np.broadcast_to(np.eye(2) * sigma_init**2, (*x.shape, 2)).copy())

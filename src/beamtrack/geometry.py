@@ -11,8 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 
-def angles_to_spatial(phi: float, theta: float, d_over_lambda: float = 0.5) -> np.ndarray:
-    """Map azimuth/elevation to the spatial-angle pair [u, v] in radians.
+def angles_to_spatial(phi, theta: float, d_over_lambda: float = 0.5) -> np.ndarray:
+    """Map azimuth/elevation to the spatial-angle pair [..., u, v] in radians.
 
     u = (2*pi*d/lambda) cos(phi) sin(theta), v = (2*pi*d/lambda) sin(phi) sin(theta).
     With half-wavelength spacing the leading factor is exactly pi.
@@ -20,10 +20,10 @@ def angles_to_spatial(phi: float, theta: float, d_over_lambda: float = 0.5) -> n
     if not (0 < d_over_lambda <= 0.5):
         raise ValueError("d/lambda must lie in (0, 0.5]; larger spacing aliases")
     scale = 2.0 * np.pi * d_over_lambda
-    return np.array([
+    return np.stack([
         scale * np.cos(phi) * np.sin(theta),
         scale * np.sin(phi) * np.sin(theta),
-    ])
+    ], axis=-1)
 
 
 def elevation_from_geometry(station_height: float, flight_radius: float) -> float:
@@ -39,15 +39,11 @@ def rotation_matrix(psi: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
-def evolve_state(
-    x: np.ndarray,
-    f: np.ndarray,
-    sigma: tuple[float, float],
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """One step of the truth dynamics x' = F x + w, w ~ N(0, diag(sigma)^2).
+def evolve_state(x: np.ndarray, f: np.ndarray, sigma: tuple[float, float], rng) -> np.ndarray:
+    """One step of the truth dynamics x' = F x + w, w ~ N(0, diag(sigma)^2), for x of shape
+    (..., 2); rng is a Generator, or a rng.TrialDraws with one trial per row of x.
 
     The result is not clamped to [-pi, pi]; out-of-range states are the
     misalignment detector's problem, not the dynamics'.
     """
-    return f @ x + rng.normal(0.0, sigma)
+    return (f @ x[..., None])[..., 0] + rng.normal(0.0, sigma)

@@ -5,6 +5,23 @@ tracker step (predict/update; the proposed tracker also reports its MSE
 bound) -> data-phase beamformed power -> misalignment detection (optional
 realignment).  All schemes consume identical truth and noise streams per
 (trial, frame), so scheme comparisons are paired.
+
+All trials of a run advance together in one frame loop: truth, gain, estimate,
+covariance, Q_n window, detector counters and measurement validity are arrays
+with a leading trial axis, and run_trial is a batch of one.  The random draws
+(one stream per trial), the gain step, the detector's table lookup and the
+codebook's 2K^2 x 2K^2 update stay per trial.
+
+Same bytes when batching: a trial's records do not depend on the batch it runs
+in, and equal those of the per-trial loop this replaced.  Each batched operation
+rounds like the per-entry call: products and dot products are np.matmul on
+stacks with a trailing unit axis (F x, K v, W h, vdot and 2-norms), |z|^2 of a
+complex value is np.float_power(np.hypot(re, im), 2), and sums over trials run
+in trial order.  X @ F.T, einsum, arr**2 or np.abs on what was a Python
+scalar, gemm over stacked vectors and np.linalg.norm(axis=...) each round
+differently.  FrameRecord fields and detection_frames hold Python bool, int and
+float only: _fmt writes an np.bool_ or an np.int64 as 1.0, and json cannot
+write an np.int64.
 """
 
 from __future__ import annotations
@@ -28,7 +45,9 @@ from .ekf import (
     TrackerState,
     initial_state,
     jacobian,
+    norm,
     predict,
+    settle,
     step_result,
     update,
 )
@@ -209,6 +228,11 @@ class ScenarioConfig:
         return build_codebook(self)
 
     @cached_property
+    def scheme_copies(self) -> dict:
+        """This config's copies that run another scheme, by scheme; see _for_scheme."""
+        return {}
+
+    @cached_property
     def abp_weights(self) -> tuple[np.ndarray, ...]:
         """ABP's squinted_weights around the codebook axis angles, per axis, built on first use."""
         centers, delta = self.codebook.axis_angles, self.squint
@@ -280,9 +304,8 @@ class ProposedTracker:
         # near zero (transient-biased window) would saturate the gain and
         # inject raw measurement noise into the state
         self.estimator = InnovationNoiseEstimator(
-            window=cfg.q_n_window, floor=cfg.sigma_n_sq / 10.0
+            window=cfg.q_n_window, floor=cfg.sigma_n_sq / 10.0, batch=state.x.shape[:-1]
         )
-        self.last_q_n = self.q_n_prior
         self.q_n_relaxed = np.eye(2) * cfg.sigma_nb_sq   # the bound's Q_n'
 
     def step(self, y: np.ndarray) -> dict:
@@ -296,17 +319,21 @@ class ProposedTracker:
                 q_n = self.estimator.estimate(self.q_n_prior)
             else:
                 q_n = self.q_n_prior
-            self.state, innovation, k = update(pred, meas.r, g, q_n)
+            new, innovation, k = update(pred, meas.r, g, q_n)
         except MeasurementFailure:
             self.state = pred
-            return step_result()
-        self.last_q_n = q_n
+            return step_result(np.full(pred.x.shape, np.nan))
+        self.state, innovation = settle(pred, new, innovation)
         self.estimator.push(innovation, g, pred.p)
         return step_result(innovation, bound_step(p_prev, k, g, cfg.f, cfg.q_p, self.q_n_relaxed))
 
-    def reinitialize(self, state: TrackerState):
-        self.state = state
-        self.estimator = InnovationNoiseEstimator(window=self.estimator.window)
+    def reinitialize(self, mask: np.ndarray, state: TrackerState):
+        """Restart the trials in mask from state, with an empty Q_n window."""
+        self.state = state.where(mask, self.state)
+        self.estimator.reset(mask)
+        # a restarted window floors its estimate at the estimator's default, not the prior's
+        # tenth; outputs since the first release depend on it
+        self.estimator.floor[mask] = InnovationNoiseEstimator.floor
 
 
 # every tracker is built as Tracker(cfg, state)
@@ -315,71 +342,93 @@ SCHEMES = tuple(TRACKERS)
 
 
 def _for_scheme(cfg: ScenarioConfig, scheme: str | None) -> ScenarioConfig:
-    """cfg, or a copy that runs another scheme, checked like any config."""
-    return cfg if scheme in (None, cfg.scheme) else replace(cfg, scheme=scheme)
+    """cfg, or its copy that runs another scheme, checked like any config and built once."""
+    if scheme in (None, cfg.scheme):
+        return cfg
+    copies = cfg.scheme_copies
+    if scheme not in copies:
+        copies[scheme] = replace(cfg, scheme=scheme)
+    return copies[scheme]
 
 
-def run_trial(cfg: ScenarioConfig, trial_index: int, scheme: str | None = None) -> list[FrameRecord]:
-    """Simulate one trial; deterministic given (cfg.seed, trial_index)."""
-    cfg = _for_scheme(cfg, scheme)
-    sigma = (cfg.sigma_u, cfg.sigma_v)
+def _abs2(z):
+    """|z|^2 of each entry, rounded as abs(complex) ** 2."""
+    return np.float_power(np.hypot(z.real, z.imag), 2)
 
-    init_rng = rngmod.stream(cfg.seed, trial_index, 0, "init")
-    phi = init_rng.uniform(
-        -np.deg2rad(cfg.azimuth_range_deg), np.deg2rad(cfg.azimuth_range_deg)
-    )
+
+def _draws(cfg: ScenarioConfig, trials, frame: int, purpose: str) -> rngmod.TrialDraws:
+    """A frame's normals for one purpose, a stream per trial: 2 for the truth drift, 2 per
+    element for the pilot and data noise."""
+    return rngmod.TrialDraws(cfg.seed, trials, frame, purpose,
+                             2 if purpose == "process" else 2 * cfg.n)
+
+
+def _frames(cfg: ScenarioConfig, trials):
+    """Simulate the trials as one batch; yield each frame's FrameRecord fields after
+    `frame`, each a list with one value per trial."""
+    try:
+        x_hat0 = np.empty((len(trials), 2))
+    except (ValueError, OverflowError) as exc:
+        raise MemoryError(f"the batch of trials does not fit in an array: {exc}") from exc
+    lim = np.deg2rad(cfg.azimuth_range_deg)
+    phi = np.empty(len(trials))
+    for i, t in enumerate(trials):
+        init_rng = rngmod.stream(cfg.seed, t, 0, "init")
+        phi[i] = init_rng.uniform(-lim, lim)
+        x_hat0[i] = init_rng.normal(0.0, cfg.sigma_init, 2)
     truth = angles_to_spatial(phi, cfg.theta, cfg.d_over_lambda)
-    x_hat0 = truth + init_rng.normal(0.0, cfg.sigma_init, 2)
+    x_hat0 += truth
 
     tracker = TRACKERS[cfg.scheme](cfg, initial_state(x_hat0, cfg.sigma_init))
-    detector = DetectorState()
-    alpha = 1.0 + 0.0j
-    records: list[FrameRecord] = []
+    restart = initial_state(np.zeros(2), cfg.sigma_init)
+    detector = DetectorState(np.zeros(len(trials), dtype=int))
+    alpha = [1.0 + 0.0j] * len(trials)
+    sigma = (cfg.sigma_u, cfg.sigma_v)
 
     for k in range(1, cfg.frames + 1):
-        key = (cfg.seed, trial_index, k)
-        truth = evolve_state(truth, cfg.f, sigma, rngmod.stream(*key, "process"))
-        alpha = evolve_gain(
-            alpha, cfg.rho_gain, rngmod.stream(*key, "gain"), cfg.gain_innovation_var
-        )
-        h = channel_matrix(alpha, truth, cfg)
-        y = synthesize_rx(h, cfg, rngmod.stream(*key, "pilot"))
+        truth = evolve_state(truth, cfg.f, sigma, _draws(cfg, trials, k, "process"))
+        for i, t in enumerate(trials):
+            alpha[i] = evolve_gain(alpha[i], cfg.rho_gain, rngmod.stream(cfg.seed, t, k, "gain"),
+                                   cfg.gain_innovation_var)
+        gain = np.array(alpha)
+        h = channel_matrix(gain, truth, cfg)
+        y = synthesize_rx(h, cfg, _draws(cfg, trials, k, "pilot"))
 
         out = tracker.step(y)
         x_hat = tracker.state.x
 
         # data transmission phase: beamformed power toward the estimate
         w = beamforming_weight(x_hat, cfg)
-        r_d = beamformed_signal(w, h.ravel(), cfg, rngmod.stream(*key, "data"))
-        p_r = float(abs(r_d) ** 2 / (cfg.n * abs(alpha) ** 2))
+        r_d = beamformed_signal(w, h.reshape(len(trials), -1), cfg, _draws(cfg, trials, k, "data"))
+        p_r = (_abs2(r_d) / (cfg.n * _abs2(gain))).tolist()
 
-        est = detect_step(p_r, cfg, detector)
+        est = [detect_step(p, cfg, detector, i) for i, p in enumerate(p_r)]
+        realigned = [e.realigned for e in est]
+        yield (truth[:, 0].tolist(), truth[:, 1].tolist(), x_hat[:, 0].tolist(),
+               x_hat[:, 1].tolist(), norm(truth - x_hat).tolist(), [e.xi_hat for e in est], p_r,
+               [e.detected for e in est], realigned, out["bound"], out["innovation_norm"],
+               out["meas_valid"])
 
-        xi = truth - x_hat
-        records.append(
-            FrameRecord(
-                frame=k,
-                u_true=float(truth[0]),
-                v_true=float(truth[1]),
-                u_hat=float(x_hat[0]),
-                v_hat=float(x_hat[1]),
-                err_norm=float(np.linalg.norm(xi)),
-                err_norm_hat=est.xi_hat,
-                p_r=p_r,
-                detected=est.detected,
-                realigned=est.realigned,
-                bound=out["bound"],
-                innov_norm=out["innovation_norm"],
-                meas_valid=out["meas_valid"],
-            )
-        )
+        if any(realigned):
+            for i in np.flatnonzero(realigned):
+                realign_rng = rngmod.stream(cfg.seed, trials[i], k, "realign")
+                truth[i] = realign_rng.normal(0.0, cfg.detect_residual, 2)
+            tracker.reinitialize(np.array(realigned), restart)
 
-        if est.realigned:
-            realign_rng = rngmod.stream(*key, "realign")
-            truth = realign_rng.normal(0.0, cfg.detect_residual, 2)
-            tracker.reinitialize(initial_state(np.zeros(2), cfg.sigma_init))
 
+def run_batch(cfg: ScenarioConfig, trials, scheme: str | None = None) -> list[list[FrameRecord]]:
+    """Simulate the given trials together; each trial's records are those it gives alone."""
+    cfg = _for_scheme(cfg, scheme)
+    records = [[] for _ in trials]
+    for k, columns in enumerate(_frames(cfg, trials), start=1):
+        for rows, values in zip(records, zip(*columns)):
+            rows.append(FrameRecord(k, *values))
     return records
+
+
+def run_trial(cfg: ScenarioConfig, trial_index: int, scheme: str | None = None) -> list[FrameRecord]:
+    """Simulate one trial, a batch of one; deterministic given (cfg.seed, trial_index)."""
+    return run_batch(cfg, [trial_index], scheme)[0]
 
 
 @dataclass
@@ -404,31 +453,28 @@ class ExperimentSummary:
 
 
 def run_experiment(cfg: ScenarioConfig, scheme: str | None = None) -> ExperimentSummary:
-    """Run all trials and aggregate per-frame statistics."""
+    """Run all trials as one batch and aggregate per-frame statistics."""
     cfg = _for_scheme(cfg, scheme)
-    sq_err = np.zeros(cfg.frames)
-    bound_sum = np.zeros(cfg.frames)
-    bound_count = np.zeros(cfg.frames)
+    sq_err, bound_sum, bound_count = [], [], []
     detections: list[list[int]] = []
-    for t in range(cfg.trials):
-        records = run_trial(cfg, t)
-        if t == 0:
-            trace = records
-        for rec in records:
-            i = rec.frame - 1
-            sq_err[i] += rec.err_norm**2
-            if math.isfinite(rec.bound):
-                bound_sum[i] += rec.bound
-                bound_count[i] += 1
-            if rec.realigned:
-                detections.append([t, rec.frame])
-    per_frame_mse = (sq_err / cfg.trials).tolist()
-    per_frame_bound = np.where(bound_count > 0, bound_sum / np.maximum(bound_count, 1), np.nan)
+    trace: list[FrameRecord] = []
+    for k, columns in enumerate(_frames(cfg, range(cfg.trials)), start=1):
+        trace.append(FrameRecord(k, *(c[0] for c in columns)))
+        err, realigned, bound = columns[4], columns[8], columns[9]
+        # sums run in trial order
+        sq_err.append(sum(e**2 for e in err))
+        finite = [b for b in bound if math.isfinite(b)]
+        bound_sum.append(sum(finite))
+        bound_count.append(len(finite))
+        detections += [[t, k] for t, r in enumerate(realigned) if r]
+    per_frame_mse = (np.array(sq_err) / cfg.trials).tolist()
+    count = np.array(bound_count)
+    per_frame_bound = np.where(count > 0, np.array(bound_sum) / np.maximum(count, 1), np.nan)
     return ExperimentSummary(
         scenario=cfg.to_dict(),
         per_frame_mse=per_frame_mse,
         per_frame_bound=[x if math.isfinite(x) else None for x in per_frame_bound],
-        detection_frames=detections,
+        detection_frames=sorted(detections),
         ledger=asdict(trial_ledger(cfg)),
         trace=trace,
     )

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
@@ -40,9 +40,9 @@ class ErrorEstimate:
 
 @dataclass
 class DetectorState:
-    """Consecutive-detection counter, owned by one trial."""
+    """Consecutive-detection counters, one per trial of a batch."""
 
-    consecutive: int = 0
+    consecutive: np.ndarray = field(default_factory=lambda: np.zeros((), dtype=int))
 
 
 def _dirichlet_ratio(offset: float, n: int) -> float:
@@ -105,9 +105,9 @@ def estimate_error_norm(p_r: float, n_x: int, n_y: int | None = None) -> float:
     return min(n for e, n in zip(err, norms[lo:hi]) if e <= cut)
 
 
-def detect_step(p_r: float, cfg: ScenarioConfig, det: DetectorState) -> ErrorEstimate:
-    """One detection step on the scenario's array and detector fields; mutates the
-    consecutive counter.
+def detect_step(p_r: float, cfg: ScenarioConfig, det: DetectorState, trial=()) -> ErrorEstimate:
+    """One detection step of one trial (the index of its counter in det) on the scenario's
+    array and detector fields; mutates that trial's consecutive counter.
 
     realigned=True means the caller must re-center the truth, re-initialize
     the tracker, and reset its own bookkeeping; the counter resets here.
@@ -115,13 +115,9 @@ def detect_step(p_r: float, cfg: ScenarioConfig, det: DetectorState) -> ErrorEst
     clipped = p_r > 1.0
     xi_hat = estimate_error_norm(p_r, cfg.n_x, cfg.n_y)
     detected = bool(cfg.detect_enabled and xi_hat > cfg.threshold)
-    if detected:
-        det.consecutive += 1
-    else:
-        det.consecutive = 0
-    realigned = det.consecutive >= cfg.detect_consecutive
-    if realigned:
-        det.consecutive = 0
+    count = det.consecutive[trial] + 1 if detected else 0
+    realigned = bool(count >= cfg.detect_consecutive)
+    det.consecutive[trial] = 0 if realigned else count
     return ErrorEstimate(
         xi_hat=xi_hat,
         detected=detected,

@@ -26,55 +26,76 @@ DENOMINATOR_FLOOR = 1e-9
 
 @dataclass(frozen=True)
 class MonopulseMeasurement:
-    """The 2-vector measurement r = [Im Rx, Im Ry] plus raw complex values."""
+    """The 2-vector measurement r = [Im Rx, Im Ry] plus raw complex values, per snapshot
+    of a batch; a snapshot without a usable pair on an axis has NaN there."""
 
     r: np.ndarray
-    raw_rx: complex
-    raw_ry: complex
-    excluded_pairs: int = 0
+    raw_rx: complex | np.ndarray
+    raw_ry: complex | np.ndarray
+    excluded_pairs: int = 0     # summed over the batch
+
+
+def _flat(a: np.ndarray) -> np.ndarray:
+    """a with its last two axes as one, so a sum over them runs as over a raveled matrix."""
+    return a.reshape(a.shape[:-2] + (-1,))
+
+
+def _mean(a: np.ndarray):
+    """np.mean over the last axis: its sum divided by its length."""
+    return np.add.reduce(a, axis=-1) / a.shape[-1]
 
 
 def normalize_rx(y: np.ndarray) -> np.ndarray:
-    """Divide the snapshot by a single complex reference gain.
+    """Divide each snapshot by a single complex reference gain.
 
     The reference is Y(0,0) when it is not vanishingly small, otherwise the
     largest-magnitude element.  Pairwise ratios are exactly invariant to
     this scaling; it only conditions the arithmetic.
     """
-    mags = np.abs(y)
-    peak = mags.max()
-    if peak == 0.0:
+    mags = _flat(np.abs(y))
+    if not mags.max(axis=-1).all():
         raise DegenerateInputError("all-zero snapshot cannot be normalized")
-    g = y[0, 0]
-    if abs(g) < DENOMINATOR_FLOOR * mags.mean():
-        g = y.flat[np.argmax(mags)]
-    return y / g
+    g = y[..., 0, 0]
+    small = np.hypot(g.real, g.imag) < DENOMINATOR_FLOOR * _mean(mags)
+    if small.any():
+        peak = np.take_along_axis(_flat(y), mags.argmax(axis=-1)[..., None], axis=-1)[..., 0]
+        g = np.where(small, peak, g)
+    return y / g[..., None, None]
 
 
-def _pair_average(a: np.ndarray, b: np.ndarray) -> tuple[complex, int]:
-    """Mean of (a-b)/(a+b) over pairs with non-degenerate denominators."""
-    num = a - b
+def _pair_average(a, b, mag_a, mag_b) -> tuple[np.ndarray, np.ndarray]:
+    """Mean of (a-b)/(a+b) over pairs with non-degenerate denominators, per snapshot (NaN
+    where none is left), and the count of pairs dropped; mag_a and mag_b are |a| and |b|."""
     den = a + b
-    floor = DENOMINATOR_FLOOR * max(np.abs(a).mean(), np.abs(b).mean())
-    keep = np.abs(den) >= floor
-    excluded = int(keep.size - keep.sum())
-    if not keep.any():
-        raise MeasurementFailure("all adjacent-pair denominators below floor")
-    return complex(np.mean(num[keep] / den[keep])), excluded
+    floor = DENOMINATOR_FLOOR * np.maximum(_mean(_flat(mag_a)), _mean(_flat(mag_b)))
+    keep = _flat(np.abs(den)) >= floor[..., None]
+    if keep.all():
+        return _mean(_flat((a - b) / den)), 0
+    excluded = keep.shape[-1] - np.add.reduce(keep, axis=-1)
+    # a snapshot that dropped pairs averages what it kept, as a 1-D mean of those
+    num, den = _flat(a - b), _flat(den)
+    mean = np.empty(excluded.shape, dtype=complex)
+    for i in np.ndindex(excluded.shape):
+        k = keep[i]
+        mean[i] = _mean(num[i][k] / den[i][k]) if k.any() else complex(np.nan, np.nan)
+    return mean, excluded
 
 
 def extract_measurement(y: np.ndarray, cfg: ScenarioConfig) -> MonopulseMeasurement:
-    """Full monopulse measurement r = [Im Rx, Im Ry] from a raw snapshot."""
-    if y.shape != (cfg.n_x, cfg.n_y):
+    """Full monopulse measurement r = [Im Rx, Im Ry] from raw snapshots of shape
+    (..., n_x, n_y); MeasurementFailure when no snapshot has a usable pair on both axes."""
+    if y.shape[-2:] != (cfg.n_x, cfg.n_y):
         raise ValueError(f"snapshot shape {y.shape} does not match the {cfg.n_x}x{cfg.n_y} array")
     y_norm = normalize_rx(y)
-    rx, ex_x = _pair_average(y_norm[:-1, :], y_norm[1:, :])
+    mags = np.abs(y_norm)
+    rx, ex_x = _pair_average(y_norm[..., :-1, :], y_norm[..., 1:, :],
+                             mags[..., :-1, :], mags[..., 1:, :])
     # columns carry e^{+j m v} (the channel conjugates a_y), so the pair
     # order is swapped to keep the noiseless value at +j tan(v/2)
-    ry, ex_y = _pair_average(y_norm[:, 1:], y_norm[:, :-1])
+    ry, ex_y = _pair_average(y_norm[..., :, 1:], y_norm[..., :, :-1],
+                             mags[..., :, 1:], mags[..., :, :-1])
+    r = np.stack([np.imag(rx), np.imag(ry)], axis=-1)
+    if np.isnan(r).any(axis=-1).all():
+        raise MeasurementFailure("all adjacent-pair denominators below floor")
     return MonopulseMeasurement(
-        r=np.array([rx.imag, ry.imag]),
-        raw_rx=rx,
-        raw_ry=ry,
-        excluded_pairs=ex_x + ex_y,
-    )
+        r=r, raw_rx=rx, raw_ry=ry, excluded_pairs=int(np.sum(ex_x + ex_y)))

@@ -7,6 +7,9 @@ and all tracking schemes see identical noise realizations per frame.
 
 from __future__ import annotations
 
+import math
+from functools import lru_cache
+
 import numpy as np
 
 # Purpose tags; values are baked into stream keys, do not renumber.
@@ -30,20 +33,62 @@ def _mix64(x: int) -> int:
     return (z ^ (z >> 31)) & _MASK
 
 
+# a batch re-keys one stream per trial with the same frame half, and every frame with the
+# same trial halves: each half is mixed once
+@lru_cache(maxsize=1 << 12)
+def _trial_half(seed: int, trial: int) -> int:
+    return _mix64(seed ^ _mix64(trial))
+
+
+@lru_cache(maxsize=1 << 12)
+def _frame_half(seed: int, frame: int, tag: int) -> int:
+    return _mix64((frame << 8) ^ tag ^ _mix64(seed + 0x5555))
+
+
+def _philox_key(lo: int, hi: int):
+    """The key Philox(key=(lo, hi)) builds: numpy makes the tuple float64, and so rounds
+    both halves, when one half is below 2**63 and the other is not."""
+    if lo >> 63 == hi >> 63:
+        return lo, hi
+    lo_f, hi_f = float(lo), float(hi)
+    if max(lo_f, hi_f) < 2.0**64:
+        return int(lo_f), int(hi_f)
+    # 2**64 itself has no uint64 value; numpy's cast of it is the host's
+    return np.asarray((lo, hi)).astype(np.uint64, casting="unsafe")
+
+
 # a Philox stream is its key and counter, so re-keying draws what a new generator would
 _GENERATOR = np.random.Generator(np.random.Philox(key=(0, 0)))
 _ZEROS = np.zeros(4, dtype=np.uint64)
+_STATE = {"bit_generator": "Philox", "state": {"counter": _ZEROS, "key": (0, 0)},
+          "buffer": _ZEROS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
 
 def stream(seed: int, trial: int, frame: int, purpose: str) -> np.random.Generator:
     """Deterministic generator keyed by (seed, trial, frame, purpose): the module's one
     generator, re-keyed, so it is valid only until the next stream call (in any thread)."""
     tag = PURPOSES[purpose]
-    key_lo = _mix64(seed ^ _mix64(trial))
-    key_hi = _mix64((frame << 8) ^ tag ^ _mix64(seed + 0x5555))
-    # Philox(key=(lo, hi))'s own conversion, float64 for a tuple with a half >= 2**63
-    key = np.asarray((key_lo, key_hi)).astype(np.uint64, casting="unsafe")
-    _GENERATOR.bit_generator.state = {
-        "bit_generator": "Philox", "state": {"counter": _ZEROS, "key": key},
-        "buffer": _ZEROS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    _STATE["state"]["key"] = _philox_key(_trial_half(seed, trial), _frame_half(seed, frame, tag))
+    _GENERATOR.bit_generator.state = _STATE
     return _GENERATOR
+
+
+class TrialDraws:
+    """One frame's draws for one purpose of a batch of trials, each from its own stream.
+
+    The first `count` standard normals of every trial's stream are drawn at once; each
+    `normal` call then returns loc + scale * z (as Generator.normal computes it) for the
+    next values of every trial, with the trial axis first.  `size`, when given, is the
+    whole shape, trial axis included; without it the shape is (trials, *shape(scale)).
+    """
+
+    def __init__(self, seed: int, trials, frame: int, purpose: str, count: int):
+        self._z = np.empty((len(trials), count))
+        for row, trial in zip(self._z, trials):
+            stream(seed, trial, frame, purpose).standard_normal(out=row)
+        self._used = 0
+
+    def normal(self, loc, scale, size=None):
+        shape = (len(self._z), *np.shape(scale)) if size is None else size
+        start, self._used = self._used, self._used + math.prod(shape[1:])
+        return loc + scale * self._z[:, start:self._used].reshape(shape)

@@ -18,7 +18,7 @@ from beamtrack import rng as rngmod
 from beamtrack.cli import main as cli_main
 from beamtrack.ekf import TrackerState, update
 from beamtrack.geometry import elevation_from_geometry, rotation_matrix
-from beamtrack.harness import ScenarioConfig, run_experiment, run_trial, trial_ledger
+from beamtrack.harness import ScenarioConfig, run_batch, run_experiment, run_trial, trial_ledger
 from beamtrack.monopulse import extract_measurement
 from beamtrack.presets import get_preset
 
@@ -34,10 +34,19 @@ def report(num: int, desc: str, ok: bool) -> None:
 
 
 def per_frame_sq_err(cfg: ScenarioConfig, scheme: str) -> np.ndarray:
-    """(trials, frames) matrix of squared tracking errors."""
+    """(trials, frames) matrix of squared tracking errors, from one batched run."""
     return np.array(
-        [[r.err_norm**2 for r in run_trial(cfg, t, scheme)] for t in range(cfg.trials)]
+        [[r.err_norm**2 for r in records] for records in run_batch(cfg, range(cfg.trials), scheme)]
     )
+
+
+@pytest.mark.parametrize("scheme", ["proposed", "abp", "codebook"])
+def test_batched_matrix_equals_single_trial_runs(scheme):
+    # the criteria read one batched run; each row is what the trial gives alone
+    cfg = replace(get_preset("fig9"), trials=4, frames=12, seed=11)
+    single = np.array([[r.err_norm**2 for r in run_trial(cfg, t, scheme)]
+                       for t in range(cfg.trials)])
+    assert per_frame_sq_err(cfg, scheme).tobytes() == single.tobytes()
 
 
 def test_criterion_1_monopulse_exactness():
@@ -174,8 +183,7 @@ def test_criterion_7_misalignment_detection():
     timely = 0
     post_ok = True
     post_checked = 0
-    for t in range(cfg.trials):
-        records = run_trial(cfg, t)
+    for t, records in enumerate(run_batch(cfg, range(cfg.trials))):
         for i, rec in enumerate(records):
             if rec.realigned and i + 1 < len(records):
                 # recover the post-realignment truth from the next frame by

@@ -357,8 +357,10 @@ class TestAbpWeights:
     def test_metric_beams_are_beamforming_weights(self, shape, monkeypatch):
         cfg = _cfg(*shape, scheme="abp")
         cb, delta = cfg.codebook, cfg.squint
-        vdot, beams = np.vdot, []
-        monkeypatch.setattr(np, "vdot", lambda w, y: beams.append(w) or vdot(w, y))
+        vdot, beams = baselines.vdot, []
+        # one call may take a stack of beams; each row is one beam
+        monkeypatch.setattr(baselines, "vdot",
+                            lambda w, y: beams.extend(w.reshape(-1, w.shape[-1])) or vdot(w, y))
         y = rank1_snapshot(0.3, -0.2, cfg).ravel()
         for ix, iy in [(0, 0), (3, 5), (7, 2)]:
             beams.clear()

@@ -89,16 +89,15 @@ def test_run_non_utf8_config_exits_2(runner, tmp_path):
 
 
 def test_run_simulates_each_trial_once(runner, tiny_config, tmp_path, monkeypatch):
+    # every simulation, a single trial's too, runs through the batched frame engine
     calls = []
-    original = harness.run_trial
+    original = harness._frames
 
-    def counting(*args, **kwargs):
-        calls.append(args[1])
-        return original(*args, **kwargs)
+    def counting(cfg, trials):
+        calls.extend(trials)
+        return original(cfg, trials)
 
-    monkeypatch.setattr(harness, "run_trial", counting)
-    # also count calls the CLI would make through a name of its own
-    monkeypatch.setattr(cli, "run_trial", counting, raising=False)
+    monkeypatch.setattr(harness, "_frames", counting)
     result = runner.invoke(main, ["run", "--config", str(tiny_config), "--out", str(tmp_path)])
     assert result.exit_code == 0
     assert sorted(calls) == [0, 1]
@@ -272,6 +271,18 @@ def test_size_that_does_not_fit_in_memory_exits_2(runner, tiny_config, tmp_path,
 
     monkeypatch.setattr(cli, "run_experiment", out_of_memory)
     result = runner.invoke(main, ["run", "--config", str(tiny_config), "--out", str(tmp_path)])
+    assert result.exit_code == 2
+    assert "config error: the proposed run does not fit in memory" in result.output
+    assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("trials", [2**62, 2**70])
+def test_trials_that_cannot_be_allocated_exit_2(runner, tmp_path, trials):
+    # the batch sizes its per-trial arrays by the trial count; numpy refuses this one
+    # before allocating anything
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"trials": trials, "frames": 2}))
+    result = runner.invoke(main, ["run", "--config", str(cfg), "--out", str(tmp_path)])
     assert result.exit_code == 2
     assert "config error: the proposed run does not fit in memory" in result.output
     assert "Traceback" not in result.output

@@ -127,6 +127,26 @@ def _filter_problems(pred, g_mat, q_n, post) -> list[str]:
     return problems
 
 
+def _batch_problems(pred, r, g_mat, q_n, r_hat, out) -> list[str]:
+    """_filter_problems of each trial of a batched update.  A trial that enters with a
+    failed measurement (NaN in r, G, Q_n or r_hat) gets no update and no check; one whose
+    gain is NaN (its S is singular) is checked like an update that raised."""
+    batch = pred.x.shape[:-1]
+    r_hat = 0.0 if r_hat is None else r_hat
+    r, r_hat = (np.broadcast_to(v, batch + np.shape(r)[-1:]) for v in (r, r_hat))
+    g_mat = np.broadcast_to(g_mat, batch + np.shape(g_mat)[-2:])
+    q_n = np.broadcast_to(q_n, batch + np.shape(q_n)[-2:])
+    problems = []
+    for i in np.ndindex(batch):
+        if any(np.isnan(v[i]).any() for v in (r, g_mat, q_n, r_hat)):
+            continue
+        one = ekf.TrackerState(pred.x[i], pred.p[i])
+        post = None if out is None or np.isnan(out[2][i]).any() else ekf.TrackerState(
+            out[0].x[i], out[0].p[i])
+        problems.extend(_filter_problems(one, g_mat[i], q_n[i], post))
+    return problems
+
+
 @pytest.fixture
 def checked_update(monkeypatch):
     """Wraps ekf.update where the trackers look it up, as the benchmark's tracer does;
@@ -137,9 +157,9 @@ def checked_update(monkeypatch):
         try:
             out = ekf.update(pred, r, g_mat, q_n, r_hat)
         except MeasurementFailure:
-            problems.extend(_filter_problems(pred, g_mat, q_n, None))
+            problems.extend(_batch_problems(pred, r, g_mat, q_n, r_hat, None))
             raise
-        problems.extend(_filter_problems(pred, g_mat, q_n, out[0]))
+        problems.extend(_batch_problems(pred, r, g_mat, q_n, r_hat, out))
         return out
 
     for module in (harness, baselines):

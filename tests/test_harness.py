@@ -7,10 +7,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from beamtrack import harness
+from beamtrack import ekf, harness
 from beamtrack.analysis import bound_step
 from beamtrack.baselines import ABP_SQUINT_FACTOR
-from beamtrack.ekf import initial_state, jacobian, predict, update
+from beamtrack.ekf import initial_state, jacobian, predict, step_result, update
 from beamtrack.errors import ConfigError
 from beamtrack.geometry import rotation_matrix
 from beamtrack.harness import (
@@ -200,9 +200,105 @@ class TestRunTrial:
             tracemalloc.stop()
         assert peak < 2**20
 
+    @pytest.mark.parametrize("scheme", ["codebook", "abp"])
+    def test_override_builds_its_copy_once(self, monkeypatch, scheme):
+        calls = []
+        original = harness.build_codebook
+        monkeypatch.setattr(harness, "build_codebook",
+                            lambda cfg: calls.append(cfg) or original(cfg))
+        cfg = small_cfg(frames=2)
+        for t in range(20):
+            run_trial(cfg, t, scheme)
+        assert len(calls) == 1
+        assert harness._for_scheme(cfg, scheme) is harness._for_scheme(cfg, scheme)
+
     def test_frame_indices_start_at_one(self):
         records = run_trial(small_cfg(frames=5), 0)
         assert [r.frame for r in records] == [1, 2, 3, 4, 5]
+
+
+def _same_records(a: list, b: list) -> bool:
+    """Field-for-field equality of two record lists, NaN equal to NaN."""
+    def same(x, y):
+        return x == y or (x != x and y != y)
+
+    return len(a) == len(b) and all(
+        all(same(x, y) for x, y in zip(dataclasses.astuple(r), dataclasses.astuple(q)))
+        for r, q in zip(a, b))
+
+
+class TestBatch:
+    """A batch of trials gives each trial the records it gives alone."""
+
+    @pytest.mark.parametrize("scheme", ["proposed", "codebook", "abp"])
+    def test_fig9_trials_match_single_runs(self, scheme):
+        from beamtrack.presets import get_preset
+
+        cfg = dataclasses.replace(get_preset("fig9"), trials=5, frames=20, scheme=scheme)
+        batch = harness.run_batch(cfg, range(cfg.trials))
+        for t, records in enumerate(batch):
+            assert _same_records(records, run_trial(cfg, t)), t
+
+    def test_fig6_8x16_with_realignments_matches_single_runs(self):
+        from beamtrack.presets import get_preset
+
+        cfg = dataclasses.replace(get_preset("fig6"), n_y=16, trials=6)
+        batch = harness.run_batch(cfg, range(cfg.trials))
+        assert any(r.realigned for records in batch for r in records)
+        for t, records in enumerate(batch):
+            assert _same_records(records, run_trial(cfg, t)), t
+
+    def test_predict_only_frames_stay_in_their_trials(self):
+        # a low flight path takes trials to the exact Jacobian's singularity at different frames
+        cfg = ScenarioConfig(jacobian_mode="exact", height_ratio=0.01, frames=20, trials=6, seed=3)
+        batch = harness.run_batch(cfg, range(cfg.trials))
+        valid = np.array([[r.meas_valid for r in records] for records in batch])
+        # some frame fails in one trial and not in another
+        assert (~valid.all(axis=0) & valid.any(axis=0)).any()
+        for t, records in enumerate(batch):
+            assert _same_records(records, run_trial(cfg, t)), t
+
+    @pytest.mark.parametrize("scheme", ["proposed", "codebook", "abp"])
+    def test_failed_measurement_stays_in_its_trial(self, scheme):
+        # the middle snapshot has no usable measurement: all pair sums vanish (proposed), no
+        # beam power (abp), NaN observations (codebook)
+        cfg = small_cfg(scheme=scheme)
+        good = [rank1_snapshot(0.1, 0.2, cfg), rank1_snapshot(-0.2, 0.1, cfg)]
+        bad = {"proposed": rank1_snapshot(np.pi, np.pi, cfg),
+               "abp": np.zeros((8, 8), dtype=complex),
+               "codebook": np.full((8, 8), np.nan, dtype=complex)}[scheme]
+        y = np.array([good[0], bad, good[1]])
+        x0 = np.array([[0.1, 0.2], [0.1, 0.1], [-0.2, 0.1]])
+        tracker = harness.TRACKERS[scheme](cfg, initial_state(x0, 0.01))
+        out = tracker.step(y)
+        assert out["meas_valid"] == [True, False, True]
+        pred = predict(initial_state(x0[1], 0.01), cfg.f, cfg.q_p)
+        assert tracker.state.x[1].tobytes() == pred.x.tobytes()
+        for i in (0, 2):
+            alone = harness.TRACKERS[scheme](cfg, initial_state(x0[i], 0.01))
+            out_alone = alone.step(y[i])
+            assert tracker.state.x[i].tobytes() == alone.state.x.tobytes()
+            assert tracker.state.p[i].tobytes() == alone.state.p.tobytes()
+            assert repr({k: v[i] for k, v in out.items()}) == repr(out_alone)
+
+    def test_singular_s_in_one_trial_fails_only_that_trial(self):
+        # trial 1 starts with P = 0 and has no noise: its S = 0 is singular
+        cfg = small_cfg(sigma_n_sq=0.0, q_n_mode="fixed")
+        state = ekf.TrackerState(np.array([[0.1, 0.2], [0.1, 0.2], [0.3, -0.1]]),
+                                 np.array([np.eye(2) * 1e-4, np.zeros((2, 2)), np.eye(2) * 1e-4]))
+        pred = predict(state, cfg.f, np.zeros((2, 2)))
+        r = np.tile([0.05, 0.1], (3, 1))
+        new, innovation, k = update(pred, r, jacobian(pred.x), np.zeros((2, 2)))
+        assert np.isnan(k[1]).all() and np.isfinite(k[[0, 2]]).all()
+        for i in (0, 2):
+            one = ekf.TrackerState(pred.x[i], pred.p[i])
+            alone, innov_alone, k_alone = update(one, r[i], jacobian(one.x), np.zeros((2, 2)))
+            assert new.x[i].tobytes() == alone.x.tobytes()
+            assert new.p[i].tobytes() == alone.p.tobytes()
+            assert k[i].tobytes() == k_alone.tobytes()
+        settled, innov = ekf.settle(pred, new, innovation)
+        assert settled.x[1].tobytes() == pred.x[1].tobytes() and np.isnan(innov[1]).all()
+        assert step_result(innov)["meas_valid"] == [True, False, True]
 
 
 class TestProposedTracker:
