@@ -17,8 +17,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .channel import beamforming_weight, noise_variance, outer, steering_vector, vdot
-from .ekf import TrackerState, diag, predict, settle, step_result, update
+from .arrays import abs2, diag, matvec, outer, vdot, vec
+from .channel import beamforming_weight, noise_variance, steering_vector
+from .ekf import TrackerState, predict, settle, step_result, update
 from .errors import MeasurementFailure
 
 if TYPE_CHECKING:
@@ -66,17 +67,12 @@ def _stack_reim(z: np.ndarray) -> np.ndarray:
     return np.concatenate([z.real, z.imag], axis=-1)
 
 
-def _beamform(w_h: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """w_h @ v for each vector v of a batch, as one matrix-vector product each."""
-    return (w_h @ v[..., None])[..., 0]
-
-
 def codebook_measurement(
     y_vec: np.ndarray,
     codebook: Codebook,
 ) -> np.ndarray:
     """Beamform the pilot snapshot on every codebook beam; stack re/im."""
-    return _stack_reim(_beamform(codebook.w_h, y_vec))
+    return _stack_reim(matvec(codebook.w_h, y_vec))
 
 
 def codebook_model(
@@ -89,15 +85,14 @@ def codebook_model(
     ax = steering_vector(x[..., 0], cfg.n_x)
     ay = steering_vector(x[..., 1], cfg.n_y)
     w_h = cfg.codebook.w_h
-    vec_shape = ax.shape[:-1] + (-1,)
-    h_vec = (1.0 * outer(ax, ay.conj())).reshape(vec_shape)
+    h_vec = vec(1.0 * outer(ax, ay.conj()))
     dax = -1j * np.arange(cfg.n_x) * ax
     day = -1j * np.arange(cfg.n_y) * ay
     # d vec(a_x a_y^H) / du and / dv; conj of a_y picks up +j*m
-    du = outer(dax, ay.conj()).reshape(vec_shape)
-    dv = outer(ax, (day.conj())).reshape(vec_shape)
-    z_hat = _stack_reim(gain * _beamform(w_h, h_vec))
-    g = np.stack([_stack_reim(gain * _beamform(w_h, du)), _stack_reim(gain * _beamform(w_h, dv))],
+    du = vec(outer(dax, ay.conj()))
+    dv = vec(outer(ax, (day.conj())))
+    z_hat = _stack_reim(gain * matvec(w_h, h_vec))
+    g = np.stack([_stack_reim(gain * matvec(w_h, du)), _stack_reim(gain * matvec(w_h, dv))],
                  axis=-1)
     return z_hat, g
 
@@ -133,7 +128,7 @@ class CodebookTracker:
         cfg = self.cfg
         self.alpha_pred *= cfg.rho_gain
         pred = predict(self.state, cfg.f, cfg.q_p)
-        z = codebook_measurement(y.reshape(y.shape[:-2] + (-1,)), cfg.codebook)
+        z = codebook_measurement(vec(y), cfg.codebook)
         z_hat, g = codebook_model(pred.x, cfg, self.alpha_pred)
         # the 2K^2 x 2K^2 update is BLAS-bound and large: one trial at a time
         x, p = pred.x.copy(), pred.p.copy()
@@ -154,16 +149,10 @@ class CodebookTracker:
         self.state = state.where(mask, self.state)
 
 
-def _power(w: np.ndarray, v: np.ndarray):
-    """|w^H v|^2 of each batch entry, rounded as abs(complex) ** 2."""
-    r = vdot(w, v)
-    return np.float_power(np.hypot(r.real, r.imag), 2)
-
-
 def _axis_pair_powers(u, beams: np.ndarray):
     """Noiseless powers at spatial angle u of the +/- squinted rows of squinted_weights."""
     a = steering_vector(u, beams.shape[-1])
-    p = _power(beams[..., ::2, :], a[..., None, :])
+    p = abs2(vdot(beams[..., ::2, :], a[..., None, :]))
     return p[..., 0], p[..., 1]
 
 
@@ -189,7 +178,7 @@ def abp_ratio_metric(y_vec: np.ndarray, beams_x: np.ndarray, beams_y: np.ndarray
     vec(w_x w_y^H) from squinted_weights rows, u squinted by +delta and -delta, then v."""
     rows_x, rows_y = [0, 2, 1, 1], [1, 1, 0, 2]
     w = outer(beams_x[..., rows_x, :], beams_y[..., rows_y, :].conj())
-    p = _power(w.reshape(w.shape[:-2] + (-1,)), y_vec[..., None, :])
+    p = abs2(vdot(vec(w), y_vec[..., None, :]))
     return _pair_ratio(p[..., ::2], p[..., 1::2])
 
 
@@ -252,7 +241,7 @@ class AbpTracker:
         pred = predict(self.state, cfg.f, cfg.q_p)
         beams = self._beams(pred.x)
         try:
-            zeta = abp_ratio_metric(y.reshape(y.shape[:-2] + (-1,)), *beams)
+            zeta = abp_ratio_metric(vec(y), *beams)
             axes = [self._axis_model(pred.x[..., i], b, n)
                     for i, (b, n) in enumerate(zip(beams, (cfg.n_y, cfg.n_x)))]
             z_hat, slopes, variances = (np.stack(v, axis=-1) for v in zip(*axes))

@@ -6,7 +6,9 @@ loss), the pilot and data symbols are 1, and the noise level is set
 directly through a quoted SNR.
 
 Angles, gains and snapshots may carry leading batch axes (one entry per
-trial); the functions then work on each entry as on a single one.
+trial); the functions then work on each entry as on a single one, through the
+primitives of beamtrack.arrays, and draw from a rng.TrialDraws with the trial
+axis first where a single entry draws from a Generator.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 import numpy as np
+
+from .arrays import mean, outer, vdot, vec
 
 if TYPE_CHECKING:
     from .harness import ScenarioConfig
@@ -44,16 +48,6 @@ def steering_vector(u, n: int) -> np.ndarray:
     return np.exp(np.multiply.outer(-1j * np.asarray(u), np.arange(n)))
 
 
-def outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.outer(a, b) of each batch entry, shape (..., len_a, len_b)."""
-    return a[..., :, None] * b[..., None, :]
-
-
-def vdot(a: np.ndarray, b: np.ndarray):
-    """np.vdot(a, b) of each batch entry, through matmul's dot of a unit row and column."""
-    return np.matmul(a.conj()[..., None, :], b[..., :, None])[..., 0, 0]
-
-
 def channel_matrix(gain, x: np.ndarray, cfg: ScenarioConfig) -> np.ndarray:
     """Rank-one channel H = gain * a_x(u) a_y(v)^H at x = [..., u, v], shape (..., n_x, n_y)."""
     ax = steering_vector(x[..., 0], cfg.n_x)
@@ -61,13 +55,10 @@ def channel_matrix(gain, x: np.ndarray, cfg: ScenarioConfig) -> np.ndarray:
     return np.asarray(gain)[..., None, None] * outer(ax, ay.conj())
 
 
-def evolve_gain(
-    alpha: complex,
-    rho: float,
-    rng: np.random.Generator,
-    innovation_var: float | None = None,
-) -> complex:
-    """First-order Gauss-Markov step for the channel gain.
+def evolve_gain(alpha: complex | np.ndarray, rho: float, rng,
+                innovation_var: float | None = None) -> complex | np.ndarray:
+    """First-order Gauss-Markov step for the channel gain: a Python complex from a
+    Generator, or a (trials,) array from a rng.TrialDraws.
 
     innovation_var defaults to the literal (1 - rho^2 / 2) of the source
     model.  That normalization does not vanish at rho = 1, which is unusual
@@ -80,7 +71,7 @@ def evolve_gain(
     if innovation_var < 0:
         raise ValueError("innovation variance must be non-negative")
     scale = np.sqrt(innovation_var / 2.0)
-    eps = complex(rng.normal(0.0, scale) + 1j * rng.normal(0.0, scale)) if scale > 0 else 0.0
+    eps = rng.normal(0.0, scale) + 1j * rng.normal(0.0, scale) if scale > 0 else 0.0
     return rho * alpha + eps
 
 
@@ -94,18 +85,11 @@ def complex_noise(shape, variance, rng) -> np.ndarray:
     return rng.normal(0.0, s, shape) + 1j * rng.normal(0.0, s, shape)
 
 
-def _element_power(h: np.ndarray, axes: int) -> np.ndarray:
-    """Mean |h|^2 over the last `axes` axes, kept as unit axes."""
-    mags = np.abs(h) ** 2
-    flat = mags.reshape(mags.shape[:mags.ndim - axes] + (-1,))
-    # np.mean's own sum and division, without its per-call overhead
-    return (np.add.reduce(flat, axis=-1) / flat.shape[-1]).reshape(flat.shape[:-1] + (1,) * axes)
-
-
 def synthesize_rx(h: np.ndarray, cfg: ScenarioConfig, rng) -> np.ndarray:
     """Pilot-phase snapshot Y = H + N (unit pilot) with SNR-calibrated element noise."""
-    var = noise_variance(cfg, _element_power(h, 2), h.shape[-2] * h.shape[-1])
-    return h + complex_noise(h.shape, var, rng)
+    h_vec = vec(h)
+    var = noise_variance(cfg, mean(np.abs(h_vec) ** 2), h_vec.shape[-1])
+    return h + complex_noise(h.shape, var[..., None, None], rng)
 
 
 def beamforming_weight(x, cfg: ScenarioConfig) -> np.ndarray:
@@ -116,7 +100,7 @@ def beamforming_weight(x, cfg: ScenarioConfig) -> np.ndarray:
     x = np.asarray(x)
     wx = steering_vector(x[..., 0], cfg.n_x) / np.sqrt(cfg.n_x)
     wy = steering_vector(x[..., 1], cfg.n_y) / np.sqrt(cfg.n_y)
-    return outer(wx, wy.conj()).reshape(x.shape[:-1] + (-1,))
+    return vec(outer(wx, wy.conj()))
 
 
 def beamformed_signal(w: np.ndarray, h_vec: np.ndarray, cfg: ScenarioConfig, rng):
@@ -125,6 +109,6 @@ def beamformed_signal(w: np.ndarray, h_vec: np.ndarray, cfg: ScenarioConfig, rng
     The combiner is unit norm, so the noise term keeps the per-element
     variance.
     """
-    var = noise_variance(cfg, _element_power(h_vec, 1), h_vec.shape[-1])
-    n = complex_noise(h_vec.shape, var, rng)
+    var = noise_variance(cfg, mean(np.abs(h_vec) ** 2), h_vec.shape[-1])
+    n = complex_noise(h_vec.shape, var[..., None], rng)
     return vdot(w, h_vec) + vdot(w, n)

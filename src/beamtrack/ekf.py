@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .arrays import diag, matvec, norm
 from .errors import MeasurementFailure
 
 
@@ -33,19 +34,6 @@ class TrackerState:
                             p=np.where(mask[..., None, None], self.p, other.p))
 
 
-def diag(v: np.ndarray) -> np.ndarray:
-    """np.diag of each vector of a stack: zeros off the diagonal."""
-    n = v.shape[-1]
-    out = np.zeros(v.shape + (n,))
-    out[..., range(n), range(n)] = v
-    return out
-
-
-def norm(v: np.ndarray):
-    """np.linalg.norm of each vector of a stack, through matmul's dot."""
-    return np.sqrt(np.matmul(v[..., None, :], v[..., :, None])[..., 0, 0])
-
-
 def measurement_fn(x: np.ndarray) -> np.ndarray:
     """g(x) = (tan(u/2), tan(v/2))."""
     return np.tan(np.asarray(x, dtype=float) / 2.0)
@@ -53,7 +41,7 @@ def measurement_fn(x: np.ndarray) -> np.ndarray:
 
 def predict(state: TrackerState, f: np.ndarray, q_p: np.ndarray) -> TrackerState:
     """Time update: x^- = F x, P^- = F P F^T + Q_p."""
-    x_pred = (f @ state.x[..., None])[..., 0]
+    x_pred = matvec(f, state.x)
     p_pred = f @ state.p @ f.T + q_p
     return TrackerState(x=x_pred, p=_symmetrize(p_pred))
 
@@ -115,7 +103,7 @@ def update(
     innovation = np.asarray(r, dtype=float) - r_hat
     s = g_mat @ pred.p @ g_mat.mT + q_n
     k = _gain(s, pred.p @ g_mat.mT)
-    x_new = pred.x + (k @ innovation[..., None])[..., 0]
+    x_new = pred.x + matvec(k, innovation)
     p_new = _symmetrize(pred.p - k @ s @ k.mT)
     return TrackerState(x=x_new, p=p_new), innovation, k
 
@@ -171,25 +159,22 @@ class InnovationNoiseEstimator:
         if self.window < 2:
             raise ValueError("window must be at least 2")
         self.floor = np.broadcast_to(self.floor, self.batch).copy()
-        # each entry's history is the last `count` rows; rows grow with the pushes, up to window
-        self._innovations = np.zeros((*self.batch, 0, 2))
-        self._gpg_diags = np.zeros((*self.batch, 0, 2))
+        # rows of [innovation, diag(G P^- G^T)]; each entry's history is its last `count`
+        # rows, and rows grow with the pushes, up to window
+        self._history = np.zeros((*self.batch, 0, 4))
         self._count = np.zeros(self.batch, dtype=int)
 
     def push(self, innovation: np.ndarray, g_mat: np.ndarray, p_pred: np.ndarray):
         """Append each entry's innovation; an entry with a NaN innovation appends nothing."""
         gpg = np.diagonal(g_mat @ p_pred @ g_mat.mT, axis1=-2, axis2=-1)
         new = ~np.isnan(innovation).any(axis=-1)
-        history = []
-        for rows, value in ((self._innovations, innovation), (self._gpg_diags, gpg)):
-            value = value[..., None, :]
-            pushed = np.concatenate([rows, value], axis=-2)
-            if not new.all():
-                # an entry that appends nothing keeps its rows last
-                kept = np.concatenate([np.zeros_like(value), rows], axis=-2)
-                pushed = np.where(new[..., None, None], pushed, kept)
-            history.append(pushed[..., -self.window:, :])
-        self._innovations, self._gpg_diags = history
+        row = np.concatenate([innovation, gpg], axis=-1)[..., None, :]
+        pushed = np.concatenate([self._history, row], axis=-2)
+        if not new.all():
+            # an entry that appends nothing keeps its rows last
+            kept = np.concatenate([np.zeros_like(row), self._history], axis=-2)
+            pushed = np.where(new[..., None, None], pushed, kept)
+        self._history = pushed[..., -self.window:, :]
         self._count += new
 
     def reset(self, mask: np.ndarray):
@@ -202,7 +187,7 @@ class InnovationNoiseEstimator:
         ready = self._count >= self.window
         if not ready.any():
             return prior
-        raw = self._innovations.var(axis=-2, ddof=1) - self._gpg_diags.mean(axis=-2)
+        raw = self._history[..., :2].var(axis=-2, ddof=1) - self._history[..., 2:].mean(axis=-2)
         est = diag(np.maximum(raw, self.floor[..., None]))
         return np.where(ready[..., None, None], est, prior)
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .arrays import matvec
+
 
 def angles_to_spatial(phi, theta: float, d_over_lambda: float = 0.5) -> np.ndarray:
     """Map azimuth/elevation to the spatial-angle pair [..., u, v] in radians.
@@ -46,4 +48,4 @@ def evolve_state(x: np.ndarray, f: np.ndarray, sigma: tuple[float, float], rng) 
     The result is not clamped to [-pi, pi]; out-of-range states are the
     misalignment detector's problem, not the dynamics'.
     """
-    return (f @ x[..., None])[..., 0] + rng.normal(0.0, sigma)
+    return matvec(f, x) + rng.normal(0.0, sigma)

@@ -8,20 +8,17 @@ realignment).  All schemes consume identical truth and noise streams per
 
 All trials of a run advance together in one frame loop: truth, gain, estimate,
 covariance, Q_n window, detector counters and measurement validity are arrays
-with a leading trial axis, and run_trial is a batch of one.  The random draws
-(one stream per trial), the gain step, the detector's table lookup and the
+with a leading trial axis, and run_trial is a batch of one.  Each frame step is
+one call for the whole batch; each of its draws is one rng.TrialDraws, a
+stream per trial.  Only the initial draws, the detector's table lookup and the
 codebook's 2K^2 x 2K^2 update stay per trial.
 
 Same bytes when batching: a trial's records do not depend on the batch it runs
-in, and equal those of the per-trial loop this replaced.  Each batched operation
-rounds like the per-entry call: products and dot products are np.matmul on
-stacks with a trailing unit axis (F x, K v, W h, vdot and 2-norms), |z|^2 of a
-complex value is np.float_power(np.hypot(re, im), 2), and sums over trials run
-in trial order.  X @ F.T, einsum, arr**2 or np.abs on what was a Python
-scalar, gemm over stacked vectors and np.linalg.norm(axis=...) each round
-differently.  FrameRecord fields and detection_frames hold Python bool, int and
-float only: _fmt writes an np.bool_ or an np.int64 as 1.0, and json cannot
-write an np.int64.
+in, and equal those of the per-trial loop this replaced.  Each batched
+operation rounds like the per-entry call (the primitives of beamtrack.arrays),
+and sums over trials run in trial order.  FrameRecord fields and
+detection_frames hold Python bool, int and float only: _fmt writes an np.bool_
+or an np.int64 as 1.0, and json cannot write an np.int64.
 """
 
 from __future__ import annotations
@@ -36,21 +33,13 @@ import numpy as np
 
 from . import rng as rngmod
 from .analysis import bound_step
+from .arrays import abs2, norm, vec
 from .baselines import (ABP_SQUINT_FACTOR, AbpTracker, Codebook, CodebookTracker, build_codebook,
                         squinted_weights)
 from .channel import (beamformed_signal, beamforming_weight, channel_matrix, evolve_gain,
                       synthesize_rx)
-from .ekf import (
-    InnovationNoiseEstimator,
-    TrackerState,
-    initial_state,
-    jacobian,
-    norm,
-    predict,
-    settle,
-    step_result,
-    update,
-)
+from .ekf import (InnovationNoiseEstimator, TrackerState, initial_state, jacobian, predict, settle,
+                  step_result, update)
 from .errors import ConfigError, MeasurementFailure
 from .geometry import (
     angles_to_spatial,
@@ -100,7 +89,9 @@ def _check_field(name: str, annotation: str, value) -> None:
         return
     if isinstance(value, bool) != (base == "bool") or not isinstance(value, _FIELD_TYPES[base]):
         raise ConfigError(f"{name} must be {annotation}, got {value!r}")
-    if base == "float" and isinstance(value, int) and abs(value) > 2**53:
+    # an int is a float value only if it is one exactly; float() overflows beyond the range
+    if base == "float" and isinstance(value, int) and (abs(value) > _FLOAT_MAX
+                                                       or float(value) != value):
         raise ConfigError(f"{name}: the integer {value} has no exact float value")
     rule = FIELD_RULES.get(name, (-_FLOAT_MAX, _FLOAT_MAX) if base == "float" else ())
     if isinstance(value, str):
@@ -192,7 +183,8 @@ class ScenarioConfig:
 
     @property
     def psi_value(self) -> float:
-        return 2.0 * np.pi / self.frames if self.psi is None else self.psi
+        # numpy keeps an int beyond int64 as a Python object, which has no cos
+        return 2.0 * np.pi / self.frames if self.psi is None else float(self.psi)
 
     @property
     def k_beams(self) -> int:
@@ -351,16 +343,11 @@ def _for_scheme(cfg: ScenarioConfig, scheme: str | None) -> ScenarioConfig:
     return copies[scheme]
 
 
-def _abs2(z):
-    """|z|^2 of each entry, rounded as abs(complex) ** 2."""
-    return np.float_power(np.hypot(z.real, z.imag), 2)
-
-
 def _draws(cfg: ScenarioConfig, trials, frame: int, purpose: str) -> rngmod.TrialDraws:
-    """A frame's normals for one purpose, a stream per trial: 2 for the truth drift, 2 per
-    element for the pilot and data noise."""
+    """A frame's normals for one purpose, a stream per trial: 2 per element for the pilot
+    and data noise, 2 for the truth drift, the gain innovation and the realignment."""
     return rngmod.TrialDraws(cfg.seed, trials, frame, purpose,
-                             2 if purpose == "process" else 2 * cfg.n)
+                             2 * cfg.n if purpose in ("pilot", "data") else 2)
 
 
 def _frames(cfg: ScenarioConfig, trials):
@@ -370,7 +357,7 @@ def _frames(cfg: ScenarioConfig, trials):
         x_hat0 = np.empty((len(trials), 2))
     except (ValueError, OverflowError) as exc:
         raise MemoryError(f"the batch of trials does not fit in an array: {exc}") from exc
-    lim = np.deg2rad(cfg.azimuth_range_deg)
+    lim = np.deg2rad(float(cfg.azimuth_range_deg))
     phi = np.empty(len(trials))
     for i, t in enumerate(trials):
         init_rng = rngmod.stream(cfg.seed, t, 0, "init")
@@ -382,15 +369,13 @@ def _frames(cfg: ScenarioConfig, trials):
     tracker = TRACKERS[cfg.scheme](cfg, initial_state(x_hat0, cfg.sigma_init))
     restart = initial_state(np.zeros(2), cfg.sigma_init)
     detector = DetectorState(np.zeros(len(trials), dtype=int))
-    alpha = [1.0 + 0.0j] * len(trials)
+    gain = np.full(len(trials), 1.0 + 0.0j)
     sigma = (cfg.sigma_u, cfg.sigma_v)
 
     for k in range(1, cfg.frames + 1):
         truth = evolve_state(truth, cfg.f, sigma, _draws(cfg, trials, k, "process"))
-        for i, t in enumerate(trials):
-            alpha[i] = evolve_gain(alpha[i], cfg.rho_gain, rngmod.stream(cfg.seed, t, k, "gain"),
-                                   cfg.gain_innovation_var)
-        gain = np.array(alpha)
+        gain = evolve_gain(gain, cfg.rho_gain, _draws(cfg, trials, k, "gain"),
+                           cfg.gain_innovation_var)
         h = channel_matrix(gain, truth, cfg)
         y = synthesize_rx(h, cfg, _draws(cfg, trials, k, "pilot"))
 
@@ -399,8 +384,8 @@ def _frames(cfg: ScenarioConfig, trials):
 
         # data transmission phase: beamformed power toward the estimate
         w = beamforming_weight(x_hat, cfg)
-        r_d = beamformed_signal(w, h.reshape(len(trials), -1), cfg, _draws(cfg, trials, k, "data"))
-        p_r = (_abs2(r_d) / (cfg.n * _abs2(gain))).tolist()
+        r_d = beamformed_signal(w, vec(h), cfg, _draws(cfg, trials, k, "data"))
+        p_r = (abs2(r_d) / (cfg.n * abs2(gain))).tolist()
 
         est = [detect_step(p, cfg, detector, i) for i, p in enumerate(p_r)]
         realigned = [e.realigned for e in est]
@@ -410,9 +395,9 @@ def _frames(cfg: ScenarioConfig, trials):
                out["meas_valid"])
 
         if any(realigned):
-            for i in np.flatnonzero(realigned):
-                realign_rng = rngmod.stream(cfg.seed, trials[i], k, "realign")
-                truth[i] = realign_rng.normal(0.0, cfg.detect_residual, 2)
+            idx = np.flatnonzero(realigned)
+            draws = _draws(cfg, [trials[i] for i in idx], k, "realign")
+            truth[idx] = draws.normal(0.0, cfg.detect_residual, (len(idx), 2))
             tracker.reinitialize(np.array(realigned), restart)
 
 

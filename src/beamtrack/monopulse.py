@@ -13,6 +13,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .arrays import mean, vec
 from .errors import DegenerateInputError, MeasurementFailure
 
 if TYPE_CHECKING:
@@ -35,16 +36,6 @@ class MonopulseMeasurement:
     excluded_pairs: int = 0     # summed over the batch
 
 
-def _flat(a: np.ndarray) -> np.ndarray:
-    """a with its last two axes as one, so a sum over them runs as over a raveled matrix."""
-    return a.reshape(a.shape[:-2] + (-1,))
-
-
-def _mean(a: np.ndarray):
-    """np.mean over the last axis: its sum divided by its length."""
-    return np.add.reduce(a, axis=-1) / a.shape[-1]
-
-
 def normalize_rx(y: np.ndarray) -> np.ndarray:
     """Divide each snapshot by a single complex reference gain.
 
@@ -52,13 +43,13 @@ def normalize_rx(y: np.ndarray) -> np.ndarray:
     largest-magnitude element.  Pairwise ratios are exactly invariant to
     this scaling; it only conditions the arithmetic.
     """
-    mags = _flat(np.abs(y))
+    mags = vec(np.abs(y))
     if not mags.max(axis=-1).all():
         raise DegenerateInputError("all-zero snapshot cannot be normalized")
     g = y[..., 0, 0]
-    small = np.hypot(g.real, g.imag) < DENOMINATOR_FLOOR * _mean(mags)
+    small = np.hypot(g.real, g.imag) < DENOMINATOR_FLOOR * mean(mags)
     if small.any():
-        peak = np.take_along_axis(_flat(y), mags.argmax(axis=-1)[..., None], axis=-1)[..., 0]
+        peak = np.take_along_axis(vec(y), mags.argmax(axis=-1)[..., None], axis=-1)[..., 0]
         g = np.where(small, peak, g)
     return y / g[..., None, None]
 
@@ -67,18 +58,18 @@ def _pair_average(a, b, mag_a, mag_b) -> tuple[np.ndarray, np.ndarray]:
     """Mean of (a-b)/(a+b) over pairs with non-degenerate denominators, per snapshot (NaN
     where none is left), and the count of pairs dropped; mag_a and mag_b are |a| and |b|."""
     den = a + b
-    floor = DENOMINATOR_FLOOR * np.maximum(_mean(_flat(mag_a)), _mean(_flat(mag_b)))
-    keep = _flat(np.abs(den)) >= floor[..., None]
+    floor = DENOMINATOR_FLOOR * np.maximum(mean(vec(mag_a)), mean(vec(mag_b)))
+    keep = vec(np.abs(den)) >= floor[..., None]
     if keep.all():
-        return _mean(_flat((a - b) / den)), 0
+        return mean(vec((a - b) / den)), 0
     excluded = keep.shape[-1] - np.add.reduce(keep, axis=-1)
     # a snapshot that dropped pairs averages what it kept, as a 1-D mean of those
-    num, den = _flat(a - b), _flat(den)
-    mean = np.empty(excluded.shape, dtype=complex)
+    num, den = vec(a - b), vec(den)
+    avg = np.empty(excluded.shape, dtype=complex)
     for i in np.ndindex(excluded.shape):
         k = keep[i]
-        mean[i] = _mean(num[i][k] / den[i][k]) if k.any() else complex(np.nan, np.nan)
-    return mean, excluded
+        avg[i] = mean(num[i][k] / den[i][k]) if k.any() else complex(np.nan, np.nan)
+    return avg, excluded
 
 
 def extract_measurement(y: np.ndarray, cfg: ScenarioConfig) -> MonopulseMeasurement:

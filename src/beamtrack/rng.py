@@ -2,7 +2,9 @@
 
 Every draw site is keyed by (seed, trial, frame, purpose) through a Philox
 counter-based generator, so trials can run in any order (or in parallel)
-and all tracking schemes see identical noise realizations per frame.
+and all tracking schemes see identical noise realizations per frame.  A
+batch of trials draws each purpose of a frame with one TrialDraws, a stream
+per trial; only the initial draws, a uniform then normals, use stream alone.
 """
 
 from __future__ import annotations

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from beamtrack import rng as rngmod
 from beamtrack.channel import (
     beamformed_signal,
     beamforming_weight,
@@ -106,6 +107,18 @@ class TestEvolveGain:
     def test_rejects_bad_rho(self):
         with pytest.raises(ValueError):
             evolve_gain(1.0 + 0.0j, 1.5, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("innovation_var", [None, 0.0, 1e-4])
+    def test_batch_equals_scalar_steps_on_each_trials_stream(self, innovation_var):
+        trials = [0, 2, 5]
+        alpha = np.array([1.0 + 0.0j, 0.3 - 0.8j, -2.0 + 0.5j])
+        for rho in (0.995, -1.0):
+            batch = evolve_gain(alpha, rho, rngmod.TrialDraws(3, trials, 4, "gain", 2),
+                                innovation_var)
+            for a, t, b in zip(alpha, trials, batch):
+                one = evolve_gain(complex(a), rho, rngmod.stream(3, t, 4, "gain"), innovation_var)
+                assert type(one) is complex
+                assert np.array_equal(b, one)
 
 
 class TestSynthesizeRx:

@@ -135,7 +135,7 @@ def test_run_simulates_each_trial_once(runner, tiny_config, tmp_path, monkeypatc
     {"sigma_init": -0.0},
     {"detect_residual": -0.0},
     {"sigma_u": 10723151780598845931},
-    {"psi": 2**70},
+    {"psi": 2**70 + 1},
     {"detect_residual": 1e308, "detect_threshold": 1e-6},
     {"scheme": "abp", "abp_offset": 1e308},
     {"azimuth_range_deg": -0.0},
@@ -190,6 +190,9 @@ def test_run_accepts_infinite_snr(runner, tmp_path):
     {"scheme": "codebook", "snr_db": -1500},
     {"scheme": "abp", "snr_db": -1500},
     {"scheme": "codebook", "gain_uncertainty_var": 1e300},
+    # ints beyond int64 that are exact floats: numpy must see them as floats
+    {"scheme": "proposed", "psi": 2**70},
+    {"scheme": "proposed", "azimuth_range_deg": 2**64},
 ])
 def test_run_extreme_but_finite_values_exit_0(runner, tmp_path, fields):
     # the limits above reject only values whose noise variances leave the float range

@@ -188,7 +188,8 @@ def test_single_field_extreme_is_rejected_or_runs(field, scheme, checked_update)
         huge = [] if field == "trials" else [2**63]
         values = [v for v in SINGLE_EXTREMES if v != 2**53 + 1] + [2, 3, 4] + huge
     else:
-        values = SINGLE_EXTREMES
+        # exact floats beyond int64, accepted as ints, reach numpy as Python objects
+        values = SINGLE_EXTREMES + [2**63, 2**64, 2**70, -2**70]
     for value in values + limit_values(field):
         try:
             cfg = ScenarioConfig(**{"frames": 3, "trials": 1, "scheme": scheme, field: value})
@@ -251,21 +252,21 @@ GOLDEN_VERDICTS = {
     "sigma_u": "ba207c0f30ae4882",
     "sigma_v": "ba207c0f30ae4882",
     "sigma_init": "ba207c0f30ae4882",
-    "psi": "7d86284a87d5236d",
-    "height_ratio": "bc363edf1ba922b1",
-    "azimuth_range_deg": "547d639cb639a8b5",
+    "psi": "fe8d2a3d61b663b7",
+    "height_ratio": "6ef57171a830d7dd",
+    "azimuth_range_deg": "c45f283ee83d4ec2",
     "d_over_lambda": "7fa23aa98fb661fd",
     "rho_gain": "2506b5a72e68df58",
-    "gain_innovation_var": "aa05a373f3e4f892",
-    "sigma_n_sq": "547d639cb639a8b5",
+    "gain_innovation_var": "54241ede9aa457ce",
+    "sigma_n_sq": "c45f283ee83d4ec2",
     "q_n_mode": "9480ef9a18a6df23",
     "q_n_window": "b06e87f2a36e8f4c",
     "jacobian_mode": "dd50216e8ccd7813",
     "codebook_k": "a26ad2b72b3a88c0",
     "abp_offset": "eaa64b15ac7de1f4",
     "abp_q_n": "c1ec77fb8baf01d1",
-    "gain_uncertainty_var": "8316f8b2ab9d8747",
-    "sigma_nb_sq": "2403a61dfb00783f",
+    "gain_uncertainty_var": "f7eb851e9115a607",
+    "sigma_nb_sq": "5e87f760660c05e8",
     "detect_enabled": "f255457f89cc3651",
     "detect_threshold": "d78cc0dc01a425ea",
     "detect_consecutive": "b9826ed8ff63fc66",

@@ -230,6 +230,32 @@ class TestNoiseEstimator:
         with pytest.raises(ValueError):
             InnovationNoiseEstimator(window=1)
 
+    def test_batch_equals_each_entry_alone(self):
+        # each entry's estimate is that of an estimator fed only the entry's own usable
+        # pushes since its last reset
+        rng = np.random.default_rng(8)
+        prior = np.eye(2) * 0.3
+        batch = InnovationNoiseEstimator(window=5, batch=(3,))
+        alone = [InnovationNoiseEstimator(window=5) for _ in range(3)]
+        for step in range(20):
+            innov = rng.normal(size=(3, 2))
+            innov[(step + np.arange(3)) % 4 == 0] = np.nan
+            g_mat = np.diag(rng.uniform(0.4, 0.6, 2))
+            a = rng.normal(size=(3, 2, 2))
+            p_pred = a @ a.mT
+            batch.push(innov, g_mat, p_pred)
+            for i, one in enumerate(alone):
+                if not np.isnan(innov[i]).any():
+                    one.push(innov[i], g_mat, p_pred[i])
+            if step == 9:
+                batch.reset(np.array([False, True, False]))
+                alone[1] = InnovationNoiseEstimator(window=5)
+            # the prior itself while no entry's window is full
+            est = np.broadcast_to(batch.estimate(prior), (3, 2, 2))
+            for i, one in enumerate(alone):
+                assert np.array_equal(est[i], one.estimate(prior)), (step, i)
+        assert not np.array_equal(est, np.broadcast_to(prior, est.shape))
+
 
 class TestStepResult:
     def test_measured_frame(self):

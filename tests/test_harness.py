@@ -61,6 +61,14 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError):
             ScenarioConfig(abp_q_n="guess")
 
+    def test_int_float_field_accepted_exactly_when_it_is_a_float(self):
+        assert ScenarioConfig(psi=2**60) == ScenarioConfig(psi=float(2**60))
+        with pytest.raises(ConfigError, match="no exact float value"):
+            ScenarioConfig(psi=2**53 + 1)
+        # beyond the float range there is no float to compare with, and no OverflowError
+        with pytest.raises(ConfigError, match="no exact float value"):
+            ScenarioConfig(psi=10**400)
+
     def test_rejects_tiny_array(self):
         with pytest.raises(ConfigError):
             ScenarioConfig(n_x=1)

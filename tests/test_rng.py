@@ -74,3 +74,18 @@ def test_second_call_rekeys_the_first_generator():
     second = rngmod.stream(0, 1, 3, "pilot")
     assert first is second
     assert np.array_equal(first.normal(size=4), _fresh(0, 1, 3, "pilot")[0].normal(size=4))
+
+
+def test_trial_draws_equal_each_trials_stream():
+    # the gain innovation: two scalar-scale normals per trial
+    trials, s = [0, 3, 4, 9], 0.007
+    draws = rngmod.TrialDraws(5, trials, 11, "gain", 2)
+    first, second = draws.normal(0.0, s), draws.normal(0.0, s)
+    for i, t in enumerate(trials):
+        gen = rngmod.stream(5, t, 11, "gain")
+        assert first[i] == gen.normal(0.0, s) and second[i] == gen.normal(0.0, s)
+    # the realignment residual: a (m, 2) block for a non-contiguous subset of the trials
+    subset, r = [1, 4, 7], 0.02
+    block = rngmod.TrialDraws(5, subset, 11, "realign", 2).normal(0.0, r, (len(subset), 2))
+    for row, t in zip(block, subset):
+        assert np.array_equal(row, rngmod.stream(5, t, 11, "realign").normal(0.0, r, 2))
