@@ -2,10 +2,14 @@
 
 Each works on every entry of a stack (leading batch axes, one entry per trial) and
 rounds exactly as the per-entry call its docstring names, so a trial's outputs do not
-depend on the batch it runs in.
+depend on the batch it runs in.  ordered_sum adds Python floats the same way on every
+Python version.
 """
 
 from __future__ import annotations
+
+import functools
+import operator
 
 import numpy as np
 
@@ -53,3 +57,9 @@ def abs2(z):
 def mean(a: np.ndarray):
     """np.mean over the last axis: its own sum and division, without its per-call overhead."""
     return np.add.reduce(a, axis=-1) / a.shape[-1]
+
+
+def ordered_sum(values) -> float:
+    """Sum of the values in order, one left fold from 0.0, as the builtin sum adds floats
+    before Python 3.12; from 3.12 on the builtin compensates round-off and differs."""
+    return functools.reduce(operator.add, values, 0.0)

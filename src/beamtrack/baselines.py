@@ -7,7 +7,8 @@ tracker forms a gain-invariant power-ratio metric around the codebook beam
 nearest the prediction (measurement dimension 2).
 
 Both step a batch of trials at once: states and snapshots carry a leading
-batch axis, and an entry whose measurement fails gets a predict-only frame.
+batch axis.  An entry whose measurement fails has a NaN measurement row,
+which ekf.settle turns into a predict-only frame.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import numpy as np
 from .arrays import abs2, diag, matvec, outer, vdot, vec
 from .channel import beamforming_weight, noise_variance, steering_vector
 from .ekf import TrackerState, predict, settle, step_result, update
-from .errors import MeasurementFailure
 
 if TYPE_CHECKING:
     from .harness import ScenarioConfig
@@ -131,17 +131,13 @@ class CodebookTracker:
         z = codebook_measurement(vec(y), cfg.codebook)
         z_hat, g = codebook_model(pred.x, cfg, self.alpha_pred)
         # the 2K^2 x 2K^2 update is BLAS-bound and large: one trial at a time
-        x, p = pred.x.copy(), pred.p.copy()
-        innovation = np.full(z.shape, np.nan)
+        x, p = np.empty_like(pred.x), np.empty_like(pred.p)
+        innovation = np.empty(z.shape)
         for i in np.ndindex(x.shape[:-1]):
-            one = TrackerState(pred.x[i], pred.p[i])
-            try:
-                new, innov, _ = update(one, z[i], g[i], self.q_n, z_hat[i])
-            except MeasurementFailure:
-                continue
-            new, innovation[i] = settle(one, new, innov)
+            new, innovation[i], _ = update(TrackerState(pred.x[i], pred.p[i]), z[i], g[i],
+                                           self.q_n, z_hat[i])
             x[i], p[i] = new.x, new.p
-        self.state = TrackerState(x, p)
+        self.state, innovation = settle(pred, TrackerState(x, p), innovation)
         return step_result(innovation)
 
     def reinitialize(self, mask: np.ndarray, state: TrackerState):
@@ -158,13 +154,11 @@ def _axis_pair_powers(u, beams: np.ndarray):
 
 def _pair_ratio(p_plus, p_minus):
     """Ratio (p+ - p-) / (p+ + p-) of a squinted beam pair's powers; NaN for an entry whose
-    powers are both below the floor, MeasurementFailure if every entry's are."""
+    powers are both below the floor."""
     total = p_plus + p_minus
     low = total < _POWER_FLOOR
     if not low.any():
         return (p_plus - p_minus) / total
-    if low.all():
-        raise MeasurementFailure("both squinted-beam powers below floor")
     return np.where(low, np.nan, (p_plus - p_minus) / np.where(low, 1.0, total))
 
 
@@ -240,15 +234,11 @@ class AbpTracker:
         cfg = self.cfg
         pred = predict(self.state, cfg.f, cfg.q_p)
         beams = self._beams(pred.x)
-        try:
-            zeta = abp_ratio_metric(vec(y), *beams)
-            axes = [self._axis_model(pred.x[..., i], b, n)
-                    for i, (b, n) in enumerate(zip(beams, (cfg.n_y, cfg.n_x)))]
-            z_hat, slopes, variances = (np.stack(v, axis=-1) for v in zip(*axes))
-            new, innovation, _ = update(pred, zeta, diag(slopes), diag(variances), z_hat)
-        except MeasurementFailure:
-            self.state = pred
-            return step_result(np.full(pred.x.shape, np.nan))
+        zeta = abp_ratio_metric(vec(y), *beams)
+        axes = [self._axis_model(pred.x[..., i], b, n)
+                for i, (b, n) in enumerate(zip(beams, (cfg.n_y, cfg.n_x)))]
+        z_hat, slopes, variances = (np.stack(v, axis=-1) for v in zip(*axes))
+        new, innovation, _ = update(pred, zeta, diag(slopes), diag(variances), z_hat)
         self.state, innovation = settle(pred, new, innovation)
         return step_result(innovation)
 

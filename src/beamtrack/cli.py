@@ -14,6 +14,7 @@ from pathlib import Path
 
 import click
 
+from .arrays import ordered_sum
 from .errors import ConfigError
 from .harness import (
     ScenarioConfig,
@@ -78,7 +79,7 @@ def _run_schemes(config_spec: str, seed: int | None, out: str | None,
             click.echo(f"error: {exc}", err=True)
             sys.exit(EXIT_IO)
         mse = summary.per_frame_mse
-        mean_mse = sum(mse) / len(mse)
+        mean_mse = ordered_sum(mse) / len(mse)
         click.echo(f"{cfg.scheme}: frames={cfg.frames} trials={cfg.trials} mean MSE={mean_mse:.3e}")
 
 

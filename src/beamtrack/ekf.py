@@ -6,8 +6,8 @@ Jacobian is the small-angle constant 0.5 * I; the exact diagonal
 
 States, measurements and covariances may carry leading batch axes (one
 entry per trial).  An entry without a usable measurement carries NaN: in
-its measurement, its Jacobian or its gain.  A function fails the whole call
-with MeasurementFailure only when no entry is usable, as for a single one.
+its measurement, its Jacobian or its gain, also when no entry of the batch
+has one.  settle turns such an entry's update into a predict-only frame.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arrays import diag, matvec, norm
-from .errors import MeasurementFailure
 
 
 @dataclass(frozen=True)
@@ -51,15 +50,13 @@ def jacobian(x_pred: np.ndarray, mode: str = "paper-approx") -> np.ndarray:
 
     "paper-approx" returns the constant 0.5 * I; "exact" returns
     diag(0.5 sec^2(u/2), 0.5 sec^2(v/2)), NaN for an entry at the tan
-    singularity, whose measurement fails (MeasurementFailure if every entry's does).
+    singularity, whose measurement fails.
     """
     if mode == "paper-approx":
         return 0.5 * np.eye(2)
     if mode == "exact":
         x = np.asarray(x_pred, dtype=float)
         singular = np.any(np.abs(x) >= np.pi - 1e-6, axis=-1)
-        if np.all(singular):
-            raise MeasurementFailure("exact Jacobian singular at |angle| -> pi")
         d = np.where(singular[..., None], np.nan, 0.5 / np.cos(x / 2.0) ** 2)
         return diag(d)
     raise ValueError(f"unknown Jacobian mode {mode!r}")
@@ -78,8 +75,6 @@ def _gain(s: np.ndarray, pgt: np.ndarray) -> np.ndarray:
             k[i] = np.linalg.solve(s[i].T, pgt[i].T).T
         except np.linalg.LinAlgError:
             continue
-    if np.isnan(k).all():
-        raise MeasurementFailure("singular innovation covariance")
     return k
 
 
@@ -95,8 +90,7 @@ def update(
     innovation = r - r_hat, where r_hat defaults to the monopulse model
     g(x^-); K = P^- G^T S^-1; P = P^- - K S K^T, symmetrized against
     round-off drift.  A singular S (Q_n negligible next to G P^- G^T) fails
-    the entry's measurement: its gain is NaN, or MeasurementFailure if every
-    entry's S is singular.
+    the entry's measurement: its gain is NaN.
     """
     if r_hat is None:
         r_hat = measurement_fn(pred.x)
@@ -117,16 +111,13 @@ def settle(pred: TrackerState, new: TrackerState, innovation: np.ndarray):
     return new.where(ok, pred), np.where(ok[..., None], innovation, np.nan)
 
 
-def step_result(innovation: np.ndarray | None = None, bound=float("nan")) -> dict:
+def step_result(innovation: np.ndarray, bound=float("nan")) -> dict:
     """A tracker step's outcome; the new estimate is the tracker's `state`.
 
-    Without an innovation (None, or a NaN row of a batch) the frame had no usable
-    measurement and the innovation norm and bound are NaN.  `bound` is the MSE bound of
-    a tracker that computes one, NaN otherwise.  Values are Python scalars, or lists of them with
-    one per batch entry.
+    An entry whose innovation is a NaN row had no usable measurement: its innovation norm
+    and bound are NaN.  `bound` is the MSE bound of a tracker that computes one, NaN
+    otherwise.  Values are Python scalars, or lists of them with one per batch entry.
     """
-    if innovation is None:
-        innovation = np.full(2, np.nan)
     innovation = np.asarray(innovation, dtype=float)
     valid = ~np.isnan(innovation).any(axis=-1)
     return {

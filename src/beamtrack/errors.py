@@ -8,7 +8,9 @@ class BeamtrackError(Exception):
 class MeasurementFailure(BeamtrackError):
     """No usable measurement could be formed for the current frame.
 
-    Trackers fall back to a prediction-only update when they see this.
+    Nothing in beamtrack raises it any more: a failed measurement is a NaN row,
+    which ekf.settle turns into a predict-only frame.  It stays defined for code
+    that catches it.
     """
 
 

@@ -16,9 +16,9 @@ codebook's 2K^2 x 2K^2 update stay per trial.
 Same bytes when batching: a trial's records do not depend on the batch it runs
 in, and equal those of the per-trial loop this replaced.  Each batched
 operation rounds like the per-entry call (the primitives of beamtrack.arrays),
-and sums over trials run in trial order.  FrameRecord fields and
-detection_frames hold Python bool, int and float only: _fmt writes an np.bool_
-or an np.int64 as 1.0, and json cannot write an np.int64.
+and sums over trials run in trial order (arrays.ordered_sum).  FrameRecord
+fields and detection_frames hold Python bool, int and float only: _fmt writes
+an np.bool_ or an np.int64 as 1.0, and json cannot write an np.int64.
 """
 
 from __future__ import annotations
@@ -33,14 +33,14 @@ import numpy as np
 
 from . import rng as rngmod
 from .analysis import bound_step
-from .arrays import abs2, norm, vec
+from .arrays import abs2, norm, ordered_sum, vec
 from .baselines import (ABP_SQUINT_FACTOR, AbpTracker, Codebook, CodebookTracker, build_codebook,
                         squinted_weights)
 from .channel import (beamformed_signal, beamforming_weight, channel_matrix, evolve_gain,
                       synthesize_rx)
 from .ekf import (InnovationNoiseEstimator, TrackerState, initial_state, jacobian, predict, settle,
                   step_result, update)
-from .errors import ConfigError, MeasurementFailure
+from .errors import ConfigError
 from .geometry import (
     angles_to_spatial,
     elevation_from_geometry,
@@ -304,17 +304,13 @@ class ProposedTracker:
         cfg = self.cfg
         p_prev = self.state.p
         pred = predict(self.state, cfg.f, cfg.q_p)
-        try:
-            meas = extract_measurement(y, cfg)
-            g = jacobian(pred.x, cfg.jacobian_mode)
-            if cfg.q_n_mode == "estimated":
-                q_n = self.estimator.estimate(self.q_n_prior)
-            else:
-                q_n = self.q_n_prior
-            new, innovation, k = update(pred, meas.r, g, q_n)
-        except MeasurementFailure:
-            self.state = pred
-            return step_result(np.full(pred.x.shape, np.nan))
+        meas = extract_measurement(y, cfg)
+        g = jacobian(pred.x, cfg.jacobian_mode)
+        if cfg.q_n_mode == "estimated":
+            q_n = self.estimator.estimate(self.q_n_prior)
+        else:
+            q_n = self.q_n_prior
+        new, innovation, k = update(pred, meas.r, g, q_n)
         self.state, innovation = settle(pred, new, innovation)
         self.estimator.push(innovation, g, pred.p)
         return step_result(innovation, bound_step(p_prev, k, g, cfg.f, cfg.q_p, self.q_n_relaxed))
@@ -352,7 +348,7 @@ def _draws(cfg: ScenarioConfig, trials, frame: int, purpose: str) -> rngmod.Tria
 
 def _frames(cfg: ScenarioConfig, trials):
     """Simulate the trials as one batch; yield each frame's FrameRecord fields after
-    `frame`, each a list with one value per trial."""
+    `frame` by name, each a list with one value per trial."""
     try:
         x_hat0 = np.empty((len(trials), 2))
     except (ValueError, OverflowError) as exc:
@@ -389,10 +385,12 @@ def _frames(cfg: ScenarioConfig, trials):
 
         est = [detect_step(p, cfg, detector, i) for i, p in enumerate(p_r)]
         realigned = [e.realigned for e in est]
-        yield (truth[:, 0].tolist(), truth[:, 1].tolist(), x_hat[:, 0].tolist(),
-               x_hat[:, 1].tolist(), norm(truth - x_hat).tolist(), [e.xi_hat for e in est], p_r,
-               [e.detected for e in est], realigned, out["bound"], out["innovation_norm"],
-               out["meas_valid"])
+        yield dict(u_true=truth[:, 0].tolist(), v_true=truth[:, 1].tolist(),
+                   u_hat=x_hat[:, 0].tolist(), v_hat=x_hat[:, 1].tolist(),
+                   err_norm=norm(truth - x_hat).tolist(), err_norm_hat=[e.xi_hat for e in est],
+                   p_r=p_r, detected=[e.detected for e in est], realigned=realigned,
+                   bound=out["bound"], innov_norm=out["innovation_norm"],
+                   meas_valid=out["meas_valid"])
 
         if any(realigned):
             idx = np.flatnonzero(realigned)
@@ -406,8 +404,8 @@ def run_batch(cfg: ScenarioConfig, trials, scheme: str | None = None) -> list[li
     cfg = _for_scheme(cfg, scheme)
     records = [[] for _ in trials]
     for k, columns in enumerate(_frames(cfg, trials), start=1):
-        for rows, values in zip(records, zip(*columns)):
-            rows.append(FrameRecord(k, *values))
+        for rows, values in zip(records, zip(*columns.values())):
+            rows.append(FrameRecord(k, **dict(zip(columns, values))))
     return records
 
 
@@ -444,14 +442,12 @@ def run_experiment(cfg: ScenarioConfig, scheme: str | None = None) -> Experiment
     detections: list[list[int]] = []
     trace: list[FrameRecord] = []
     for k, columns in enumerate(_frames(cfg, range(cfg.trials)), start=1):
-        trace.append(FrameRecord(k, *(c[0] for c in columns)))
-        err, realigned, bound = columns[4], columns[8], columns[9]
-        # sums run in trial order
-        sq_err.append(sum(e**2 for e in err))
-        finite = [b for b in bound if math.isfinite(b)]
-        bound_sum.append(sum(finite))
+        trace.append(FrameRecord(k, **{name: c[0] for name, c in columns.items()}))
+        sq_err.append(ordered_sum(e**2 for e in columns["err_norm"]))
+        finite = [b for b in columns["bound"] if math.isfinite(b)]
+        bound_sum.append(ordered_sum(finite))
         bound_count.append(len(finite))
-        detections += [[t, k] for t, r in enumerate(realigned) if r]
+        detections += [[t, k] for t, r in enumerate(columns["realigned"]) if r]
     per_frame_mse = (np.array(sq_err) / cfg.trials).tolist()
     count = np.array(bound_count)
     per_frame_bound = np.where(count > 0, np.array(bound_sum) / np.maximum(count, 1), np.nan)

@@ -3,7 +3,9 @@
 For adjacent elements receiving exp(-j n u) phase progression, the ratio
 (Y_n - Y_{n+1}) / (Y_n + Y_{n+1}) equals j tan(u/2) exactly in the
 noiseless case.  Averaging over all adjacent pairs on each axis gives a
-2-dimensional measurement regardless of the array size.
+2-dimensional measurement regardless of the array size.  A snapshot
+without a usable pair on an axis measures NaN there, which the EKF turns
+into a predict-only frame.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .arrays import mean, vec
-from .errors import DegenerateInputError, MeasurementFailure
+from .errors import DegenerateInputError
 
 if TYPE_CHECKING:
     from .harness import ScenarioConfig
@@ -74,7 +76,7 @@ def _pair_average(a, b, mag_a, mag_b) -> tuple[np.ndarray, np.ndarray]:
 
 def extract_measurement(y: np.ndarray, cfg: ScenarioConfig) -> MonopulseMeasurement:
     """Full monopulse measurement r = [Im Rx, Im Ry] from raw snapshots of shape
-    (..., n_x, n_y); MeasurementFailure when no snapshot has a usable pair on both axes."""
+    (..., n_x, n_y)."""
     if y.shape[-2:] != (cfg.n_x, cfg.n_y):
         raise ValueError(f"snapshot shape {y.shape} does not match the {cfg.n_x}x{cfg.n_y} array")
     y_norm = normalize_rx(y)
@@ -86,7 +88,5 @@ def extract_measurement(y: np.ndarray, cfg: ScenarioConfig) -> MonopulseMeasurem
     ry, ex_y = _pair_average(y_norm[..., :, 1:], y_norm[..., :, :-1],
                              mags[..., :, 1:], mags[..., :, :-1])
     r = np.stack([np.imag(rx), np.imag(ry)], axis=-1)
-    if np.isnan(r).any(axis=-1).all():
-        raise MeasurementFailure("all adjacent-pair denominators below floor")
     return MonopulseMeasurement(
         r=r, raw_rx=rx, raw_ry=ry, excluded_pairs=int(np.sum(ex_x + ex_y)))

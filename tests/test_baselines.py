@@ -25,8 +25,8 @@ from beamtrack.channel import (
     noise_variance,
     steering_vector,
 )
-from beamtrack.ekf import initial_state, predict, step_result, update
-from beamtrack.errors import ConfigError, MeasurementFailure
+from beamtrack.ekf import initial_state, predict, settle, step_result, update
+from beamtrack.errors import ConfigError
 from beamtrack.harness import ScenarioConfig
 
 from conftest import rank1_snapshot
@@ -253,10 +253,10 @@ class TestAbpRatio:
         zm = _metric(_h_vec(-0.12, -0.07, cfg), center, DELTA_8, cfg)
         assert np.allclose(zp, -zm, atol=1e-10)
 
-    def test_zero_power_raises(self):
+    def test_zero_power_measures_nan(self):
         cfg = ScenarioConfig(n_x=8, n_y=8)
-        with pytest.raises(MeasurementFailure):
-            _metric(np.zeros(64, dtype=complex), np.array([0, 0]), DELTA_8, cfg)
+        zeta = _metric(np.zeros(64, dtype=complex), np.array([0, 0]), DELTA_8, cfg)
+        assert zeta.shape == (2,) and np.isnan(zeta).all()
 
     def test_offset_validation(self):
         for offset in (0.0, -0.1, math.nextafter(math.pi, 4.0)):
@@ -479,17 +479,15 @@ def _reference_abp_step(tracker, noise, y):
     cfg = tracker.cfg
     pred = predict(tracker.state, cfg.f, cfg.q_p)
     center = _reference_center(tracker, pred.x)
-    try:
-        zeta = _reference_ratio_metric(y.ravel(), center, _delta(tracker), cfg)
-        z_hat = _reference_abp_predicted(tracker, pred.x, center)
-    except MeasurementFailure:
-        return pred, step_result()
+    zeta = _reference_ratio_metric(y.ravel(), center, _delta(tracker), cfg)
+    z_hat = _reference_abp_predicted(tracker, pred.x, center)
     g = _reference_abp_jacobian(tracker, pred.x, center)
     if cfg.abp_q_n == "fixed":
         q_n = cfg.sigma_n_sq * np.eye(2)
     else:
         q_n = _reference_abp_q_n(tracker, noise, pred.x, center)
     state, innovation, _ = update(pred, zeta, g, q_n, z_hat)
+    state, innovation = settle(pred, state, innovation)
     return state, step_result(innovation)
 
 
@@ -571,7 +569,7 @@ def test_abp_failure_at_difference_points_predicts_only(monkeypatch):
 
     def failing_off_prediction(u, *args):
         if u not in pred.x:
-            raise MeasurementFailure("both squinted-beam powers below floor")
+            return np.full(np.shape(u), np.nan)
         return curve(u, *args)
 
     monkeypatch.setattr(baselines, "abp_ratio_curve", failing_off_prediction)

@@ -4,7 +4,9 @@ plus fig6 on an 8x16 array (the detector's rectangular mesh) with the proposed s
 Each case runs in-process `track run` on a preset with trials=5 and seed 0,
 and hashes the trace CSV and the summary JSON it writes.  The hashes change
 only together with SCHEMA_VERSION or the rng version; on a mismatch the
-assertion message carries the full mapping of actual hashes.
+assertion message carries the full mapping of actual hashes.  The bytes do
+not depend on the Python version: a builtin sum that compensates round-off,
+as from Python 3.12 on, leaves them unchanged.
 """
 
 import dataclasses
@@ -13,6 +15,7 @@ import json
 
 from click.testing import CliRunner
 
+from beamtrack import cli, harness
 from beamtrack.cli import main
 from beamtrack.presets import get_preset
 
@@ -46,10 +49,11 @@ GOLDEN = {
 }
 
 
-def _actual_hashes(tmp_path) -> dict:
+def _actual_hashes(tmp_path, cases=CASES, stdout=None) -> dict:
+    """The hashes of each case's output files; each run's stdout is appended to stdout."""
     runner = CliRunner()
     hashes = {}
-    for name, preset, overrides, schemes in CASES:
+    for name, preset, overrides, schemes in cases:
         cfg = dataclasses.replace(get_preset(preset), trials=5, seed=0, **overrides)
         cfg_path = tmp_path / f"{name}.json"
         cfg_path.write_text(json.dumps(cfg.to_dict()))
@@ -60,6 +64,8 @@ def _actual_hashes(tmp_path) -> dict:
                 ["run", "--config", str(cfg_path), "--scheme", scheme, "--out", str(out)],
             )
             assert result.exit_code == 0, result.output
+            if stdout is not None:
+                stdout.append(result.output)
             for suffix in ("trace.csv", "summary.json"):
                 data = (out / f"{scheme}_{suffix}").read_bytes()
                 hashes[f"{name}/{scheme}_{suffix}"] = hashlib.sha256(data).hexdigest()
@@ -69,3 +75,24 @@ def _actual_hashes(tmp_path) -> dict:
 def test_golden_outputs(tmp_path):
     actual = _actual_hashes(tmp_path)
     assert actual == GOLDEN, "actual hashes:\n" + json.dumps(actual, indent=4, sort_keys=True)
+
+
+def _compensated_sum(values, start=0):
+    """Neumaier's compensated sum, the way the builtin sum adds floats from Python 3.12 on."""
+    total, compensation = float(start), 0.0
+    for x in values:
+        t = total + x
+        compensation += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + compensation
+
+
+def test_outputs_do_not_depend_on_the_builtin_sum(tmp_path_factory, monkeypatch):
+    fig9 = [case for case in CASES if case[0] == "fig9"]
+    stdout, compensated_stdout = [], []
+    expected = _actual_hashes(tmp_path_factory.mktemp("builtin"), fig9, stdout)
+    for module in (harness, cli):
+        monkeypatch.setattr(module, "sum", _compensated_sum, raising=False)
+    actual = _actual_hashes(tmp_path_factory.mktemp("compensated"), fig9, compensated_stdout)
+    assert actual == expected == {key: GOLDEN[key] for key in expected}
+    assert compensated_stdout == stdout

@@ -288,6 +288,14 @@ class TestBatch:
             assert tracker.state.x[i].tobytes() == alone.state.x.tobytes()
             assert tracker.state.p[i].tobytes() == alone.state.p.tobytes()
             assert repr({k: v[i] for k, v in out.items()}) == repr(out_alone)
+        # a batch whose every entry fails, and a failing batch of one: both predict only
+        for start in (x0, x0[1:2]):
+            tracker = harness.TRACKERS[scheme](cfg, initial_state(start, 0.01))
+            out = tracker.step(np.array([bad] * len(start)))
+            assert out["meas_valid"] == [False] * len(start)
+            pred = predict(initial_state(start, 0.01), cfg.f, cfg.q_p)
+            assert tracker.state.x.tobytes() == pred.x.tobytes()
+            assert tracker.state.p.tobytes() == pred.p.tobytes()
 
     def test_singular_s_in_one_trial_fails_only_that_trial(self):
         # trial 1 starts with P = 0 and has no noise: its S = 0 is singular

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from beamtrack.channel import synthesize_rx
-from beamtrack.errors import DegenerateInputError, MeasurementFailure
+from beamtrack.errors import DegenerateInputError
 from beamtrack.harness import ScenarioConfig
 from beamtrack.monopulse import extract_measurement, normalize_rx
 
@@ -93,11 +93,12 @@ class TestExtractMeasurement:
         with pytest.raises(ValueError):
             extract_measurement(np.ones((4, 4), dtype=complex), cfg8)
 
-    def test_all_pairs_degenerate_raises(self):
+    def test_all_pairs_degenerate_measures_nan(self):
         cfg = ScenarioConfig(n_x=2, n_y=2)
         # u = pi makes every x-axis pair sum to exactly zero
-        with pytest.raises(MeasurementFailure):
-            extract_measurement(rank1_snapshot(np.pi, 0.0, cfg), cfg)
+        m = extract_measurement(rank1_snapshot(np.pi, 0.0, cfg), cfg)
+        assert np.isnan(m.r[0]) and m.r[1] == pytest.approx(0.0, abs=1e-12)
+        assert m.excluded_pairs == 2
 
     @given(u=st.floats(-2, 2), v=st.floats(-2, 2))
     @settings(max_examples=200)

@@ -98,3 +98,12 @@ def test_bench_pairs_reports_each_metric_with_wins():
     assert all("wins " in line and "/2  gain holds " in line for line in summaries)
     for name in ("tf_per_ref_s", "peak_rss_mb", "setup_s"):
         assert any(line.startswith(f"{name} (") for line in lines)
+
+
+def test_src_size_counts_lines_statements_and_tokens(tmp_path):
+    # a docstring, a comment and blank lines count as lines only
+    (tmp_path / "a.py").write_text('"""Doc."""\n\n# note\nx = 1\nif x:\n    y = (x,\n         2)\n')
+    assert run_script("src_size.py", str(tmp_path)) == ["lines 7", "statements 3", "tokens 13"]
+    lines = run_script("src_size.py")
+    assert [line.split()[0] for line in lines] == ["lines", "statements", "tokens"]
+    assert all(int(line.split()[1]) > 0 for line in lines)
