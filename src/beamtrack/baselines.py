@@ -6,9 +6,11 @@ outputs (measurement dimension 2*K^2); the auxiliary-beam-pair (ABP)
 tracker forms a gain-invariant power-ratio metric around the codebook beam
 nearest the prediction (measurement dimension 2).
 
-Both step a batch of trials at once: states and snapshots carry a leading
-batch axis.  An entry whose measurement fails has a NaN measurement row,
-which ekf.settle turns into a predict-only frame.
+Each tracker builds its beam tables (the codebook weights, and ABP's squinted
+axis weights) in its __init__, each table one batched call; a run builds one
+tracker for all its trials.  Both step a batch of trials at once: states and
+snapshots carry a leading batch axis.  An entry whose measurement fails has a
+NaN measurement row, which ekf.settle turns into a predict-only frame.
 """
 
 from __future__ import annotations
@@ -51,16 +53,15 @@ def build_codebook(cfg: ScenarioConfig) -> Codebook:
     """DFT-style grid: K = cfg.k_beams uniformly spaced spatial angles per axis."""
     k = cfg.k_beams
     axis = -np.pi + 2.0 * np.pi * np.arange(k) / k
-    cols = [beamforming_weight((u, v), cfg) for u in axis for v in axis]
-    return Codebook(axis_angles=axis, w_h=np.array(cols).conj())
+    pairs = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    return Codebook(axis_angles=axis, w_h=beamforming_weight(pairs, cfg).conj())
 
 
 def squinted_weights(centers: np.ndarray, delta: float, n: int) -> np.ndarray:
     """Unit axis weights steering_vector(a, n)/sqrt(n) at a = c + delta, c and c - delta
     for each center c, shape (len(centers), 3, n); ABP's table per axis has the codebook's
     axis angles as centers and is indexed by Codebook.nearest_axis_index."""
-    return np.array([[steering_vector(a, n) / np.sqrt(n) for a in (c + delta, c, c - delta)]
-                     for c in centers])
+    return steering_vector(np.add.outer(centers, [delta, 0.0, -delta]), n) / np.sqrt(n)
 
 
 def _stack_reim(z: np.ndarray) -> np.ndarray:
@@ -78,13 +79,14 @@ def codebook_measurement(
 def codebook_model(
     x: np.ndarray,
     cfg: ScenarioConfig,
+    codebook: Codebook,
     gain: complex,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Noiseless observations of the unit pilot at x on the scenario's codebook beams,
-    and their analytic (2K^2 x 2) Jacobian, from one pair of steering vectors."""
+    """Noiseless observations of the unit pilot at x on the codebook's beams, and their
+    analytic (2K^2 x 2) Jacobian, from one pair of steering vectors."""
     ax = steering_vector(x[..., 0], cfg.n_x)
     ay = steering_vector(x[..., 1], cfg.n_y)
-    w_h = cfg.codebook.w_h
+    w_h = codebook.w_h
     h_vec = vec(1.0 * outer(ax, ay.conj()))
     dax = -1j * np.arange(cfg.n_x) * ax
     day = -1j * np.arange(cfg.n_y) * ay
@@ -111,6 +113,7 @@ class CodebookTracker:
         self.state = state
         self.alpha_pred = 1.0 + 0.0j
         self.q_n = self.noise_var(cfg) * np.eye(2 * cfg.k_beams**2)
+        self.codebook = build_codebook(cfg)
 
     frame_cost = staticmethod(lambda k2: (2 * k2, k2))  # (measurement size, pilot slots) per frame
 
@@ -128,8 +131,8 @@ class CodebookTracker:
         cfg = self.cfg
         self.alpha_pred *= cfg.rho_gain
         pred = predict(self.state, cfg.f, cfg.q_p)
-        z = codebook_measurement(vec(y), cfg.codebook)
-        z_hat, g = codebook_model(pred.x, cfg, self.alpha_pred)
+        z = codebook_measurement(vec(y), self.codebook)
+        z_hat, g = codebook_model(pred.x, cfg, self.codebook, self.alpha_pred)
         # the 2K^2 x 2K^2 update is BLAS-bound and large: one trial at a time
         x, p = np.empty_like(pred.x), np.empty_like(pred.p)
         innovation = np.empty(z.shape)
@@ -192,6 +195,10 @@ class AbpTracker:
         self.cfg = cfg
         self.state = state
         self.sigma2, self.sigma2_sq = self.noise_terms(cfg)
+        self.codebook = build_codebook(cfg)
+        # each axis's squinted weights around the codebook axis angles
+        self.weights = [squinted_weights(self.codebook.axis_angles, cfg.squint, n)
+                        for n in (cfg.n_x, cfg.n_y)]
 
     frame_cost = staticmethod(lambda k2: (2, k2))  # (measurement size, pilot slots) per frame
 
@@ -204,8 +211,8 @@ class AbpTracker:
 
     def _beams(self, x_pred: np.ndarray) -> list[np.ndarray]:
         """Each axis's squinted weights around the codebook axis angle nearest x_pred."""
-        nearest = self.cfg.codebook.nearest_axis_index
-        return [w[nearest(x_pred[..., i])] for i, w in enumerate(self.cfg.abp_weights)]
+        nearest = self.codebook.nearest_axis_index
+        return [w[nearest(x_pred[..., i])] for i, w in enumerate(self.weights)]
 
     def _axis_model(self, u, beams: np.ndarray, n_other: int) -> tuple:
         """Noiseless ratio at u, its central-difference slope, and its

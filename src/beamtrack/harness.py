@@ -11,7 +11,8 @@ covariance, Q_n window, detector counters and measurement validity are arrays
 with a leading trial axis, and run_trial is a batch of one.  Each frame step is
 one call for the whole batch; each of its draws is one rng.TrialDraws, a
 stream per trial.  Only the initial draws, the detector's table lookup and the
-codebook's 2K^2 x 2K^2 update stay per trial.
+codebook's 2K^2 x 2K^2 update stay per trial.  A run builds one tracker, which
+builds its own tables (the baselines' beam weights), so a config holds none.
 
 Same bytes when batching: a trial's records do not depend on the batch it runs
 in, and equal those of the per-trial loop this replaced.  Each batched
@@ -34,8 +35,7 @@ import numpy as np
 from . import rng as rngmod
 from .analysis import bound_step
 from .arrays import abs2, norm, ordered_sum, vec
-from .baselines import (ABP_SQUINT_FACTOR, AbpTracker, Codebook, CodebookTracker, build_codebook,
-                        squinted_weights)
+from .baselines import ABP_SQUINT_FACTOR, AbpTracker, CodebookTracker
 from .channel import (beamformed_signal, beamforming_weight, channel_matrix, evolve_gain,
                       synthesize_rx)
 from .ekf import (InnovationNoiseEstimator, TrackerState, initial_state, jacobian, predict, settle,
@@ -47,7 +47,7 @@ from .geometry import (
     evolve_state,
     rotation_matrix,
 )
-from .misalign import DetectorState, detect_step, search_grid
+from .misalign import detect_step, search_grid
 from .monopulse import extract_measurement
 
 SCHEMA_VERSION = 1
@@ -214,22 +214,6 @@ class ScenarioConfig:
         """ABP beam-pair offset delta, radians of spatial angle."""
         return ABP_SQUINT_FACTOR / self.n_x if self.abp_offset is None else self.abp_offset
 
-    @cached_property
-    def codebook(self) -> Codebook:
-        """The K^2-beam grid of the baselines, built on first use."""
-        return build_codebook(self)
-
-    @cached_property
-    def scheme_copies(self) -> dict:
-        """This config's copies that run another scheme, by scheme; see _for_scheme."""
-        return {}
-
-    @cached_property
-    def abp_weights(self) -> tuple[np.ndarray, ...]:
-        """ABP's squinted_weights around the codebook axis angles, per axis, built on first use."""
-        centers, delta = self.codebook.axis_angles, self.squint
-        return tuple(squinted_weights(centers, delta, n) for n in (self.n_x, self.n_y))
-
     def to_dict(self) -> dict:
         return asdict(self)
 
@@ -330,13 +314,8 @@ SCHEMES = tuple(TRACKERS)
 
 
 def _for_scheme(cfg: ScenarioConfig, scheme: str | None) -> ScenarioConfig:
-    """cfg, or its copy that runs another scheme, checked like any config and built once."""
-    if scheme in (None, cfg.scheme):
-        return cfg
-    copies = cfg.scheme_copies
-    if scheme not in copies:
-        copies[scheme] = replace(cfg, scheme=scheme)
-    return copies[scheme]
+    """cfg, or its copy that runs another scheme, checked like any config."""
+    return cfg if scheme in (None, cfg.scheme) else replace(cfg, scheme=scheme)
 
 
 def _draws(cfg: ScenarioConfig, trials, frame: int, purpose: str) -> rngmod.TrialDraws:
@@ -364,7 +343,7 @@ def _frames(cfg: ScenarioConfig, trials):
 
     tracker = TRACKERS[cfg.scheme](cfg, initial_state(x_hat0, cfg.sigma_init))
     restart = initial_state(np.zeros(2), cfg.sigma_init)
-    detector = DetectorState(np.zeros(len(trials), dtype=int))
+    consecutive = np.zeros(len(trials), dtype=int)
     gain = np.full(len(trials), 1.0 + 0.0j)
     sigma = (cfg.sigma_u, cfg.sigma_v)
 
@@ -383,7 +362,7 @@ def _frames(cfg: ScenarioConfig, trials):
         r_d = beamformed_signal(w, vec(h), cfg, _draws(cfg, trials, k, "data"))
         p_r = (abs2(r_d) / (cfg.n * abs2(gain))).tolist()
 
-        est = [detect_step(p, cfg, detector, i) for i, p in enumerate(p_r)]
+        est = [detect_step(p, cfg, consecutive, i) for i, p in enumerate(p_r)]
         realigned = [e.realigned for e in est]
         yield dict(u_true=truth[:, 0].tolist(), v_true=truth[:, 1].tolist(),
                    u_hat=x_hat[:, 0].tolist(), v_hat=x_hat[:, 1].tolist(),

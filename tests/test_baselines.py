@@ -103,8 +103,16 @@ class TestCodebook:
         assert cb.nearest_axis_index(cb.axis_angles[3] + 0.01) == 3
 
     def test_conjugate_weights_built_once(self):
-        cfg = ScenarioConfig(n_x=4, n_y=8)
+        self._check_conjugate_weights(ScenarioConfig(n_x=4, n_y=8))
+
+    @pytest.mark.parametrize("k", [3, 1])
+    def test_conjugate_weights_for_codebook_k(self, k):
+        self._check_conjugate_weights(ScenarioConfig(n_x=4, n_y=8, codebook_k=k))
+
+    @staticmethod
+    def _check_conjugate_weights(cfg):
         cb = build_codebook(cfg)
+        assert cb.w_h.shape == (cfg.k_beams**2, cfg.n)
         rows = [beamforming_weight(pair, cfg).conj() for pair in _beam_angles(cb)]
         assert np.array_equal(cb.w_h, np.array(rows))
 
@@ -112,7 +120,7 @@ class TestCodebook:
 class TestCodebookMeasurement:
     def test_aligned_beam_has_peak_magnitude(self):
         cfg = ScenarioConfig(n_x=4, n_y=4)
-        cb = cfg.codebook
+        cb = build_codebook(cfg)
         j = 5
         u, v = _beam_angles(cb)[j]
         z = codebook_measurement(_h_vec(u, v, cfg), cb)
@@ -122,42 +130,42 @@ class TestCodebookMeasurement:
 
     def test_length(self):
         cfg = ScenarioConfig(n_x=4, n_y=4)
-        cb = cfg.codebook
+        cb = build_codebook(cfg)
         assert codebook_measurement(_h_vec(0.1, 0.2, cfg), cb).shape == (32,)
 
     def test_predicted_matches_noiseless_measurement(self):
         cfg = ScenarioConfig(n_x=4, n_y=4)
-        cb = cfg.codebook
+        cb = build_codebook(cfg)
         x = np.array([0.3, -0.8])
         z = codebook_measurement(_h_vec(x[0], x[1], cfg, gain=0.7 - 0.1j), cb)
-        z_hat, _ = codebook_model(x, cfg, 0.7 - 0.1j)
+        z_hat, _ = codebook_model(x, cfg, cb, 0.7 - 0.1j)
         assert np.allclose(z, z_hat, atol=1e-10)
 
 
 class TestCodebookJacobian:
     def test_matches_finite_differences(self):
         cfg = ScenarioConfig(n_x=4, n_y=4)
-        cb = cfg.codebook
+        cb = build_codebook(cfg)
         rng = np.random.default_rng(3)
         h = 1e-6
         for _ in range(10):
             x = rng.uniform(-2, 2, 2)
-            _, g = codebook_model(x, cfg, 1.0)
+            _, g = codebook_model(x, cfg, cb, 1.0)
             for i in range(2):
                 xp, xm = x.copy(), x.copy()
                 xp[i] += h
                 xm[i] -= h
-                fd = (codebook_model(xp, cfg, 1.0)[0]
-                      - codebook_model(xm, cfg, 1.0)[0]) / (2 * h)
+                fd = (codebook_model(xp, cfg, cb, 1.0)[0]
+                      - codebook_model(xm, cfg, cb, 1.0)[0]) / (2 * h)
                 denom = max(np.linalg.norm(fd), 1e-12)
                 assert np.linalg.norm(g[:, i] - fd) / denom < 1e-5
 
     def test_stationary_at_beam_peak(self):
         cfg = ScenarioConfig(n_x=4, n_y=4)
-        cb = cfg.codebook
+        cb = build_codebook(cfg)
         j = 6
         x = _beam_angles(cb)[j]
-        z, g = codebook_model(x, cfg, 1.0)
+        z, g = codebook_model(x, cfg, cb, 1.0)
         k2 = 16
         # the aligned beam's response magnitude is at a pattern maximum, so
         # the derivative of |response_j|^2 vanishes: Re(conj(z_j) dz_j) = 0
@@ -167,17 +175,17 @@ class TestCodebookJacobian:
 
     def test_linear_in_gain(self):
         cfg = ScenarioConfig(n_x=4, n_y=4)
-        cb = cfg.codebook
+        cb = build_codebook(cfg)
         x = np.array([0.4, 0.9])
-        _, g1 = codebook_model(x, cfg, 1.0)
-        _, g2 = codebook_model(x, cfg, 2.0)
+        _, g1 = codebook_model(x, cfg, cb, 1.0)
+        _, g2 = codebook_model(x, cfg, cb, 2.0)
         assert np.allclose(g2, 2.0 * g1, atol=1e-12)
 
 
 class TestCodebookTracker:
     def test_noiseless_convergence_within_five_frames(self):
         cfg = _cfg(4, 4, rho_gain=1.0, gain_uncertainty_var=0.0)
-        truth = _beam_angles(cfg.codebook)[5] + np.array([0.05, -0.03])
+        truth = _beam_angles(build_codebook(cfg))[5] + np.array([0.05, -0.03])
         tracker = CodebookTracker(cfg, initial_state(truth + np.array([0.02, 0.02]), 0.05))
         y = rank1_snapshot(truth[0], truth[1], cfg)
         for _ in range(5):
@@ -189,7 +197,7 @@ class TestCodebookTracker:
         tracker = CodebookTracker(cfg, initial_state(np.zeros(2), 0.01))
         out = tracker.step(rank1_snapshot(0.1, 0.2, cfg))
         assert tracker.q_n.shape == (128, 128)
-        z_hat, g = codebook_model(tracker.state.x, cfg, 1.0)
+        z_hat, g = codebook_model(tracker.state.x, cfg, tracker.codebook, 1.0)
         assert z_hat.shape == (128,)
         assert g.shape == (128, 2)
         assert out.keys() == STEP_KEYS
@@ -342,12 +350,13 @@ def _shape_id(shape):
 
 
 class TestAbpWeights:
-    @pytest.mark.parametrize("shape", SHAPES, ids=_shape_id)
-    def test_rows_are_squinted_steering_vectors(self, shape):
-        cfg = _cfg(*shape, scheme="abp")
-        cb, delta = cfg.codebook, cfg.squint
-        assert cfg.abp_weights is cfg.abp_weights
-        for table, n in zip(cfg.abp_weights, shape):
+    @pytest.mark.parametrize("shape, k", [pytest.param(s, None, id=_shape_id(s)) for s in SHAPES]
+                             + [pytest.param((4, 8), k, id=f"{_shape_id((4, 8))}-codebook_k={k}")
+                                for k in (3, 1)])
+    def test_rows_are_squinted_steering_vectors(self, shape, k):
+        tracker = _abp_tracker(initial_state(np.zeros(2), 0.01), shape, codebook_k=k)
+        cb, delta = tracker.codebook, tracker.cfg.squint
+        for table, n in zip(tracker.weights, shape):
             assert table.shape == (len(cb.axis_angles), 3, n)
             for c, rows in zip(cb.axis_angles, table):
                 for row, angle in zip(rows, (c + delta, c, c - delta)):
@@ -355,16 +364,16 @@ class TestAbpWeights:
 
     @pytest.mark.parametrize("shape", SHAPES, ids=_shape_id)
     def test_metric_beams_are_beamforming_weights(self, shape, monkeypatch):
-        cfg = _cfg(*shape, scheme="abp")
-        cb, delta = cfg.codebook, cfg.squint
-        vdot, beams = baselines.vdot, []
+        tracker = _abp_tracker(initial_state(np.zeros(2), 0.01), shape)
+        cfg, cb, (weights_x, weights_y) = tracker.cfg, tracker.codebook, tracker.weights
+        delta, vdot, beams = cfg.squint, baselines.vdot, []
         # one call may take a stack of beams; each row is one beam
         monkeypatch.setattr(baselines, "vdot",
                             lambda w, y: beams.extend(w.reshape(-1, w.shape[-1])) or vdot(w, y))
         y = rank1_snapshot(0.3, -0.2, cfg).ravel()
         for ix, iy in [(0, 0), (3, 5), (7, 2)]:
             beams.clear()
-            abp_ratio_metric(y, cfg.abp_weights[0][ix], cfg.abp_weights[1][iy])
+            abp_ratio_metric(y, weights_x[ix], weights_y[iy])
             squints = [(0, delta), (0, -delta), (1, delta), (1, -delta)]
             assert len(beams) == len(squints)
             for w, (axis, offset) in zip(beams, squints):
@@ -393,12 +402,12 @@ def _stack(z):
 
 def _reference_codebook_predicted(x_pred, cfg, gain):
     h_vec = channel_matrix(1.0, x_pred, cfg).ravel()
-    return _stack(gain * (_weights(cfg.codebook).conj().T @ h_vec))
+    return _stack(gain * (_weights(build_codebook(cfg)).conj().T @ h_vec))
 
 
 def _reference_codebook_jacobian(x_pred, cfg, gain=1.0 + 0.0j):
     du, dv = _reference_response_grad(x_pred, cfg)
-    weights = _weights(cfg.codebook)
+    weights = _weights(build_codebook(cfg))
     col_u = gain * (weights.conj().T @ du)
     col_v = gain * (weights.conj().T @ dv)
     return np.column_stack([_stack(col_u), _stack(col_v)])
@@ -409,7 +418,7 @@ def _delta(tracker):
 
 
 def _reference_center(tracker, x_pred):
-    axis = tracker.cfg.codebook.axis_angles
+    axis = tracker.codebook.axis_angles
     return np.array([float(axis[np.argmin(np.abs(axis - a))]) for a in x_pred])
 
 
@@ -498,11 +507,12 @@ class TestModelOracles:
     @pytest.mark.parametrize("shape", SHAPES, ids=_shape_id)
     def test_codebook_model_equals_reference(self, shape):
         cfg = _cfg(*shape)
+        cb = build_codebook(cfg)
         rng = np.random.default_rng(11)
         for i in range(500):
             x = rng.uniform(-np.pi, np.pi, 2)
             gain = GAINS[i % len(GAINS)]
-            z_hat, g = codebook_model(x, cfg, gain)
+            z_hat, g = codebook_model(x, cfg, cb, gain)
             assert z_hat.tobytes() == _reference_codebook_predicted(x, cfg, gain).tobytes()
             assert g.tobytes() == _reference_codebook_jacobian(x, cfg, gain).tobytes()
 
@@ -511,7 +521,7 @@ class TestModelOracles:
     def test_abp_axis_model_equals_reference(self, shape, snr_db):
         tracker = _abp_tracker(initial_state(np.zeros(2), 0.01), shape, snr_db=snr_db)
         noise = ScenarioConfig(snr_db=snr_db)
-        cb, dims = tracker.cfg.codebook, shape
+        cb, dims = tracker.codebook, shape
         rng = np.random.default_rng(12)
         k = len(cb.axis_angles)
         spacing = 2 * np.pi / k
@@ -520,7 +530,7 @@ class TestModelOracles:
             center = cb.axis_angles[index]
             # mostly inside the center beam, sometimes well outside it
             x = center + rng.uniform(-1.5, 1.5, 2) * spacing
-            beams = [w[i] for w, i in zip(tracker.cfg.abp_weights, index)]
+            beams = [w[i] for w, i in zip(tracker.weights, index)]
             axes = [tracker._axis_model(*a) for a in zip(x, beams, dims[::-1])]
             z_hat, slopes, variances = (np.array(v) for v in zip(*axes))
             ref_z = _reference_abp_predicted(tracker, x, center)

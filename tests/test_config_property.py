@@ -36,7 +36,7 @@ from hypothesis import strategies as st
 
 from beamtrack import baselines, ekf, harness
 from beamtrack.cli import main
-from beamtrack.errors import ConfigError, MeasurementFailure
+from beamtrack.errors import ConfigError
 from beamtrack.harness import FIELD_RULES, SCHEMES, ScenarioConfig, run_experiment
 
 FIELDS = [f.name for f in dataclasses.fields(ScenarioConfig)]
@@ -130,7 +130,7 @@ def _filter_problems(pred, g_mat, q_n, post) -> list[str]:
 def _batch_problems(pred, r, g_mat, q_n, r_hat, out) -> list[str]:
     """_filter_problems of each trial of a batched update.  A trial that enters with a
     failed measurement (NaN in r, G, Q_n or r_hat) gets no update and no check; one whose
-    gain is NaN (its S is singular) is checked like an update that raised."""
+    gain is NaN (its S is singular) has its S checked and no P^+."""
     batch = pred.x.shape[:-1]
     r_hat = 0.0 if r_hat is None else r_hat
     r, r_hat = (np.broadcast_to(v, batch + np.shape(r)[-1:]) for v in (r, r_hat))
@@ -141,8 +141,7 @@ def _batch_problems(pred, r, g_mat, q_n, r_hat, out) -> list[str]:
         if any(np.isnan(v[i]).any() for v in (r, g_mat, q_n, r_hat)):
             continue
         one = ekf.TrackerState(pred.x[i], pred.p[i])
-        post = None if out is None or np.isnan(out[2][i]).any() else ekf.TrackerState(
-            out[0].x[i], out[0].p[i])
+        post = None if np.isnan(out[2][i]).any() else ekf.TrackerState(out[0].x[i], out[0].p[i])
         problems.extend(_filter_problems(one, g_mat[i], q_n[i], post))
     return problems
 
@@ -154,11 +153,7 @@ def checked_update(monkeypatch):
     problems = []
 
     def checked(pred, r, g_mat, q_n, r_hat=None):
-        try:
-            out = ekf.update(pred, r, g_mat, q_n, r_hat)
-        except MeasurementFailure:
-            problems.extend(_batch_problems(pred, r, g_mat, q_n, r_hat, None))
-            raise
+        out = ekf.update(pred, r, g_mat, q_n, r_hat)
         problems.extend(_batch_problems(pred, r, g_mat, q_n, r_hat, out))
         return out
 

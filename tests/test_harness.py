@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from beamtrack import ekf, harness
+from beamtrack import baselines, ekf, harness
 from beamtrack.analysis import bound_step
 from beamtrack.baselines import ABP_SQUINT_FACTOR
 from beamtrack.ekf import initial_state, jacobian, predict, step_result, update
@@ -120,7 +120,7 @@ class TestScenarioConfig:
 
     def test_pieces_built_once(self):
         cfg = small_cfg()
-        for piece in ("threshold", "f", "q_p", "theta", "codebook", "abp_weights"):
+        for piece in ("threshold", "f", "q_p", "theta"):
             assert getattr(cfg, piece) is getattr(cfg, piece)
         assert cfg.squint == ABP_SQUINT_FACTOR / cfg.n_x
         assert small_cfg(abp_offset=0.1).squint == 0.1
@@ -207,18 +207,6 @@ class TestRunTrial:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
-
-    @pytest.mark.parametrize("scheme", ["codebook", "abp"])
-    def test_override_builds_its_copy_once(self, monkeypatch, scheme):
-        calls = []
-        original = harness.build_codebook
-        monkeypatch.setattr(harness, "build_codebook",
-                            lambda cfg: calls.append(cfg) or original(cfg))
-        cfg = small_cfg(frames=2)
-        for t in range(20):
-            run_trial(cfg, t, scheme)
-        assert len(calls) == 1
-        assert harness._for_scheme(cfg, scheme) is harness._for_scheme(cfg, scheme)
 
     def test_frame_indices_start_at_one(self):
         records = run_trial(small_cfg(frames=5), 0)
@@ -359,18 +347,19 @@ class TestRunExperiment:
         assert repr(summary.trace) == repr(run_trial(cfg, 0, "abp"))
         assert "trace" not in summary.to_dict()
 
-    @pytest.mark.parametrize("scheme", ["abp", "codebook"])
+    @pytest.mark.parametrize("scheme", ["abp", "codebook", "proposed"])
     def test_codebook_built_once_per_experiment(self, monkeypatch, scheme):
         calls = []
-        original = harness.build_codebook
+        original = baselines.build_codebook
 
         def counting(*args):
             calls.append(args)
             return original(*args)
 
-        monkeypatch.setattr(harness, "build_codebook", counting)
+        monkeypatch.setattr(baselines, "build_codebook", counting)
         run_experiment(small_cfg(trials=3, frames=3), scheme)
-        assert len(calls) == 1
+        # the proposed tracker has no beam tables
+        assert len(calls) == (scheme != "proposed")
 
     def test_bound_emitted_for_proposed_only(self):
         cfg = small_cfg(trials=1)

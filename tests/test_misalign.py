@@ -7,7 +7,6 @@ from beamtrack import misalign
 from beamtrack.errors import ConfigError
 from beamtrack.harness import ScenarioConfig
 from beamtrack.misalign import (
-    DetectorState,
     detect_step,
     estimate_error_norm,
     received_power,
@@ -203,22 +202,22 @@ class TestDetectConfig:
 
 class TestDetectStep:
     def test_never_realigns_below_threshold(self):
-        det = DetectorState()
+        counter = np.zeros((), dtype=int)
         for _ in range(50):
-            est = detect_step(0.95, CFG8, det)
+            est = detect_step(0.95, CFG8, counter)
             assert not est.detected and not est.realigned
 
     def test_detects_on_synthetic_ramp(self):
         # error norm ramps linearly; with model-consistent noiseless power
         # the detection frame is exactly the first threshold crossing
-        det = DetectorState()
+        counter = np.zeros((), dtype=int)
         realign_frame = None
         first_crossing = None
         for k, xi in enumerate(np.linspace(0.0, 0.6, 61)):
             if first_crossing is None and xi > CFG8.threshold:
                 first_crossing = k
             p = _model_power(min(xi, EXTENT8))
-            est = detect_step(p, CFG8, det)
+            est = detect_step(p, CFG8, counter)
             if est.realigned:
                 realign_frame = k
                 break
@@ -230,7 +229,7 @@ class TestDetectStep:
         # detection presets calibrate the threshold; with the 0.8 factor
         # the detection lag on a diagonal ramp stays within 2 frames
         cfg = ScenarioConfig(detect_threshold=0.8 * 0.89 * np.pi / 8)
-        det = DetectorState()
+        counter = np.zeros((), dtype=int)
         nominal = 0.89 * np.pi / 8
         realign_frame = None
         first_crossing = None
@@ -239,7 +238,7 @@ class TestDetectStep:
                 first_crossing = k
             off = xi / np.sqrt(2)
             p = received_power(np.array([off, off]), np.array([0, 0]), CFG8)
-            est = detect_step(p, cfg, det)
+            est = detect_step(p, cfg, counter)
             if est.realigned:
                 realign_frame = k
                 break
@@ -249,26 +248,26 @@ class TestDetectStep:
 
     def test_consecutive_requirement(self):
         cfg = ScenarioConfig(detect_consecutive=3)
-        det = DetectorState()
+        counter = np.zeros((), dtype=int)
         low = _model_power(cfg.threshold * 1.5)
-        flags = [detect_step(low, cfg, det).realigned for _ in range(3)]
+        flags = [detect_step(low, cfg, counter).realigned for _ in range(3)]
         assert flags == [False, False, True]
-        assert det.consecutive == 0  # counter reset after realignment
+        assert counter == 0  # counter reset after realignment
 
     def test_counter_resets_on_good_frame(self):
         cfg = ScenarioConfig(detect_consecutive=2)
-        det = DetectorState()
+        counter = np.zeros((), dtype=int)
         low = _model_power(cfg.threshold * 1.5)
-        detect_step(low, cfg, det)
-        detect_step(1.0, cfg, det)
-        assert det.consecutive == 0
+        detect_step(low, cfg, counter)
+        detect_step(1.0, cfg, counter)
+        assert counter == 0
 
     def test_disabled_never_detects(self):
         cfg = ScenarioConfig(detect_enabled=False)
-        det = DetectorState()
-        est = detect_step(0.0, cfg, det)
+        counter = np.zeros((), dtype=int)
+        est = detect_step(0.0, cfg, counter)
         assert not est.detected and not est.realigned
 
     def test_clipped_flag(self):
-        det = DetectorState()
-        assert detect_step(1.2, CFG8, det).clipped
+        counter = np.zeros((), dtype=int)
+        assert detect_step(1.2, CFG8, counter).clipped
