@@ -9,6 +9,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from beamtrack.errors import ConfigError
 from beamtrack.harness import run_experiment
 from beamtrack.presets import get_preset
 
@@ -17,8 +18,11 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--trials", type=int, default=200)
     args = ap.parse_args()
+    try:
+        cfg = replace(get_preset("fig7"), trials=args.trials)
+    except ConfigError as exc:
+        ap.error(str(exc))
 
-    cfg = replace(get_preset("fig7"), trials=args.trials)
     summary = run_experiment(cfg)
     mse = np.array(summary.per_frame_mse)
     bound = np.array(summary.per_frame_bound, dtype=float)

@@ -23,6 +23,8 @@ def main() -> None:
     ap.add_argument("--trials", type=int, default=100)
     ap.add_argument("--schemes", default="proposed")
     args = ap.parse_args()
+    if not args.step > 0:
+        ap.error("--step must be positive")
 
     schemes = args.schemes.split(",")
     snrs = np.arange(args.snr_min, args.snr_max + args.step / 2, args.step)

@@ -3,19 +3,19 @@
 Both baselines measure beamformed pilot observations instead of the raw
 snapshot.  The codebook tracker stacks real/imag parts of all K^2 beam
 outputs (measurement dimension 2*K^2); the auxiliary-beam-pair (ABP)
-tracker forms a gain-invariant power-ratio metric around the codebook beam
+tracker forms a gain-invariant power-ratio metric around the grid beam
 nearest the prediction (measurement dimension 2).
 
-Each tracker builds its beam tables (the codebook weights, and ABP's squinted
-axis weights) in its __init__, each table one batched call; a run builds one
-tracker for all its trials.  Both step a batch of trials at once: states and
-snapshots carry a leading batch axis.  An entry whose measurement fails has a
-NaN measurement row, which ekf.settle turns into a predict-only frame.
+Each tracker builds only the beam table it reads, in its __init__, each table one
+batched call: the codebook tracker its conjugated (K^2, N) weight matrix, ABP its axis
+angles and the squinted weights around them per axis.  A run builds one tracker for all
+its trials.  Both step a batch of trials at once: states and snapshots carry a leading
+batch axis.  An entry whose measurement fails has a NaN measurement row, which
+ekf.settle turns into a predict-only frame.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -37,30 +37,23 @@ _POWER_FLOOR = 1e-30
 _Q_N_FLOOR = 1e-8
 
 
-@dataclass(frozen=True)
-class Codebook:
-    """Uniform spatial-angle beam grid with K beams per axis."""
-
-    axis_angles: np.ndarray     # (K,), strictly increasing over [-pi, pi)
-    w_h: np.ndarray             # (K^2, N) conjugated unit-norm beam weights, (u, v) x-major
-
-    def nearest_axis_index(self, angle):
-        """Index of the axis angle nearest each angle."""
-        return np.argmin(np.abs(self.axis_angles - np.asarray(angle)[..., None]), axis=-1)
+def axis_angles(k: int) -> np.ndarray:
+    """K uniformly spaced spatial angles per axis, strictly increasing over [-pi, pi)."""
+    return -np.pi + 2.0 * np.pi * np.arange(k) / k
 
 
-def build_codebook(cfg: ScenarioConfig) -> Codebook:
-    """DFT-style grid: K = cfg.k_beams uniformly spaced spatial angles per axis."""
-    k = cfg.k_beams
-    axis = -np.pi + 2.0 * np.pi * np.arange(k) / k
+def build_codebook(cfg: ScenarioConfig) -> np.ndarray:
+    """Conjugated unit-norm weights of the DFT-style grid of cfg.k_beams axis angles per
+    axis, shape (K^2, N), (u, v) x-major."""
+    axis = axis_angles(cfg.k_beams)
     pairs = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
-    return Codebook(axis_angles=axis, w_h=beamforming_weight(pairs, cfg).conj())
+    return beamforming_weight(pairs, cfg).conj()
 
 
 def squinted_weights(centers: np.ndarray, delta: float, n: int) -> np.ndarray:
     """Unit axis weights steering_vector(a, n)/sqrt(n) at a = c + delta, c and c - delta
-    for each center c, shape (len(centers), 3, n); ABP's table per axis has the codebook's
-    axis angles as centers and is indexed by Codebook.nearest_axis_index."""
+    for each center c, shape (len(centers), 3, n); ABP's table per axis has axis_angles as
+    centers."""
     return steering_vector(np.add.outer(centers, [delta, 0.0, -delta]), n) / np.sqrt(n)
 
 
@@ -68,25 +61,21 @@ def _stack_reim(z: np.ndarray) -> np.ndarray:
     return np.concatenate([z.real, z.imag], axis=-1)
 
 
-def codebook_measurement(
-    y_vec: np.ndarray,
-    codebook: Codebook,
-) -> np.ndarray:
-    """Beamform the pilot snapshot on every codebook beam; stack re/im."""
-    return _stack_reim(matvec(codebook.w_h, y_vec))
+def codebook_measurement(y_vec: np.ndarray, w_h: np.ndarray) -> np.ndarray:
+    """Beamform the pilot snapshot on every codebook beam of build_codebook's w_h; stack re/im."""
+    return _stack_reim(matvec(w_h, y_vec))
 
 
 def codebook_model(
     x: np.ndarray,
     cfg: ScenarioConfig,
-    codebook: Codebook,
+    w_h: np.ndarray,
     gain: complex,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Noiseless observations of the unit pilot at x on the codebook's beams, and their
+    """Noiseless observations of the unit pilot at x on the codebook beams of w_h, and their
     analytic (2K^2 x 2) Jacobian, from one pair of steering vectors."""
     ax = steering_vector(x[..., 0], cfg.n_x)
     ay = steering_vector(x[..., 1], cfg.n_y)
-    w_h = codebook.w_h
     h_vec = vec(1.0 * outer(ax, ay.conj()))
     dax = -1j * np.arange(cfg.n_x) * ax
     day = -1j * np.arange(cfg.n_y) * ay
@@ -113,7 +102,7 @@ class CodebookTracker:
         self.state = state
         self.alpha_pred = 1.0 + 0.0j
         self.q_n = self.noise_var(cfg) * np.eye(2 * cfg.k_beams**2)
-        self.codebook = build_codebook(cfg)
+        self.w_h = build_codebook(cfg)
 
     frame_cost = staticmethod(lambda k2: (2 * k2, k2))  # (measurement size, pilot slots) per frame
 
@@ -131,8 +120,8 @@ class CodebookTracker:
         cfg = self.cfg
         self.alpha_pred *= cfg.rho_gain
         pred = predict(self.state, cfg.f, cfg.q_p)
-        z = codebook_measurement(vec(y), self.codebook)
-        z_hat, g = codebook_model(pred.x, cfg, self.codebook, self.alpha_pred)
+        z = codebook_measurement(vec(y), self.w_h)
+        z_hat, g = codebook_model(pred.x, cfg, self.w_h, self.alpha_pred)
         # the 2K^2 x 2K^2 update is BLAS-bound and large: one trial at a time
         x, p = np.empty_like(pred.x), np.empty_like(pred.p)
         innovation = np.empty(z.shape)
@@ -165,11 +154,6 @@ def _pair_ratio(p_plus, p_minus):
     return np.where(low, np.nan, (p_plus - p_minus) / np.where(low, 1.0, total))
 
 
-def abp_ratio_curve(u, beams: np.ndarray):
-    """Noiseless ratio metric zeta(u) for one axis, beams from squinted_weights; lies in [-1, 1]."""
-    return _pair_ratio(*_axis_pair_powers(u, beams))
-
-
 def abp_ratio_metric(y_vec: np.ndarray, beams_x: np.ndarray, beams_y: np.ndarray) -> np.ndarray:
     """Measured 2-vector [zeta_u, zeta_v] from the shared pilot snapshot: the powers of the beams
     vec(w_x w_y^H) from squinted_weights rows, u squinted by +delta and -delta, then v."""
@@ -195,10 +179,8 @@ class AbpTracker:
         self.cfg = cfg
         self.state = state
         self.sigma2, self.sigma2_sq = self.noise_terms(cfg)
-        self.codebook = build_codebook(cfg)
-        # each axis's squinted weights around the codebook axis angles
-        self.weights = [squinted_weights(self.codebook.axis_angles, cfg.squint, n)
-                        for n in (cfg.n_x, cfg.n_y)]
+        self.axis = axis_angles(cfg.k_beams)
+        self.weights = [squinted_weights(self.axis, cfg.squint, n) for n in (cfg.n_x, cfg.n_y)]
 
     frame_cost = staticmethod(lambda k2: (2, k2))  # (measurement size, pilot slots) per frame
 
@@ -210,25 +192,25 @@ class AbpTracker:
         return sigma2, sigma2**2
 
     def _beams(self, x_pred: np.ndarray) -> list[np.ndarray]:
-        """Each axis's squinted weights around the codebook axis angle nearest x_pred."""
-        nearest = self.codebook.nearest_axis_index
-        return [w[nearest(x_pred[..., i])] for i, w in enumerate(self.weights)]
+        """Each axis's squinted weights around the axis angle nearest x_pred (the lower one
+        at a tie; no wrap-around at +/-pi)."""
+        nearest = np.argmin(np.abs(self.axis - x_pred[..., None]), axis=-1)
+        return [w[nearest[..., i]] for i, w in enumerate(self.weights)]
 
     def _axis_model(self, u, beams: np.ndarray, n_other: int) -> tuple:
         """Noiseless ratio at u, its central-difference slope, and its
         variance: sigma_n^2 in "fixed" mode, else the delta-method one
-        (the gain magnitude cancels)."""
+        (the gain magnitude cancels); one pattern evaluation at u, u + h and u - h."""
         h = self._FD_STEP
-        p_plus, p_minus = _axis_pair_powers(u, beams)
-        ends = abp_ratio_curve(u + np.reshape([h, -h], (2,) + (1,) * np.ndim(u)), beams)
-        slope = (ends[0] - ends[1]) / (2 * h)
-        zeta = _pair_ratio(p_plus, p_minus)
+        p_plus, p_minus = _axis_pair_powers(
+            u + np.reshape([0.0, h, -h], (3,) + (1,) * np.ndim(u)), beams)
+        zeta, end_plus, end_minus = _pair_ratio(p_plus, p_minus)
+        slope = (end_plus - end_minus) / (2 * h)
         if self.cfg.abp_q_n == "fixed":
             return zeta, slope, self.cfg.sigma_n_sq
         # cross-axis pattern scales both powers; it cancels in zeta but
         # sets the per-beam signal level seen against the element noise
-        p_plus *= n_other
-        p_minus *= n_other
+        p_plus, p_minus = p_plus[0] * n_other, p_minus[0] * n_other
         total = p_plus + p_minus
         var_p = 2.0 * self.sigma2 * p_plus + self.sigma2_sq
         var_m = 2.0 * self.sigma2 * p_minus + self.sigma2_sq

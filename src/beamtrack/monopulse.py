@@ -3,9 +3,11 @@
 For adjacent elements receiving exp(-j n u) phase progression, the ratio
 (Y_n - Y_{n+1}) / (Y_n + Y_{n+1}) equals j tan(u/2) exactly in the
 noiseless case.  Averaging over all adjacent pairs on each axis gives a
-2-dimensional measurement regardless of the array size.  A snapshot
-without a usable pair on an axis measures NaN there, which the EKF turns
-into a predict-only frame.
+2-dimensional measurement regardless of the array size.  A pair whose sum
+is vanishingly small is dropped from the average, and the measurement
+counts the dropped pairs over the batch.  A snapshot without a usable pair
+on an axis measures NaN there, which the EKF turns into a predict-only
+frame.
 """
 
 from __future__ import annotations
@@ -29,13 +31,11 @@ DENOMINATOR_FLOOR = 1e-9
 
 @dataclass(frozen=True)
 class MonopulseMeasurement:
-    """The 2-vector measurement r = [Im Rx, Im Ry] plus raw complex values, per snapshot
-    of a batch; a snapshot without a usable pair on an axis has NaN there."""
+    """The 2-vector measurement r = [Im Rx, Im Ry] per snapshot of a batch; a snapshot
+    without a usable pair on an axis has NaN there."""
 
     r: np.ndarray
-    raw_rx: complex | np.ndarray
-    raw_ry: complex | np.ndarray
-    excluded_pairs: int = 0     # summed over the batch
+    excluded_pairs: int         # summed over the batch
 
 
 def normalize_rx(y: np.ndarray) -> np.ndarray:
@@ -56,9 +56,10 @@ def normalize_rx(y: np.ndarray) -> np.ndarray:
     return y / g[..., None, None]
 
 
-def _pair_average(a, b, mag_a, mag_b) -> tuple[np.ndarray, np.ndarray]:
+def _pair_average(a, b, mag_a, mag_b) -> tuple[np.ndarray, int]:
     """Mean of (a-b)/(a+b) over pairs with non-degenerate denominators, per snapshot (NaN
-    where none is left), and the count of pairs dropped; mag_a and mag_b are |a| and |b|."""
+    where none is left), and the count of pairs dropped, summed over the batch; mag_a and
+    mag_b are |a| and |b|."""
     den = a + b
     floor = DENOMINATOR_FLOOR * np.maximum(mean(vec(mag_a)), mean(vec(mag_b)))
     keep = vec(np.abs(den)) >= floor[..., None]
@@ -71,7 +72,7 @@ def _pair_average(a, b, mag_a, mag_b) -> tuple[np.ndarray, np.ndarray]:
     for i in np.ndindex(excluded.shape):
         k = keep[i]
         avg[i] = mean(num[i][k] / den[i][k]) if k.any() else complex(np.nan, np.nan)
-    return avg, excluded
+    return avg, int(np.add.reduce(excluded, axis=None))
 
 
 def extract_measurement(y: np.ndarray, cfg: ScenarioConfig) -> MonopulseMeasurement:
@@ -87,6 +88,4 @@ def extract_measurement(y: np.ndarray, cfg: ScenarioConfig) -> MonopulseMeasurem
     # order is swapped to keep the noiseless value at +j tan(v/2)
     ry, ex_y = _pair_average(y_norm[..., :, 1:], y_norm[..., :, :-1],
                              mags[..., :, 1:], mags[..., :, :-1])
-    r = np.stack([np.imag(rx), np.imag(ry)], axis=-1)
-    return MonopulseMeasurement(
-        r=r, raw_rx=rx, raw_ry=ry, excluded_pairs=int(np.sum(ex_x + ex_y)))
+    return MonopulseMeasurement(np.stack([np.imag(rx), np.imag(ry)], axis=-1), ex_x + ex_y)

@@ -11,8 +11,8 @@ from beamtrack.baselines import (
     ABP_SQUINT_FACTOR,
     AbpTracker,
     CodebookTracker,
-    abp_ratio_curve,
     abp_ratio_metric,
+    axis_angles,
     build_codebook,
     codebook_measurement,
     codebook_model,
@@ -41,14 +41,15 @@ def _cfg(n_x=8, n_y=8, **kw):
     return ScenarioConfig(**{**base, **kw})
 
 
-def _beam_angles(cb):
+def _beam_angles(cfg):
     """The codebook's (u, v) beam directions, x-major like the rows of w_h."""
-    return np.array([(u, v) for u in cb.axis_angles for v in cb.axis_angles])
+    axis = axis_angles(cfg.k_beams)
+    return np.array([(u, v) for u in axis for v in axis])
 
 
-def _weights(cb):
+def _weights(w_h):
     """The codebook's (N, K^2) beam weights, unit-norm columns."""
-    return cb.w_h.conj().T
+    return w_h.conj().T
 
 
 def _h_vec(u, v, cfg, gain=1.0 + 0.0j):
@@ -56,7 +57,9 @@ def _h_vec(u, v, cfg, gain=1.0 + 0.0j):
 
 
 def _curve(u, center, delta, n):
-    return abp_ratio_curve(u, squinted_weights([center], delta, n)[0])
+    """Noiseless ratio metric zeta(u) of one axis's beam pair around center."""
+    beams = squinted_weights([center], delta, n)[0]
+    return baselines._pair_ratio(*baselines._axis_pair_powers(u, beams))
 
 
 def _metric(y_vec, center, delta, cfg):
@@ -70,37 +73,32 @@ STEP_KEYS = {"meas_valid", "innovation_norm", "bound"}
 class TestCodebook:
     def test_degenerate_single_beam(self):
         cfg = ScenarioConfig(n_x=2, n_y=2, codebook_k=1)
-        cb = build_codebook(cfg)
-        assert codebook_measurement(_h_vec(0.1, 0.2, cfg), cb).shape == (2,)
-        assert cb.axis_angles.shape == (1,) and cb.w_h.shape == (1, 4)
+        w_h = build_codebook(cfg)
+        assert codebook_measurement(_h_vec(0.1, 0.2, cfg), w_h).shape == (2,)
+        assert axis_angles(cfg.k_beams).shape == (1,) and w_h.shape == (1, 4)
 
     def test_k8_measurement_length(self):
         cfg = ScenarioConfig(n_x=8, n_y=8)
-        cb = build_codebook(cfg)
-        assert codebook_measurement(_h_vec(0.1, 0.2, cfg), cb).shape == (128,)
+        w_h = build_codebook(cfg)
+        assert codebook_measurement(_h_vec(0.1, 0.2, cfg), w_h).shape == (128,)
 
     def test_columns_are_beamforming_weights(self):
         cfg = ScenarioConfig(n_x=4, n_y=8)
-        cb = build_codebook(cfg)
-        for col, (u, v) in zip(_weights(cb).T, _beam_angles(cb)):
+        w_h = build_codebook(cfg)
+        for col, (u, v) in zip(_weights(w_h).T, _beam_angles(cfg)):
             assert np.array_equal(col, beamforming_weight(np.array([u, v]), cfg))
 
     def test_unit_norm_weights(self):
-        cb = build_codebook(ScenarioConfig(n_x=4, n_y=4))
-        assert np.allclose(np.linalg.norm(_weights(cb), axis=0), 1.0, atol=1e-12)
+        w_h = build_codebook(ScenarioConfig(n_x=4, n_y=4))
+        assert np.allclose(np.linalg.norm(_weights(w_h), axis=0), 1.0, atol=1e-12)
 
     def test_axis_angles_strictly_increasing(self):
-        cb = build_codebook(ScenarioConfig(n_x=8, n_y=8))
-        assert np.all(np.diff(cb.axis_angles) > 0)
+        assert np.all(np.diff(axis_angles(8)) > 0)
 
     def test_rejects_empty(self):
         # the beam count is checked where the config is built
         with pytest.raises(ConfigError, match="codebook_k"):
             ScenarioConfig(n_x=4, n_y=4, codebook_k=0)
-
-    def test_nearest_axis_angle(self):
-        cb = build_codebook(ScenarioConfig(n_x=8, n_y=8))
-        assert cb.nearest_axis_index(cb.axis_angles[3] + 0.01) == 3
 
     def test_conjugate_weights_built_once(self):
         self._check_conjugate_weights(ScenarioConfig(n_x=4, n_y=8))
@@ -111,61 +109,61 @@ class TestCodebook:
 
     @staticmethod
     def _check_conjugate_weights(cfg):
-        cb = build_codebook(cfg)
-        assert cb.w_h.shape == (cfg.k_beams**2, cfg.n)
-        rows = [beamforming_weight(pair, cfg).conj() for pair in _beam_angles(cb)]
-        assert np.array_equal(cb.w_h, np.array(rows))
+        w_h = build_codebook(cfg)
+        assert w_h.shape == (cfg.k_beams**2, cfg.n)
+        rows = [beamforming_weight(pair, cfg).conj() for pair in _beam_angles(cfg)]
+        assert np.array_equal(w_h, np.array(rows))
 
 
 class TestCodebookMeasurement:
     def test_aligned_beam_has_peak_magnitude(self):
         cfg = ScenarioConfig(n_x=4, n_y=4)
-        cb = build_codebook(cfg)
+        w_h = build_codebook(cfg)
         j = 5
-        u, v = _beam_angles(cb)[j]
-        z = codebook_measurement(_h_vec(u, v, cfg), cb)
+        u, v = _beam_angles(cfg)[j]
+        z = codebook_measurement(_h_vec(u, v, cfg), w_h)
         mags = np.hypot(z[:16], z[16:])
         assert mags[j] == pytest.approx(np.sqrt(cfg.n), abs=1e-10)
         assert j == int(np.argmax(mags))
 
     def test_length(self):
         cfg = ScenarioConfig(n_x=4, n_y=4)
-        cb = build_codebook(cfg)
-        assert codebook_measurement(_h_vec(0.1, 0.2, cfg), cb).shape == (32,)
+        w_h = build_codebook(cfg)
+        assert codebook_measurement(_h_vec(0.1, 0.2, cfg), w_h).shape == (32,)
 
     def test_predicted_matches_noiseless_measurement(self):
         cfg = ScenarioConfig(n_x=4, n_y=4)
-        cb = build_codebook(cfg)
+        w_h = build_codebook(cfg)
         x = np.array([0.3, -0.8])
-        z = codebook_measurement(_h_vec(x[0], x[1], cfg, gain=0.7 - 0.1j), cb)
-        z_hat, _ = codebook_model(x, cfg, cb, 0.7 - 0.1j)
+        z = codebook_measurement(_h_vec(x[0], x[1], cfg, gain=0.7 - 0.1j), w_h)
+        z_hat, _ = codebook_model(x, cfg, w_h, 0.7 - 0.1j)
         assert np.allclose(z, z_hat, atol=1e-10)
 
 
 class TestCodebookJacobian:
     def test_matches_finite_differences(self):
         cfg = ScenarioConfig(n_x=4, n_y=4)
-        cb = build_codebook(cfg)
+        w_h = build_codebook(cfg)
         rng = np.random.default_rng(3)
         h = 1e-6
         for _ in range(10):
             x = rng.uniform(-2, 2, 2)
-            _, g = codebook_model(x, cfg, cb, 1.0)
+            _, g = codebook_model(x, cfg, w_h, 1.0)
             for i in range(2):
                 xp, xm = x.copy(), x.copy()
                 xp[i] += h
                 xm[i] -= h
-                fd = (codebook_model(xp, cfg, cb, 1.0)[0]
-                      - codebook_model(xm, cfg, cb, 1.0)[0]) / (2 * h)
+                fd = (codebook_model(xp, cfg, w_h, 1.0)[0]
+                      - codebook_model(xm, cfg, w_h, 1.0)[0]) / (2 * h)
                 denom = max(np.linalg.norm(fd), 1e-12)
                 assert np.linalg.norm(g[:, i] - fd) / denom < 1e-5
 
     def test_stationary_at_beam_peak(self):
         cfg = ScenarioConfig(n_x=4, n_y=4)
-        cb = build_codebook(cfg)
+        w_h = build_codebook(cfg)
         j = 6
-        x = _beam_angles(cb)[j]
-        z, g = codebook_model(x, cfg, cb, 1.0)
+        x = _beam_angles(cfg)[j]
+        z, g = codebook_model(x, cfg, w_h, 1.0)
         k2 = 16
         # the aligned beam's response magnitude is at a pattern maximum, so
         # the derivative of |response_j|^2 vanishes: Re(conj(z_j) dz_j) = 0
@@ -175,17 +173,17 @@ class TestCodebookJacobian:
 
     def test_linear_in_gain(self):
         cfg = ScenarioConfig(n_x=4, n_y=4)
-        cb = build_codebook(cfg)
+        w_h = build_codebook(cfg)
         x = np.array([0.4, 0.9])
-        _, g1 = codebook_model(x, cfg, cb, 1.0)
-        _, g2 = codebook_model(x, cfg, cb, 2.0)
+        _, g1 = codebook_model(x, cfg, w_h, 1.0)
+        _, g2 = codebook_model(x, cfg, w_h, 2.0)
         assert np.allclose(g2, 2.0 * g1, atol=1e-12)
 
 
 class TestCodebookTracker:
     def test_noiseless_convergence_within_five_frames(self):
         cfg = _cfg(4, 4, rho_gain=1.0, gain_uncertainty_var=0.0)
-        truth = _beam_angles(build_codebook(cfg))[5] + np.array([0.05, -0.03])
+        truth = _beam_angles(cfg)[5] + np.array([0.05, -0.03])
         tracker = CodebookTracker(cfg, initial_state(truth + np.array([0.02, 0.02]), 0.05))
         y = rank1_snapshot(truth[0], truth[1], cfg)
         for _ in range(5):
@@ -197,7 +195,7 @@ class TestCodebookTracker:
         tracker = CodebookTracker(cfg, initial_state(np.zeros(2), 0.01))
         out = tracker.step(rank1_snapshot(0.1, 0.2, cfg))
         assert tracker.q_n.shape == (128, 128)
-        z_hat, g = codebook_model(tracker.state.x, cfg, tracker.codebook, 1.0)
+        z_hat, g = codebook_model(tracker.state.x, cfg, tracker.w_h, 1.0)
         assert z_hat.shape == (128,)
         assert g.shape == (128, 2)
         assert out.keys() == STEP_KEYS
@@ -340,6 +338,27 @@ class TestAbpTracker:
         assert fixed._axis_model(x[0], beams, 8)[2] == fixed.cfg.sigma_n_sq
         assert delta._axis_model(x[0], beams, 8)[2] != delta.cfg.sigma_n_sq
 
+    def test_beams_just_below_pi_take_the_last_axis_angle(self):
+        # the nearest angle is not wrapped: -pi, the first axis angle, is 2 pi away
+        tracker = _abp_tracker(initial_state(np.zeros(2), 0.01))
+        below_pi = np.nextafter(np.pi, 0.0)
+        beams = tracker._beams(np.array([below_pi, below_pi]))
+        for b, table in zip(beams, tracker.weights):
+            assert np.array_equal(b, table[-1])
+
+    def test_beams_midway_take_the_lower_axis_angle(self):
+        tracker = _abp_tracker(initial_state(np.zeros(2), 0.01))
+        axis = tracker.axis
+        # axis[4] is 0.0, so axis[3] / 2 is exactly midway between axis[3] and axis[4]
+        mid = axis[3] / 2
+        assert axis[4] == 0.0 and mid - axis[3] == axis[4] - mid
+        below_pi = np.nextafter(np.pi, 0.0)
+        # a batch of two predictions, each axis once midway and once just below pi
+        beams_x, beams_y = tracker._beams(np.array([[mid, below_pi], [below_pi, mid]]))
+        (table_x, table_y), last = tracker.weights, len(axis) - 1
+        assert np.array_equal(beams_x, table_x[[3, last]])
+        assert np.array_equal(beams_y, table_y[[last, 3]])
+
 
 # (n_x, n_y) array shapes; the ids keep these tests' established names
 SHAPES = [(8, 8), (8, 16)]
@@ -355,17 +374,18 @@ class TestAbpWeights:
                                 for k in (3, 1)])
     def test_rows_are_squinted_steering_vectors(self, shape, k):
         tracker = _abp_tracker(initial_state(np.zeros(2), 0.01), shape, codebook_k=k)
-        cb, delta = tracker.codebook, tracker.cfg.squint
+        axis, delta = tracker.axis, tracker.cfg.squint
+        assert np.array_equal(axis, axis_angles(tracker.cfg.k_beams))
         for table, n in zip(tracker.weights, shape):
-            assert table.shape == (len(cb.axis_angles), 3, n)
-            for c, rows in zip(cb.axis_angles, table):
+            assert table.shape == (len(axis), 3, n)
+            for c, rows in zip(axis, table):
                 for row, angle in zip(rows, (c + delta, c, c - delta)):
                     assert np.array_equal(row, steering_vector(angle, n) / np.sqrt(n))
 
     @pytest.mark.parametrize("shape", SHAPES, ids=_shape_id)
     def test_metric_beams_are_beamforming_weights(self, shape, monkeypatch):
         tracker = _abp_tracker(initial_state(np.zeros(2), 0.01), shape)
-        cfg, cb, (weights_x, weights_y) = tracker.cfg, tracker.codebook, tracker.weights
+        cfg, (weights_x, weights_y) = tracker.cfg, tracker.weights
         delta, vdot, beams = cfg.squint, baselines.vdot, []
         # one call may take a stack of beams; each row is one beam
         monkeypatch.setattr(baselines, "vdot",
@@ -377,7 +397,7 @@ class TestAbpWeights:
             squints = [(0, delta), (0, -delta), (1, delta), (1, -delta)]
             assert len(beams) == len(squints)
             for w, (axis, offset) in zip(beams, squints):
-                est = cb.axis_angles[[ix, iy]]
+                est = tracker.axis[[ix, iy]]
                 est[axis] += offset
                 assert np.array_equal(w, beamforming_weight(est, cfg))
 
@@ -418,7 +438,7 @@ def _delta(tracker):
 
 
 def _reference_center(tracker, x_pred):
-    axis = tracker.codebook.axis_angles
+    axis = tracker.axis
     return np.array([float(axis[np.argmin(np.abs(axis - a))]) for a in x_pred])
 
 
@@ -507,12 +527,12 @@ class TestModelOracles:
     @pytest.mark.parametrize("shape", SHAPES, ids=_shape_id)
     def test_codebook_model_equals_reference(self, shape):
         cfg = _cfg(*shape)
-        cb = build_codebook(cfg)
+        w_h = build_codebook(cfg)
         rng = np.random.default_rng(11)
         for i in range(500):
             x = rng.uniform(-np.pi, np.pi, 2)
             gain = GAINS[i % len(GAINS)]
-            z_hat, g = codebook_model(x, cfg, cb, gain)
+            z_hat, g = codebook_model(x, cfg, w_h, gain)
             assert z_hat.tobytes() == _reference_codebook_predicted(x, cfg, gain).tobytes()
             assert g.tobytes() == _reference_codebook_jacobian(x, cfg, gain).tobytes()
 
@@ -521,13 +541,13 @@ class TestModelOracles:
     def test_abp_axis_model_equals_reference(self, shape, snr_db):
         tracker = _abp_tracker(initial_state(np.zeros(2), 0.01), shape, snr_db=snr_db)
         noise = ScenarioConfig(snr_db=snr_db)
-        cb, dims = tracker.codebook, shape
+        axis, dims = tracker.axis, shape
         rng = np.random.default_rng(12)
-        k = len(cb.axis_angles)
+        k = len(axis)
         spacing = 2 * np.pi / k
         for _ in range(500):
             index = rng.choice(k, 2)
-            center = cb.axis_angles[index]
+            center = axis[index]
             # mostly inside the center beam, sometimes well outside it
             x = center + rng.uniform(-1.5, 1.5, 2) * spacing
             beams = [w[i] for w, i in zip(tracker.weights, index)]
@@ -575,14 +595,14 @@ def test_abp_failure_at_difference_points_predicts_only(monkeypatch):
     start = initial_state(np.array([0.1, 0.1]), 0.01)
     tracker = _abp_tracker(start)
     pred = predict(start, tracker.cfg.f, tracker.cfg.q_p)
-    curve = baselines.abp_ratio_curve
+    powers = baselines._axis_pair_powers
 
-    def failing_off_prediction(u, *args):
-        if u not in pred.x:
-            return np.full(np.shape(u), np.nan)
-        return curve(u, *args)
+    def failing_off_prediction(u, beams):
+        # NaN powers at every angle that is not a predicted one, wherever it sits in u
+        off = ~np.isin(u, pred.x)
+        return tuple(np.where(off, np.nan, p) for p in powers(u, beams))
 
-    monkeypatch.setattr(baselines, "abp_ratio_curve", failing_off_prediction)
+    monkeypatch.setattr(baselines, "_axis_pair_powers", failing_off_prediction)
     out = tracker.step(rank1_snapshot(0.1, 0.1, tracker.cfg))
     assert out["meas_valid"] is False
     assert tracker.state.x.tobytes() == pred.x.tobytes()

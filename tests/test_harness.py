@@ -358,8 +358,8 @@ class TestRunExperiment:
 
         monkeypatch.setattr(baselines, "build_codebook", counting)
         run_experiment(small_cfg(trials=3, frames=3), scheme)
-        # the proposed tracker has no beam tables
-        assert len(calls) == (scheme != "proposed")
+        # only the codebook tracker reads the codebook; ABP builds its axis angles alone
+        assert len(calls) == (scheme == "codebook")
 
     def test_bound_emitted_for_proposed_only(self):
         cfg = small_cfg(trials=1)

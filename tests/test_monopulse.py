@@ -27,9 +27,9 @@ class TestNormalizeRx:
     def test_common_factor_cancels_in_ratios(self):
         cfg = ScenarioConfig(n_x=4, n_y=4)
         y = rank1_snapshot(0.4, -0.7, cfg)
-        r1 = extract_measurement(y, cfg).raw_rx
-        r2 = extract_measurement((3.0 - 2.0j) * y, cfg).raw_rx
-        assert r1 == pytest.approx(r2, abs=1e-14)
+        r1 = extract_measurement(y, cfg).r
+        r2 = extract_measurement((3.0 - 2.0j) * y, cfg).r
+        assert np.allclose(r1, r2, rtol=0.0, atol=1e-14)
 
     def test_all_zero_raises(self):
         with pytest.raises(DegenerateInputError):
@@ -38,31 +38,31 @@ class TestNormalizeRx:
 
 class TestMonopulseAxes:
     def test_x_broadside_zero(self, cfg4):
-        rx = extract_measurement(rank1_snapshot(0.0, 0.3, cfg4), cfg4).raw_rx
-        assert rx.imag == pytest.approx(0.0, abs=1e-14)
+        rx = extract_measurement(rank1_snapshot(0.0, 0.3, cfg4), cfg4).r[0]
+        assert rx == pytest.approx(0.0, abs=1e-14)
 
     def test_x_quarter_pi(self, cfg4):
-        rx = extract_measurement(rank1_snapshot(np.pi / 2, 0.0, cfg4), cfg4).raw_rx
-        assert rx.imag == pytest.approx(1.0, abs=1e-12)
+        rx = extract_measurement(rank1_snapshot(np.pi / 2, 0.0, cfg4), cfg4).r[0]
+        assert rx == pytest.approx(1.0, abs=1e-12)
 
     def test_x_reference_angle(self, cfg4):
         # Im{R_x} = tan(0.5455 / 2), oracle evaluated independently
-        rx = extract_measurement(rank1_snapshot(0.5455, 0.0, cfg4), cfg4).raw_rx
-        assert rx.imag == pytest.approx(np.tan(0.27275), abs=1e-12)
-        assert rx.imag == pytest.approx(0.27975, abs=5e-5)
+        rx = extract_measurement(rank1_snapshot(0.5455, 0.0, cfg4), cfg4).r[0]
+        assert rx == pytest.approx(np.tan(0.27275), abs=1e-12)
+        assert rx == pytest.approx(0.27975, abs=5e-5)
 
     def test_y_broadside_zero(self, cfg4):
-        ry = extract_measurement(rank1_snapshot(0.3, 0.0, cfg4), cfg4).raw_ry
-        assert ry.imag == pytest.approx(0.0, abs=1e-14)
+        ry = extract_measurement(rank1_snapshot(0.3, 0.0, cfg4), cfg4).r[1]
+        assert ry == pytest.approx(0.0, abs=1e-14)
 
     def test_y_quarter_pi(self, cfg4):
-        ry = extract_measurement(rank1_snapshot(0.0, np.pi / 2, cfg4), cfg4).raw_ry
-        assert ry.imag == pytest.approx(1.0, abs=1e-12)
+        ry = extract_measurement(rank1_snapshot(0.0, np.pi / 2, cfg4), cfg4).r[1]
+        assert ry == pytest.approx(1.0, abs=1e-12)
 
     def test_y_small_angle(self, cfg4):
-        ry = extract_measurement(rank1_snapshot(0.39, 0.12, cfg4), cfg4).raw_ry
-        assert ry.imag == pytest.approx(np.tan(0.06), abs=1e-12)
-        assert ry.imag == pytest.approx(0.060072, abs=5e-6)
+        ry = extract_measurement(rank1_snapshot(0.39, 0.12, cfg4), cfg4).r[1]
+        assert ry == pytest.approx(np.tan(0.06), abs=1e-12)
+        assert ry == pytest.approx(0.060072, abs=5e-6)
 
 
 class TestExtractMeasurement:
