@@ -25,6 +25,8 @@ def main() -> None:
     args = ap.parse_args()
     if not args.step > 0:
         ap.error("--step must be positive")
+    if not args.snr_min <= args.snr_max:
+        ap.error("--snr-min must not exceed --snr-max")
 
     schemes = args.schemes.split(",")
     snrs = np.arange(args.snr_min, args.snr_max + args.step / 2, args.step)

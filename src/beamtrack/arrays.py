@@ -59,7 +59,8 @@ def mean(a: np.ndarray):
     return np.add.reduce(a, axis=-1) / a.shape[-1]
 
 
-def ordered_sum(values) -> float:
-    """Sum of the values in order, one left fold from 0.0, as the builtin sum adds floats
-    before Python 3.12; from 3.12 on the builtin compensates round-off and differs."""
-    return functools.reduce(operator.add, values, 0.0)
+def ordered_sum(values, start: float = 0.0) -> float:
+    """Sum of the values in order, one left fold from start, as the builtin sum adds floats
+    before Python 3.12; from 3.12 on the builtin compensates round-off and differs.  A fold
+    continued from a partial sum equals the fold over the concatenated values."""
+    return functools.reduce(operator.add, values, start)

@@ -6,18 +6,24 @@ bound) -> data-phase beamformed power -> misalignment detection (optional
 realignment).  All schemes consume identical truth and noise streams per
 (trial, frame), so scheme comparisons are paired.
 
-All trials of a run advance together in one frame loop: truth, gain, estimate,
+run_experiment splits a run's trials into contiguous blocks, one per process
+(shard_count: the usable cores over the BLAS threads, one process when no BLAS
+thread count is set); the first block runs in the calling process, each other
+in a forked child that sends back the columns the summary folds.  The trials
+of a block advance together in one frame loop: truth, gain, estimate,
 covariance, Q_n window, detector counters and measurement validity are arrays
 with a leading trial axis, and run_trial is a batch of one.  Each frame step is
 one call for the whole batch; each of its draws is one rng.TrialDraws, a
 stream per trial.  Only the initial draws, the detector's table lookup and the
-codebook's 2K^2 x 2K^2 update stay per trial.  A run builds one tracker, which
-builds its own tables (the baselines' beam weights), so a config holds none.
+codebook's 2K^2 x 2K^2 update stay per trial.  A block builds one tracker,
+which builds its own tables (the baselines' beam weights), so a config holds
+none.
 
 Same bytes when batching: a trial's records do not depend on the batch it runs
 in, and equal those of the per-trial loop this replaced.  Each batched
 operation rounds like the per-entry call (the primitives of beamtrack.arrays),
-and sums over trials run in trial order (arrays.ordered_sum).  FrameRecord
+and sums over trials run in trial order (arrays.ordered_sum), continued from
+block to block, so a run's bytes do not depend on its process count.  FrameRecord
 fields and detection_frames hold Python bool, int and float only: _fmt writes
 an np.bool_ or an np.int64 as 1.0, and json cannot write an np.int64.
 """
@@ -26,6 +32,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cached_property
@@ -414,19 +421,67 @@ class ExperimentSummary:
         }
 
 
+# a run gives each process at least this many trials: fig9 proposed (the lightest scheme)
+# ran 1.13-1.26x faster as two blocks of 8 than as one batch of 16, and 1.05x at 6
+MIN_SHARD_TRIALS = 8
+# the columns the summary folds; a trial block run in a child process returns only these
+_FOLDED = ("err_norm", "bound", "realigned")
+
+
+def shard_count(cores: int, environ, trials: int) -> int:
+    """Processes a run of `trials` uses: one per BLAS thread group of the usable cores, each
+    with MIN_SHARD_TRIALS trials or more.  Without a BLAS thread count in the environment
+    (OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS) BLAS may use every core, so one."""
+    try:
+        threads = int(environ.get("OPENBLAS_NUM_THREADS") or environ["OMP_NUM_THREADS"])
+    except (KeyError, ValueError):
+        return 1
+    return max(1, min(cores // threads, trials // MIN_SHARD_TRIALS)) if threads > 0 else 1
+
+
 def run_experiment(cfg: ScenarioConfig, scheme: str | None = None) -> ExperimentSummary:
-    """Run all trials as one batch and aggregate per-frame statistics."""
+    """Run all trials and aggregate per-frame statistics.  The trials run in shard_count
+    processes, and the summary and trace are the same bytes whatever the count."""
     cfg = _for_scheme(cfg, scheme)
-    sq_err, bound_sum, bound_count = [], [], []
+    # sched_getaffinity is Linux's; elsewhere a run stays in one process
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    return _experiment(cfg, shard_count(cores, os.environ, cfg.trials))
+
+
+def _experiment(cfg: ScenarioConfig, shards: int) -> ExperimentSummary:
+    """run_experiment on `shards` contiguous blocks of trials: the first runs in this process
+    and keeps trial 0's trace, each other in a forked child (_Child).  Each frame's sums
+    continue their left fold block by block, in trial order, so they equal one batch's."""
+    blocks = [range(cfg.trials * i // shards, cfg.trials * (i + 1) // shards)
+              for i in range(shards)]
+    sq_err, bound_sum = [0.0] * cfg.frames, [0.0] * cfg.frames
+    bound_count = [0] * cfg.frames
     detections: list[list[int]] = []
     trace: list[FrameRecord] = []
-    for k, columns in enumerate(_frames(cfg, range(cfg.trials)), start=1):
-        trace.append(FrameRecord(k, **{name: c[0] for name, c in columns.items()}))
-        sq_err.append(ordered_sum(e**2 for e in columns["err_norm"]))
-        finite = [b for b in columns["bound"] if math.isfinite(b)]
-        bound_sum.append(ordered_sum(finite))
-        bound_count.append(len(finite))
-        detections += [[t, k] for t, r in enumerate(columns["realigned"]) if r]
+
+    def fold(start: int, rows) -> None:
+        for i, (err_norm, bound, realigned) in enumerate(rows):
+            sq_err[i] = ordered_sum((e**2 for e in err_norm), sq_err[i])
+            finite = [b for b in bound if math.isfinite(b)]
+            bound_sum[i] = ordered_sum(finite, bound_sum[i])
+            bound_count[i] += len(finite)
+            detections.extend([start + t, i + 1] for t, r in enumerate(realigned) if r)
+
+    def first_block():
+        for k, columns in enumerate(_frames(cfg, blocks[0]), start=1):
+            trace.append(FrameRecord(k, **{name: c[0] for name, c in columns.items()}))
+            yield [columns[name] for name in _FOLDED]
+
+    children: list[_Child] = []
+    try:
+        for block in blocks[1:]:
+            children.append(_Child(cfg, block))
+        fold(0, first_block())
+        for child in children:
+            fold(child.block.start, zip(*(a.tolist() for a in child.result())))
+    finally:
+        for child in children:
+            child.stop()
     per_frame_mse = (np.array(sq_err) / cfg.trials).tolist()
     count = np.array(bound_count)
     per_frame_bound = np.where(count > 0, np.array(bound_sum) / np.maximum(count, 1), np.nan)
@@ -438,6 +493,56 @@ def run_experiment(cfg: ScenarioConfig, scheme: str | None = None) -> Experiment
         ledger=asdict(trial_ledger(cfg)),
         trace=trace,
     )
+
+
+class _Child:
+    """A forked process that runs one block of trials and sends back its _FOLDED columns as
+    (frames, block) arrays, or the exception that stopped it."""
+
+    def __init__(self, cfg: ScenarioConfig, block: range):
+        import multiprocessing  # a serial run does not pay for the import
+
+        ctx = multiprocessing.get_context("fork")
+        self.block = block
+        self.receiver, sender = ctx.Pipe(duplex=False)
+        # the fork context flushes stdout first; a bare os.fork would copy its buffer
+        self.process = ctx.Process(target=_child_main, args=(sender, cfg, block))
+        self.process.start()
+        sender.close()
+
+    def result(self) -> list[np.ndarray]:
+        try:
+            result = self.receiver.recv()
+        except EOFError:
+            self.process.join()
+            raise RuntimeError(f"the process running trials {self.block.start} to "
+                               f"{self.block.stop - 1} ended with exit code "
+                               f"{self.process.exitcode} and no result") from None
+        if isinstance(result, BaseException):
+            raise result
+        return result
+
+    def stop(self) -> None:
+        """End the process, wait for it, then close its pipe: a child still running when its
+        pipe closes would fail to send.  One that has sent its result is only exiting."""
+        self.process.terminate()
+        self.process.join()
+        self.receiver.close()
+
+
+def _child_main(sender, cfg: ScenarioConfig, block: range) -> None:
+    import signal
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupted parent stops its children
+    try:
+        rows = [[columns[name] for name in _FOLDED] for columns in _frames(cfg, block)]
+        result = [np.array(column) for column in zip(*rows)]
+    except BaseException as exc:
+        result = exc
+    try:
+        sender.send(result)
+    except Exception as exc:  # an exception that does not pickle
+        sender.send(RuntimeError(f"{type(result).__name__}: {result} ({exc})"))
 
 
 def trial_ledger(cfg: ScenarioConfig, scheme: str | None = None) -> ComplexityLedger:

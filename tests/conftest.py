@@ -4,7 +4,8 @@ import os
 
 # The codebook tracker's 128 x 128 solve rounds differently with more than one
 # OpenBLAS thread, so its output bits depend on the thread count; the golden
-# hashes are recorded with one thread, as the benchmark runs.  OpenBLAS reads
+# hashes are recorded with one thread, as the benchmark runs.  A set thread count
+# also lets a run of many trials use every core (harness.shard_count).  OpenBLAS reads
 # the variable when numpy is first imported, so this precedes every import of it.
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
 

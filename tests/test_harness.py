@@ -2,7 +2,13 @@
 
 import dataclasses
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
+import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -384,6 +390,212 @@ class TestRunExperiment:
         }
         assert set(summary["ledger"]) == {"m", "pilot_slots", "solve_cost"}
         assert summary["schema_version"] == 1
+
+
+def _serial_and_sharded(cfg, shards):
+    """The summary JSON and trace repr of cfg's run in one process and in `shards`."""
+    runs = [harness._experiment(cfg, n) for n in (1, shards)]
+    return [(json.dumps(s.to_dict(), sort_keys=True), repr(s.trace)) for s in runs]
+
+
+def _in_block(hook):
+    """A _frames stand-in that calls hook(trials) before it runs the block."""
+    frames = harness._frames
+
+    def patched(cfg, trials):
+        hook(trials)
+        return frames(cfg, trials)
+
+    return patched
+
+
+class TestShardCount:
+    """shard_count is a pure function of the usable cores, the environment and the trials."""
+
+    M = harness.MIN_SHARD_TRIALS
+
+    def test_serial_without_a_blas_thread_count(self):
+        # BLAS may then use every core: a second process would oversubscribe them
+        assert harness.shard_count(64, {}, 100 * self.M) == 1
+        assert harness.shard_count(64, {"MKL_NUM_THREADS": "1"}, 100 * self.M) == 1
+
+    def test_one_process_per_blas_thread_group(self):
+        assert harness.shard_count(2, {"OPENBLAS_NUM_THREADS": "1"}, 100 * self.M) == 2
+        assert harness.shard_count(2, {"OPENBLAS_NUM_THREADS": "2"}, 100 * self.M) == 1
+        assert harness.shard_count(8, {"OPENBLAS_NUM_THREADS": "2"}, 100 * self.M) == 4
+        assert harness.shard_count(8, {"OPENBLAS_NUM_THREADS": "3"}, 100 * self.M) == 2
+        assert harness.shard_count(1, {"OPENBLAS_NUM_THREADS": "1"}, 100 * self.M) == 1
+
+    def test_openblas_threads_before_omp_threads(self):
+        assert harness.shard_count(4, {"OMP_NUM_THREADS": "1"}, 100 * self.M) == 4
+        both = {"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}
+        assert harness.shard_count(4, both, 100 * self.M) == 1
+        # an empty OPENBLAS_NUM_THREADS is unset
+        assert harness.shard_count(4, {"OPENBLAS_NUM_THREADS": "", "OMP_NUM_THREADS": "2"},
+                                   100 * self.M) == 2
+
+    @pytest.mark.parametrize("value", ["0", "-1", "two", "1.5", " "])
+    def test_unreadable_thread_count_is_serial(self, value):
+        assert harness.shard_count(8, {"OPENBLAS_NUM_THREADS": value}, 100 * self.M) == 1
+
+    def test_each_process_gets_the_minimum_block(self):
+        env = {"OPENBLAS_NUM_THREADS": "1"}
+        assert harness.shard_count(8, env, 2 * self.M - 1) == 1
+        assert harness.shard_count(8, env, 2 * self.M) == 2
+        assert harness.shard_count(8, env, 3 * self.M + 1) == 3
+        assert harness.shard_count(8, env, 1) == 1
+        # the benchmark's detect-8x16 and cli-runs operations (10 and 2 trials) stay serial
+        assert harness.shard_count(8, env, 10) == harness.shard_count(8, env, 2) == 1
+
+
+class TestShardedRun:
+    """A run split over processes gives the bytes of one batch."""
+
+    @pytest.mark.parametrize("scheme", ["proposed", "codebook", "abp"])
+    def test_fig9_each_scheme(self, scheme):
+        from beamtrack.presets import get_preset
+
+        cfg = dataclasses.replace(get_preset("fig9"), trials=12, frames=25, scheme=scheme)
+        serial, sharded = _serial_and_sharded(cfg, 2)
+        assert sharded == serial
+
+    def test_fig6_8x16_with_realignments_in_several_blocks(self):
+        from beamtrack.presets import get_preset
+
+        cfg = dataclasses.replace(get_preset("fig6"), n_y=16, trials=9)
+        serial, sharded = _serial_and_sharded(cfg, 3)
+        assert sharded == serial
+        blocks = {t // 3 for t, _ in json.loads(serial[0])["detection_frames"]}
+        assert len(blocks) > 1
+
+    def test_predict_only_frames(self):
+        # a low flight path takes trials to the exact Jacobian's singularity at different
+        # frames: NaN rows and bounds in more than one block
+        cfg = ScenarioConfig(jacobian_mode="exact", height_ratio=0.01, frames=20, trials=6, seed=3)
+        invalid = [t for t, records in enumerate(harness.run_batch(cfg, range(cfg.trials)))
+                   if not all(r.meas_valid for r in records)]
+        assert {t // 3 for t in invalid} == {0, 1}
+        serial, sharded = _serial_and_sharded(cfg, 2)
+        assert sharded == serial
+
+    def test_uneven_split(self):
+        cfg = small_cfg(trials=67, frames=6, detect_enabled=True)
+        serial, sharded = _serial_and_sharded(cfg, 3)
+        assert sharded == serial
+
+    def test_run_experiment_is_the_helper_at_the_host_shard_count(self, monkeypatch):
+        counts = []
+        helper = harness._experiment
+        monkeypatch.setattr(harness, "_experiment", lambda cfg, n: counts.append(n) or helper(cfg, n))
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        cfg = small_cfg(trials=2 * harness.MIN_SHARD_TRIALS)
+        run_experiment(cfg)
+        cores = len(os.sched_getaffinity(0))
+        assert counts == [harness.shard_count(cores, {"OPENBLAS_NUM_THREADS": "1"}, cfg.trials)]
+
+
+class TestShardLifecycle:
+    """Children report their failures, print nothing and never outlive the run."""
+
+    def test_normal_return_leaves_no_child_and_prints_nothing(self, capfd):
+        harness._experiment(small_cfg(trials=6), 3)
+        assert multiprocessing.active_children() == []
+        assert capfd.readouterr() == ("", "")
+
+    @pytest.mark.parametrize("exc_type", [ZeroDivisionError, ConfigError, MemoryError])
+    def test_child_exception_reaches_the_caller_with_its_type(self, monkeypatch, capfd, exc_type):
+        def fail_late_blocks(trials):
+            if trials.start > 0:
+                raise exc_type("a child failed")
+
+        monkeypatch.setattr(harness, "_frames", _in_block(fail_late_blocks))
+        with pytest.raises(exc_type, match="a child failed"):
+            harness._experiment(small_cfg(trials=6), 3)
+        assert multiprocessing.active_children() == []
+        assert capfd.readouterr() == ("", "")
+
+    def test_child_exception_that_does_not_pickle_is_a_runtime_error(self, monkeypatch, capfd):
+        class LocalError(Exception):  # pickle cannot name a class defined in a function
+            pass
+
+        def fail_late_blocks(trials):
+            if trials.start > 0:
+                raise LocalError("a child failed")
+
+        monkeypatch.setattr(harness, "_frames", _in_block(fail_late_blocks))
+        with pytest.raises(RuntimeError, match="LocalError: a child failed"):
+            harness._experiment(small_cfg(trials=6), 2)
+        assert multiprocessing.active_children() == []
+        assert capfd.readouterr() == ("", "")
+
+    def test_failing_parent_stops_running_children(self, monkeypatch, capfd):
+        def children_hang(trials):
+            if trials.start > 0:
+                time.sleep(60)
+            raise ValueError("the first block failed")
+
+        monkeypatch.setattr(harness, "_frames", _in_block(children_hang))
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match="the first block failed"):
+            harness._experiment(small_cfg(trials=6), 3)
+        assert time.perf_counter() - t0 < 30
+        assert multiprocessing.active_children() == []
+        assert capfd.readouterr() == ("", "")
+
+    def test_child_that_dies_is_an_error(self, monkeypatch):
+        def die(trials):
+            if trials.start > 0:
+                os._exit(7)
+
+        monkeypatch.setattr(harness, "_frames", _in_block(die))
+        with pytest.raises(RuntimeError, match="trials 3 to 5 ended with exit code 7"):
+            harness._experiment(small_cfg(trials=6), 2)
+        assert multiprocessing.active_children() == []
+
+    def test_child_memory_error_exits_track_run_with_2(self, monkeypatch, tmp_path):
+        from click.testing import CliRunner
+
+        from beamtrack.cli import main
+
+        def no_memory_late(trials):
+            if trials.start > 0:
+                raise MemoryError()
+
+        monkeypatch.setattr(harness, "_frames", _in_block(no_memory_late))
+        monkeypatch.setattr(harness, "shard_count", lambda cores, environ, trials: 2)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"frames": 3, "trials": 4}))
+        result = CliRunner().invoke(main, ["run", "--config", str(cfg), "--out", str(tmp_path)])
+        assert result.exit_code == 2
+        assert "config error: the proposed run does not fit in memory" in result.output
+        assert "Traceback" not in result.output
+        assert multiprocessing.active_children() == []
+
+    def _python(self, code):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        env.pop("PYTHONUNBUFFERED", None)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        # stdout is a pipe, so the parent's print is still in its buffer when it forks
+        return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120)
+
+    def test_piped_stdout_is_not_copied_into_children(self):
+        proc = self._python(
+            "from beamtrack import harness\n"
+            "print('before')\n"
+            "harness._experiment(harness.ScenarioConfig(trials=6, frames=3), 3)\n"
+            "print('after')\n")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "before\nafter\n", "")
+
+    def test_serial_run_imports_nothing_new(self):
+        proc = self._python(
+            "import sys\n"
+            "from beamtrack import harness\n"
+            "before = set(sys.modules)\n"
+            "harness.run_experiment(harness.ScenarioConfig(trials=2, frames=3))\n"
+            "print(sorted(set(sys.modules) - before))\n")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 class TestLedger:

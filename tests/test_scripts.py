@@ -70,6 +70,22 @@ def test_snr_sweep_zero_step_is_a_usage_error():
     assert "Traceback" not in proc.stderr and not proc.stdout
 
 
+def test_snr_sweep_empty_snr_range_is_a_usage_error():
+    proc = _run("snr_sweep.py", "--snr-min", "10", "--snr-max", "0", "--trials", "2")
+    assert proc.returncode == 2
+    assert "error: --snr-min must not exceed --snr-max" in proc.stderr
+    assert "Traceback" not in proc.stderr and not proc.stdout
+
+
+def test_snr_sweep_piped_header_printed_once(monkeypatch):
+    # 100 trials run in more than one process on a host with two usable cores; a child
+    # that copied the header still in the stdout buffer would print it again
+    monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    lines = run_script("snr_sweep.py", "--snr-min", "6", "--snr-max", "6", "--trials", "100")
+    assert lines[0].startswith("steady-state MSE") and lines[1].split() == ["snr_db", "proposed"]
+    assert len(lines) == 3 and lines[2].split()[0] == "6.0"
+
+
 def test_bound_experiment_zero_trials_is_a_usage_error():
     proc = _run("bound_experiment.py", "--trials", "0")
     assert proc.returncode == 2
