@@ -16,6 +16,9 @@ def main() -> None:
     ap.add_argument("--scheme", default=None, choices=SCHEMES)
     ap.add_argument("--trial", type=int, default=0)
     args = ap.parse_args()
+    # the rng keys hold a trial index in 64 bits, so a wider one would alias another trial
+    if not 0 <= args.trial < 2**64:
+        ap.error(f"--trial must lie in [0, 2**64), got {args.trial}")
 
     cfg = get_preset(args.preset)
     records = run_trial(cfg, args.trial, args.scheme)

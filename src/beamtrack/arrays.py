@@ -2,14 +2,11 @@
 
 Each works on every entry of a stack (leading batch axes, one entry per trial) and
 rounds exactly as the per-entry call its docstring names, so a trial's outputs do not
-depend on the batch it runs in.  ordered_sum adds Python floats the same way on every
-Python version.
+depend on the batch it runs in.  ordered_sum is the summary's one sum: a left fold in
+order, which adds as the builtin sum does before Python 3.12.
 """
 
 from __future__ import annotations
-
-import functools
-import operator
 
 import numpy as np
 
@@ -59,8 +56,7 @@ def mean(a: np.ndarray):
     return np.add.reduce(a, axis=-1) / a.shape[-1]
 
 
-def ordered_sum(values, start: float = 0.0) -> float:
-    """Sum of the values in order, one left fold from start, as the builtin sum adds floats
-    before Python 3.12; from 3.12 on the builtin compensates round-off and differs.  A fold
-    continued from a partial sum equals the fold over the concatenated values."""
-    return functools.reduce(operator.add, values, start)
+def ordered_sum(a):
+    """Sum over the last axis, one left fold in order, as the builtin sum adds floats before
+    Python 3.12; from 3.12 on the builtin compensates round-off, and np.sum adds pairwise."""
+    return np.add.accumulate(a, axis=-1)[..., -1]

@@ -116,7 +116,10 @@ def step_result(innovation: np.ndarray, bound=float("nan")) -> dict:
 
     An entry whose innovation is a NaN row had no usable measurement: its innovation norm
     and bound are NaN.  `bound` is the MSE bound of a tracker that computes one, NaN
-    otherwise.  Values are Python scalars, or lists of them with one per batch entry.
+    otherwise.  Values are Python scalars, or lists of them with one per batch entry, not
+    arrays: the benchmark's tracer (bench/tracing.py) takes `not result["meas_valid"]` of a
+    baseline step, which raises on an array of two or more entries, and tests compare the
+    flags with `is True`, `is False` or `==` a list.
     """
     innovation = np.asarray(innovation, dtype=float)
     valid = ~np.isnan(innovation).any(axis=-1)

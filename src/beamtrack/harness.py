@@ -21,11 +21,11 @@ none.
 
 Same bytes when batching: a trial's records do not depend on the batch it runs
 in, and equal those of the per-trial loop this replaced.  Each batched
-operation rounds like the per-entry call (the primitives of beamtrack.arrays),
-and sums over trials run in trial order (arrays.ordered_sum), continued from
-block to block, so a run's bytes do not depend on its process count.  FrameRecord
-fields and detection_frames hold Python bool, int and float only: _fmt writes
-an np.bool_ or an np.int64 as 1.0, and json cannot write an np.int64.
+operation rounds like the per-entry call (the primitives of beamtrack.arrays).
+A block's records are (frames, trials) arrays, one per FrameRecord field; the
+summary puts the blocks' columns side by side in trial order and sums over
+trials in that order (arrays.ordered_sum), so a run's bytes do not depend on
+its process count.  _records makes the Python scalars a record holds.
 """
 
 from __future__ import annotations
@@ -332,11 +332,13 @@ def _draws(cfg: ScenarioConfig, trials, frame: int, purpose: str) -> rngmod.Tria
                              2 * cfg.n if purpose in ("pilot", "data") else 2)
 
 
-def _frames(cfg: ScenarioConfig, trials):
-    """Simulate the trials as one batch; yield each frame's FrameRecord fields after
-    `frame` by name, each a list with one value per trial."""
+def _frames(cfg: ScenarioConfig, trials) -> dict[str, np.ndarray]:
+    """Simulate the trials as one batch: each FrameRecord field after `frame` by name, a
+    (frames, trials) array whose row k - 1 holds frame k."""
     try:
         x_hat0 = np.empty((len(trials), 2))
+        cols = {f.name: np.empty((cfg.frames, len(trials)), bool if f.type == "bool" else float)
+                for f in fields(FrameRecord)[1:]}
     except (ValueError, OverflowError) as exc:
         raise MemoryError(f"the batch of trials does not fit in an array: {exc}") from exc
     lim = np.deg2rad(float(cfg.azimuth_range_deg))
@@ -367,32 +369,38 @@ def _frames(cfg: ScenarioConfig, trials):
         # data transmission phase: beamformed power toward the estimate
         w = beamforming_weight(x_hat, cfg)
         r_d = beamformed_signal(w, vec(h), cfg, _draws(cfg, trials, k, "data"))
-        p_r = (abs2(r_d) / (cfg.n * abs2(gain))).tolist()
+        p_r = abs2(r_d) / (cfg.n * abs2(gain))
 
-        est = [detect_step(p, cfg, consecutive, i) for i, p in enumerate(p_r)]
-        realigned = [e.realigned for e in est]
-        yield dict(u_true=truth[:, 0].tolist(), v_true=truth[:, 1].tolist(),
-                   u_hat=x_hat[:, 0].tolist(), v_hat=x_hat[:, 1].tolist(),
-                   err_norm=norm(truth - x_hat).tolist(), err_norm_hat=[e.xi_hat for e in est],
-                   p_r=p_r, detected=[e.detected for e in est], realigned=realigned,
-                   bound=out["bound"], innov_norm=out["innovation_norm"],
-                   meas_valid=out["meas_valid"])
+        est = [detect_step(p, cfg, consecutive, i) for i, p in enumerate(p_r.tolist())]
+        row = dict(u_true=truth[:, 0], v_true=truth[:, 1], u_hat=x_hat[:, 0], v_hat=x_hat[:, 1],
+                   err_norm=norm(truth - x_hat), err_norm_hat=[e.xi_hat for e in est],
+                   p_r=p_r, detected=[e.detected for e in est],
+                   realigned=[e.realigned for e in est], bound=out["bound"],
+                   innov_norm=out["innovation_norm"], meas_valid=out["meas_valid"])
+        for name, values in row.items():
+            cols[name][k - 1] = values
 
-        if any(realigned):
+        realigned = cols["realigned"][k - 1]
+        if realigned.any():
             idx = np.flatnonzero(realigned)
             draws = _draws(cfg, [trials[i] for i in idx], k, "realign")
             truth[idx] = draws.normal(0.0, cfg.detect_residual, (len(idx), 2))
-            tracker.reinitialize(np.array(realigned), restart)
+            tracker.reinitialize(realigned, restart)
+    return cols
+
+
+def _records(cols: dict[str, np.ndarray], i: int) -> list[FrameRecord]:
+    """Trial i's FrameRecords from its batch's columns.  Their fields hold Python bool, int
+    and float only: _fmt writes an np.bool_ or an np.int64 as 1.0, and json cannot write an
+    np.int64."""
+    rows = zip(*(column[:, i].tolist() for column in cols.values()))
+    return [FrameRecord(k, *row) for k, row in enumerate(rows, start=1)]
 
 
 def run_batch(cfg: ScenarioConfig, trials, scheme: str | None = None) -> list[list[FrameRecord]]:
     """Simulate the given trials together; each trial's records are those it gives alone."""
-    cfg = _for_scheme(cfg, scheme)
-    records = [[] for _ in trials]
-    for k, columns in enumerate(_frames(cfg, trials), start=1):
-        for rows, values in zip(records, zip(*columns.values())):
-            rows.append(FrameRecord(k, **dict(zip(columns, values))))
-    return records
+    cols = _frames(_for_scheme(cfg, scheme), trials)
+    return [_records(cols, i) for i in range(len(trials))]
 
 
 def run_trial(cfg: ScenarioConfig, trial_index: int, scheme: str | None = None) -> list[FrameRecord]:
@@ -450,54 +458,38 @@ def run_experiment(cfg: ScenarioConfig, scheme: str | None = None) -> Experiment
 
 def _experiment(cfg: ScenarioConfig, shards: int) -> ExperimentSummary:
     """run_experiment on `shards` contiguous blocks of trials: the first runs in this process
-    and keeps trial 0's trace, each other in a forked child (_Child).  Each frame's sums
-    continue their left fold block by block, in trial order, so they equal one batch's."""
+    and keeps trial 0's trace, each other in a forked child (_Child).  The summary sums the
+    blocks' columns side by side, in trial order, so it equals one batch's."""
     blocks = [range(cfg.trials * i // shards, cfg.trials * (i + 1) // shards)
               for i in range(shards)]
-    sq_err, bound_sum = [0.0] * cfg.frames, [0.0] * cfg.frames
-    bound_count = [0] * cfg.frames
-    detections: list[list[int]] = []
-    trace: list[FrameRecord] = []
-
-    def fold(start: int, rows) -> None:
-        for i, (err_norm, bound, realigned) in enumerate(rows):
-            sq_err[i] = ordered_sum((e**2 for e in err_norm), sq_err[i])
-            finite = [b for b in bound if math.isfinite(b)]
-            bound_sum[i] = ordered_sum(finite, bound_sum[i])
-            bound_count[i] += len(finite)
-            detections.extend([start + t, i + 1] for t, r in enumerate(realigned) if r)
-
-    def first_block():
-        for k, columns in enumerate(_frames(cfg, blocks[0]), start=1):
-            trace.append(FrameRecord(k, **{name: c[0] for name, c in columns.items()}))
-            yield [columns[name] for name in _FOLDED]
-
     children: list[_Child] = []
     try:
         for block in blocks[1:]:
             children.append(_Child(cfg, block))
-        fold(0, first_block())
-        for child in children:
-            fold(child.block.start, zip(*(a.tolist() for a in child.result())))
+        first = _frames(cfg, blocks[0])
+        parts = [first] + [child.result() for child in children]
     finally:
         for child in children:
             child.stop()
-    per_frame_mse = (np.array(sq_err) / cfg.trials).tolist()
-    count = np.array(bound_count)
-    per_frame_bound = np.where(count > 0, np.array(bound_sum) / np.maximum(count, 1), np.nan)
+    err_norm, bound, realigned = (np.concatenate([part[name] for part in parts], axis=1)
+                                  for name in _FOLDED)
+    finite = np.isfinite(bound)
+    count = np.count_nonzero(finite, axis=-1)
+    per_frame_bound = np.where(
+        count > 0, ordered_sum(np.where(finite, bound, 0.0)) / np.maximum(count, 1), np.nan)
     return ExperimentSummary(
         scenario=cfg.to_dict(),
-        per_frame_mse=per_frame_mse,
-        per_frame_bound=[x if math.isfinite(x) else None for x in per_frame_bound],
-        detection_frames=sorted(detections),
+        per_frame_mse=(ordered_sum(np.float_power(err_norm, 2)) / cfg.trials).tolist(),
+        per_frame_bound=[x if math.isfinite(x) else None for x in per_frame_bound.tolist()],
+        detection_frames=(np.argwhere(realigned.T) + [0, 1]).tolist(),
         ledger=asdict(trial_ledger(cfg)),
-        trace=trace,
+        trace=_records(first, 0),
     )
 
 
 class _Child:
-    """A forked process that runs one block of trials and sends back its _FOLDED columns as
-    (frames, block) arrays, or the exception that stopped it."""
+    """A forked process that runs one block of trials and sends back its _FOLDED columns by
+    name, as (frames, block) arrays, or the exception that stopped it."""
 
     def __init__(self, cfg: ScenarioConfig, block: range):
         import multiprocessing  # a serial run does not pay for the import
@@ -510,7 +502,7 @@ class _Child:
         self.process.start()
         sender.close()
 
-    def result(self) -> list[np.ndarray]:
+    def result(self) -> dict[str, np.ndarray]:
         try:
             result = self.receiver.recv()
         except EOFError:
@@ -535,8 +527,8 @@ def _child_main(sender, cfg: ScenarioConfig, block: range) -> None:
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupted parent stops its children
     try:
-        rows = [[columns[name] for name in _FOLDED] for columns in _frames(cfg, block)]
-        result = [np.array(column) for column in zip(*rows)]
+        cols = _frames(cfg, block)
+        result = {name: cols[name] for name in _FOLDED}
     except BaseException as exc:
         result = exc
     try:

@@ -291,6 +291,16 @@ def test_trials_that_cannot_be_allocated_exit_2(runner, tmp_path, trials):
     assert "Traceback" not in result.output
 
 
+def test_columns_that_cannot_be_allocated_exit_2(runner, tmp_path):
+    # a run keeps (frames, trials) arrays; numpy cannot address these
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"trials": 2**20, "frames": 2**44}))
+    result = runner.invoke(main, ["run", "--config", str(cfg), "--out", str(tmp_path)])
+    assert result.exit_code == 2
+    assert "config error: the proposed run does not fit in memory" in result.output
+    assert "Traceback" not in result.output
+
+
 def test_run_bad_field_exits_2(runner, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"scheme": "bogus"}))

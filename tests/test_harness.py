@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import multiprocessing
 import os
 import subprocess
@@ -492,6 +493,79 @@ class TestShardedRun:
         run_experiment(cfg)
         cores = len(os.sched_getaffinity(0))
         assert counts == [harness.shard_count(cores, {"OPENBLAS_NUM_THREADS": "1"}, cfg.trials)]
+
+
+def _fig6_8x16():
+    from beamtrack.presets import get_preset
+
+    return dataclasses.replace(get_preset("fig6"), n_y=16, trials=9)
+
+
+# realignments in several trials; NaN bounds where the exact Jacobian meets its singularity
+RECORD_CONFIGS = {
+    "fig6-8x16": _fig6_8x16,
+    "exact-low-flight": lambda: ScenarioConfig(jacobian_mode="exact", height_ratio=0.01,
+                                               frames=20, trials=6, seed=3),
+}
+
+
+def _python_fold(batch: list) -> tuple[list, list, list]:
+    """per_frame_mse, per_frame_bound and detection_frames as one Python left fold per frame
+    over the records of a batch, trial by trial: e**2, and only the bounds that are finite."""
+    mse, bounds = [], []
+    for i in range(len(batch[0])):
+        sq, total, count = 0.0, 0.0, 0
+        for records in batch:
+            sq = sq + records[i].err_norm**2
+            if math.isfinite(records[i].bound):
+                total, count = total + records[i].bound, count + 1
+        mse.append(sq / len(batch))
+        mean = total / count if count else math.nan
+        bounds.append(mean if math.isfinite(mean) else None)
+    detections = [[t, r.frame] for t, records in enumerate(batch) for r in records if r.realigned]
+    return mse, bounds, detections
+
+
+class TestRecords:
+    """The summary folds the records in trial order, and the records hold Python scalars."""
+
+    @pytest.mark.parametrize("shards", [1, 3])
+    @pytest.mark.parametrize("name", RECORD_CONFIGS)
+    def test_summary_is_a_left_fold_over_the_batch_records(self, name, shards):
+        cfg = RECORD_CONFIGS[name]()
+        batch = harness.run_batch(cfg, range(cfg.trials))
+        mse, bounds, detections = _python_fold(batch)
+        # each case reaches the branch it is here for
+        if name == "fig6-8x16":
+            assert detections
+        else:
+            assert any(math.isnan(r.bound) for records in batch for r in records)
+        summary = harness._experiment(cfg, shards)
+        assert summary.per_frame_mse == mse
+        assert summary.per_frame_bound == bounds
+        assert summary.detection_frames == detections
+
+    def test_mse_squares_as_python_does(self):
+        # numpy's e**2 rounds differently from Python's on some floats, np.float_power does
+        # not; with this seed it differs on one frame of trial 0
+        from beamtrack.presets import get_preset
+
+        cfg = dataclasses.replace(get_preset("fig9"), trials=1, seed=4)
+        records = run_trial(cfg, 0)
+        errors = np.array([r.err_norm for r in records])
+        assert (errors**2 != [r.err_norm**2 for r in records]).any()
+        assert harness._experiment(cfg, 1).per_frame_mse == _python_fold([records])[0]
+
+    @pytest.mark.parametrize("name", RECORD_CONFIGS)
+    def test_records_and_detections_are_python_scalars(self, name):
+        # _fmt writes an np.bool_ as 1.0, and json cannot write an np.int64
+        cfg = RECORD_CONFIGS[name]()
+        summary = harness._experiment(cfg, 3)
+        annotations = [f.type for f in dataclasses.fields(FrameRecord)]
+        for records in harness.run_batch(cfg, range(cfg.trials)) + [summary.trace]:
+            for r in records:
+                assert [type(v).__name__ for v in vars(r).values()] == annotations
+        assert all(type(v) is int for pair in summary.detection_frames for v in pair)
 
 
 class TestShardLifecycle:

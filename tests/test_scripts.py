@@ -47,6 +47,15 @@ def test_run_tracking_demo_prints_every_frame(scheme):
     assert [int(r[0]) for r in rows] == list(range(1, 51))
 
 
+@pytest.mark.parametrize("trial", ["-1", str(2**64)])
+def test_run_tracking_demo_trial_outside_64_bits_is_a_usage_error(trial):
+    # the rng keys would alias it: 2**64 ran trial 0, and -1 trial 2**64 - 1
+    proc = _run("run_tracking_demo.py", "--preset", "fig9", "--trial", trial)
+    assert proc.returncode == 2
+    assert "--trial must lie in [0, 2**64)" in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_snr_sweep_prints_one_row_per_snr():
     lines = run_script("snr_sweep.py", "--snr-min", "6", "--snr-max", "10", "--step", "4",
                        "--trials", "2", "--schemes", "proposed,codebook")
