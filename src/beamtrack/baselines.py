@@ -11,7 +11,7 @@ batched call: the codebook tracker its conjugated (K^2, N) weight matrix, ABP it
 angles and the squinted weights around them per axis.  A run builds one tracker for all
 its trials.  Both step a batch of trials at once: states and snapshots carry a leading
 batch axis.  An entry whose measurement fails has a NaN measurement row, which
-ekf.settle turns into a predict-only frame.
+ekf.update turns into a predict-only frame.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from .arrays import abs2, diag, matvec, outer, vdot, vec
 from .channel import beamforming_weight, noise_variance, steering_vector
-from .ekf import TrackerState, predict, settle, step_result, update
+from .ekf import TrackerState, predict, step_result, update
 
 if TYPE_CHECKING:
     from .harness import ScenarioConfig
@@ -114,7 +114,7 @@ class CodebookTracker:
         (evolve_gain's literal default variance is positive for every |rho| <= 1)."""
         n, k, giv = cfg.n, cfg.k_beams, cfg.gain_innovation_var
         guv = cfg.gain_uncertainty_var if giv is None or giv > 0 else 0.0
-        return noise_variance(cfg, 1.0, n) / 2.0 + 0.5 * guv * n / k**2
+        return noise_variance(cfg, 1.0) / 2.0 + 0.5 * guv * n / k**2
 
     def step(self, y: np.ndarray) -> dict:
         cfg = self.cfg
@@ -129,7 +129,7 @@ class CodebookTracker:
             new, innovation[i], _ = update(TrackerState(pred.x[i], pred.p[i]), z[i], g[i],
                                            self.q_n, z_hat[i])
             x[i], p[i] = new.x, new.p
-        self.state, innovation = settle(pred, TrackerState(x, p), innovation)
+        self.state = TrackerState(x, p)
         return step_result(innovation)
 
     def reinitialize(self, mask: np.ndarray, state: TrackerState):
@@ -188,7 +188,7 @@ class AbpTracker:
     def noise_terms(cfg: ScenarioConfig) -> tuple[float, float]:
         """Element noise variance at unit gain and its square, the delta-method Q_n's
         noise terms; OverflowError where the square leaves the float range."""
-        sigma2 = noise_variance(cfg, 1.0, cfg.n)
+        sigma2 = noise_variance(cfg, 1.0)
         return sigma2, sigma2**2
 
     def _beams(self, x_pred: np.ndarray) -> list[np.ndarray]:
@@ -227,8 +227,7 @@ class AbpTracker:
         axes = [self._axis_model(pred.x[..., i], b, n)
                 for i, (b, n) in enumerate(zip(beams, (cfg.n_y, cfg.n_x)))]
         z_hat, slopes, variances = (np.stack(v, axis=-1) for v in zip(*axes))
-        new, innovation, _ = update(pred, zeta, diag(slopes), diag(variances), z_hat)
-        self.state, innovation = settle(pred, new, innovation)
+        self.state, innovation, _ = update(pred, zeta, diag(slopes), diag(variances), z_hat)
         return step_result(innovation)
 
     def reinitialize(self, mask: np.ndarray, state: TrackerState):

@@ -17,27 +17,27 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .arrays import mean, outer, vdot, vec
+from .arrays import outer, vdot, vec
 
 if TYPE_CHECKING:
     from .harness import ScenarioConfig
 
 
-def noise_variance(cfg: ScenarioConfig, element_signal_power: float, n_elements: int) -> float:
+def noise_variance(cfg: ScenarioConfig, element_signal_power):
     """Per-element complex noise variance implied by the scenario's quoted SNR.
 
     cfg.snr_reference selects how the quoted SNR maps to per-element noise
-    variance given the per-element signal power |H(n,m)|^2:
+    variance given the per-element signal power |H(n,m)|^2 (one per batch entry):
 
     - "element": sigma^2 = |H|^2 / SNR (per-element received SNR)
-    - "array":   sigma^2 = |H|^2 / (N * SNR); the quoted SNR is referenced
-      to the aggregate array signal energy, which is the convention that
-      reproduces the measurement-noise magnitudes of the reference results.
+    - "array":   sigma^2 = |H|^2 / (N * SNR) with N = cfg.n; the quoted SNR is
+      referenced to the aggregate array signal energy, which is the convention
+      that reproduces the measurement-noise magnitudes of the reference results.
     """
     snr_lin = 10.0 ** (cfg.snr_db / 10.0)
     var = element_signal_power / snr_lin
     if cfg.snr_reference == "array":
-        var /= n_elements
+        var /= cfg.n
     return var
 
 
@@ -85,10 +85,9 @@ def complex_noise(shape, variance, rng) -> np.ndarray:
     return rng.normal(0.0, s, shape) + 1j * rng.normal(0.0, s, shape)
 
 
-def synthesize_rx(h: np.ndarray, cfg: ScenarioConfig, rng) -> np.ndarray:
-    """Pilot-phase snapshot Y = H + N (unit pilot) with SNR-calibrated element noise."""
-    h_vec = vec(h)
-    var = noise_variance(cfg, mean(np.abs(h_vec) ** 2), h_vec.shape[-1])
+def synthesize_rx(h: np.ndarray, var: np.ndarray, rng) -> np.ndarray:
+    """Pilot-phase snapshot Y = H + N (unit pilot) with element noise of variance var (one
+    per batch entry), the frame's noise_variance."""
     return h + complex_noise(h.shape, var[..., None, None], rng)
 
 
@@ -103,12 +102,12 @@ def beamforming_weight(x, cfg: ScenarioConfig) -> np.ndarray:
     return vec(outer(wx, wy.conj()))
 
 
-def beamformed_signal(w: np.ndarray, h_vec: np.ndarray, cfg: ScenarioConfig, rng):
-    """Data-phase combiner output r = w^H h + w^H n for the unit data symbol.
+def beamformed_signal(w: np.ndarray, h_vec: np.ndarray, var: np.ndarray, rng):
+    """Data-phase combiner output r = w^H h + w^H n for the unit data symbol, with element
+    noise of variance var (one per batch entry), the frame's noise_variance.
 
     The combiner is unit norm, so the noise term keeps the per-element
     variance.
     """
-    var = noise_variance(cfg, mean(np.abs(h_vec) ** 2), h_vec.shape[-1])
     n = complex_noise(h_vec.shape, var[..., None], rng)
     return vdot(w, h_vec) + vdot(w, n)

@@ -7,7 +7,7 @@ Jacobian is the small-angle constant 0.5 * I; the exact diagonal
 States, measurements and covariances may carry leading batch axes (one
 entry per trial).  An entry without a usable measurement carries NaN: in
 its measurement, its Jacobian or its gain, also when no entry of the batch
-has one.  settle turns such an entry's update into a predict-only frame.
+has one.  update turns such an entry's frame into a predict-only one.
 """
 
 from __future__ import annotations
@@ -90,25 +90,20 @@ def update(
     innovation = r - r_hat, where r_hat defaults to the monopulse model
     g(x^-); K = P^- G^T S^-1; P = P^- - K S K^T, symmetrized against
     round-off drift.  A singular S (Q_n negligible next to G P^- G^T) fails
-    the entry's measurement: its gain is NaN.
+    the entry's measurement: its gain is NaN.  An entry whose updated x or P
+    is not finite keeps its prediction (a predict-only frame) and gets a NaN
+    innovation row; its gain is returned as computed.
     """
     if r_hat is None:
         r_hat = measurement_fn(pred.x)
     innovation = np.asarray(r, dtype=float) - r_hat
     s = g_mat @ pred.p @ g_mat.mT + q_n
     k = _gain(s, pred.p @ g_mat.mT)
-    x_new = pred.x + matvec(k, innovation)
-    p_new = _symmetrize(pred.p - k @ s @ k.mT)
-    return TrackerState(x=x_new, p=p_new), innovation, k
-
-
-def settle(pred: TrackerState, new: TrackerState, innovation: np.ndarray):
-    """The updated state of each entry whose update is finite, the prediction elsewhere
-    (a predict-only frame), and the innovation with NaN rows for those entries."""
+    new = TrackerState(pred.x + matvec(k, innovation), _symmetrize(pred.p - k @ s @ k.mT))
     ok = np.isfinite(new.x).all(axis=-1) & np.isfinite(new.p).all(axis=(-2, -1))
     if ok.all():
-        return new, innovation
-    return new.where(ok, pred), np.where(ok[..., None], innovation, np.nan)
+        return new, innovation, k
+    return new.where(ok, pred), np.where(ok[..., None], innovation, np.nan), k
 
 
 def step_result(innovation: np.ndarray, bound=float("nan")) -> dict:

@@ -9,7 +9,7 @@ class MeasurementFailure(BeamtrackError):
     """No usable measurement could be formed for the current frame.
 
     Nothing in beamtrack raises it any more: a failed measurement is a NaN row,
-    which ekf.settle turns into a predict-only frame.  It stays defined because
+    which ekf.update turns into a predict-only frame.  It stays defined because
     the benchmark's tracer (bench/tracing.py) imports it.
     """
 

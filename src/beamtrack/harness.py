@@ -41,11 +41,11 @@ import numpy as np
 
 from . import rng as rngmod
 from .analysis import bound_step
-from .arrays import abs2, norm, ordered_sum, vec
+from .arrays import abs2, mean, norm, ordered_sum, vec
 from .baselines import ABP_SQUINT_FACTOR, AbpTracker, CodebookTracker
 from .channel import (beamformed_signal, beamforming_weight, channel_matrix, evolve_gain,
-                      synthesize_rx)
-from .ekf import (InnovationNoiseEstimator, TrackerState, initial_state, jacobian, predict, settle,
+                      noise_variance, synthesize_rx)
+from .ekf import (InnovationNoiseEstimator, TrackerState, initial_state, jacobian, predict,
                   step_result, update)
 from .errors import ConfigError
 from .geometry import (
@@ -84,6 +84,8 @@ FIELD_RULES = {
     # it): a finite square leaves headroom.  -0.0 means no innovations, as in evolve_gain
     "gain_innovation_var": (-0.0, math.sqrt(_FLOAT_MAX)),
     "rho_gain": (-1.0, 1.0),
+    # the rng keys mask the seed to 64 bits, so a seed outside would alias one inside
+    "seed": (0, 2**64 - 1),
     "snr_reference": ("element", "array"),
     "q_n_mode": ("fixed", "estimated"),
     "abp_q_n": ("fixed", "delta"),
@@ -301,8 +303,7 @@ class ProposedTracker:
             q_n = self.estimator.estimate(self.q_n_prior)
         else:
             q_n = self.q_n_prior
-        new, innovation, k = update(pred, meas.r, g, q_n)
-        self.state, innovation = settle(pred, new, innovation)
+        self.state, innovation, k = update(pred, meas.r, g, q_n)
         self.estimator.push(innovation, g, pred.p)
         return step_result(innovation, bound_step(p_prev, k, g, cfg.f, cfg.q_p, self.q_n_relaxed))
 
@@ -361,14 +362,15 @@ def _frames(cfg: ScenarioConfig, trials) -> dict[str, np.ndarray]:
         gain = evolve_gain(gain, cfg.rho_gain, _draws(cfg, trials, k, "gain"),
                            cfg.gain_innovation_var)
         h = channel_matrix(gain, truth, cfg)
-        y = synthesize_rx(h, cfg, _draws(cfg, trials, k, "pilot"))
+        var = noise_variance(cfg, mean(np.abs(vec(h)) ** 2))
+        y = synthesize_rx(h, var, _draws(cfg, trials, k, "pilot"))
 
         out = tracker.step(y)
         x_hat = tracker.state.x
 
         # data transmission phase: beamformed power toward the estimate
         w = beamforming_weight(x_hat, cfg)
-        r_d = beamformed_signal(w, vec(h), cfg, _draws(cfg, trials, k, "data"))
+        r_d = beamformed_signal(w, vec(h), var, _draws(cfg, trials, k, "data"))
         p_r = abs2(r_d) / (cfg.n * abs2(gain))
 
         est = [detect_step(p, cfg, consecutive, i) for i, p in enumerate(p_r.tolist())]

@@ -38,21 +38,6 @@ class ErrorEstimate:
     clipped: bool = False
 
 
-def _dirichlet_ratio(offset: float, n: int) -> float:
-    """sin(n*t/2)/sin(t/2) with the removable singularities filled in."""
-    den = np.sin(offset / 2.0)
-    if den == 0.0:
-        return float(n * np.cos(n * offset / 2.0))
-    return float(np.sin(n * offset / 2.0) / den)
-
-
-def received_power(x: np.ndarray, est: np.ndarray, cfg: ScenarioConfig) -> float:
-    """Normalized beam-pattern power at offset x - est = (u-u_hat, v-v_hat); 1 at zero."""
-    gx = _dirichlet_ratio(x[0] - est[0], cfg.n_x) / cfg.n_x
-    gy = _dirichlet_ratio(x[1] - est[1], cfg.n_y) / cfg.n_y
-    return float(gx**2 * gy**2)
-
-
 @lru_cache(maxsize=16)
 def _power_table(n_x: int, n_y: int):
     """Main-lobe powers of the search grid sorted ascending, with their norms and

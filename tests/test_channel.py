@@ -124,21 +124,22 @@ class TestEvolveGain:
 class TestSynthesizeRx:
     def test_noiseless_equals_signal(self):
         h = rank1_snapshot(0.4, -0.2, NOISELESS4)
-        y = synthesize_rx(h, NOISELESS4, np.random.default_rng(0))
+        y = synthesize_rx(h, np.zeros(()), np.random.default_rng(0))
         assert np.array_equal(y, h)
 
     def test_corner_recovers_channel(self):
         h = rank1_snapshot(0.4, -0.2, NOISELESS4, gain=1.0j)
-        y = synthesize_rx(h, NOISELESS4, np.random.default_rng(0))
+        y = synthesize_rx(h, np.zeros(()), np.random.default_rng(0))
         assert y[0, 0] == pytest.approx(h[0, 0])
 
     def test_empirical_element_snr(self):
         cfg = ScenarioConfig(n_x=2, n_y=2, snr_db=10.0, snr_reference="element")
         h = rank1_snapshot(0.3, 0.1, cfg)
         sig_power = np.mean(np.abs(h) ** 2)
+        var = noise_variance(cfg, sig_power)
         rng = np.random.default_rng(7)
         noise_power = np.mean(
-            [np.mean(np.abs(synthesize_rx(h, cfg, rng) - h) ** 2) for _ in range(20_000)]
+            [np.mean(np.abs(synthesize_rx(h, var, rng) - h) ** 2) for _ in range(20_000)]
         )
         measured_db = 10 * np.log10(sig_power / noise_power)
         assert measured_db == pytest.approx(10.0, abs=0.1)
@@ -146,7 +147,7 @@ class TestSynthesizeRx:
     def test_array_reference_scales_by_n(self):
         cfg_e = ScenarioConfig(snr_db=10.0, snr_reference="element")
         cfg_a = ScenarioConfig(snr_db=10.0, snr_reference="array")
-        assert noise_variance(cfg_a, 1.0, 64) == pytest.approx(noise_variance(cfg_e, 1.0, 64) / 64)
+        assert noise_variance(cfg_a, 1.0) == pytest.approx(noise_variance(cfg_e, 1.0) / 64)
 
 
 class TestBeamformingWeight:
@@ -182,14 +183,14 @@ class TestBeamformedSignal:
         x = np.array([0.3, 0.9])
         w = beamforming_weight(x, NOISELESS4)
         h_vec = channel_matrix(1.0, x, NOISELESS4).ravel()
-        r = beamformed_signal(w, h_vec, NOISELESS4, np.random.default_rng(0))
+        r = beamformed_signal(w, h_vec, np.zeros(()), np.random.default_rng(0))
         assert r == pytest.approx(np.sqrt(NOISELESS4.n), abs=1e-10)
 
     def test_orthogonal_weight_nulls(self):
         # orthogonal DFT directions: grid spacing 2*pi/n
         w = beamforming_weight(np.array([2 * np.pi / 4, 0.0]), NOISELESS4)
         h_vec = rank1_snapshot(0.0, 0.0, NOISELESS4).ravel()
-        r = beamformed_signal(w, h_vec, NOISELESS4, np.random.default_rng(0))
+        r = beamformed_signal(w, h_vec, np.zeros(()), np.random.default_rng(0))
         assert abs(r) < 1e-10
 
     def test_combined_noise_variance(self):
@@ -197,11 +198,11 @@ class TestBeamformedSignal:
         cfg = ScenarioConfig(n_x=4, n_y=4, snr_db=0.0, snr_reference="element")
         w = beamforming_weight(np.array([0.1, 0.2]), cfg)
         h_vec = rank1_snapshot(0.5, -0.5, cfg).ravel()
-        var = noise_variance(cfg, float(np.mean(np.abs(h_vec) ** 2)), cfg.n)
+        var = noise_variance(cfg, np.mean(np.abs(h_vec) ** 2))
         rng = np.random.default_rng(11)
         clean = np.vdot(w, h_vec)
         draws = np.array(
-            [beamformed_signal(w, h_vec, cfg, rng) - clean for _ in range(30_000)]
+            [beamformed_signal(w, h_vec, var, rng) - clean for _ in range(30_000)]
         )
         assert np.mean(np.abs(draws) ** 2) == pytest.approx(var, rel=0.03)
 

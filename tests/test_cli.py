@@ -152,6 +152,9 @@ def test_run_simulates_each_trial_once(runner, tiny_config, tmp_path, monkeypatc
     {"n_y": 2**62},
     {"scheme": "abp", "codebook_k": 2**63},
     {"frames": 2**63},
+    # the rng keys take a seed modulo 2**64: these two would run as seeds 2**64 - 1 and 0
+    {"seed": -1},
+    {"seed": 2**64},
 ])
 def test_run_invalid_value_exits_2(runner, tmp_path, fields):
     bad = tmp_path / "bad.json"

@@ -12,8 +12,9 @@ Random examples seldom set one field to an extreme with every other field at
 its default, so a second test runs each field at each extreme alone and
 requires a finished run to have a finite, non-negative MSE and bound.  Every
 Kalman update of such a run must see a finite, symmetric, positive-semidefinite
-innovation covariance S = G P^- G^T + Q_n and leave a posterior P^+ with a
-finite, non-negative diagonal.
+innovation covariance S = G P^- G^T + Q_n, and its gain K must give a posterior
+P^+ = P^- - K S K^T with a finite, non-negative diagonal (update itself returns
+the prediction where P^+ is not finite, so the check rebuilds P^+ from K).
 
 A third test pins the accept/reject verdict of ScenarioConfig on each field,
 scheme and value of a fixed grid by hash, as tests/test_golden.py pins output
@@ -109,8 +110,9 @@ SINGLE_EXTREMES = [
 ]
 
 
-def _filter_problems(pred, g_mat, q_n, post) -> list[str]:
-    """What is wrong with one update's S = G P^- G^T + Q_n and, if it returned, its P^+."""
+def _filter_problems(pred, g_mat, q_n, k) -> list[str]:
+    """What is wrong with one update's S = G P^- G^T + Q_n and, given its gain K, its
+    P^+ = P^- - K S K^T as computed before update's predict-only fallback replaces it."""
     s = g_mat @ pred.p @ g_mat.T + q_n
     if not np.isfinite(s).all():
         return ["S not finite"]
@@ -122,15 +124,20 @@ def _filter_problems(pred, g_mat, q_n, post) -> list[str]:
         problems.append("S not symmetric")
     if np.linalg.eigvalsh(scaled).min() < -1e-12:
         problems.append("S not positive semidefinite")
-    if post is not None and not (np.isfinite(post.p).all() and (np.diag(post.p) >= 0).all()):
-        problems.append("P+ diagonal not finite and non-negative")
+    if k is not None:
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below
+            p_new = pred.p - k @ s @ k.T
+            p_new = (p_new + p_new.T) / 2.0
+        if not (np.isfinite(p_new).all() and (np.diag(p_new) >= 0).all()):
+            problems.append("P+ diagonal not finite and non-negative")
     return problems
 
 
 def _batch_problems(pred, r, g_mat, q_n, r_hat, out) -> list[str]:
     """_filter_problems of each trial of a batched update.  A trial that enters with a
     failed measurement (NaN in r, G, Q_n or r_hat) gets no update and no check; one whose
-    gain is NaN (its S is singular) has its S checked and no P^+."""
+    gain is NaN (its S is singular) has its S checked and no P^+.  P^+ is rebuilt from the
+    returned gain, because update returns the prediction where its P^+ is not finite."""
     batch = pred.x.shape[:-1]
     r_hat = 0.0 if r_hat is None else r_hat
     r, r_hat = (np.broadcast_to(v, batch + np.shape(r)[-1:]) for v in (r, r_hat))
@@ -141,8 +148,8 @@ def _batch_problems(pred, r, g_mat, q_n, r_hat, out) -> list[str]:
         if any(np.isnan(v[i]).any() for v in (r, g_mat, q_n, r_hat)):
             continue
         one = ekf.TrackerState(pred.x[i], pred.p[i])
-        post = None if np.isnan(out[2][i]).any() else ekf.TrackerState(out[0].x[i], out[0].p[i])
-        problems.extend(_filter_problems(one, g_mat[i], q_n[i], post))
+        k = None if np.isnan(out[2][i]).any() else out[2][i]
+        problems.extend(_filter_problems(one, g_mat[i], q_n[i], k))
     return problems
 
 
@@ -208,6 +215,18 @@ def test_singular_config_runs(fields, checked_update):
     _check_run(ScenarioConfig(**fields), checked_update, fields)
 
 
+def test_batch_check_flags_a_finite_gain_whose_posterior_overflows():
+    # update's predict-only fallback: the prediction, a NaN innovation and the finite K
+    # whose P^+ = P^- - K S K^T overflows
+    pred = ekf.TrackerState(np.zeros((1, 2)), np.eye(2)[None])
+    g_mat, q_n = np.eye(2), np.eye(2)
+    out = (pred, np.full((1, 2), np.nan), np.full((1, 2, 2), 1e200))
+    assert _batch_problems(pred, np.zeros(2), g_mat, q_n, None, out) == [
+        "P+ diagonal not finite and non-negative"]
+    out = ekf.update(pred, np.zeros(2), g_mat, q_n)
+    assert _batch_problems(pred, np.zeros(2), g_mat, q_n, None, out) == []
+
+
 # every limit in FIELD_RULES with the floats (and, for an int limit, the ints) beside it
 LIMITS = [limit for pair in RANGES.values() for limit in pair]
 VERDICT_VALUES = list({(type(v), repr(v)): v for v in [
@@ -237,36 +256,36 @@ def _digest(verdicts: list) -> str:
 # sha256 prefixes of each field's sorted verdicts on VERDICT_VALUES.  A changed rule changes
 # its field's hash; a changed limit also changes the values, and so every hash
 GOLDEN_VERDICTS = {
-    "n_x": "7d8aeca3b711952d",
-    "n_y": "7d8aeca3b711952d",
-    "scheme": "0385427a68e8113d",
-    "frames": "c9a4d05d2720caa4",
-    "trials": "b9826ed8ff63fc66",
-    "snr_db": "3d996a96ac5b43d2",
-    "snr_reference": "a1435ec1dd7ae16a",
-    "sigma_u": "ba207c0f30ae4882",
-    "sigma_v": "ba207c0f30ae4882",
-    "sigma_init": "ba207c0f30ae4882",
-    "psi": "fe8d2a3d61b663b7",
-    "height_ratio": "6ef57171a830d7dd",
-    "azimuth_range_deg": "c45f283ee83d4ec2",
-    "d_over_lambda": "7fa23aa98fb661fd",
-    "rho_gain": "2506b5a72e68df58",
-    "gain_innovation_var": "54241ede9aa457ce",
-    "sigma_n_sq": "c45f283ee83d4ec2",
-    "q_n_mode": "9480ef9a18a6df23",
-    "q_n_window": "b06e87f2a36e8f4c",
-    "jacobian_mode": "dd50216e8ccd7813",
-    "codebook_k": "a26ad2b72b3a88c0",
-    "abp_offset": "eaa64b15ac7de1f4",
-    "abp_q_n": "c1ec77fb8baf01d1",
-    "gain_uncertainty_var": "f7eb851e9115a607",
-    "sigma_nb_sq": "5e87f760660c05e8",
-    "detect_enabled": "f255457f89cc3651",
-    "detect_threshold": "d78cc0dc01a425ea",
-    "detect_consecutive": "b9826ed8ff63fc66",
-    "detect_residual": "ba207c0f30ae4882",
-    "seed": "3a0b0350595ead1c",
+    "n_x": "7041365f7efb762f",
+    "n_y": "7041365f7efb762f",
+    "scheme": "f422a2fb9e1b6859",
+    "frames": "717fdbad57566172",
+    "trials": "4f98c1498d711bb2",
+    "snr_db": "5d2ff93e45d44f97",
+    "snr_reference": "d4e219d8778b8f28",
+    "sigma_u": "87ea81ba1275917d",
+    "sigma_v": "87ea81ba1275917d",
+    "sigma_init": "87ea81ba1275917d",
+    "psi": "1ef7bf5ba46d25f0",
+    "height_ratio": "3df5d39029b82209",
+    "azimuth_range_deg": "675b98052661ecb2",
+    "d_over_lambda": "be6e21cb4f4c3601",
+    "rho_gain": "72d866011804db0b",
+    "gain_innovation_var": "db2bd0e483a188e5",
+    "sigma_n_sq": "675b98052661ecb2",
+    "q_n_mode": "6b1d790fb2fc0094",
+    "q_n_window": "52fc6f562357b462",
+    "jacobian_mode": "6ba19b7ae89a675c",
+    "codebook_k": "99c57c22cae52f6e",
+    "abp_offset": "641faa14af8dc965",
+    "abp_q_n": "5378f7449c08799d",
+    "gain_uncertainty_var": "a4f58728b74998b4",
+    "sigma_nb_sq": "432dcff4dcd1bb5c",
+    "detect_enabled": "296ea6080134614f",
+    "detect_threshold": "81e8c9ae3e7962a7",
+    "detect_consecutive": "4f98c1498d711bb2",
+    "detect_residual": "87ea81ba1275917d",
+    "seed": "f776ca8e23cef4b2",
 }
 
 

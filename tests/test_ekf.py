@@ -11,7 +11,6 @@ from beamtrack.ekf import (
     jacobian,
     measurement_fn,
     predict,
-    settle,
     step_result,
     update,
 )
@@ -118,9 +117,9 @@ class TestUpdate:
         pred = TrackerState(np.array([0.1, 0.2]), np.zeros((2, 2)))
         new, innovation, k = update(pred, np.array([0.05, 0.1]), jacobian(pred.x),
                                     np.zeros((2, 2)))
-        assert np.isnan(k).all()
-        settled, innovation = settle(pred, new, innovation)
-        assert settled.x.tobytes() == pred.x.tobytes() and settled.p.tobytes() == pred.p.tobytes()
+        # the entry keeps its prediction: a predict-only frame
+        assert new.x.tobytes() == pred.x.tobytes() and new.p.tobytes() == pred.p.tobytes()
+        assert np.isnan(innovation).all() and np.isnan(k).all()
         assert step_result(innovation)["meas_valid"] is False
 
     def test_scalarized_gain_formula(self):

@@ -306,10 +306,13 @@ class TestBatch:
             alone, innov_alone, k_alone = update(one, r[i], jacobian(one.x), np.zeros((2, 2)))
             assert new.x[i].tobytes() == alone.x.tobytes()
             assert new.p[i].tobytes() == alone.p.tobytes()
+            assert innovation[i].tobytes() == innov_alone.tobytes()
             assert k[i].tobytes() == k_alone.tobytes()
-        settled, innov = ekf.settle(pred, new, innovation)
-        assert settled.x[1].tobytes() == pred.x[1].tobytes() and np.isnan(innov[1]).all()
-        assert step_result(innov)["meas_valid"] == [True, False, True]
+        # the failed trial keeps its prediction, with a NaN innovation row
+        assert new.x[1].tobytes() == pred.x[1].tobytes()
+        assert new.p[1].tobytes() == pred.p[1].tobytes()
+        assert np.isnan(innovation[1]).all()
+        assert step_result(innovation)["meas_valid"] == [True, False, True]
 
 
 class TestProposedTracker:
@@ -367,6 +370,17 @@ class TestRunExperiment:
         run_experiment(small_cfg(trials=3, frames=3), scheme)
         # only the codebook tracker reads the codebook; ABP builds its axis angles alone
         assert len(calls) == (scheme == "codebook")
+
+    def test_noise_level_computed_once_per_frame(self, monkeypatch):
+        # one noise variance per frame for the whole batch, shared by the pilot and data phases
+        calls = []
+        original = harness.noise_variance
+        monkeypatch.setattr(harness, "noise_variance",
+                            lambda *args: calls.append(args) or original(*args))
+        cfg = small_cfg(trials=3, frames=4)
+        harness.run_batch(cfg, range(3))
+        assert [len(args) for args in calls] == [2] * cfg.frames
+        assert all(args[1].shape == (3,) for args in calls)
 
     def test_bound_emitted_for_proposed_only(self):
         cfg = small_cfg(trials=1)

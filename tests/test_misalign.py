@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from beamtrack import misalign
+from beamtrack.arrays import abs2, vec
+from beamtrack.channel import beamformed_signal, beamforming_weight, channel_matrix
 from beamtrack.errors import ConfigError
 from beamtrack.harness import ScenarioConfig
 from beamtrack.misalign import (
     detect_step,
     estimate_error_norm,
-    received_power,
     search_grid,
 )
 
@@ -22,6 +23,14 @@ def _model_power(xi_norm, n_x=8):
     return float(np.cos(n_x * xi_norm / 4.0) ** 4)
 
 
+def _data_power(x, est):
+    """The noiseless data-phase power p_r of the harness at unit gain on 8x8: the beam
+    toward est combines the channel toward x; 1 up to round-off at zero offset."""
+    w = beamforming_weight(np.asarray(est, dtype=float), CFG8)
+    h_vec = vec(channel_matrix(1.0, np.asarray(x, dtype=float), CFG8))
+    return float(abs2(beamformed_signal(w, h_vec, np.zeros(()), None)) / CFG8.n)
+
+
 def _table_pairs(n_x=8):
     """The square table's (norm, power) pairs, ascending in norm."""
     vals, norms, _ = misalign._power_table(n_x, n_x)
@@ -31,23 +40,23 @@ def _table_pairs(n_x=8):
 
 class TestReceivedPower:
     def test_aligned_is_one(self):
-        assert received_power(np.array([0.3, -0.2]), np.array([0.3, -0.2]), CFG8) == 1.0
+        assert _data_power([0.3, -0.2], [0.3, -0.2]) == pytest.approx(1.0, abs=1e-14)
 
     def test_first_null(self):
         x = np.array([2 * np.pi / 8, 0.0])
-        assert received_power(x, np.array([0.0, 0.0]), CFG8) == pytest.approx(0.0, abs=1e-12)
+        assert _data_power(x, [0.0, 0.0]) == pytest.approx(0.0, abs=1e-12)
 
     def test_known_offset_value(self):
         # oracle: (sin(0.8) / (8 sin(0.1)))^2, evaluated independently
-        p = received_power(np.array([0.2, 0.0]), np.array([0.0, 0.0]), CFG8)
+        p = _data_power([0.2, 0.0], [0.0, 0.0])
         expected = (np.sin(0.8) / (8 * np.sin(0.1))) ** 2
         assert p == pytest.approx(expected, abs=1e-12)
         assert p == pytest.approx(0.806748, abs=1e-6)
 
     def test_symmetric_in_sign(self):
         est = np.array([0.0, 0.0])
-        pp = received_power(np.array([0.15, 0.1]), est, CFG8)
-        pm = received_power(np.array([-0.15, -0.1]), est, CFG8)
+        pp = _data_power([0.15, 0.1], est)
+        pm = _data_power([-0.15, -0.1], est)
         assert pp == pytest.approx(pm, abs=1e-14)
 
 
@@ -81,7 +90,7 @@ class TestApproxPower:
         worst = 0.0
         for xi, p in zip(norms[norms <= np.pi / 8], powers):
             off = xi / np.sqrt(2)
-            exact = received_power(np.array([off, off]), np.array([0, 0]), CFG8)
+            exact = _data_power([off, off], [0, 0])
             worst = max(worst, abs(exact - p))
         print(f"main-lobe approximation max deviation: {worst:.5f}")
         assert worst == pytest.approx(0.179, abs=0.002)
@@ -100,6 +109,10 @@ class TestEstimateErrorNorm:
     def test_zero_power_saturates(self):
         grid = np.arange(0.0, EXTENT8 + STEP8 / 2, STEP8)
         assert estimate_error_norm(0.0, 8) == pytest.approx(grid[-1])
+        # the data-phase power at the first null, round-off near zero
+        null = _data_power([2 * np.pi / 8, 0.0], [0.0, 0.0])
+        assert null < 1e-12
+        assert estimate_error_norm(null, 8) == pytest.approx(grid[-1])
 
     def test_clamps_above_one(self):
         assert estimate_error_norm(1.3, 8) == 0.0
@@ -237,7 +250,7 @@ class TestDetectStep:
             if first_crossing is None and xi > nominal:
                 first_crossing = k
             off = xi / np.sqrt(2)
-            p = received_power(np.array([off, off]), np.array([0, 0]), CFG8)
+            p = _data_power([off, off], [0, 0])
             est = detect_step(p, cfg, counter)
             if est.realigned:
                 realign_frame = k

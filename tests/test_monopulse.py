@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from beamtrack.channel import synthesize_rx
+from beamtrack.channel import noise_variance, synthesize_rx
 from beamtrack.errors import DegenerateInputError
 from beamtrack.harness import ScenarioConfig
 from beamtrack.monopulse import extract_measurement, normalize_rx
@@ -114,10 +114,11 @@ class TestNoiseBehaviour:
     def _variance(cfg: ScenarioConfig, snr_db: float, trials: int, seed: int) -> float:
         noisy = replace(cfg, snr_db=snr_db, snr_reference="element")
         h = rank1_snapshot(0.3, -0.2, cfg)
+        var = noise_variance(noisy, np.mean(np.abs(h) ** 2))
         rng = np.random.default_rng(seed)
         vals = np.empty((trials, 2))
         for i in range(trials):
-            y = synthesize_rx(h, noisy, rng)
+            y = synthesize_rx(h, var, rng)
             vals[i] = extract_measurement(y, cfg).r
         return float(vals.var(axis=0).sum())
 
