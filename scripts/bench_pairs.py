@@ -13,26 +13,38 @@ prints every pair, each side's median and quartiles, and how many pairs the
 change wins (ties count for neither side).  A gain holds when the change wins
 at least nine tenths of the pairs and the medians differ, in the better
 direction, by more than the distance between the parent's quartiles.
+Under ``tf_per_ref_s`` it also prints, for each scheme whose
+``<scheme>.tf_per_ref_s`` every run printed, each side's median and their
+ratio, with no verdict: a gate that moves when only one scheme's operations
+move (fig9-sweep's codebook, say) shows it there.
 ``--tiny`` passes ``--tiny`` to every run, for a smoke run whose numbers mean
 nothing.
 """
 
 import argparse
 import json
+import re
 import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+# a printed metric line of bench/run.py: "  <scheme>.tf_per_ref_s  <value> <unit>"
+SCHEME_LINE = re.compile(r"\s+(\w+)\.tf_per_ref_s\s+(\S+)\s")
 
 
 def bench_run(root: Path, workload: str, seed: int, seconds: float, tiny: bool) -> dict:
-    """One ``--trace 0`` run in the checkout at root: its JSON result."""
+    """One ``--trace 0`` run in the checkout at root: its JSON result, with each scheme's
+    tf_per_ref_s under "schemes", read from the printed metric lines (the JSON holds only
+    the declared metrics)."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--trace", "0",
            "--seed", str(seed), "--seconds", str(seconds)] + (["--tiny"] if tiny else [])
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=True)
-    return json.loads(proc.stdout.splitlines()[-1])
+    lines = proc.stdout.splitlines()
+    result = json.loads(lines[-1])
+    result["schemes"] = {m[1]: float(m[2]) for m in map(SCHEME_LINE.match, lines) if m}
+    return result
 
 
 def quartiles(values: list) -> tuple[float, float, float]:
@@ -87,6 +99,13 @@ def main() -> None:
               f"change median {cm:.6g} [{c1:.6g}, {c3:.6g}]  "
               f"change/parent {cm / pm if pm else float('nan'):.4f}  "
               f"wins {wins}/{args.pairs}  gain holds {holds}")
+        if name == "tf_per_ref_s":
+            everywhere = [r["schemes"] for side in sides for r in runs[side]]
+            for scheme in [s for s in everywhere[0] if all(s in e for e in everywhere)]:
+                pm, cm = (statistics.median(r["schemes"][scheme] for r in runs[side])
+                          for side in sides)
+                print(f"  {scheme}.{name}  parent median {pm:.6g}  change median {cm:.6g}  "
+                      f"ratio {cm / pm if pm else float('nan'):.4f}")
 
 
 if __name__ == "__main__":

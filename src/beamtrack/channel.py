@@ -45,7 +45,7 @@ def steering_vector(u, n: int) -> np.ndarray:
     """Array response along one axis: element i is exp(-1j * i * u), shape (*shape(u), n)."""
     if n < 1:
         raise ValueError("need at least one element")
-    return np.exp(np.multiply.outer(-1j * np.asarray(u), np.arange(n)))
+    return np.exp(np.multiply.outer(-1j * u, np.arange(n)))
 
 
 def channel_matrix(gain, x: np.ndarray, cfg: ScenarioConfig) -> np.ndarray:
@@ -91,12 +91,11 @@ def synthesize_rx(h: np.ndarray, var: np.ndarray, rng) -> np.ndarray:
     return h + complex_noise(h.shape, var[..., None, None], rng)
 
 
-def beamforming_weight(x, cfg: ScenarioConfig) -> np.ndarray:
+def beamforming_weight(x: np.ndarray, cfg: ScenarioConfig) -> np.ndarray:
     """Unit-norm conjugate-steering weight toward the direction x = [..., u, v].
 
     Returns vec(w_x w_y^H) of length N; vec() is row-major over (x, y).
     """
-    x = np.asarray(x)
     wx = steering_vector(x[..., 0], cfg.n_x) / np.sqrt(cfg.n_x)
     wy = steering_vector(x[..., 1], cfg.n_y) / np.sqrt(cfg.n_y)
     return vec(outer(wx, wy.conj()))

@@ -28,14 +28,13 @@ class TrackerState:
 
     def where(self, mask: np.ndarray, other: "TrackerState") -> "TrackerState":
         """This state for the batch entries in mask, other's elsewhere."""
-        mask = np.asarray(mask)
         return TrackerState(x=np.where(mask[..., None], self.x, other.x),
                             p=np.where(mask[..., None, None], self.p, other.p))
 
 
 def measurement_fn(x: np.ndarray) -> np.ndarray:
     """g(x) = (tan(u/2), tan(v/2))."""
-    return np.tan(np.asarray(x, dtype=float) / 2.0)
+    return np.tan(x / 2.0)
 
 
 def predict(state: TrackerState, f: np.ndarray, q_p: np.ndarray) -> TrackerState:
@@ -55,9 +54,8 @@ def jacobian(x_pred: np.ndarray, mode: str = "paper-approx") -> np.ndarray:
     if mode == "paper-approx":
         return 0.5 * np.eye(2)
     if mode == "exact":
-        x = np.asarray(x_pred, dtype=float)
-        singular = np.any(np.abs(x) >= np.pi - 1e-6, axis=-1)
-        d = np.where(singular[..., None], np.nan, 0.5 / np.cos(x / 2.0) ** 2)
+        singular = np.any(np.abs(x_pred) >= np.pi - 1e-6, axis=-1)
+        d = np.where(singular[..., None], np.nan, 0.5 / np.cos(x_pred / 2.0) ** 2)
         return diag(d)
     raise ValueError(f"unknown Jacobian mode {mode!r}")
 
@@ -96,7 +94,7 @@ def update(
     """
     if r_hat is None:
         r_hat = measurement_fn(pred.x)
-    innovation = np.asarray(r, dtype=float) - r_hat
+    innovation = r - r_hat
     s = g_mat @ pred.p @ g_mat.mT + q_n
     k = _gain(s, pred.p @ g_mat.mT)
     new = TrackerState(pred.x + matvec(k, innovation), _symmetrize(pred.p - k @ s @ k.mT))
@@ -116,7 +114,6 @@ def step_result(innovation: np.ndarray, bound=float("nan")) -> dict:
     baseline step, which raises on an array of two or more entries, and tests compare the
     flags with `is True`, `is False` or `==` a list.
     """
-    innovation = np.asarray(innovation, dtype=float)
     valid = ~np.isnan(innovation).any(axis=-1)
     return {
         "meas_valid": valid.tolist(),
@@ -172,7 +169,6 @@ class InnovationNoiseEstimator:
 
     def estimate(self, prior: np.ndarray) -> np.ndarray:
         """Current Q_n estimate, or the prior while an entry's history is short."""
-        prior = np.asarray(prior, dtype=float)
         ready = self._count >= self.window
         if not ready.any():
             return prior

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -393,14 +394,20 @@ def _frames(cfg: ScenarioConfig, trials) -> dict[str, np.ndarray]:
 
 def _records(cols: dict[str, np.ndarray], i: int) -> list[FrameRecord]:
     """Trial i's FrameRecords from its batch's columns.  Their fields hold Python bool, int
-    and float only: _fmt writes an np.bool_ or an np.int64 as 1.0, and json cannot write an
-    np.int64."""
+    and float only: _fmt writes repr(x), which for a numpy scalar is not the number's text
+    (np.float64(0.5)), and json cannot write an np.int64."""
     rows = zip(*(column[:, i].tolist() for column in cols.values()))
     return [FrameRecord(k, *row) for k, row in enumerate(rows, start=1)]
 
 
 def run_batch(cfg: ScenarioConfig, trials, scheme: str | None = None) -> list[list[FrameRecord]]:
-    """Simulate the given trials together; each trial's records are those it gives alone."""
+    """Simulate the given trials together, one or more indices in [0, 2**64); each trial's
+    records are those it gives alone."""
+    # the rng keys take an index modulo 2**64, so one outside would alias another trial
+    trials = [operator.index(t) for t in trials]
+    bad = [t for t in trials if not 0 <= t < 2**64]
+    if bad or not trials:
+        raise ValueError(f"trial indices must be one or more in [0, 2**64), got {bad or 'none'}")
     cols = _frames(_for_scheme(cfg, scheme), trials)
     return [_records(cols, i) for i in range(len(trials))]
 
@@ -552,9 +559,7 @@ def trial_ledger(cfg: ScenarioConfig, scheme: str | None = None) -> ComplexityLe
 def _fmt(x: float | int | bool) -> str:
     if isinstance(x, bool):
         return "1" if x else "0"
-    if isinstance(x, int):
-        return str(x)
-    return repr(float(x))
+    return repr(x)
 
 
 def emit_trace(records: list[FrameRecord], path) -> None:

@@ -94,7 +94,7 @@ def detect_step(p_r: float, cfg: ScenarioConfig, consecutive: np.ndarray,
     """
     clipped = p_r > 1.0
     xi_hat = estimate_error_norm(p_r, cfg.n_x, cfg.n_y)
-    detected = bool(cfg.detect_enabled and xi_hat > cfg.threshold)
+    detected = cfg.detect_enabled and xi_hat > cfg.threshold
     count = consecutive[trial] + 1 if detected else 0
     realigned = bool(count >= cfg.detect_consecutive)
     consecutive[trial] = 0 if realigned else count

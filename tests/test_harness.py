@@ -261,6 +261,24 @@ class TestBatch:
         for t, records in enumerate(batch):
             assert _same_records(records, run_trial(cfg, t)), t
 
+    @pytest.mark.parametrize("trials", [[-1], [2**64], [0, 2**64], []])
+    def test_rejects_no_trial_and_indices_that_alias_another(self, trials):
+        # the rng keys take an index modulo 2**64: -1 ran as trial 2**64 - 1 and 2**64 as 0
+        with pytest.raises(ValueError, match=r"one or more in \[0, 2\*\*64\)"):
+            harness.run_batch(small_cfg(frames=3), trials)
+
+    def test_runs_the_ends_of_the_index_range_and_numpy_integers(self):
+        from beamtrack import rng
+
+        cfg = small_cfg(frames=3)
+        # a trial key cached from a Python int would hide how a numpy integer is keyed
+        rng._trial_half.cache_clear()
+        from_numpy = harness.run_batch(cfg, np.arange(2))
+        assert all(map(_same_records, from_numpy, harness.run_batch(cfg, [0, 1])))
+        last = harness.run_batch(cfg, [np.uint64(2**64 - 1), 0])
+        assert _same_records(last[0], run_trial(cfg, 2**64 - 1))
+        assert _same_records(last[1], from_numpy[0])
+
     @pytest.mark.parametrize("scheme", ["proposed", "codebook", "abp"])
     def test_failed_measurement_stays_in_its_trial(self, scheme):
         # the middle snapshot has no usable measurement: all pair sums vanish (proposed), no

@@ -139,12 +139,17 @@ def test_bench_pairs_reports_each_metric_with_wins():
     assert all("wins " in line and "/1  gain holds " in line for line in summaries)
     for name in ("tf_per_ref_s", "peak_rss_mb", "setup_s"):
         assert any(line.startswith(f"{name} (") for line in lines)
+    # cli-runs runs every scheme, so each has its line of medians
+    schemes = [line.split()[0] for line in lines if " ratio " in line]
+    assert schemes == ["proposed.tf_per_ref_s", "abp.tf_per_ref_s", "codebook.tf_per_ref_s"]
 
 
-def _bench_pairs_report(monkeypatch, capsys, tmp_path, values, seed=101):
+def _bench_pairs_report(monkeypatch, capsys, tmp_path, values, seed=101, schemes=None):
     """Run bench_pairs.main in process, its bench_run stubbed to return
-    values[metric][side][pair]; return the (side, pair) runs in call order and, per
-    metric, the reported wins and gain verdict."""
+    values[metric][side][pair] and, as each scheme's printed tf_per_ref_s,
+    schemes[scheme][side][pair] (None: not printed); return the (side, pair) runs in call
+    order and, per metric, the reported wins and gain verdict, and per scheme line, the
+    metric it follows, the two medians and their ratio."""
     spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
     bench_pairs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench_pairs)
@@ -155,7 +160,9 @@ def _bench_pairs_report(monkeypatch, capsys, tmp_path, values, seed=101):
         side, pair = roots[root], run_seed - seed
         runs.append((side, pair))
         metrics = {name: {"value": v[side][pair]} for name, v in values.items()}
-        return {"failed": 0, "attempted": 1, "correct": True, "metrics": metrics}
+        printed = {s: v[side][pair] for s, v in (schemes or {}).items() if v[side][pair] is not None}
+        return {"failed": 0, "attempted": 1, "correct": True, "metrics": metrics,
+                "schemes": printed}
 
     pairs = len(values["tf_per_ref_s"]["parent"])
     monkeypatch.setattr(bench_pairs, "bench_run", canned_run)
@@ -170,6 +177,9 @@ def _bench_pairs_report(monkeypatch, capsys, tmp_path, values, seed=101):
             wins = re.search(r"wins (\d+)/(\d+)", line)
             assert int(wins[2]) == pairs
             report[metric] = int(wins[1]), line.endswith("gain holds True")
+        elif m := re.fullmatch(r"  (\S+)  parent median (\S+)  change median (\S+)  ratio (\S+)",
+                               line):
+            report[m[1]] = (metric, *map(float, m.groups()[1:]))
     return runs, report
 
 
@@ -207,6 +217,22 @@ def test_bench_pairs_lower_is_better_counts_a_lower_value_as_a_win(monkeypatch, 
     values["setup_s"] = {"parent": [1.0] * 10, "change": [1.5] * 10}
     _, report = _bench_pairs_report(monkeypatch, capsys, tmp_path, values)
     assert report == {"tf_per_ref_s": (0, False), "peak_rss_mb": (10, True), "setup_s": (0, False)}
+
+
+def test_bench_pairs_prints_the_medians_of_each_scheme_every_run_printed(
+        monkeypatch, capsys, tmp_path):
+    schemes = {
+        "proposed": {"parent": [10.0, 30.0, 20.0], "change": [22.0, 21.0, 20.0]},
+        "abp": {"parent": [5.0] * 3, "change": [4.0] * 3},
+        "codebook": {"parent": [8.0] * 3, "change": [12.0, 12.0, None]},  # one run lacks it
+    }
+    _, report = _bench_pairs_report(monkeypatch, capsys, tmp_path,
+                                    _canned([1.0] * 3, [1.0] * 3), schemes=schemes)
+    # under tf_per_ref_s, with no verdict; the gated metrics' verdicts are as before
+    assert report == {"tf_per_ref_s": (0, False),
+                      "proposed.tf_per_ref_s": ("tf_per_ref_s", 20.0, 21.0, 1.05),
+                      "abp.tf_per_ref_s": ("tf_per_ref_s", 5.0, 4.0, 0.8),
+                      "peak_rss_mb": (0, False), "setup_s": (0, False)}
 
 
 def test_src_size_counts_lines_statements_and_tokens(tmp_path):
