@@ -8,14 +8,11 @@ class BeamtrackError(Exception):
 class MeasurementFailure(BeamtrackError):
     """No usable measurement could be formed for the current frame.
 
-    Nothing in beamtrack raises it any more: a failed measurement is a NaN row,
-    which ekf.update turns into a predict-only frame.  It stays defined because
+    Nothing in beamtrack raises it any more: a failed measurement, an all-zero
+    snapshot's included, is a NaN row, which ekf.update turns into a
+    predict-only frame of that trial alone.  It stays defined because
     the benchmark's tracer (bench/tracing.py) imports it.
     """
-
-
-class DegenerateInputError(BeamtrackError):
-    """An input is structurally unusable (e.g. an all-zero snapshot)."""
 
 
 class ConfigError(BeamtrackError):

@@ -7,7 +7,7 @@ noiseless case.  Averaging over all adjacent pairs on each axis gives a
 is vanishingly small is dropped from the average, and the measurement
 counts the dropped pairs over the batch.  A snapshot without a usable pair
 on an axis measures NaN there, which the EKF turns into a predict-only
-frame.
+frame.  An all-zero snapshot is one of them: it drops every pair.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .arrays import mean, vec
-from .errors import DegenerateInputError
 
 if TYPE_CHECKING:
     from .harness import ScenarioConfig
@@ -43,26 +42,25 @@ def normalize_rx(y: np.ndarray) -> np.ndarray:
 
     The reference is Y(0,0) when it is not vanishingly small, otherwise the
     largest-magnitude element.  Pairwise ratios are exactly invariant to
-    this scaling; it only conditions the arithmetic.
+    this scaling; it only conditions the arithmetic.  An all-zero snapshot
+    has no reference and keeps its zeros.
     """
     mags = vec(np.abs(y))
-    if not mags.max(axis=-1).all():
-        raise DegenerateInputError("all-zero snapshot cannot be normalized")
     g = y[..., 0, 0]
     small = np.hypot(g.real, g.imag) < DENOMINATOR_FLOOR * mean(mags)
     if small.any():
         peak = np.take_along_axis(vec(y), mags.argmax(axis=-1)[..., None], axis=-1)[..., 0]
         g = np.where(small, peak, g)
-    return y / g[..., None, None]
+    return y / np.where(g == 0, 1.0, g)[..., None, None]
 
 
 def _pair_average(a, b, mag_a, mag_b) -> tuple[np.ndarray, int]:
     """Mean of (a-b)/(a+b) over pairs with non-degenerate denominators, per snapshot (NaN
     where none is left), and the count of pairs dropped, summed over the batch; mag_a and
-    mag_b are |a| and |b|."""
+    mag_b are |a| and |b|.  An all-zero snapshot has a zero floor and drops every pair."""
     den = a + b
     floor = DENOMINATOR_FLOOR * np.maximum(mean(vec(mag_a)), mean(vec(mag_b)))
-    keep = vec(np.abs(den)) >= floor[..., None]
+    keep = (vec(np.abs(den)) >= floor[..., None]) & (floor > 0)[..., None]
     if keep.all():
         return mean(vec((a - b) / den)), 0
     excluded = keep.shape[-1] - np.add.reduce(keep, axis=-1)

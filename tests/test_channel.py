@@ -108,6 +108,10 @@ class TestEvolveGain:
         with pytest.raises(ValueError):
             evolve_gain(1.0 + 0.0j, 1.5, np.random.default_rng(0))
 
+    def test_rejects_negative_innovation_var(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            evolve_gain(1.0 + 0.0j, 0.9, np.random.default_rng(0), innovation_var=-1e-12)
+
     @pytest.mark.parametrize("innovation_var", [None, 0.0, 1e-4])
     def test_batch_equals_scalar_steps_on_each_trials_stream(self, innovation_var):
         trials = [0, 2, 5]

@@ -319,6 +319,15 @@ def test_out_dir_collision_exits_3(runner, tiny_config, tmp_path):
     assert result.exit_code == 3
 
 
+def test_unwritable_output_file_exits_3(runner, tiny_config, tmp_path):
+    out = tmp_path / "out"
+    (out / "proposed_trace.csv").mkdir(parents=True)
+    result = runner.invoke(main, ["run", "--config", str(tiny_config), "--out", str(out)])
+    assert result.exit_code == 3
+    assert result.stderr.startswith("error: cannot write ")
+    assert "Traceback" not in result.output
+
+
 def test_env_var_overrides_out_dir(runner, tiny_config, tmp_path, monkeypatch):
     env_dir = tmp_path / "env_out"
     monkeypatch.setenv("BEAMTRACK_OUT", str(env_dir))

@@ -281,34 +281,36 @@ class TestBatch:
 
     @pytest.mark.parametrize("scheme", ["proposed", "codebook", "abp"])
     def test_failed_measurement_stays_in_its_trial(self, scheme):
-        # the middle snapshot has no usable measurement: all pair sums vanish (proposed), no
-        # beam power (abp), NaN observations (codebook)
+        # the middle snapshot has no usable measurement: all pair sums vanish or it is all
+        # zero (proposed), no beam power (abp), NaN observations (codebook)
         cfg = small_cfg(scheme=scheme)
         good = [rank1_snapshot(0.1, 0.2, cfg), rank1_snapshot(-0.2, 0.1, cfg)]
-        bad = {"proposed": rank1_snapshot(np.pi, np.pi, cfg),
-               "abp": np.zeros((8, 8), dtype=complex),
-               "codebook": np.full((8, 8), np.nan, dtype=complex)}[scheme]
-        y = np.array([good[0], bad, good[1]])
+        zeros = np.zeros((8, 8), dtype=complex)
+        bads = {"proposed": [rank1_snapshot(np.pi, np.pi, cfg), zeros],
+                "abp": [zeros],
+                "codebook": [np.full((8, 8), np.nan, dtype=complex)]}[scheme]
         x0 = np.array([[0.1, 0.2], [0.1, 0.1], [-0.2, 0.1]])
-        tracker = harness.TRACKERS[scheme](cfg, initial_state(x0, 0.01))
-        out = tracker.step(y)
-        assert out["meas_valid"] == [True, False, True]
-        pred = predict(initial_state(x0[1], 0.01), cfg.f, cfg.q_p)
-        assert tracker.state.x[1].tobytes() == pred.x.tobytes()
-        for i in (0, 2):
-            alone = harness.TRACKERS[scheme](cfg, initial_state(x0[i], 0.01))
-            out_alone = alone.step(y[i])
-            assert tracker.state.x[i].tobytes() == alone.state.x.tobytes()
-            assert tracker.state.p[i].tobytes() == alone.state.p.tobytes()
-            assert repr({k: v[i] for k, v in out.items()}) == repr(out_alone)
-        # a batch whose every entry fails, and a failing batch of one: both predict only
-        for start in (x0, x0[1:2]):
-            tracker = harness.TRACKERS[scheme](cfg, initial_state(start, 0.01))
-            out = tracker.step(np.array([bad] * len(start)))
-            assert out["meas_valid"] == [False] * len(start)
-            pred = predict(initial_state(start, 0.01), cfg.f, cfg.q_p)
-            assert tracker.state.x.tobytes() == pred.x.tobytes()
-            assert tracker.state.p.tobytes() == pred.p.tobytes()
+        for bad in bads:
+            y = np.array([good[0], bad, good[1]])
+            tracker = harness.TRACKERS[scheme](cfg, initial_state(x0, 0.01))
+            out = tracker.step(y)
+            assert out["meas_valid"] == [True, False, True]
+            pred = predict(initial_state(x0[1], 0.01), cfg.f, cfg.q_p)
+            assert tracker.state.x[1].tobytes() == pred.x.tobytes()
+            for i in (0, 2):
+                alone = harness.TRACKERS[scheme](cfg, initial_state(x0[i], 0.01))
+                out_alone = alone.step(y[i])
+                assert tracker.state.x[i].tobytes() == alone.state.x.tobytes()
+                assert tracker.state.p[i].tobytes() == alone.state.p.tobytes()
+                assert repr({k: v[i] for k, v in out.items()}) == repr(out_alone)
+            # a batch whose every entry fails, and a failing batch of one: both predict only
+            for start in (x0, x0[1:2]):
+                tracker = harness.TRACKERS[scheme](cfg, initial_state(start, 0.01))
+                out = tracker.step(np.array([bad] * len(start)))
+                assert out["meas_valid"] == [False] * len(start)
+                pred = predict(initial_state(start, 0.01), cfg.f, cfg.q_p)
+                assert tracker.state.x.tobytes() == pred.x.tobytes()
+                assert tracker.state.p.tobytes() == pred.p.tobytes()
 
     def test_singular_s_in_one_trial_fails_only_that_trial(self):
         # trial 1 starts with P = 0 and has no noise: its S = 0 is singular

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from beamtrack.channel import noise_variance, synthesize_rx
-from beamtrack.errors import DegenerateInputError
 from beamtrack.harness import ScenarioConfig
 from beamtrack.monopulse import extract_measurement, normalize_rx
 
@@ -31,9 +30,26 @@ class TestNormalizeRx:
         r2 = extract_measurement((3.0 - 2.0j) * y, cfg).r
         assert np.allclose(r1, r2, rtol=0.0, atol=1e-14)
 
-    def test_all_zero_raises(self):
-        with pytest.raises(DegenerateInputError):
-            normalize_rx(np.zeros((4, 4), dtype=complex))
+    def test_peak_is_the_reference_when_y00_is_below_the_floor(self):
+        cfg = ScenarioConfig(n_x=4, n_y=4)
+        y = rank1_snapshot(0.4, -0.7, cfg) * np.linspace(1.0, 2.0, 16).reshape(4, 4)
+        y[0, 0] = 1e-20
+        assert normalize_rx(y)[3, 3] == pytest.approx(1.0 + 0.0j, abs=1e-15)
+        r1 = extract_measurement(y, cfg).r
+        r2 = extract_measurement((3.0 - 2.0j) * y, cfg).r
+        assert np.allclose(r1, r2, rtol=0.0, atol=1e-14)
+
+    def test_all_zero_snapshot_is_its_own_nan_row(self, cfg8):
+        # it has no reference, keeps its zeros and drops every pair on both axes; the
+        # snapshots beside it measure as they do alone
+        zeros = np.zeros((8, 8), dtype=complex)
+        assert np.array_equal(normalize_rx(zeros), zeros)
+        good = rank1_snapshot(0.3, -0.2, cfg8)
+        m = extract_measurement(np.array([good, zeros, good]), cfg8)
+        assert np.isnan(m.r[1]).all()
+        assert m.excluded_pairs == 2 * 8 * 8 - 8 - 8
+        alone = extract_measurement(good, cfg8).r.tobytes()
+        assert m.r[0].tobytes() == alone and m.r[2].tobytes() == alone
 
 
 class TestMonopulseAxes:
