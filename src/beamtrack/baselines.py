@@ -102,6 +102,9 @@ class CodebookTracker:
         self.state = state
         self.alpha_pred = 1.0 + 0.0j
         self.q_n = self.noise_var(cfg) * np.eye(2 * cfg.k_beams**2)
+        # update forms each trial's S here: a fresh 2K^2 x 2K^2 array per update costs more
+        # in the allocator's mapping and trimming than in the arithmetic
+        self.s = np.empty_like(self.q_n)
         self.w_h = build_codebook(cfg)
 
     frame_cost = staticmethod(lambda k2: (2 * k2, k2))  # (measurement size, pilot slots) per frame
@@ -127,7 +130,7 @@ class CodebookTracker:
         innovation = np.empty(z.shape)
         for i in np.ndindex(x.shape[:-1]):
             new, innovation[i], _ = update(TrackerState(pred.x[i], pred.p[i]), z[i], g[i],
-                                           self.q_n, z_hat[i])
+                                           self.q_n, z_hat[i], self.s)
             x[i], p[i] = new.x, new.p
         self.state = TrackerState(x, p)
         return step_result(innovation)

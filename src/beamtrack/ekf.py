@@ -82,20 +82,24 @@ def update(
     g_mat: np.ndarray,
     q_n: np.ndarray,
     r_hat: np.ndarray | None = None,
+    s: np.ndarray | None = None,
 ) -> tuple[TrackerState, np.ndarray, np.ndarray]:
     """Measurement update; returns (state, innovation, kalman_gain).
 
     innovation = r - r_hat, where r_hat defaults to the monopulse model
     g(x^-); K = P^- G^T S^-1; P = P^- - K S K^T, symmetrized against
-    round-off drift.  A singular S (Q_n negligible next to G P^- G^T) fails
-    the entry's measurement: its gain is NaN.  An entry whose updated x or P
-    is not finite keeps its prediction (a predict-only frame) and gets a NaN
+    round-off drift.  S = G P^- G^T + Q_n is formed in `s` when given, an
+    array of S's shape that a caller reuses from update to update.  A
+    singular S (Q_n negligible next to G P^- G^T) fails the entry's
+    measurement: its gain is NaN.  An entry whose updated x or P is not
+    finite keeps its prediction (a predict-only frame) and gets a NaN
     innovation row; its gain is returned as computed.
     """
     if r_hat is None:
         r_hat = measurement_fn(pred.x)
     innovation = r - r_hat
-    s = g_mat @ pred.p @ g_mat.mT + q_n
+    s = np.matmul(g_mat @ pred.p, g_mat.mT, out=s)
+    s += q_n
     k = _gain(s, pred.p @ g_mat.mT)
     new = TrackerState(pred.x + matvec(k, innovation), _symmetrize(pred.p - k @ s @ k.mT))
     ok = np.isfinite(new.x).all(axis=-1) & np.isfinite(new.p).all(axis=(-2, -1))

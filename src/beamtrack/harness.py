@@ -7,7 +7,8 @@ realignment).  All schemes consume identical truth and noise streams per
 (trial, frame), so scheme comparisons are paired.
 
 run_experiment splits a run's trials into contiguous blocks, one per process
-(shard_count: the usable cores over the BLAS threads, one process when no BLAS
+(shard_count: the usable cores over the BLAS threads, at most one per
+MIN_SHARD_TRIAL_FRAMES trial-frames and one per trial, one process when no BLAS
 thread count is set); the first block runs in the calling process, each other
 in a forked child that sends back the columns the summary folds.  The trials
 of a block advance together in one frame loop: truth, gain, estimate,
@@ -438,22 +439,26 @@ class ExperimentSummary:
         }
 
 
-# a run gives each process at least this many trials: fig9 proposed (the lightest scheme)
-# ran 1.13-1.26x faster as two blocks of 8 than as one batch of 16, and 1.05x at 6
-MIN_SHARD_TRIALS = 8
+# a run gives each process at least this many trial-frames (a fork costs the same for every
+# run, the work it moves grows with them): on 2 cores, proposed (the lightest scheme) ran
+# 1.13-1.23x faster in two processes of 400 than in one on fig9, fig4a, fig6 8x16 and a
+# 2-trial fig6 8x16 run, and 0.94-1.04x at 100 (scripts/shard_crossover.py)
+MIN_SHARD_TRIAL_FRAMES = 400
 # the columns the summary folds; a trial block run in a child process returns only these
 _FOLDED = ("err_norm", "bound", "realigned")
 
 
-def shard_count(cores: int, environ, trials: int) -> int:
-    """Processes a run of `trials` uses: one per BLAS thread group of the usable cores, each
-    with MIN_SHARD_TRIALS trials or more.  Without a BLAS thread count in the environment
-    (OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS) BLAS may use every core, so one."""
+def shard_count(cores: int, environ, trials: int, frames: int) -> int:
+    """Processes a run of `trials` trials of `frames` frames uses: one per BLAS thread group
+    of the usable cores, each with a trial or more and MIN_SHARD_TRIAL_FRAMES trial-frames
+    or more.  Without a BLAS thread count in the environment (OPENBLAS_NUM_THREADS, else
+    OMP_NUM_THREADS) BLAS may use every core, so one."""
     try:
         threads = int(environ.get("OPENBLAS_NUM_THREADS") or environ["OMP_NUM_THREADS"])
     except (KeyError, ValueError):
         return 1
-    return max(1, min(cores // threads, trials // MIN_SHARD_TRIALS)) if threads > 0 else 1
+    return (max(1, min(cores // threads, trials, trials * frames // MIN_SHARD_TRIAL_FRAMES))
+            if threads > 0 else 1)
 
 
 def run_experiment(cfg: ScenarioConfig, scheme: str | None = None) -> ExperimentSummary:
@@ -462,7 +467,7 @@ def run_experiment(cfg: ScenarioConfig, scheme: str | None = None) -> Experiment
     cfg = _for_scheme(cfg, scheme)
     # sched_getaffinity is Linux's; elsewhere a run stays in one process
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    return _experiment(cfg, shard_count(cores, os.environ, cfg.trials))
+    return _experiment(cfg, shard_count(cores, os.environ, cfg.trials, cfg.frames))
 
 
 def _experiment(cfg: ScenarioConfig, shards: int) -> ExperimentSummary:

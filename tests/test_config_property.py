@@ -159,8 +159,8 @@ def checked_update(monkeypatch):
     the list collects every problem its checks find."""
     problems = []
 
-    def checked(pred, r, g_mat, q_n, r_hat=None):
-        out = ekf.update(pred, r, g_mat, q_n, r_hat)
+    def checked(pred, r, g_mat, q_n, r_hat=None, s=None):
+        out = ekf.update(pred, r, g_mat, q_n, r_hat, s)
         problems.extend(_batch_problems(pred, r, g_mat, q_n, r_hat, out))
         return out
 

@@ -445,42 +445,67 @@ def _in_block(hook):
 
 
 class TestShardCount:
-    """shard_count is a pure function of the usable cores, the environment and the trials."""
+    """shard_count is a pure function of the usable cores, the environment, the trials and
+    the frames."""
 
-    M = harness.MIN_SHARD_TRIALS
+    M = harness.MIN_SHARD_TRIAL_FRAMES
 
     def test_serial_without_a_blas_thread_count(self):
         # BLAS may then use every core: a second process would oversubscribe them
-        assert harness.shard_count(64, {}, 100 * self.M) == 1
-        assert harness.shard_count(64, {"MKL_NUM_THREADS": "1"}, 100 * self.M) == 1
+        assert harness.shard_count(64, {}, 100, self.M) == 1
+        assert harness.shard_count(64, {"MKL_NUM_THREADS": "1"}, 100, self.M) == 1
 
     def test_one_process_per_blas_thread_group(self):
-        assert harness.shard_count(2, {"OPENBLAS_NUM_THREADS": "1"}, 100 * self.M) == 2
-        assert harness.shard_count(2, {"OPENBLAS_NUM_THREADS": "2"}, 100 * self.M) == 1
-        assert harness.shard_count(8, {"OPENBLAS_NUM_THREADS": "2"}, 100 * self.M) == 4
-        assert harness.shard_count(8, {"OPENBLAS_NUM_THREADS": "3"}, 100 * self.M) == 2
-        assert harness.shard_count(1, {"OPENBLAS_NUM_THREADS": "1"}, 100 * self.M) == 1
+        assert harness.shard_count(2, {"OPENBLAS_NUM_THREADS": "1"}, 100, self.M) == 2
+        assert harness.shard_count(2, {"OPENBLAS_NUM_THREADS": "2"}, 100, self.M) == 1
+        assert harness.shard_count(8, {"OPENBLAS_NUM_THREADS": "2"}, 100, self.M) == 4
+        assert harness.shard_count(8, {"OPENBLAS_NUM_THREADS": "3"}, 100, self.M) == 2
+        assert harness.shard_count(1, {"OPENBLAS_NUM_THREADS": "1"}, 100, self.M) == 1
 
     def test_openblas_threads_before_omp_threads(self):
-        assert harness.shard_count(4, {"OMP_NUM_THREADS": "1"}, 100 * self.M) == 4
+        assert harness.shard_count(4, {"OMP_NUM_THREADS": "1"}, 100, self.M) == 4
         both = {"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}
-        assert harness.shard_count(4, both, 100 * self.M) == 1
+        assert harness.shard_count(4, both, 100, self.M) == 1
         # an empty OPENBLAS_NUM_THREADS is unset
         assert harness.shard_count(4, {"OPENBLAS_NUM_THREADS": "", "OMP_NUM_THREADS": "2"},
-                                   100 * self.M) == 2
+                                   100, self.M) == 2
 
     @pytest.mark.parametrize("value", ["0", "-1", "two", "1.5", " "])
     def test_unreadable_thread_count_is_serial(self, value):
-        assert harness.shard_count(8, {"OPENBLAS_NUM_THREADS": value}, 100 * self.M) == 1
+        assert harness.shard_count(8, {"OPENBLAS_NUM_THREADS": value}, 100, self.M) == 1
 
     def test_each_process_gets_the_minimum_block(self):
         env = {"OPENBLAS_NUM_THREADS": "1"}
-        assert harness.shard_count(8, env, 2 * self.M - 1) == 1
-        assert harness.shard_count(8, env, 2 * self.M) == 2
-        assert harness.shard_count(8, env, 3 * self.M + 1) == 3
-        assert harness.shard_count(8, env, 1) == 1
-        # the benchmark's detect-8x16 and cli-runs operations (10 and 2 trials) stay serial
-        assert harness.shard_count(8, env, 10) == harness.shard_count(8, env, 2) == 1
+        assert harness.shard_count(8, env, 2 * self.M - 1, 1) == 1
+        assert harness.shard_count(8, env, 2 * self.M, 1) == 2
+        assert harness.shard_count(8, env, 1, 2 * self.M) == 1
+        assert harness.shard_count(8, env, 3, self.M) == 3
+        assert harness.shard_count(8, env, 3, self.M - 1) == 2
+
+    def test_no_process_gets_an_empty_block(self):
+        env = {"OPENBLAS_NUM_THREADS": "1"}
+        assert harness.shard_count(8, env, 1, 10**6) == 1
+        # a 2-trial run of 400 frames or more: two one-trial blocks
+        assert harness.shard_count(8, env, 2, self.M) == 2
+        assert harness.shard_count(8, env, 2, self.M - 1) == 1
+
+    def test_50_frame_runs_keep_the_eight_trial_rule(self):
+        # fig7, fig8, fig9 and the benchmark's fig9-sweep run 50 frames a trial
+        env = {"OPENBLAS_NUM_THREADS": "1"}
+        for cores in (2, 8):
+            assert [harness.shard_count(cores, env, t, 50) for t in range(1, 2001)] == [
+                max(1, min(cores, t // 8)) for t in range(1, 2001)]
+
+    def test_100_frame_runs_shard_from_eight_trials(self):
+        env = {"OPENBLAS_NUM_THREADS": "1"}
+        assert harness.shard_count(2, env, 7, 100) == 1
+        assert harness.shard_count(2, env, 8, 100) == 2
+
+    def test_benchmark_shapes_on_two_cores(self):
+        env = {"OPENBLAS_NUM_THREADS": "1"}
+        # detect-8x16 runs 10 trials of fig6's 100 frames; cli-runs 2 trials of 50 or 100
+        assert harness.shard_count(2, env, 10, 100) == 2
+        assert harness.shard_count(2, env, 2, 50) == harness.shard_count(2, env, 2, 100) == 1
 
 
 class TestShardedRun:
@@ -513,6 +538,12 @@ class TestShardedRun:
         serial, sharded = _serial_and_sharded(cfg, 2)
         assert sharded == serial
 
+    def test_detect_8x16_shape_in_two_processes(self):
+        # the benchmark's detect-8x16 operation: fig6 on 8x16, 10 trials of 100 frames
+        cfg = dataclasses.replace(_fig6_8x16(), trials=10)
+        serial, sharded = _serial_and_sharded(cfg, 2)
+        assert sharded == serial
+
     def test_uneven_split(self):
         cfg = small_cfg(trials=67, frames=6, detect_enabled=True)
         serial, sharded = _serial_and_sharded(cfg, 3)
@@ -523,10 +554,11 @@ class TestShardedRun:
         helper = harness._experiment
         monkeypatch.setattr(harness, "_experiment", lambda cfg, n: counts.append(n) or helper(cfg, n))
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-        cfg = small_cfg(trials=2 * harness.MIN_SHARD_TRIALS)
+        cfg = small_cfg(trials=8, frames=2 * harness.MIN_SHARD_TRIAL_FRAMES // 8)
         run_experiment(cfg)
         cores = len(os.sched_getaffinity(0))
-        assert counts == [harness.shard_count(cores, {"OPENBLAS_NUM_THREADS": "1"}, cfg.trials)]
+        env = {"OPENBLAS_NUM_THREADS": "1"}
+        assert counts == [harness.shard_count(cores, env, cfg.trials, cfg.frames)]
 
 
 def _fig6_8x16():
@@ -670,7 +702,7 @@ class TestShardLifecycle:
                 raise MemoryError()
 
         monkeypatch.setattr(harness, "_frames", _in_block(no_memory_late))
-        monkeypatch.setattr(harness, "shard_count", lambda cores, environ, trials: 2)
+        monkeypatch.setattr(harness, "shard_count", lambda cores, environ, trials, frames: 2)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"frames": 3, "trials": 4}))
         result = CliRunner().invoke(main, ["run", "--config", str(cfg), "--out", str(tmp_path)])

@@ -103,6 +103,26 @@ def test_bound_experiment_zero_trials_is_a_usage_error():
     assert "Traceback" not in proc.stderr and not proc.stdout
 
 
+def test_shard_crossover_prints_a_ratio_per_row():
+    lines = run_script("shard_crossover.py", "--tiny")
+    assert lines[0].startswith("cores ")
+    assert lines[1].split() == ["row", "tf/proc", "trials", "frames", "1", "proc", "ms", "2",
+                                "proc", "ms", "ratio"]
+    rows = [line.rsplit(None, 6) for line in lines[2:]]
+    assert [r[0] for r in rows] == ["fig9 8x8", "fig4a 8x8", "fig6 8x16", "fig6 8x16 2-trial"]
+    for _, per_process, trials, frames, one, two, ratio in rows:
+        # each of the two processes gets the row's trial-frames
+        assert int(trials) * int(frames) == 2 * int(per_process)
+        assert float(one) > 0 and float(two) > 0 and math.isfinite(float(ratio))
+
+
+def test_shard_crossover_bad_per_process_is_a_usage_error():
+    proc = _run("shard_crossover.py", "--per-process", "100,x")
+    assert proc.returncode == 2
+    assert "error: --per-process must be comma-separated integers" in proc.stderr
+    assert "Traceback" not in proc.stderr and not proc.stdout
+
+
 def test_bench_record_writes_every_workload_and_criterion(tmp_path):
     junit = tmp_path / "tier1.xml"
     junit.write_text(
