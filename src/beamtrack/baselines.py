@@ -9,9 +9,12 @@ nearest the prediction (measurement dimension 2).
 Each tracker builds only the beam table it reads, in its __init__, each table one
 batched call: the codebook tracker its conjugated (K^2, N) weight matrix, ABP its axis
 angles and the squinted weights around them per axis.  A run builds one tracker for all
-its trials.  Both step a batch of trials at once: states and snapshots carry a leading
-batch axis.  An entry whose measurement fails has a NaN measurement row, which
-ekf.update turns into a predict-only frame.
+its trials.  Each tracker's observe(y) turns pilot snapshots with any leading axes into
+what its step reads, and a run observes a chunk of frames at once: the codebook tracker
+its stacked beam outputs, ABP the snapshot itself, as its beams follow the prediction.
+Both step a batch of trials at once: states and observations carry a leading batch
+axis.  An entry whose measurement fails has a NaN measurement row, which ekf.update
+turns into a predict-only frame.
 """
 
 from __future__ import annotations
@@ -119,11 +122,15 @@ class CodebookTracker:
         guv = cfg.gain_uncertainty_var if giv is None or giv > 0 else 0.0
         return noise_variance(cfg, 1.0) / 2.0 + 0.5 * guv * n / k**2
 
-    def step(self, y: np.ndarray) -> dict:
+    def observe(self, y: np.ndarray) -> np.ndarray:
+        """The stacked beam outputs of pilot snapshots y, shape (..., 2K^2)."""
+        return codebook_measurement(vec(y), self.w_h)
+
+    def step(self, z: np.ndarray) -> dict:
+        """One frame from the observations z (observe) of the batch's snapshots."""
         cfg = self.cfg
         self.alpha_pred *= cfg.rho_gain
         pred = predict(self.state, cfg.f, cfg.q_p)
-        z = codebook_measurement(vec(y), self.w_h)
         z_hat, g = codebook_model(pred.x, cfg, self.w_h, self.alpha_pred)
         # the 2K^2 x 2K^2 update is BLAS-bound and large: one trial at a time
         x, p = np.empty_like(pred.x), np.empty_like(pred.p)
@@ -222,7 +229,13 @@ class AbpTracker:
         dzm = 2.0 * p_plus / square(total, 2)
         return zeta, slope, np.maximum(square(dzp, 2) * var_p + square(dzm, 2) * var_m, _Q_N_FLOOR)
 
+    @staticmethod
+    def observe(y: np.ndarray) -> np.ndarray:
+        """The pilot snapshots y themselves: the beams that measure them follow the prediction."""
+        return y
+
     def step(self, y: np.ndarray) -> dict:
+        """One frame from the batch's pilot snapshots y (observe)."""
         cfg = self.cfg
         pred = predict(self.state, cfg.f, cfg.q_p)
         beams = self._beams(pred.x)

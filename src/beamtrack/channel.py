@@ -6,9 +6,12 @@ loss), the pilot and data symbols are 1, and the noise level is set
 directly through a quoted SNR.
 
 Angles, gains and snapshots may carry leading batch axes (one entry per
-trial); the functions then work on each entry as on a single one, through the
-primitives of beamtrack.arrays, and draw from a rng.TrialDraws with the trial
-axis first where a single entry draws from a Generator.
+trial, or per frame and trial of a chunk of frames); the functions then work
+on each entry as on a single one, through the primitives of beamtrack.arrays,
+and draw from a rng.TrialDraws with the same leading axes where a single entry
+draws from a Generator.  A run synthesizes a chunk's channels, snapshots and
+data-phase noise in one call each, ahead of the frames that read them, and
+steps the gain one frame at a time.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ def channel_matrix(gain, x: np.ndarray, cfg: ScenarioConfig) -> np.ndarray:
 def evolve_gain(alpha: complex | np.ndarray, rho: float, rng,
                 innovation_var: float | None = None) -> complex | np.ndarray:
     """First-order Gauss-Markov step for the channel gain: a Python complex from a
-    Generator, or a (trials,) array from a rng.TrialDraws.
+    Generator, or a (trials,) array from one frame of a rng.TrialDraws (draws[j]).
 
     innovation_var defaults to the literal (1 - rho^2 / 2) of the source
     model.  That normalization does not vanish at rho = 1, which is unusual
@@ -78,7 +81,7 @@ def evolve_gain(alpha: complex | np.ndarray, rho: float, rng,
 def complex_noise(shape, variance, rng) -> np.ndarray:
     """Circularly-symmetric complex Gaussian noise with total variance per entry; the
     variance broadcasts against shape.  rng is a Generator, or a rng.TrialDraws whose
-    trial axis leads shape."""
+    leading axes lead shape."""
     if not np.any(variance):
         return np.zeros(shape, dtype=complex)
     s = np.sqrt(variance / 2.0)
@@ -101,12 +104,17 @@ def beamforming_weight(x: np.ndarray, cfg: ScenarioConfig) -> np.ndarray:
     return vec(outer(wx, wy.conj()))
 
 
+def combine(w: np.ndarray, h_vec: np.ndarray, n: np.ndarray):
+    """Data-phase combiner output r = w^H h + w^H n for the unit data symbol and the element
+    noise n."""
+    return vdot(w, h_vec) + vdot(w, n)
+
+
 def beamformed_signal(w: np.ndarray, h_vec: np.ndarray, var: np.ndarray, rng):
-    """Data-phase combiner output r = w^H h + w^H n for the unit data symbol, with element
-    noise of variance var (one per batch entry), the frame's noise_variance.
+    """combine with element noise of variance var (one per batch entry), the frame's
+    noise_variance.
 
     The combiner is unit norm, so the noise term keeps the per-element
     variance.
     """
-    n = complex_noise(h_vec.shape, var[..., None], rng)
-    return vdot(w, h_vec) + vdot(w, n)
+    return combine(w, h_vec, complex_noise(h_vec.shape, var[..., None], rng))

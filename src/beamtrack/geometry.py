@@ -43,7 +43,8 @@ def rotation_matrix(psi: float) -> np.ndarray:
 
 def evolve_state(x: np.ndarray, f: np.ndarray, sigma: tuple[float, float], rng) -> np.ndarray:
     """One step of the truth dynamics x' = F x + w, w ~ N(0, diag(sigma)^2), for x of shape
-    (..., 2); rng is a Generator, or a rng.TrialDraws with one trial per row of x.
+    (..., 2); rng is a Generator, or one frame of a rng.TrialDraws (draws[j]) with one
+    trial per row of x.
 
     The result is not clamped to [-pi, pi]; out-of-range states are the
     misalignment detector's problem, not the dynamics'.

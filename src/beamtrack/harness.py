@@ -11,22 +11,31 @@ run_experiment splits a run's trials into contiguous blocks, one per process
 MIN_SHARD_TRIAL_FRAMES trial-frames and one per trial, one process when no BLAS
 thread count is set); the first block runs in the calling process, each other
 in a forked child that sends back the columns the summary folds.  The trials
-of a block advance together in one frame loop: truth, gain, estimate,
-covariance, Q_n window, detector counters and measurement validity are arrays
-with a leading trial axis, and run_trial is a batch of one.  Each frame step is
-one call for the whole batch; each of its draws is one rng.TrialDraws, a
-stream per trial.  Only the initial draws, the detector's table lookup and the
-codebook's 2K^2 x 2K^2 update stay per trial.  A block builds one tracker,
-which builds its own tables (the baselines' beam weights), so a config holds
-none.
+of a block advance together: truth, gain, estimate, covariance, Q_n window,
+detector counters and measurement validity are arrays with a leading trial
+axis, and run_trial is a batch of one.  The frames go in chunks of up to
+CHUNK_ENTRIES snapshot entries, one frame at least.  A chunk first synthesizes, for all its
+(frame, trial) pairs, what does not depend on the estimate: each purpose's
+draws are one rng.TrialDraws, a stream per (frame, trial); the truth and gain
+steps run frame by frame; the channel, noise level, pilot snapshot, each
+tracker's observation of it (Tracker.observe) and the data-phase noise are one
+call each.  Then a frame loop keeps what reads the estimate: the tracker step,
+the data-phase combiner, the detector and the record.  A trial realigned in a
+chunk has its truth re-evolved from the residual draw over the rest of the
+chunk, with the process draws already made, and what follows from it
+synthesized again.  Only the initial and realignment draws, the detector's
+table lookup and the codebook's 2K^2 x 2K^2 update stay per trial.  A block
+builds one tracker, which builds its own tables (the baselines' beam weights),
+so a config holds none.
 
 Same bytes when batching: a trial's records do not depend on the batch it runs
-in, and equal those of the per-trial loop this replaced.  Each batched
-operation rounds like the per-entry call (the primitives of beamtrack.arrays).
-A block's records are (frames, trials) arrays, one per FrameRecord field; the
-summary puts the blocks' columns side by side in trial order and sums over
-trials in that order (arrays.ordered_sum), so a run's bytes do not depend on
-its process count.  _records makes the Python scalars a record holds.
+in or on the chunk length, and equal those of the per-trial loop this
+replaced.  Each batched operation rounds like the per-entry call (the
+primitives of beamtrack.arrays).  A block's records are (frames, trials)
+arrays, one per FrameRecord field; the summary puts the blocks' columns side
+by side in trial order and sums over trials in that order
+(arrays.ordered_sum), so a run's bytes do not depend on its process count.
+_records makes the Python scalars a record holds.
 """
 
 from __future__ import annotations
@@ -45,7 +54,7 @@ from . import rng as rngmod
 from .analysis import bound_step
 from .arrays import abs2, mean, norm, ordered_sum, vec
 from .baselines import ABP_SQUINT_FACTOR, AbpTracker, CodebookTracker
-from .channel import (beamformed_signal, beamforming_weight, channel_matrix, evolve_gain,
+from .channel import (beamforming_weight, channel_matrix, combine, complex_noise, evolve_gain,
                       noise_variance, synthesize_rx)
 from .ekf import (InnovationNoiseEstimator, TrackerState, initial_state, jacobian, predict,
                   step_result, update)
@@ -295,17 +304,21 @@ class ProposedTracker:
         )
         self.q_n_relaxed = np.eye(2) * cfg.sigma_nb_sq   # the bound's Q_n'
 
-    def step(self, y: np.ndarray) -> dict:
+    def observe(self, y: np.ndarray) -> np.ndarray:
+        """The monopulse measurements r of pilot snapshots y, shape (..., 2)."""
+        return extract_measurement(y, self.cfg).r
+
+    def step(self, r: np.ndarray) -> dict:
+        """One frame from the monopulse measurements r (observe) of the batch's snapshots."""
         cfg = self.cfg
         p_prev = self.state.p
         pred = predict(self.state, cfg.f, cfg.q_p)
-        meas = extract_measurement(y, cfg)
         g = jacobian(pred.x, cfg.jacobian_mode)
         if cfg.q_n_mode == "estimated":
             q_n = self.estimator.estimate(self.q_n_prior)
         else:
             q_n = self.q_n_prior
-        self.state, innovation, k = update(pred, meas.r, g, q_n)
+        self.state, innovation, k = update(pred, r, g, q_n)
         self.estimator.push(innovation, g, pred.p)
         return step_result(innovation, bound_step(p_prev, k, g, cfg.f, cfg.q_p, self.q_n_relaxed))
 
@@ -318,7 +331,8 @@ class ProposedTracker:
         self.estimator.floor[mask] = InnovationNoiseEstimator.floor
 
 
-# every tracker is built as Tracker(cfg, state)
+# every tracker is built as Tracker(cfg, state); its observe(y) maps pilot snapshots with any
+# leading axes to what its step reads for a batch of trials
 TRACKERS = {"proposed": ProposedTracker, "codebook": CodebookTracker, "abp": AbpTracker}
 SCHEMES = tuple(TRACKERS)
 
@@ -328,16 +342,28 @@ def _for_scheme(cfg: ScenarioConfig, scheme: str | None) -> ScenarioConfig:
     return cfg if scheme in (None, cfg.scheme) else replace(cfg, scheme=scheme)
 
 
-def _draws(cfg: ScenarioConfig, trials, frame: int, purpose: str) -> rngmod.TrialDraws:
-    """A frame's normals for one purpose, a stream per trial: 2 per element for the pilot
-    and data noise, 2 for the truth drift, the gain innovation and the realignment."""
-    return rngmod.TrialDraws(cfg.seed, trials, frame, purpose,
-                             2 * cfg.n if purpose in ("pilot", "data") else 2)
+# a chunk of frames synthesizes at most this many complex snapshot entries (frames x trials x
+# elements) at once: 64 KiB an array, below glibc's 128 KiB mmap threshold, and a short tail
+# for a realignment to recompute
+CHUNK_ENTRIES = 4096
+
+
+def _synthesize(cfg: ScenarioConfig, tracker, truth, gain, pilot, data):
+    """What frames read that does not depend on the estimate, for truth and gain with any
+    leading axes and the pilot and data draws of the same entries: the channel vectors,
+    the tracker's observations of the pilot snapshots and the data-phase element noise."""
+    h = channel_matrix(gain, truth, cfg)
+    var = noise_variance(cfg, mean(np.abs(vec(h)) ** 2))
+    obs = tracker.observe(synthesize_rx(h, var, pilot))
+    return vec(h), obs, complex_noise(vec(h).shape, var[..., None], data)
 
 
 def _frames(cfg: ScenarioConfig, trials) -> dict[str, np.ndarray]:
     """Simulate the trials as one batch: each FrameRecord field after `frame` by name, a
-    (frames, trials) array whose row k - 1 holds frame k."""
+    (frames, trials) array whose row k - 1 holds frame k.  Each chunk of frames first
+    synthesizes everything that does not depend on the estimate, then steps the trackers
+    frame by frame; a trial realigned mid-chunk has its truth and what follows from it
+    synthesized again for the rest of the chunk."""
     try:
         x_hat0 = np.empty((len(trials), 2))
         cols = {f.name: np.empty((cfg.frames, len(trials)), bool if f.type == "bool" else float)
@@ -358,38 +384,56 @@ def _frames(cfg: ScenarioConfig, trials) -> dict[str, np.ndarray]:
     consecutive = np.zeros(len(trials), dtype=int)
     gain = np.full(len(trials), 1.0 + 0.0j)
     sigma = (cfg.sigma_u, cfg.sigma_v)
+    keys = rngmod.trial_keys(cfg.seed, trials)
+    # the truth drift, the gain innovation: 2 normals; the pilot and data noise: 2 per element
+    counts = {"process": 2, "gain": 2, "pilot": 2 * cfg.n, "data": 2 * cfg.n}
+    chunk = max(1, CHUNK_ENTRIES // (len(trials) * cfg.n))
 
-    for k in range(1, cfg.frames + 1):
-        truth = evolve_state(truth, cfg.f, sigma, _draws(cfg, trials, k, "process"))
-        gain = evolve_gain(gain, cfg.rho_gain, _draws(cfg, trials, k, "gain"),
-                           cfg.gain_innovation_var)
-        h = channel_matrix(gain, truth, cfg)
-        var = noise_variance(cfg, mean(np.abs(vec(h)) ** 2))
-        y = synthesize_rx(h, var, _draws(cfg, trials, k, "pilot"))
+    for first in range(1, cfg.frames + 1, chunk):
+        frames = range(first, min(first + chunk, cfg.frames + 1))
+        process, innovation, pilot, data = (rngmod.TrialDraws(cfg.seed, keys, frames, p, c)
+                                            for p, c in counts.items())
+        truths = np.empty((len(frames), len(trials), 2))
+        gains = np.empty((len(frames), len(trials)), complex)
+        for j in range(len(frames)):
+            truth = truths[j] = evolve_state(truth, cfg.f, sigma, process[j])
+            gain = gains[j] = evolve_gain(gain, cfg.rho_gain, innovation[j],
+                                          cfg.gain_innovation_var)
+        h_vec, obs, noise = _synthesize(cfg, tracker, truths, gains, pilot, data)
+        power = cfg.n * abs2(gains)
 
-        out = tracker.step(y)
-        x_hat = tracker.state.x
+        for j, k in enumerate(frames):
+            out = tracker.step(obs[j])
+            x_hat = tracker.state.x
 
-        # data transmission phase: beamformed power toward the estimate
-        w = beamforming_weight(x_hat, cfg)
-        r_d = beamformed_signal(w, vec(h), var, _draws(cfg, trials, k, "data"))
-        p_r = abs2(r_d) / (cfg.n * abs2(gain))
+            # data transmission phase: beamformed power toward the estimate
+            p_r = abs2(combine(beamforming_weight(x_hat, cfg), h_vec[j], noise[j])) / power[j]
 
-        est = [detect_step(p, cfg, consecutive, i) for i, p in enumerate(p_r.tolist())]
-        row = dict(u_true=truth[:, 0], v_true=truth[:, 1], u_hat=x_hat[:, 0], v_hat=x_hat[:, 1],
-                   err_norm=norm(truth - x_hat), err_norm_hat=[e.xi_hat for e in est],
-                   p_r=p_r, detected=[e.detected for e in est],
-                   realigned=[e.realigned for e in est], bound=out["bound"],
-                   innov_norm=out["innovation_norm"], meas_valid=out["meas_valid"])
-        for name, values in row.items():
-            cols[name][k - 1] = values
+            est = [detect_step(p, cfg, consecutive, i) for i, p in enumerate(p_r.tolist())]
+            row = dict(u_true=truths[j, :, 0], v_true=truths[j, :, 1], u_hat=x_hat[:, 0],
+                       v_hat=x_hat[:, 1], err_norm=norm(truths[j] - x_hat),
+                       err_norm_hat=[e.xi_hat for e in est], p_r=p_r,
+                       detected=[e.detected for e in est], realigned=[e.realigned for e in est],
+                       bound=out["bound"], innov_norm=out["innovation_norm"],
+                       meas_valid=out["meas_valid"])
+            for name, values in row.items():
+                cols[name][k - 1] = values
 
-        realigned = cols["realigned"][k - 1]
-        if realigned.any():
-            idx = np.flatnonzero(realigned)
-            draws = _draws(cfg, [trials[i] for i in idx], k, "realign")
-            truth[idx] = draws.normal(0.0, cfg.detect_residual, (len(idx), 2))
-            tracker.reinitialize(realigned, restart)
+            realigned = cols["realigned"][k - 1]
+            if realigned.any():
+                idx = np.flatnonzero(realigned)
+                x = np.array([rngmod.stream(cfg.seed, trials[i], k, "realign")
+                              .normal(0.0, cfg.detect_residual, 2) for i in idx])
+                tracker.reinitialize(realigned, restart)
+                # the rest of the chunk: the same process draws from the new truth, the same
+                # gain, and the snapshots, observations and noise that follow from them
+                for later in range(j + 1, len(frames)):
+                    x = truths[later, idx] = evolve_state(x, cfg.f, sigma, process[later, idx])
+                truth[idx] = x
+                if j + 1 < len(frames):
+                    rest = (slice(j + 1, None), idx)
+                    h_vec[rest], obs[rest], noise[rest] = _synthesize(
+                        cfg, tracker, truths[rest], gains[rest], pilot[rest], data[rest])
     return cols
 
 
@@ -441,8 +485,8 @@ class ExperimentSummary:
 
 # a run gives each process at least this many trial-frames (a fork costs the same for every
 # run, the work it moves grows with them): on 2 cores, proposed (the lightest scheme) ran
-# 1.13-1.23x faster in two processes of 400 than in one on fig9, fig4a, fig6 8x16 and a
-# 2-trial fig6 8x16 run, and 0.94-1.04x at 100 (scripts/shard_crossover.py)
+# 1.19-1.36x faster in two processes of 400 than in one on fig9, fig4a, fig6 8x16 and a
+# 2-trial fig6 8x16 run, 1.08-1.18x at 200 and 0.95-1.03x at 100 (scripts/shard_crossover.py)
 MIN_SHARD_TRIAL_FRAMES = 400
 # the columns the summary folds; a trial block run in a child process returns only these
 _FOLDED = ("err_norm", "bound", "realigned")

@@ -3,14 +3,15 @@
 Every draw site is keyed by (seed, trial, frame, purpose) through a Philox
 counter-based generator, so trials can run in any order (or in parallel)
 and all tracking schemes see identical noise realizations per frame.  A
-batch of trials draws each purpose of a frame with one TrialDraws, a stream
-per trial; only the initial draws, a uniform then normals, use stream alone.
+block of trials mixes each trial's half of the key once (trial_keys) and
+draws each purpose of a chunk of frames with one TrialDraws, a stream per
+(frame, trial), ahead of the frames that read them; only the initial and
+realignment draws use stream alone.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -35,14 +36,10 @@ def _mix64(x: int) -> int:
     return (z ^ (z >> 31)) & _MASK
 
 
-# a batch re-keys one stream per trial with the same frame half, and every frame with the
-# same trial halves: each half is mixed once
-@lru_cache(maxsize=1 << 12)
 def _trial_half(seed: int, trial: int) -> int:
     return _mix64(seed ^ _mix64(trial))
 
 
-@lru_cache(maxsize=1 << 12)
 def _frame_half(seed: int, frame: int, tag: int) -> int:
     return _mix64((frame << 8) ^ tag ^ _mix64(seed + 0x5555))
 
@@ -66,31 +63,54 @@ _STATE = {"bit_generator": "Philox", "state": {"counter": _ZEROS, "key": (0, 0)}
           "buffer": _ZEROS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
 
-def stream(seed: int, trial: int, frame: int, purpose: str) -> np.random.Generator:
-    """Deterministic generator keyed by (seed, trial, frame, purpose): the module's one
-    generator, re-keyed, so it is valid only until the next stream call (in any thread)."""
-    tag = PURPOSES[purpose]
-    _STATE["state"]["key"] = _philox_key(_trial_half(seed, trial), _frame_half(seed, frame, tag))
+def _keyed(lo: int, hi: int) -> np.random.Generator:
+    _STATE["state"]["key"] = _philox_key(lo, hi)
     _GENERATOR.bit_generator.state = _STATE
     return _GENERATOR
 
 
-class TrialDraws:
-    """One frame's draws for one purpose of a batch of trials, each from its own stream.
+def stream(seed: int, trial: int, frame: int, purpose: str) -> np.random.Generator:
+    """Deterministic generator keyed by (seed, trial, frame, purpose): the module's one
+    generator, re-keyed, so it is valid only until the next stream call or TrialDraws (in
+    any thread)."""
+    return _keyed(_trial_half(seed, trial), _frame_half(seed, frame, PURPOSES[purpose]))
 
-    The first `count` standard normals of every trial's stream are drawn at once; each
-    `normal` call then returns loc + scale * z (as Generator.normal computes it) for the
-    next values of every trial, with the trial axis first.  `size`, when given, is the
-    whole shape, trial axis included; without it the shape is (trials, *shape(scale)).
+
+def trial_keys(seed: int, trials) -> list[int]:
+    """Each trial's half of its streams' keys under seed, for TrialDraws: a block of trials
+    mixes them once, not once per frame."""
+    return [_trial_half(seed, t) for t in trials]
+
+
+class TrialDraws:
+    """A chunk's draws for one purpose of a block of trials, each from its own stream.
+
+    For every frame of `frames` and every trial whose key half is in `keys` (trial_keys),
+    the first `count` standard normals of its stream are drawn at once, shape (frames,
+    trials, count).  Each `normal` call then returns loc + scale * z (as Generator.normal
+    computes it) for the next values of every entry, with the leading axes first.  `size`,
+    when given, is the whole shape, leading axes included; without it the shape is
+    (*leading, *shape(scale)).  Indexing the leading axes (draws[j] is frame j's draws,
+    draws[j:, rows] some trials' from frame j on) gives those entries' draws, read from
+    their first value.
     """
 
-    def __init__(self, seed: int, trials, frame: int, purpose: str, count: int):
-        self._z = np.empty((len(trials), count))
-        for row, trial in zip(self._z, trials):
-            stream(seed, trial, frame, purpose).standard_normal(out=row)
+    def __init__(self, seed: int, keys, frames, purpose: str, count: int):
+        tag = PURPOSES[purpose]
+        self._z = np.empty((len(frames), len(keys), count))
+        for rows, frame in zip(self._z, frames):
+            hi = _frame_half(seed, frame, tag)
+            for row, lo in zip(rows, keys):
+                _keyed(lo, hi).standard_normal(out=row)
         self._used = 0
 
+    def __getitem__(self, index) -> "TrialDraws":
+        view = object.__new__(TrialDraws)
+        view._z, view._used = self._z[index], 0
+        return view
+
     def normal(self, loc, scale, size=None):
-        shape = (len(self._z), *np.shape(scale)) if size is None else size
-        start, self._used = self._used, self._used + math.prod(shape[1:])
-        return loc + scale * self._z[:, start:self._used].reshape(shape)
+        lead = self._z.shape[:-1]
+        shape = (*lead, *np.shape(scale)) if size is None else size
+        start, self._used = self._used, self._used + math.prod(shape[len(lead):])
+        return loc + scale * self._z[..., start:self._used].reshape(shape)

@@ -187,13 +187,13 @@ class TestCodebookTracker:
         tracker = CodebookTracker(cfg, initial_state(truth + np.array([0.02, 0.02]), 0.05))
         y = rank1_snapshot(truth[0], truth[1], cfg)
         for _ in range(5):
-            tracker.step(y)
+            tracker.step(tracker.observe(y))
         assert np.linalg.norm(tracker.state.x - truth) < 1e-3
 
     def test_measurement_dimension(self):
         cfg = _cfg(snr_db=10.0, rho_gain=1.0, gain_uncertainty_var=0.0)
         tracker = CodebookTracker(cfg, initial_state(np.zeros(2), 0.01))
-        out = tracker.step(rank1_snapshot(0.1, 0.2, cfg))
+        out = tracker.step(tracker.observe(rank1_snapshot(0.1, 0.2, cfg)))
         assert tracker.q_n.shape == (128, 128)
         z_hat, g = codebook_model(tracker.state.x, cfg, tracker.w_h, 1.0)
         assert z_hat.shape == (128,)
@@ -217,7 +217,7 @@ class TestCodebookTracker:
         start = initial_state(np.array([0.1, 0.2]), 0.0)
         tracker = CodebookTracker(cfg, start)
         assert not tracker.q_n.any()
-        out = tracker.step(rank1_snapshot(0.1, 0.2, cfg))
+        out = tracker.step(tracker.observe(rank1_snapshot(0.1, 0.2, cfg)))
         assert out["meas_valid"] is False
         assert np.isnan(out["innovation_norm"])
         assert tracker.state.x.tobytes() == predict(start, cfg.f, cfg.q_p).x.tobytes()
@@ -278,7 +278,7 @@ def _abp_tracker(state, shape=(8, 8), **kw):
 class TestAbpTracker:
     def test_measurement_dimension(self):
         tracker = _abp_tracker(initial_state(np.zeros(2), 0.01))
-        out = tracker.step(rank1_snapshot(0.1, 0.2, tracker.cfg))
+        out = tracker.step(tracker.observe(rank1_snapshot(0.1, 0.2, tracker.cfg)))
         x = tracker.state.x
         zeta, slope, var = tracker._axis_model(x[0], tracker._beams(x)[0], tracker.cfg.n_y)
         assert abs(zeta) <= 1.0 and slope > 0 and var >= baselines._Q_N_FLOOR
@@ -301,7 +301,7 @@ class TestAbpTracker:
             err_upd, err_pred = None, np.linalg.norm(x0 - truth)
             for _ in range(5):
                 y = h + complex_noise(h.shape, var, rng)
-                tracker.step(y)
+                tracker.step(tracker.observe(y))
             err_upd = np.linalg.norm(tracker.state.x - truth)
             if err_upd < err_pred:
                 wins += 1
@@ -316,12 +316,12 @@ class TestAbpTracker:
         tracker = _abp_tracker(initial_state(np.zeros(2), 0.01))
         h = rank1_snapshot(truth[0], truth[1], tracker.cfg)
         for _ in range(5):
-            tracker.step(h)
+            tracker.step(tracker.observe(h))
         assert np.linalg.norm(tracker.state.x - truth) > 0.5
 
     def test_measurement_failure_falls_back_to_prediction(self):
         tracker = _abp_tracker(initial_state(np.array([0.1, 0.1]), 0.01))
-        out = tracker.step(np.zeros((8, 8), dtype=complex))
+        out = tracker.step(tracker.observe(np.zeros((8, 8), dtype=complex)))
         assert out["meas_valid"] is False
         assert np.isnan(out["bound"])
         assert np.allclose(tracker.state.x, [0.1, 0.1])
@@ -570,7 +570,7 @@ class TestModelOracles:
             var = noise_variance(tracker.cfg, float(np.mean(np.abs(h) ** 2)))
             for _ in range(25):
                 y = h + complex_noise(h.shape, var, rng)
-                out = tracker.step(y)
+                out = tracker.step(tracker.observe(y))
                 reference.state, ref_out = _reference_abp_step(reference, y)
                 assert tracker.state.x.tobytes() == reference.state.x.tobytes()
                 assert tracker.state.p.tobytes() == reference.state.p.tobytes()
@@ -600,6 +600,6 @@ def test_abp_failure_at_difference_points_predicts_only(monkeypatch):
         return tuple(np.where(off, np.nan, p) for p in powers(u, beams))
 
     monkeypatch.setattr(baselines, "_axis_pair_powers", failing_off_prediction)
-    out = tracker.step(rank1_snapshot(0.1, 0.1, tracker.cfg))
+    out = tracker.step(tracker.observe(rank1_snapshot(0.1, 0.1, tracker.cfg)))
     assert out["meas_valid"] is False
     assert tracker.state.x.tobytes() == pred.x.tobytes()

@@ -117,8 +117,8 @@ class TestEvolveGain:
         trials = [0, 2, 5]
         alpha = np.array([1.0 + 0.0j, 0.3 - 0.8j, -2.0 + 0.5j])
         for rho in (0.995, -1.0):
-            batch = evolve_gain(alpha, rho, rngmod.TrialDraws(3, trials, 4, "gain", 2),
-                                innovation_var)
+            draws = rngmod.TrialDraws(3, rngmod.trial_keys(3, trials), [4], "gain", 2)[0]
+            batch = evolve_gain(alpha, rho, draws, innovation_var)
             for a, t, b in zip(alpha, trials, batch):
                 one = evolve_gain(complex(a), rho, rngmod.stream(3, t, 4, "gain"), innovation_var)
                 assert type(one) is complex

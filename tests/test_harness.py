@@ -268,11 +268,7 @@ class TestBatch:
             harness.run_batch(small_cfg(frames=3), trials)
 
     def test_runs_the_ends_of_the_index_range_and_numpy_integers(self):
-        from beamtrack import rng
-
         cfg = small_cfg(frames=3)
-        # a trial key cached from a Python int would hide how a numpy integer is keyed
-        rng._trial_half.cache_clear()
         from_numpy = harness.run_batch(cfg, np.arange(2))
         assert all(map(_same_records, from_numpy, harness.run_batch(cfg, [0, 1])))
         last = harness.run_batch(cfg, [np.uint64(2**64 - 1), 0])
@@ -293,20 +289,20 @@ class TestBatch:
         for bad in bads:
             y = np.array([good[0], bad, good[1]])
             tracker = harness.TRACKERS[scheme](cfg, initial_state(x0, 0.01))
-            out = tracker.step(y)
+            out = tracker.step(tracker.observe(y))
             assert out["meas_valid"] == [True, False, True]
             pred = predict(initial_state(x0[1], 0.01), cfg.f, cfg.q_p)
             assert tracker.state.x[1].tobytes() == pred.x.tobytes()
             for i in (0, 2):
                 alone = harness.TRACKERS[scheme](cfg, initial_state(x0[i], 0.01))
-                out_alone = alone.step(y[i])
+                out_alone = alone.step(alone.observe(y[i]))
                 assert tracker.state.x[i].tobytes() == alone.state.x.tobytes()
                 assert tracker.state.p[i].tobytes() == alone.state.p.tobytes()
                 assert repr({k: v[i] for k, v in out.items()}) == repr(out_alone)
             # a batch whose every entry fails, and a failing batch of one: both predict only
             for start in (x0, x0[1:2]):
                 tracker = harness.TRACKERS[scheme](cfg, initial_state(start, 0.01))
-                out = tracker.step(np.array([bad] * len(start)))
+                out = tracker.step(tracker.observe(np.array([bad] * len(start))))
                 assert out["meas_valid"] == [False] * len(start)
                 pred = predict(initial_state(start, 0.01), cfg.f, cfg.q_p)
                 assert tracker.state.x.tobytes() == pred.x.tobytes()
@@ -341,7 +337,7 @@ class TestProposedTracker:
         cfg = small_cfg()
         x0 = np.array([0.1, 0.1])
         tracker = ProposedTracker(cfg, initial_state(x0, 0.01))
-        out = tracker.step(rank1_snapshot(np.pi, np.pi, cfg))
+        out = tracker.step(tracker.observe(rank1_snapshot(np.pi, np.pi, cfg)))
         assert out["meas_valid"] is False
         assert np.isnan(out["innovation_norm"])
         assert np.isnan(out["bound"])
@@ -353,7 +349,7 @@ class TestProposedTracker:
         start = initial_state(np.array([0.1, -0.2]), 0.01)
         tracker = ProposedTracker(cfg, start)
         y = rank1_snapshot(0.11, -0.19, cfg)
-        out = tracker.step(y)
+        out = tracker.step(tracker.observe(y))
         f, q_p = rotation_matrix(cfg.psi_value), cfg.q_p
         pred = predict(start, f, q_p)
         g = jacobian(pred.x, cfg.jacobian_mode)
@@ -391,16 +387,18 @@ class TestRunExperiment:
         # only the codebook tracker reads the codebook; ABP builds its axis angles alone
         assert len(calls) == (scheme == "codebook")
 
-    def test_noise_level_computed_once_per_frame(self, monkeypatch):
-        # one noise variance per frame for the whole batch, shared by the pilot and data phases
+    def test_noise_level_computed_once_per_chunk(self, monkeypatch):
+        # one noise variance per chunk of frames for the whole batch, shared by the pilot and
+        # data phases: 3 trials of 64 elements make 2-frame chunks of 384 entries
         calls = []
         original = harness.noise_variance
         monkeypatch.setattr(harness, "noise_variance",
                             lambda *args: calls.append(args) or original(*args))
-        cfg = small_cfg(trials=3, frames=4)
+        monkeypatch.setattr(harness, "CHUNK_ENTRIES", 400)
+        cfg = small_cfg(trials=3, frames=5)
         harness.run_batch(cfg, range(3))
-        assert [len(args) for args in calls] == [2] * cfg.frames
-        assert all(args[1].shape == (3,) for args in calls)
+        assert [len(args) for args in calls] == [2] * 3
+        assert [args[1].shape for args in calls] == [(2, 3), (2, 3), (1, 3)]
 
     def test_bound_emitted_for_proposed_only(self):
         cfg = small_cfg(trials=1)
@@ -559,6 +557,52 @@ class TestShardedRun:
         cores = len(os.sched_getaffinity(0))
         env = {"OPENBLAS_NUM_THREADS": "1"}
         assert counts == [harness.shard_count(cores, env, cfg.trials, cfg.frames)]
+
+
+class TestChunkLength:
+    """A block's columns do not depend on how many frames a chunk synthesizes at once."""
+
+    @staticmethod
+    def _same_for_every_chunk_length(monkeypatch, cfg):
+        """cfg's columns with chunks of 1, 3, 7 and all frames, checked equal byte for byte."""
+        trials = range(cfg.trials)
+        runs = []
+        for frames in (1, 3, 7, cfg.frames):
+            monkeypatch.setattr(harness, "CHUNK_ENTRIES", frames * cfg.trials * cfg.n)
+            runs.append(harness._frames(cfg, trials))
+        for cols in runs[1:]:
+            for name, column in runs[0].items():
+                assert cols[name].tobytes() == column.tobytes(), name
+        return runs[0]
+
+    def test_fig6_8x16_realigned_mid_chunk_and_on_a_chunks_last_frame(self, monkeypatch):
+        cols = self._same_for_every_chunk_length(monkeypatch, dataclasses.replace(_fig6_8x16(),
+                                                                                  trials=4))
+        frames = np.flatnonzero(cols["realigned"].any(axis=-1)) + 1
+        # with 3-frame chunks: frame 3 ends one, frame 5 is the middle of one
+        assert {3, 5} <= set(frames.tolist())
+
+    @pytest.mark.parametrize("scheme", ["proposed", "codebook", "abp"])
+    def test_fig9_each_scheme(self, monkeypatch, scheme):
+        from beamtrack.presets import get_preset
+
+        cfg = dataclasses.replace(get_preset("fig9"), trials=2, scheme=scheme)
+        self._same_for_every_chunk_length(monkeypatch, cfg)
+
+    @pytest.mark.parametrize("scheme", ["proposed", "abp"])
+    def test_predict_only_trial(self, monkeypatch, scheme):
+        # trial 1's pilot snapshots are all zero: no measurement in any of its frames
+        synthesize = harness.synthesize_rx
+
+        def zero_trial_1(h, var, rng):
+            y = synthesize(h, var, rng)
+            y[..., 1, :, :] = 0.0
+            return y
+
+        monkeypatch.setattr(harness, "synthesize_rx", zero_trial_1)
+        cfg = small_cfg(trials=3, frames=10, scheme=scheme)
+        valid = self._same_for_every_chunk_length(monkeypatch, cfg)["meas_valid"]
+        assert not valid[:, 1].any() and valid[:, [0, 2]].all()
 
 
 def _fig6_8x16():

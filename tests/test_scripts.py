@@ -263,3 +263,13 @@ def test_src_size_counts_lines_statements_and_tokens(tmp_path):
     lines = run_script("src_size.py")
     assert [line.split()[0] for line in lines] == ["lines", "statements", "tokens"]
     assert all(int(line.split()[1]) > 0 for line in lines)
+
+
+def test_frame_cost_prints_a_cost_per_row():
+    lines = run_script("frame_cost.py", "--tiny")
+    assert lines[1].split() == ["row", "scheme", "trials", "frames", "us/tf"]
+    rows = [line.split() for line in lines[2:]]
+    assert [(r[2], int(r[3]), int(r[4])) for r in rows] == [
+        (scheme, trials, 5) for _ in range(2) for scheme in ("proposed", "codebook", "abp")
+        for trials in (1, 2)]
+    assert all(float(r[5]) > 0 for r in rows)
