@@ -7,11 +7,11 @@ directly through a quoted SNR.
 
 Angles, gains and snapshots may carry leading batch axes (one entry per
 trial, or per frame and trial of a chunk of frames); the functions then work
-on each entry as on a single one, through the primitives of beamtrack.arrays,
-and draw from a rng.TrialDraws with the same leading axes where a single entry
-draws from a Generator.  A run synthesizes a chunk's channels, snapshots and
-data-phase noise in one call each, ahead of the frames that read them, and
-steps the gain one frame at a time.
+on each entry as on a single one, through the primitives of beamtrack.arrays.
+The noise steps take standard normals with the same leading axes (one row of
+rng.trial_normals per entry) and scale them.  A run synthesizes a chunk's
+channels, snapshots and data-phase noise in one call each, ahead of the frames
+that read them, and steps the gain one frame at a time.
 """
 
 from __future__ import annotations
@@ -58,10 +58,11 @@ def channel_matrix(gain, x: np.ndarray, cfg: ScenarioConfig) -> np.ndarray:
     return np.asarray(gain)[..., None, None] * outer(ax, ay.conj())
 
 
-def evolve_gain(alpha: complex | np.ndarray, rho: float, rng,
-                innovation_var: float | None = None) -> complex | np.ndarray:
-    """First-order Gauss-Markov step for the channel gain: a Python complex from a
-    Generator, or a (trials,) array from one frame of a rng.TrialDraws (draws[j]).
+def evolve_gain(alpha: complex | np.ndarray, rho: float, z: np.ndarray,
+                innovation_var: float | None = None) -> np.ndarray:
+    """First-order Gauss-Markov step for the channel gain, for alpha with any leading axes
+    and two standard normals per entry in z (..., 2): the innovation's real part from
+    z[..., 0], its imaginary part from z[..., 1].
 
     innovation_var defaults to the literal (1 - rho^2 / 2) of the source
     model.  That normalization does not vanish at rho = 1, which is unusual
@@ -74,24 +75,27 @@ def evolve_gain(alpha: complex | np.ndarray, rho: float, rng,
     if innovation_var < 0:
         raise ValueError("innovation variance must be non-negative")
     scale = np.sqrt(innovation_var / 2.0)
-    eps = rng.normal(0.0, scale) + 1j * rng.normal(0.0, scale) if scale > 0 else 0.0
+    eps = scale * z[..., 0] + 1j * (scale * z[..., 1]) if scale > 0 else 0.0
     return rho * alpha + eps
 
 
-def complex_noise(shape, variance, rng) -> np.ndarray:
+def complex_noise(shape, variance, z: np.ndarray) -> np.ndarray:
     """Circularly-symmetric complex Gaussian noise with total variance per entry; the
-    variance broadcasts against shape.  rng is a Generator, or a rng.TrialDraws whose
-    leading axes lead shape."""
+    variance broadcasts against shape.  z holds the standard normals, its leading axes
+    those of shape and its last axis two per entry of the rest: the real parts are the
+    first half, the imaginary parts the second."""
     if not np.any(variance):
         return np.zeros(shape, dtype=complex)
     s = np.sqrt(variance / 2.0)
-    return rng.normal(0.0, s, shape) + 1j * rng.normal(0.0, s, shape)
+    half = z.shape[-1] // 2
+    return s * z[..., :half].reshape(shape) + 1j * (s * z[..., half:].reshape(shape))
 
 
-def synthesize_rx(h: np.ndarray, var: np.ndarray, rng) -> np.ndarray:
+def synthesize_rx(h: np.ndarray, var: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Pilot-phase snapshot Y = H + N (unit pilot) with element noise of variance var (one
-    per batch entry), the frame's noise_variance."""
-    return h + complex_noise(h.shape, var[..., None, None], rng)
+    per batch entry), the frame's noise_variance, from the standard normals z
+    (complex_noise)."""
+    return h + complex_noise(h.shape, var[..., None, None], z)
 
 
 def beamforming_weight(x: np.ndarray, cfg: ScenarioConfig) -> np.ndarray:
@@ -108,13 +112,3 @@ def combine(w: np.ndarray, h_vec: np.ndarray, n: np.ndarray):
     """Data-phase combiner output r = w^H h + w^H n for the unit data symbol and the element
     noise n."""
     return vdot(w, h_vec) + vdot(w, n)
-
-
-def beamformed_signal(w: np.ndarray, h_vec: np.ndarray, var: np.ndarray, rng):
-    """combine with element noise of variance var (one per batch entry), the frame's
-    noise_variance.
-
-    The combiner is unit norm, so the noise term keeps the per-element
-    variance.
-    """
-    return combine(w, h_vec, complex_noise(h_vec.shape, var[..., None], rng))

@@ -41,12 +41,12 @@ def rotation_matrix(psi: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
-def evolve_state(x: np.ndarray, f: np.ndarray, sigma: tuple[float, float], rng) -> np.ndarray:
+def evolve_state(x: np.ndarray, f: np.ndarray, sigma: tuple[float, float],
+                 z: np.ndarray) -> np.ndarray:
     """One step of the truth dynamics x' = F x + w, w ~ N(0, diag(sigma)^2), for x of shape
-    (..., 2); rng is a Generator, or one frame of a rng.TrialDraws (draws[j]) with one
-    trial per row of x.
+    (..., 2) and its standard normals z of the same shape: F x + sigma * z.
 
     The result is not clamped to [-pi, pi]; out-of-range states are the
     misalignment detector's problem, not the dynamics'.
     """
-    return matvec(f, x) + rng.normal(0.0, sigma)
+    return matvec(f, x) + np.multiply(sigma, z)

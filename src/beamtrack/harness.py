@@ -14,19 +14,20 @@ in a forked child that sends back the columns the summary folds.  The trials
 of a block advance together: truth, gain, estimate, covariance, Q_n window,
 detector counters and measurement validity are arrays with a leading trial
 axis, and run_trial is a batch of one.  The frames go in chunks of up to
-CHUNK_ENTRIES snapshot entries, one frame at least.  A chunk first synthesizes, for all its
-(frame, trial) pairs, what does not depend on the estimate: each purpose's
-draws are one rng.TrialDraws, a stream per (frame, trial); the truth and gain
-steps run frame by frame; the channel, noise level, pilot snapshot, each
-tracker's observation of it (Tracker.observe) and the data-phase noise are one
-call each.  Then a frame loop keeps what reads the estimate: the tracker step,
-the data-phase combiner, the detector and the record.  A trial realigned in a
-chunk has its truth re-evolved from the residual draw over the rest of the
-chunk, with the process draws already made, and what follows from it
-synthesized again.  Only the initial and realignment draws, the detector's
-table lookup and the codebook's 2K^2 x 2K^2 update stay per trial.  A block
-builds one tracker, which builds its own tables (the baselines' beam weights),
-so a config holds none.
+CHUNK_ENTRIES snapshot entries, one frame at least.  A chunk first
+synthesizes, for all its (frame, trial) pairs, what does not depend on the
+estimate: each purpose's draws are one array of rng.trial_normals, a stream
+per (frame, trial); the truth and gain steps run frame by frame; the channel,
+noise level, pilot snapshot, each tracker's observation of it
+(Tracker.observe) and the data-phase noise are one call each.  Then a frame
+loop keeps what reads the estimate: the tracker step, the data-phase combiner,
+the detector and the record.  A trial realigned in a chunk has its truth
+re-evolved over the rest of the chunk, from a residual drawn with
+trial_normals too and the process draws already made, and what follows from
+it synthesized again.  Only the initial draw, the detector's table lookup and
+the codebook's 2K^2 x 2K^2 update stay per trial.  A block builds one
+tracker, which builds its own tables (the baselines' beam weights), so a
+config holds none.
 
 Same bytes when batching: a trial's records do not depend on the batch it runs
 in or on the chunk length, and equal those of the per-trial loop this
@@ -391,7 +392,7 @@ def _frames(cfg: ScenarioConfig, trials) -> dict[str, np.ndarray]:
 
     for first in range(1, cfg.frames + 1, chunk):
         frames = range(first, min(first + chunk, cfg.frames + 1))
-        process, innovation, pilot, data = (rngmod.TrialDraws(cfg.seed, keys, frames, p, c)
+        process, innovation, pilot, data = (rngmod.trial_normals(cfg.seed, keys, frames, p, c)
                                             for p, c in counts.items())
         truths = np.empty((len(frames), len(trials), 2))
         gains = np.empty((len(frames), len(trials)), complex)
@@ -422,8 +423,8 @@ def _frames(cfg: ScenarioConfig, trials) -> dict[str, np.ndarray]:
             realigned = cols["realigned"][k - 1]
             if realigned.any():
                 idx = np.flatnonzero(realigned)
-                x = np.array([rngmod.stream(cfg.seed, trials[i], k, "realign")
-                              .normal(0.0, cfg.detect_residual, 2) for i in idx])
+                x = cfg.detect_residual * rngmod.trial_normals(
+                    cfg.seed, [keys[i] for i in idx], [k], "realign", 2)[0]
                 tracker.reinitialize(realigned, restart)
                 # the rest of the chunk: the same process draws from the new truth, the same
                 # gain, and the snapshots, observations and noise that follow from them

@@ -4,14 +4,12 @@ Every draw site is keyed by (seed, trial, frame, purpose) through a Philox
 counter-based generator, so trials can run in any order (or in parallel)
 and all tracking schemes see identical noise realizations per frame.  A
 block of trials mixes each trial's half of the key once (trial_keys) and
-draws each purpose of a chunk of frames with one TrialDraws, a stream per
-(frame, trial), ahead of the frames that read them; only the initial and
-realignment draws use stream alone.
+draws each purpose of a chunk of frames, and each realignment residual, as
+one array of standard normals (trial_normals), a stream per (frame, trial);
+the steps that use them scale them.  Only the initial draw uses stream alone.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -71,46 +69,26 @@ def _keyed(lo: int, hi: int) -> np.random.Generator:
 
 def stream(seed: int, trial: int, frame: int, purpose: str) -> np.random.Generator:
     """Deterministic generator keyed by (seed, trial, frame, purpose): the module's one
-    generator, re-keyed, so it is valid only until the next stream call or TrialDraws (in
-    any thread)."""
+    generator, re-keyed, so it is valid only until the next stream or trial_normals call
+    (in any thread)."""
     return _keyed(_trial_half(seed, trial), _frame_half(seed, frame, PURPOSES[purpose]))
 
 
 def trial_keys(seed: int, trials) -> list[int]:
-    """Each trial's half of its streams' keys under seed, for TrialDraws: a block of trials
-    mixes them once, not once per frame."""
+    """Each trial's half of its streams' keys under seed, for trial_normals: a block of
+    trials mixes them once, not once per frame."""
     return [_trial_half(seed, t) for t in trials]
 
 
-class TrialDraws:
-    """A chunk's draws for one purpose of a block of trials, each from its own stream.
-
-    For every frame of `frames` and every trial whose key half is in `keys` (trial_keys),
-    the first `count` standard normals of its stream are drawn at once, shape (frames,
-    trials, count).  Each `normal` call then returns loc + scale * z (as Generator.normal
-    computes it) for the next values of every entry, with the leading axes first.  `size`,
-    when given, is the whole shape, leading axes included; without it the shape is
-    (*leading, *shape(scale)).  Indexing the leading axes (draws[j] is frame j's draws,
-    draws[j:, rows] some trials' from frame j on) gives those entries' draws, read from
-    their first value.
-    """
-
-    def __init__(self, seed: int, keys, frames, purpose: str, count: int):
-        tag = PURPOSES[purpose]
-        self._z = np.empty((len(frames), len(keys), count))
-        for rows, frame in zip(self._z, frames):
-            hi = _frame_half(seed, frame, tag)
-            for row, lo in zip(rows, keys):
-                _keyed(lo, hi).standard_normal(out=row)
-        self._used = 0
-
-    def __getitem__(self, index) -> "TrialDraws":
-        view = object.__new__(TrialDraws)
-        view._z, view._used = self._z[index], 0
-        return view
-
-    def normal(self, loc, scale, size=None):
-        lead = self._z.shape[:-1]
-        shape = (*lead, *np.shape(scale)) if size is None else size
-        start, self._used = self._used, self._used + math.prod(shape[len(lead):])
-        return loc + scale * self._z[..., start:self._used].reshape(shape)
+def trial_normals(seed: int, keys, frames, purpose: str, count: int) -> np.ndarray:
+    """The first `count` standard normals of the `purpose` stream of every frame of `frames`
+    and every trial whose key half is in `keys` (trial_keys), shape (frames, trials, count):
+    entry [j, i] is stream(seed, t, frames[j], purpose).standard_normal(count) for the trial
+    t of keys[i]."""
+    tag = PURPOSES[purpose]
+    z = np.empty((len(frames), len(keys), count))
+    for rows, frame in zip(z, frames):
+        hi = _frame_half(seed, frame, tag)
+        for row, lo in zip(rows, keys):
+            _keyed(lo, hi).standard_normal(out=row)
+    return z

@@ -300,7 +300,7 @@ class TestAbpTracker:
             var = noise_variance(cfg, float(np.mean(np.abs(h) ** 2)))
             err_upd, err_pred = None, np.linalg.norm(x0 - truth)
             for _ in range(5):
-                y = h + complex_noise(h.shape, var, rng)
+                y = h + complex_noise(h.shape, var, rng.standard_normal(2 * h.size))
                 tracker.step(tracker.observe(y))
             err_upd = np.linalg.norm(tracker.state.x - truth)
             if err_upd < err_pred:
@@ -569,7 +569,7 @@ class TestModelOracles:
             h = rank1_snapshot(truth[0], truth[1], tracker.cfg, gain)
             var = noise_variance(tracker.cfg, float(np.mean(np.abs(h) ** 2)))
             for _ in range(25):
-                y = h + complex_noise(h.shape, var, rng)
+                y = h + complex_noise(h.shape, var, rng.standard_normal(2 * h.size))
                 out = tracker.step(tracker.observe(y))
                 reference.state, ref_out = _reference_abp_step(reference, y)
                 assert tracker.state.x.tobytes() == reference.state.x.tobytes()

@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from beamtrack import rng as rngmod
 from beamtrack.channel import (
-    beamformed_signal,
     beamforming_weight,
     channel_matrix,
+    combine,
     complex_noise,
     evolve_gain,
     noise_variance,
@@ -21,6 +21,11 @@ from beamtrack.harness import ScenarioConfig
 from conftest import rank1_snapshot
 
 NOISELESS4 = ScenarioConfig(n_x=4, n_y=4, snr_db=np.inf)
+
+
+def _normals(seed, shape):
+    """Standard normals, as the noise steps take them."""
+    return np.random.default_rng(seed).standard_normal(shape)
 
 
 class TestSteeringVector:
@@ -71,12 +76,11 @@ class TestChannelMatrix:
 
 class TestEvolveGain:
     def test_frozen_channel(self):
-        a = evolve_gain(1.0 + 0.0j, 1.0, np.random.default_rng(0), innovation_var=0.0)
+        a = evolve_gain(1.0 + 0.0j, 1.0, _normals(0, 2), innovation_var=0.0)
         assert a == 1.0 + 0.0j
 
     def test_zero_correlation_is_pure_innovation(self):
-        rng = np.random.default_rng(1)
-        a = evolve_gain(123.0 + 0.0j, 0.0, rng, innovation_var=1.0)
+        a = evolve_gain(123.0 + 0.0j, 0.0, _normals(1, 2), innovation_var=1.0)
         rng2 = np.random.default_rng(1)
         eps = complex(rng2.normal(0, np.sqrt(0.5)) + 1j * rng2.normal(0, np.sqrt(0.5)))
         assert a == pytest.approx(eps)
@@ -85,12 +89,12 @@ class TestEvolveGain:
         # Gauss-Markov stationary variance var_eps / (1 - rho^2); oracle is
         # the closed form, checked against a long sample path.
         rho, var_eps = 0.9, 0.05
-        rng = np.random.default_rng(42)
         n = 100_000
+        z = _normals(42, (n, 2))
         alpha = 0.0 + 0.0j
         samples = np.empty(n, dtype=complex)
         for i in range(n):
-            alpha = evolve_gain(alpha, rho, rng, innovation_var=var_eps)
+            alpha = evolve_gain(alpha, rho, z[i], innovation_var=var_eps)
             samples[i] = alpha
         expected = var_eps / (1 - rho**2)
         measured = np.mean(np.abs(samples[1000:]) ** 2)
@@ -100,40 +104,38 @@ class TestEvolveGain:
         # default innovation variance is 1 - rho^2/2, which stays positive
         # at rho = 1 (unusual; kept configurable for that reason)
         rho = 0.995
-        rng = np.random.default_rng(3)
-        draws = np.array([evolve_gain(0.0j, rho, rng) for _ in range(50_000)])
+        draws = evolve_gain(np.zeros(50_000, complex), rho, _normals(3, (50_000, 2)))
         assert np.mean(np.abs(draws) ** 2) == pytest.approx(1 - rho**2 / 2, rel=0.05)
 
     def test_rejects_bad_rho(self):
         with pytest.raises(ValueError):
-            evolve_gain(1.0 + 0.0j, 1.5, np.random.default_rng(0))
+            evolve_gain(1.0 + 0.0j, 1.5, _normals(0, 2))
 
     def test_rejects_negative_innovation_var(self):
         with pytest.raises(ValueError, match="non-negative"):
-            evolve_gain(1.0 + 0.0j, 0.9, np.random.default_rng(0), innovation_var=-1e-12)
+            evolve_gain(1.0 + 0.0j, 0.9, _normals(0, 2), innovation_var=-1e-12)
 
     @pytest.mark.parametrize("innovation_var", [None, 0.0, 1e-4])
     def test_batch_equals_scalar_steps_on_each_trials_stream(self, innovation_var):
         trials = [0, 2, 5]
         alpha = np.array([1.0 + 0.0j, 0.3 - 0.8j, -2.0 + 0.5j])
         for rho in (0.995, -1.0):
-            draws = rngmod.TrialDraws(3, rngmod.trial_keys(3, trials), [4], "gain", 2)[0]
-            batch = evolve_gain(alpha, rho, draws, innovation_var)
+            z = rngmod.trial_normals(3, rngmod.trial_keys(3, trials), [4], "gain", 2)[0]
+            batch = evolve_gain(alpha, rho, z, innovation_var)
             for a, t, b in zip(alpha, trials, batch):
-                one = evolve_gain(complex(a), rho, rngmod.stream(3, t, 4, "gain"), innovation_var)
-                assert type(one) is complex
-                assert np.array_equal(b, one)
+                draws = rngmod.stream(3, t, 4, "gain").standard_normal(2)
+                assert np.array_equal(b, evolve_gain(complex(a), rho, draws, innovation_var))
 
 
 class TestSynthesizeRx:
     def test_noiseless_equals_signal(self):
         h = rank1_snapshot(0.4, -0.2, NOISELESS4)
-        y = synthesize_rx(h, np.zeros(()), np.random.default_rng(0))
+        y = synthesize_rx(h, np.zeros(()), _normals(0, 2 * NOISELESS4.n))
         assert np.array_equal(y, h)
 
     def test_corner_recovers_channel(self):
         h = rank1_snapshot(0.4, -0.2, NOISELESS4, gain=1.0j)
-        y = synthesize_rx(h, np.zeros(()), np.random.default_rng(0))
+        y = synthesize_rx(h, np.zeros(()), _normals(0, 2 * NOISELESS4.n))
         assert y[0, 0] == pytest.approx(h[0, 0])
 
     def test_empirical_element_snr(self):
@@ -141,10 +143,9 @@ class TestSynthesizeRx:
         h = rank1_snapshot(0.3, 0.1, cfg)
         sig_power = np.mean(np.abs(h) ** 2)
         var = noise_variance(cfg, sig_power)
-        rng = np.random.default_rng(7)
-        noise_power = np.mean(
-            [np.mean(np.abs(synthesize_rx(h, var, rng) - h) ** 2) for _ in range(20_000)]
-        )
+        y = synthesize_rx(np.broadcast_to(h, (20_000, *h.shape)), np.full(20_000, var),
+                          _normals(7, (20_000, 2 * cfg.n)))
+        noise_power = np.mean(np.abs(y - h) ** 2)
         measured_db = 10 * np.log10(sig_power / noise_power)
         assert measured_db == pytest.approx(10.0, abs=0.1)
 
@@ -183,18 +184,20 @@ class TestBeamformingWeight:
 
 
 class TestBeamformedSignal:
+    """The data-phase combiner output, combine(w, h_vec, complex_noise(...))."""
+
     def test_coherent_combining(self):
         x = np.array([0.3, 0.9])
         w = beamforming_weight(x, NOISELESS4)
         h_vec = channel_matrix(1.0, x, NOISELESS4).ravel()
-        r = beamformed_signal(w, h_vec, np.zeros(()), np.random.default_rng(0))
+        r = combine(w, h_vec, complex_noise(h_vec.shape, 0.0, _normals(0, 2 * NOISELESS4.n)))
         assert r == pytest.approx(np.sqrt(NOISELESS4.n), abs=1e-10)
 
     def test_orthogonal_weight_nulls(self):
         # orthogonal DFT directions: grid spacing 2*pi/n
         w = beamforming_weight(np.array([2 * np.pi / 4, 0.0]), NOISELESS4)
         h_vec = rank1_snapshot(0.0, 0.0, NOISELESS4).ravel()
-        r = beamformed_signal(w, h_vec, np.zeros(()), np.random.default_rng(0))
+        r = combine(w, h_vec, complex_noise(h_vec.shape, 0.0, _normals(0, 2 * NOISELESS4.n)))
         assert abs(r) < 1e-10
 
     def test_combined_noise_variance(self):
@@ -203,17 +206,24 @@ class TestBeamformedSignal:
         w = beamforming_weight(np.array([0.1, 0.2]), cfg)
         h_vec = rank1_snapshot(0.5, -0.5, cfg).ravel()
         var = noise_variance(cfg, np.mean(np.abs(h_vec) ** 2))
-        rng = np.random.default_rng(11)
-        clean = np.vdot(w, h_vec)
-        draws = np.array(
-            [beamformed_signal(w, h_vec, var, rng) - clean for _ in range(30_000)]
-        )
+        shape = (30_000, cfg.n)
+        noise = complex_noise(shape, var, _normals(11, (30_000, 2 * cfg.n)))
+        draws = combine(w, np.broadcast_to(h_vec, shape), noise) - np.vdot(w, h_vec)
         assert np.mean(np.abs(draws) ** 2) == pytest.approx(var, rel=0.03)
 
 
 def test_complex_noise_zero_variance():
-    n = complex_noise((3, 3), 0.0, np.random.default_rng(0))
+    n = complex_noise((3, 3), 0.0, _normals(0, 18))
     assert np.array_equal(n, np.zeros((3, 3)))
+
+
+def test_complex_noise_reads_real_then_imaginary_halves():
+    # per entry of the leading axis: the real parts, then the imaginary parts, in shape's order
+    z = _normals(5, (2, 12))
+    n = complex_noise((2, 2, 3), np.array([0.5, 2.0])[:, None, None], z)
+    s = np.sqrt(np.array([0.25, 1.0]))[:, None, None]
+    assert np.array_equal(n.real, s * z[:, :6].reshape(2, 2, 3))
+    assert np.array_equal(n.imag, s * z[:, 6:].reshape(2, 2, 3))
 
 
 def test_pilot_config_rejects_bad_reference():

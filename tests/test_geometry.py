@@ -14,12 +14,9 @@ from beamtrack.geometry import (
 NO_NOISE = (0.0, 0.0)
 
 
-def _rng(seed=0):
-    return np.random.default_rng(seed)
-
-
 def _rotate(u, v, psi, sigma=NO_NOISE, seed=0):
-    return evolve_state(np.array([u, v]), rotation_matrix(psi), sigma, _rng(seed))
+    z = np.random.default_rng(seed).standard_normal(2)
+    return evolve_state(np.array([u, v]), rotation_matrix(psi), sigma, z)
 
 
 class TestAnglesToSpatial:
@@ -90,6 +87,14 @@ class TestEvolveState:
         b = _rotate(0.1, 0.2, 0.3, sigma=(0.01, 0.02), seed=7)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, _rotate(0.1, 0.2, 0.3))
+
+    def test_drift_is_sigma_times_each_normal(self):
+        # rows of x are trials, each with its own two normals
+        x = np.array([[0.1, 0.2], [-0.4, 0.3]])
+        f, z = rotation_matrix(0.3), np.array([[1.5, -0.5], [0.25, 2.0]])
+        out = evolve_state(x, f, (0.01, 0.02), z)
+        for xi, zi, oi in zip(x, z, out):
+            assert np.array_equal(oi, f @ xi + np.array([0.01 * zi[0], 0.02 * zi[1]]))
 
     def test_not_clamped_out_of_range(self):
         u, v = _rotate(3.0, 3.0, 0.5)

@@ -1,5 +1,9 @@
 """Golden outputs: sha256 of `track run` files for three presets x three schemes,
-plus fig6 on an 8x16 array (the detector's rectangular mesh) with the proposed scheme.
+plus, with the proposed scheme, fig6 on an 8x16 array (the detector's rectangular mesh)
+and fig6 with zero-scale draws: no truth drift and no realignment residual, at an SNR
+that realigns often (21 times).  A zero scale times a negative normal is -0.0, where
+Generator.normal's 0.0 + scale * z is +0.0; that case pins that the sign does not reach
+the outputs.
 
 Each case runs in-process `track run` on a preset with trials=5 and seed 0,
 and hashes the trace CSV and the summary JSON it writes.  The hashes change
@@ -23,6 +27,8 @@ SCHEMES = ("proposed", "codebook", "abp")
 # (label, preset, field overrides, schemes)
 CASES = [(name, name, {}, SCHEMES) for name in ("fig4a", "fig6", "fig9")] + [
     ("fig6-8x16", "fig6", {"n_y": 16}, ("proposed",)),
+    ("fig6-zero-scale", "fig6", {"sigma_u": 0.0, "sigma_v": 0.0, "detect_residual": 0.0,
+                                 "snr_db": -20.0, "sigma_init": 1.0}, ("proposed",)),
 ]
 
 GOLDEN = {
@@ -34,6 +40,8 @@ GOLDEN = {
     "fig4a/proposed_trace.csv": "eac26b0c65943d075ce4617818decb414df282f2447c6e864a1b868c996284f6",
     "fig6-8x16/proposed_summary.json": "77ffae9ca762194484de8a8b51f6ba88582a839a28460743ef8a6acf201a6b1c",
     "fig6-8x16/proposed_trace.csv": "5a0d68f3441fb7060c7fbb41e271c109e25b55142919415e72878d8d2d46d76c",
+    "fig6-zero-scale/proposed_summary.json": "0b0b100b90526905d5752335dcad9436d74303b3921ae1e6400130ab992ac8e8",
+    "fig6-zero-scale/proposed_trace.csv": "f68e3ed33dc48dc999b41f22465d62808c36a9786bb90c691068cd38cd939a98",
     "fig6/abp_summary.json": "4d5eb056d714aed609087221df94766c1776a329e769c2a5f354393f43a9a039",
     "fig6/abp_trace.csv": "ad3b44b186fd930bedd543afb2215bdf234b2f21b85dbadb5a61859806d56cc3",
     "fig6/codebook_summary.json": "1e6a75bce350f23bb246378b1e74109cde13691cab033595a04fce9b18d60d31",

@@ -594,8 +594,8 @@ class TestChunkLength:
         # trial 1's pilot snapshots are all zero: no measurement in any of its frames
         synthesize = harness.synthesize_rx
 
-        def zero_trial_1(h, var, rng):
-            y = synthesize(h, var, rng)
+        def zero_trial_1(h, var, z):
+            y = synthesize(h, var, z)
             y[..., 1, :, :] = 0.0
             return y
 

@@ -5,7 +5,7 @@ import pytest
 
 from beamtrack import misalign
 from beamtrack.arrays import abs2, vec
-from beamtrack.channel import beamformed_signal, beamforming_weight, channel_matrix
+from beamtrack.channel import beamforming_weight, channel_matrix, combine
 from beamtrack.errors import ConfigError
 from beamtrack.harness import ScenarioConfig
 from beamtrack.misalign import (
@@ -28,7 +28,7 @@ def _data_power(x, est):
     toward est combines the channel toward x; 1 up to round-off at zero offset."""
     w = beamforming_weight(np.asarray(est, dtype=float), CFG8)
     h_vec = vec(channel_matrix(1.0, np.asarray(x, dtype=float), CFG8))
-    return float(abs2(beamformed_signal(w, h_vec, np.zeros(()), None)) / CFG8.n)
+    return float(abs2(combine(w, h_vec, np.zeros_like(h_vec))) / CFG8.n)
 
 
 def _table_pairs(n_x=8):

@@ -134,7 +134,7 @@ class TestNoiseBehaviour:
         rng = np.random.default_rng(seed)
         vals = np.empty((trials, 2))
         for i in range(trials):
-            y = synthesize_rx(h, var, rng)
+            y = synthesize_rx(h, var, rng.standard_normal(2 * h.size))
             vals[i] = extract_measurement(y, cfg).r
         return float(vals.var(axis=0).sum())
 

@@ -77,17 +77,17 @@ def test_second_call_rekeys_the_first_generator():
 
 
 def test_trial_draws_equal_each_trials_stream():
-    # the gain innovation: two scalar-scale normals per trial
+    # the gain innovation: two normals per trial
     trials, s = [0, 3, 4, 9], 0.007
-    draws = rngmod.TrialDraws(5, rngmod.trial_keys(5, trials), [11], "gain", 2)[0]
-    first, second = draws.normal(0.0, s), draws.normal(0.0, s)
-    for i, t in enumerate(trials):
-        gen = rngmod.stream(5, t, 11, "gain")
-        assert first[i] == gen.normal(0.0, s) and second[i] == gen.normal(0.0, s)
-    # the realignment residual: a (m, 2) block for a non-contiguous subset of the trials
+    z = rngmod.trial_normals(5, rngmod.trial_keys(5, trials), [11], "gain", 2)
+    assert z.shape == (1, len(trials), 2)
+    for row, t in zip(z[0], trials):
+        assert np.array_equal(row, rngmod.stream(5, t, 11, "gain").standard_normal(2))
+        # scaled, as the steps that read them scale them, they are Generator.normal's values
+        assert np.array_equal(s * row, rngmod.stream(5, t, 11, "gain").normal(0.0, s, 2))
+    # the realignment residual: a non-contiguous subset of the trials
     subset, r = [1, 4, 7], 0.02
-    block = rngmod.TrialDraws(5, rngmod.trial_keys(5, subset), [11], "realign", 2).normal(
-        0.0, r, (1, len(subset), 2))[0]
+    block = r * rngmod.trial_normals(5, rngmod.trial_keys(5, subset), [11], "realign", 2)[0]
     for row, t in zip(block, subset):
         assert np.array_equal(row, rngmod.stream(5, t, 11, "realign").normal(0.0, r, 2))
 
@@ -95,8 +95,7 @@ def test_trial_draws_equal_each_trials_stream():
 def test_trial_draws_beyond_4096_trials_equal_each_trials_stream():
     # a block mixes each trial's key half once, however many trials it has
     trials = range(4200)
-    draws = rngmod.TrialDraws(2, rngmod.trial_keys(2, trials), [1, 2], "pilot", 3)
-    z = draws.normal(0.0, 0.5, (2, len(trials), 3))
+    z = rngmod.trial_normals(2, rngmod.trial_keys(2, trials), [1, 2], "pilot", 3)
     for j, frame in enumerate([1, 2]):
         for t in (0, 4095, 4096, 4097, 4199):
-            assert np.array_equal(z[j, t], rngmod.stream(2, t, frame, "pilot").normal(0.0, 0.5, 3))
+            assert np.array_equal(z[j, t], rngmod.stream(2, t, frame, "pilot").standard_normal(3))
