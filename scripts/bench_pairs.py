@@ -18,7 +18,8 @@ Under ``tf_per_ref_s`` it also prints, for each scheme whose
 ratio, with no verdict: a gate that moves when only one scheme's operations
 move (fig9-sweep's codebook, say) shows it there.
 ``--tiny`` passes ``--tiny`` to every run, for a smoke run whose numbers mean
-nothing.
+nothing.  A workload that BENCHMARK.json does not name is a usage error, before
+any run.
 """
 
 import argparse
@@ -66,6 +67,10 @@ def main() -> None:
     args = ap.parse_args()
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = [w["name"] for w in benchmark["workloads"]]
+    if args.workload not in workloads:
+        ap.error(f"--workload must be one of {', '.join(workloads)}, got {args.workload!r}")
 
     sides = {"parent": args.parent.resolve(), "change": ROOT}
     runs = {side: [] for side in sides}
@@ -76,7 +81,7 @@ def main() -> None:
                                         args.seconds, args.tiny))
         print(f"pair {i + 1}/{args.pairs} done ({order[0]} first)", file=sys.stderr)
 
-    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    declared = benchmark["end_to_end"]
     print(f"workload {args.workload}  pairs {args.pairs}  seconds {args.seconds:g}  "
           f"seeds {args.seed}..{args.seed + args.pairs - 1}")
     for side in sides:

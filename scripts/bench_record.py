@@ -4,10 +4,10 @@
 Usage: bench_record.py --out BENCH_<n>.json --junit TIER1.xml
                        [--seconds S] [--tiny]
 
-Runs ``bench/run.py`` on each workload, once at ``--trace 0`` (the gated
-end-to-end metrics) and once at ``--trace 1`` (the per-layer metrics), one
-run after another, and reads the seconds of each acceptance criterion from
-the junit XML of a tier-1 run, made with
+Runs ``bench/run.py`` on each workload that ``BENCHMARK.json`` names, once at
+``--trace 0`` (the gated end-to-end metrics) and once at ``--trace 1`` (the
+per-layer metrics), one run after another, and reads the seconds of each
+acceptance criterion from the junit XML of a tier-1 run, made with
 
     PYTHONPATH=src python -m pytest -q --junitxml TIER1.xml
 
@@ -26,7 +26,6 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-WORKLOADS = ("fig9-sweep", "detect-8x16", "cli-runs")
 CRITERION = re.compile(r"test_criterion_(\d+)_")
 
 
@@ -75,7 +74,8 @@ def main() -> None:
 
     record = {"seconds": args.seconds, "tiny": args.tiny,
               "tier1": criterion_seconds(args.junit), "workloads": {}}
-    for workload in WORKLOADS:
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    for workload in (w["name"] for w in benchmark["workloads"]):
         record["workloads"][workload] = {
             f"trace{trace}": bench_run(workload, trace, args.seconds, args.tiny)
             for trace in (0, 1)

@@ -116,11 +116,10 @@ class CodebookTracker:
     def noise_var(cfg: ScenarioConfig) -> float:
         """Per-component noise variance of the stacked re/im beam observations plus the gain
         uncertainty scaled by the mean beam power; DFT beams are near-orthonormal, so Q_n
-        is this times I.  A gain without innovations never varies and adds no uncertainty
-        (evolve_gain's literal default variance is positive for every |rho| <= 1)."""
-        n, k, giv = cfg.n, cfg.k_beams, cfg.gain_innovation_var
-        guv = cfg.gain_uncertainty_var if giv is None or giv > 0 else 0.0
-        return noise_variance(cfg, 1.0) / 2.0 + 0.5 * guv * n / k**2
+        is this times I.  A gain without innovations (cfg.gain_var zero) never varies and
+        adds no uncertainty."""
+        guv = cfg.gain_uncertainty_var if cfg.gain_var > 0 else 0.0
+        return noise_variance(cfg, 1.0) / 2.0 + 0.5 * guv * cfg.n / cfg.k_beams**2
 
     def observe(self, y: np.ndarray) -> np.ndarray:
         """The stacked beam outputs of pilot snapshots y, shape (..., 2K^2)."""

@@ -59,19 +59,13 @@ def channel_matrix(gain, x: np.ndarray, cfg: ScenarioConfig) -> np.ndarray:
 
 
 def evolve_gain(alpha: complex | np.ndarray, rho: float, z: np.ndarray,
-                innovation_var: float | None = None) -> np.ndarray:
+                innovation_var: float) -> np.ndarray:
     """First-order Gauss-Markov step for the channel gain, for alpha with any leading axes
     and two standard normals per entry in z (..., 2): the innovation's real part from
-    z[..., 0], its imaginary part from z[..., 1].
-
-    innovation_var defaults to the literal (1 - rho^2 / 2) of the source
-    model.  That normalization does not vanish at rho = 1, which is unusual
-    for a Gauss-Markov process; pass an explicit value to override.
-    """
+    z[..., 0], its imaginary part from z[..., 1].  A run passes its config's gain_var,
+    which resolves the source model's literal default."""
     if abs(rho) > 1:
         raise ValueError("|rho| must not exceed 1")
-    if innovation_var is None:
-        innovation_var = 1.0 - rho**2 / 2.0
     if innovation_var < 0:
         raise ValueError("innovation variance must be non-negative")
     scale = np.sqrt(innovation_var / 2.0)

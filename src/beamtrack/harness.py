@@ -15,16 +15,17 @@ of a block advance together: truth, gain, estimate, covariance, Q_n window,
 detector counters and measurement validity are arrays with a leading trial
 axis, and run_trial is a batch of one.  The frames go in chunks of up to
 CHUNK_ENTRIES snapshot entries, one frame at least.  A chunk first
-synthesizes, for all its (frame, trial) pairs, what does not depend on the
-estimate: each purpose's draws are one array of rng.trial_normals, a stream
-per (frame, trial); the truth and gain steps run frame by frame; the channel,
-noise level, pilot snapshot, each tracker's observation of it
-(Tracker.observe) and the data-phase noise are one call each.  Then a frame
-loop keeps what reads the estimate: the tracker step, the data-phase combiner,
-the detector and the record.  A trial realigned in a chunk has its truth
-re-evolved over the rest of the chunk, from a residual drawn with
-trial_normals too and the process draws already made, and what follows from
-it synthesized again.  Only the initial draw, the detector's table lookup and
+synthesizes (_synthesize), for all its (frame, trial) pairs, what does not
+depend on the estimate: each purpose's draws are one array of
+rng.trial_normals, a stream per (frame, trial); the truth and gain steps run
+frame by frame; the channel, noise level, pilot snapshot, each tracker's
+observation of it (Tracker.observe) and the data-phase noise are one call
+each.  Then a frame loop keeps what reads the estimate: the tracker step, the
+data-phase combiner, the detector and the record.  A trial realigned in a
+chunk restarts its truth from a residual drawn with trial_normals too, and
+_synthesize runs again on the realigned trials' rest of the chunk, from the
+residual and with the draws already made: _synthesize is the one place the
+truth advances.  Only the initial draw, the detector's table lookup and
 the codebook's 2K^2 x 2K^2 update stay per trial.  A block builds one
 tracker, which builds its own tables (the baselines' beam weights), so a
 config holds none.
@@ -144,7 +145,7 @@ class ScenarioConfig:
     azimuth_range_deg: float = 30.0
     d_over_lambda: float = 0.5
     rho_gain: float = 0.995
-    gain_innovation_var: float | None = 1e-4  # None -> literal 1 - rho^2/2
+    gain_innovation_var: float | None = 1e-4  # None -> literal 1 - rho^2/2, see gain_var
     sigma_n_sq: float = 5e-6            # filter's assumed monopulse noise var
     q_n_mode: str = "estimated"
     q_n_window: int = 20
@@ -167,8 +168,7 @@ class ScenarioConfig:
             raise ConfigError(f"unknown scheme {self.scheme!r}, not one of {SCHEMES}")
         # without innovations the gain decays to zero and the received power with it; below
         # the smallest normal float |alpha|^2 underflows to zero all the same
-        giv = self.gain_innovation_var
-        if giv is not None and giv < sys.float_info.min and abs(self.rho_gain) < 1:
+        if self.gain_var < sys.float_info.min and abs(self.rho_gain) < 1:
             raise ConfigError(
                 "gain_innovation_var below the smallest normal float needs |rho_gain| = 1")
         # the pieces a run reads check their own values; build them now
@@ -215,6 +215,14 @@ class ScenarioConfig:
     def threshold(self) -> float:
         """Detector threshold p_th on the error norm; by default the 3dB beamwidth."""
         return 0.89 * np.pi / self.n_x if self.detect_threshold is None else self.detect_threshold
+
+    @cached_property
+    def gain_var(self) -> float:
+        """Variance of the gain innovation; by default the literal 1 - rho^2/2 of the source
+        model, which does not vanish at rho = 1 (unusual for a Gauss-Markov process) and is
+        positive for every |rho| <= 1."""
+        giv = self.gain_innovation_var
+        return 1.0 - self.rho_gain**2 / 2.0 if giv is None else giv
 
     @cached_property
     def f(self) -> np.ndarray:
@@ -299,10 +307,11 @@ class ProposedTracker:
         self.q_n_prior = np.eye(2) * cfg.sigma_n_sq
         # floor the estimate at a tenth of the design prior: an estimate
         # near zero (transient-biased window) would saturate the gain and
-        # inject raw measurement noise into the state
+        # inject raw measurement noise into the state.  A fixed Q_n reads no
+        # window, so that mode keeps none
         self.estimator = InnovationNoiseEstimator(
             window=cfg.q_n_window, floor=cfg.sigma_n_sq / 10.0, batch=state.x.shape[:-1]
-        )
+        ) if cfg.q_n_mode == "estimated" else None
         self.q_n_relaxed = np.eye(2) * cfg.sigma_nb_sq   # the bound's Q_n'
 
     def observe(self, y: np.ndarray) -> np.ndarray:
@@ -315,21 +324,20 @@ class ProposedTracker:
         p_prev = self.state.p
         pred = predict(self.state, cfg.f, cfg.q_p)
         g = jacobian(pred.x, cfg.jacobian_mode)
-        if cfg.q_n_mode == "estimated":
-            q_n = self.estimator.estimate(self.q_n_prior)
-        else:
-            q_n = self.q_n_prior
+        q_n = self.q_n_prior if self.estimator is None else self.estimator.estimate(self.q_n_prior)
         self.state, innovation, k = update(pred, r, g, q_n)
-        self.estimator.push(innovation, g, pred.p)
+        if self.estimator is not None:
+            self.estimator.push(innovation, g, pred.p)
         return step_result(innovation, bound_step(p_prev, k, g, cfg.f, cfg.q_p, self.q_n_relaxed))
 
     def reinitialize(self, mask: np.ndarray, state: TrackerState):
         """Restart the trials in mask from state, with an empty Q_n window."""
         self.state = state.where(mask, self.state)
-        self.estimator.reset(mask)
-        # a restarted window floors its estimate at the estimator's default, not the prior's
-        # tenth; outputs since the first release depend on it
-        self.estimator.floor[mask] = InnovationNoiseEstimator.floor
+        if self.estimator is not None:
+            self.estimator.reset(mask)
+            # a restarted window floors its estimate at the estimator's default, not the
+            # prior's tenth; outputs since the first release depend on it
+            self.estimator.floor[mask] = InnovationNoiseEstimator.floor
 
 
 # every tracker is built as Tracker(cfg, state); its observe(y) maps pilot snapshots with any
@@ -349,22 +357,31 @@ def _for_scheme(cfg: ScenarioConfig, scheme: str | None) -> ScenarioConfig:
 CHUNK_ENTRIES = 4096
 
 
-def _synthesize(cfg: ScenarioConfig, tracker, truth, gain, pilot, data):
-    """What frames read that does not depend on the estimate, for truth and gain with any
-    leading axes and the pilot and data draws of the same entries: the channel vectors,
-    the tracker's observations of the pilot snapshots and the data-phase element noise."""
-    h = channel_matrix(gain, truth, cfg)
+def _synthesize(cfg: ScenarioConfig, tracker, truth, gain, draws):
+    """Everything a block of frames reads that does not depend on the estimate, from the
+    truth and gain before its first frame (any leading axes) and its (process, gain,
+    pilot, data) draws, each with a leading frame axis: the truth and gain of each frame,
+    stepped with evolve_state and evolve_gain, then the channel vectors, the tracker's
+    observations of the pilot snapshots and the data-phase element noise.  The one place
+    the truth and the gain advance."""
+    process, innovation, pilot, data = draws
+    truths = np.empty(process.shape)
+    gains = np.empty(innovation.shape[:-1], complex)
+    for j in range(len(truths)):
+        truth = truths[j] = evolve_state(truth, cfg.f, (cfg.sigma_u, cfg.sigma_v), process[j])
+        gain = gains[j] = evolve_gain(gain, cfg.rho_gain, innovation[j], cfg.gain_var)
+    h = channel_matrix(gains, truths, cfg)
     var = noise_variance(cfg, mean(np.abs(vec(h)) ** 2))
     obs = tracker.observe(synthesize_rx(h, var, pilot))
-    return vec(h), obs, complex_noise(vec(h).shape, var[..., None], data)
+    return truths, gains, vec(h), obs, complex_noise(vec(h).shape, var[..., None], data)
 
 
 def _frames(cfg: ScenarioConfig, trials) -> dict[str, np.ndarray]:
     """Simulate the trials as one batch: each FrameRecord field after `frame` by name, a
     (frames, trials) array whose row k - 1 holds frame k.  Each chunk of frames first
     synthesizes everything that does not depend on the estimate, then steps the trackers
-    frame by frame; a trial realigned mid-chunk has its truth and what follows from it
-    synthesized again for the rest of the chunk."""
+    frame by frame; a trial realigned mid-chunk has the rest of the chunk synthesized again
+    from its residual truth.  The next chunk starts from the last frame's truth and gain."""
     try:
         x_hat0 = np.empty((len(trials), 2))
         cols = {f.name: np.empty((cfg.frames, len(trials)), bool if f.type == "bool" else float)
@@ -384,7 +401,6 @@ def _frames(cfg: ScenarioConfig, trials) -> dict[str, np.ndarray]:
     restart = initial_state(np.zeros(2), cfg.sigma_init)
     consecutive = np.zeros(len(trials), dtype=int)
     gain = np.full(len(trials), 1.0 + 0.0j)
-    sigma = (cfg.sigma_u, cfg.sigma_v)
     keys = rngmod.trial_keys(cfg.seed, trials)
     # the truth drift, the gain innovation: 2 normals; the pilot and data noise: 2 per element
     counts = {"process": 2, "gain": 2, "pilot": 2 * cfg.n, "data": 2 * cfg.n}
@@ -392,15 +408,8 @@ def _frames(cfg: ScenarioConfig, trials) -> dict[str, np.ndarray]:
 
     for first in range(1, cfg.frames + 1, chunk):
         frames = range(first, min(first + chunk, cfg.frames + 1))
-        process, innovation, pilot, data = (rngmod.trial_normals(cfg.seed, keys, frames, p, c)
-                                            for p, c in counts.items())
-        truths = np.empty((len(frames), len(trials), 2))
-        gains = np.empty((len(frames), len(trials)), complex)
-        for j in range(len(frames)):
-            truth = truths[j] = evolve_state(truth, cfg.f, sigma, process[j])
-            gain = gains[j] = evolve_gain(gain, cfg.rho_gain, innovation[j],
-                                          cfg.gain_innovation_var)
-        h_vec, obs, noise = _synthesize(cfg, tracker, truths, gains, pilot, data)
+        draws = [rngmod.trial_normals(cfg.seed, keys, frames, p, c) for p, c in counts.items()]
+        truths, gains, h_vec, obs, noise = _synthesize(cfg, tracker, truth, gain, draws)
         power = cfg.n * abs2(gains)
 
         for j, k in enumerate(frames):
@@ -423,18 +432,16 @@ def _frames(cfg: ScenarioConfig, trials) -> dict[str, np.ndarray]:
             realigned = cols["realigned"][k - 1]
             if realigned.any():
                 idx = np.flatnonzero(realigned)
-                x = cfg.detect_residual * rngmod.trial_normals(
+                # frame k is recorded; from here on the realigned trials' truth is the residual
+                truths[j, idx] = cfg.detect_residual * rngmod.trial_normals(
                     cfg.seed, [keys[i] for i in idx], [k], "realign", 2)[0]
                 tracker.reinitialize(realigned, restart)
-                # the rest of the chunk: the same process draws from the new truth, the same
-                # gain, and the snapshots, observations and noise that follow from them
-                for later in range(j + 1, len(frames)):
-                    x = truths[later, idx] = evolve_state(x, cfg.f, sigma, process[later, idx])
-                truth[idx] = x
+                # the rest of the chunk again, from the residual, with the same draws
                 if j + 1 < len(frames):
                     rest = (slice(j + 1, None), idx)
-                    h_vec[rest], obs[rest], noise[rest] = _synthesize(
-                        cfg, tracker, truths[rest], gains[rest], pilot[rest], data[rest])
+                    truths[rest], gains[rest], h_vec[rest], obs[rest], noise[rest] = _synthesize(
+                        cfg, tracker, truths[j, idx], gains[j, idx], [d[rest] for d in draws])
+        truth, gain = truths[-1], gains[-1]
     return cols
 
 

@@ -101,15 +101,20 @@ class TestEvolveGain:
         assert measured == pytest.approx(expected, rel=0.03)
 
     def test_literal_default_variance(self):
-        # default innovation variance is 1 - rho^2/2, which stays positive
-        # at rho = 1 (unusual; kept configurable for that reason)
+        # the config's default innovation variance is the literal 1 - rho^2/2, which stays
+        # positive at rho = 1 (unusual; kept configurable for that reason)
+        for rho in (0.995, 1.0, -1.0):
+            cfg = ScenarioConfig(rho_gain=rho, gain_innovation_var=None)
+            assert cfg.gain_var == 1 - rho**2 / 2
+            assert ScenarioConfig(rho_gain=rho, gain_innovation_var=0.25).gain_var == 0.25
         rho = 0.995
-        draws = evolve_gain(np.zeros(50_000, complex), rho, _normals(3, (50_000, 2)))
+        draws = evolve_gain(np.zeros(50_000, complex), rho, _normals(3, (50_000, 2)),
+                            1 - rho**2 / 2)
         assert np.mean(np.abs(draws) ** 2) == pytest.approx(1 - rho**2 / 2, rel=0.05)
 
     def test_rejects_bad_rho(self):
         with pytest.raises(ValueError):
-            evolve_gain(1.0 + 0.0j, 1.5, _normals(0, 2))
+            evolve_gain(1.0 + 0.0j, 1.5, _normals(0, 2), 1e-4)
 
     def test_rejects_negative_innovation_var(self):
         with pytest.raises(ValueError, match="non-negative"):
@@ -117,14 +122,17 @@ class TestEvolveGain:
 
     @pytest.mark.parametrize("innovation_var", [None, 0.0, 1e-4])
     def test_batch_equals_scalar_steps_on_each_trials_stream(self, innovation_var):
+        # None: the config's literal default, the variance a run then passes
         trials = [0, 2, 5]
         alpha = np.array([1.0 + 0.0j, 0.3 - 0.8j, -2.0 + 0.5j])
         for rho in (0.995, -1.0):
+            var = (ScenarioConfig(rho_gain=rho, gain_innovation_var=None).gain_var
+                   if innovation_var is None else innovation_var)
             z = rngmod.trial_normals(3, rngmod.trial_keys(3, trials), [4], "gain", 2)[0]
-            batch = evolve_gain(alpha, rho, z, innovation_var)
+            batch = evolve_gain(alpha, rho, z, var)
             for a, t, b in zip(alpha, trials, batch):
                 draws = rngmod.stream(3, t, 4, "gain").standard_normal(2)
-                assert np.array_equal(b, evolve_gain(complex(a), rho, draws, innovation_var))
+                assert np.array_equal(b, evolve_gain(complex(a), rho, draws, var))
 
 
 class TestSynthesizeRx:

@@ -358,6 +358,44 @@ class TestProposedTracker:
         assert out["meas_valid"] is True
         assert out["bound"] == bound_step(start.p, k, g, f, q_p, np.eye(2) * cfg.sigma_nb_sq)
 
+    def test_fixed_q_n_holds_no_estimator(self):
+        # a fixed Q_n reads no window; the tracker steps and restarts without one
+        start = initial_state(np.array([[0.1, -0.2], [0.0, 0.1]]), 0.01)
+        assert ProposedTracker(small_cfg(), start).estimator is not None
+        cfg = small_cfg(q_n_mode="fixed")
+        tracker = ProposedTracker(cfg, start)
+        assert tracker.estimator is None
+        y = np.stack([rank1_snapshot(0.11, -0.19, cfg), rank1_snapshot(0.0, 0.1, cfg)])
+        assert all(tracker.step(tracker.observe(y))["meas_valid"])
+        tracker.reinitialize(np.array([True, False]), initial_state(np.zeros(2), 0.01))
+        assert np.array_equal(tracker.state.x[0], [0.0, 0.0])
+
+
+class TestSynthesize:
+    """A realignment synthesizes the rest of its chunk again for the realigned trials only,
+    from their truth and gain at the realignment: those rows must equal the whole chunk's."""
+
+    @pytest.mark.parametrize("scheme", ["proposed", "codebook", "abp"])
+    def test_rest_of_a_chunk_from_its_truth_and_gain_equals_the_whole_chunk(self, scheme):
+        from beamtrack import rng as rngmod
+        from beamtrack.presets import get_preset
+
+        cfg = dataclasses.replace(get_preset("fig9"), trials=4, scheme=scheme)
+        tracker = harness.TRACKERS[scheme](cfg, initial_state(np.zeros((4, 2)), cfg.sigma_init))
+        keys = rngmod.trial_keys(cfg.seed, range(4))
+        counts = {"process": 2, "gain": 2, "pilot": 2 * cfg.n, "data": 2 * cfg.n}
+        draws = [rngmod.trial_normals(cfg.seed, keys, range(5, 11), p, c)
+                 for p, c in counts.items()]
+        truth = np.array([[0.1, -0.2], [0.3, 0.0], [-0.4, 0.2], [0.05, 0.5]])
+        gain = np.array([1.0 + 0.0j, 0.8 - 0.3j, -0.2 + 0.9j, 0.5 + 0.5j])
+        whole = harness._synthesize(cfg, tracker, truth, gain, draws)
+        for a, idx in ((1, [0, 2, 3]), (4, [1]), (5, [3, 0])):
+            rest = (slice(a, None), idx)
+            again = harness._synthesize(cfg, tracker, whole[0][a - 1, idx],
+                                        whole[1][a - 1, idx], [d[rest] for d in draws])
+            for name, w, r in zip(("truths", "gains", "h_vec", "obs", "noise"), whole, again):
+                assert r.tobytes() == w[rest].tobytes(), (a, name)
+
 
 class TestRunExperiment:
     def test_single_trial_matches_trace(self):

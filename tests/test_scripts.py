@@ -165,6 +165,15 @@ def test_bench_pairs_reports_each_metric_with_wins():
     assert schemes == ["proposed.tf_per_ref_s", "abp.tf_per_ref_s", "codebook.tf_per_ref_s"]
 
 
+def test_bench_pairs_unknown_workload_is_a_usage_error():
+    # bench/run.py would reject the name only after the first parent run
+    proc = _run("bench_pairs.py", "--parent", str(ROOT), "--workload", "fig9", "--pairs", "1")
+    assert proc.returncode == 2
+    assert ("error: --workload must be one of fig9-sweep, detect-8x16, cli-runs, got 'fig9'"
+            in proc.stderr)
+    assert "Traceback" not in proc.stderr and not proc.stdout
+
+
 def _bench_pairs_report(monkeypatch, capsys, tmp_path, values, seed=101, schemes=None):
     """Run bench_pairs.main in process, its bench_run stubbed to return
     values[metric][side][pair] and, as each scheme's printed tf_per_ref_s,
