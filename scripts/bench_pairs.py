@@ -12,14 +12,21 @@ favours neither.  For each end-to-end metric of BENCHMARK.json the script
 prints every pair, each side's median and quartiles, and how many pairs the
 change wins (ties count for neither side).  A gain holds when the change wins
 at least nine tenths of the pairs and the medians differ, in the better
-direction, by more than the distance between the parent's quartiles.
+direction, by more than the distance between the parent's quartiles.  The
+no-regression verdict reads the metric's ``bound`` in BENCHMARK.json as a
+fraction of the parent's median: ``regression`` when the change's median is
+worse than the parent's by more than that, else ``unresolved`` when the
+parent's quartile distance over its median exceeds the bound and not every
+change run beats every parent run, else ``no regression``.
 Under ``tf_per_ref_s`` it also prints, for each scheme whose
 ``<scheme>.tf_per_ref_s`` every run printed, each side's median and their
 ratio, with no verdict: a gate that moves when only one scheme's operations
 move (fig9-sweep's codebook, say) shows it there.
 ``--tiny`` passes ``--tiny`` to every run, for a smoke run whose numbers mean
-nothing.  A workload that BENCHMARK.json does not name is a usage error, before
-any run.
+nothing.  A workload that BENCHMARK.json does not name, or a parent directory
+without ``bench/run.py`` or ``BENCHMARK.json``, is a usage error, before any
+run.  A run that exits non-zero stops the script with exit code 1, naming its
+side, pair and seed and printing its stderr.
 """
 
 import argparse
@@ -55,6 +62,19 @@ def quartiles(values: list) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def verdict(parent: list, change: list, bound: float, higher: bool) -> str:
+    """The no-regression verdict on one metric's runs, its bound a fraction of the parent's
+    median."""
+    (p1, pm, p3), cm = quartiles(parent), statistics.median(change)
+    worse = (pm - cm) if higher else (cm - pm)
+    if worse > bound * pm:
+        return "regression"
+    beats_all = all((c > p) if higher else (c < p) for c in change for p in parent)
+    if p3 - p1 > bound * pm and not beats_all:
+        return "unresolved"
+    return "no regression"
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -71,14 +91,22 @@ def main() -> None:
     workloads = [w["name"] for w in benchmark["workloads"]]
     if args.workload not in workloads:
         ap.error(f"--workload must be one of {', '.join(workloads)}, got {args.workload!r}")
+    missing = [name for name in ("bench/run.py", "BENCHMARK.json")
+               if not (args.parent / name).is_file()]
+    if missing:
+        ap.error(f"--parent {args.parent} has no {' and no '.join(missing)}")
 
     sides = {"parent": args.parent.resolve(), "change": ROOT}
     runs = {side: [] for side in sides}
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            runs[side].append(bench_run(sides[side], args.workload, args.seed + i,
-                                        args.seconds, args.tiny))
+            try:
+                runs[side].append(bench_run(sides[side], args.workload, args.seed + i,
+                                            args.seconds, args.tiny))
+            except subprocess.CalledProcessError as exc:
+                sys.exit(f"the {side} run of pair {i + 1} (seed {args.seed + i}) exited with "
+                         f"code {exc.returncode}; its stderr:\n{exc.stderr}")
         print(f"pair {i + 1}/{args.pairs} done ({order[0]} first)", file=sys.stderr)
 
     declared = benchmark["end_to_end"]
@@ -104,6 +132,9 @@ def main() -> None:
               f"change median {cm:.6g} [{c1:.6g}, {c3:.6g}]  "
               f"change/parent {cm / pm if pm else float('nan'):.4f}  "
               f"wins {wins}/{args.pairs}  gain holds {holds}")
+        spread = (p3 - p1) / pm if pm else float("nan")
+        print(f"  bound {metric['bound']:g}  parent spread {spread:.4f}  verdict "
+              f"{verdict(values['parent'], values['change'], metric['bound'], higher)}")
         if name == "tf_per_ref_s":
             everywhere = [r["schemes"] for side in sides for r in runs[side]]
             for scheme in [s for s in everywhere[0] if all(s in e for e in everywhere)]:

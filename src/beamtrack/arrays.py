@@ -33,8 +33,9 @@ def outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def vec(a: np.ndarray) -> np.ndarray:
-    """vec() of each matrix of a stack, row-major: a sum over its last axis is np.sum's."""
-    return a.reshape(a.shape[:-2] + (-1,))
+    """vec() of each matrix of a stack, row-major: a sum over its last axis is np.sum's.  An
+    empty stack keeps its leading axes, shape (..., rows * columns)."""
+    return a.reshape(a.shape[:-2] + (a.shape[-2] * a.shape[-1],))
 
 
 def diag(v: np.ndarray) -> np.ndarray:

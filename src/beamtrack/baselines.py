@@ -6,12 +6,14 @@ outputs (measurement dimension 2*K^2); the auxiliary-beam-pair (ABP)
 tracker forms a gain-invariant power-ratio metric around the grid beam
 nearest the prediction (measurement dimension 2).
 
-Each tracker builds only the beam table it reads, in its __init__, each table one
-batched call: the codebook tracker its conjugated (K^2, N) weight matrix, ABP its axis
-angles and the squinted weights around them per axis.  A run builds one tracker for all
-its trials.  Each tracker's observe(y) turns pilot snapshots with any leading axes into
-what its step reads, and a run observes a chunk of frames at once: the codebook tracker
-its stacked beam outputs, ABP the snapshot itself, as its beams follow the prediction.
+Both subclass ekf.Tracker, which keeps the config and the state and restarts the
+trials of a mask (reinitialize); each writes its own observe and step.  Each builds
+only the beam table it reads, in its __init__, each table one batched call: the
+codebook tracker its conjugated (K^2, N) weight matrix, ABP its axis angles and the
+squinted weights around them per axis.  A run builds one tracker for all its trials.
+Each tracker's observe(y) turns pilot snapshots with any leading axes into what its
+step reads, and a run observes a chunk of frames at once: the codebook tracker its
+stacked beam outputs, ABP the snapshot itself, as its beams follow the prediction.
 Both step a batch of trials at once: states and observations carry a leading batch
 axis.  An entry whose measurement fails has a NaN measurement row, which ekf.update
 turns into a predict-only frame.
@@ -25,7 +27,7 @@ import numpy as np
 
 from .arrays import abs2, diag, matvec, outer, vdot, vec
 from .channel import beamforming_weight, noise_variance, steering_vector
-from .ekf import TrackerState, predict, step_result, update
+from .ekf import Tracker, TrackerState, predict, step_result, update
 
 if TYPE_CHECKING:
     from .harness import ScenarioConfig
@@ -91,7 +93,7 @@ def codebook_model(
     return z_hat, g
 
 
-class CodebookTracker:
+class CodebookTracker(Tracker):
     """EKF over the stacked codebook beam observations.
 
     The complex channel gain is not observable to the tracker; it uses the
@@ -101,8 +103,7 @@ class CodebookTracker:
     """
 
     def __init__(self, cfg: ScenarioConfig, state: TrackerState):
-        self.cfg = cfg
-        self.state = state
+        super().__init__(cfg, state)
         self.alpha_pred = 1.0 + 0.0j
         self.q_n = self.noise_var(cfg) * np.eye(2 * cfg.k_beams**2)
         # update forms each trial's S here: a fresh 2K^2 x 2K^2 array per update costs more
@@ -141,10 +142,6 @@ class CodebookTracker:
         self.state = TrackerState(x, p)
         return step_result(innovation)
 
-    def reinitialize(self, mask: np.ndarray, state: TrackerState):
-        """Restart the trials in mask from state."""
-        self.state = state.where(mask, self.state)
-
 
 def _axis_pair_powers(u, beams: np.ndarray):
     """Noiseless powers at spatial angle u of the +/- squinted rows of squinted_weights."""
@@ -155,12 +152,9 @@ def _axis_pair_powers(u, beams: np.ndarray):
 
 def _pair_ratio(p_plus, p_minus):
     """Ratio (p+ - p-) / (p+ + p-) of a squinted beam pair's powers; NaN for an entry whose
-    powers are both below the floor."""
+    summed power is below the floor, as the division by NaN gives it."""
     total = p_plus + p_minus
-    low = total < _POWER_FLOOR
-    if not low.any():
-        return (p_plus - p_minus) / total
-    return np.where(low, np.nan, (p_plus - p_minus) / np.where(low, 1.0, total))
+    return (p_plus - p_minus) / np.where(total < _POWER_FLOOR, np.nan, total)
 
 
 def abp_ratio_metric(y_vec: np.ndarray, beams_x: np.ndarray, beams_y: np.ndarray) -> np.ndarray:
@@ -172,7 +166,7 @@ def abp_ratio_metric(y_vec: np.ndarray, beams_x: np.ndarray, beams_y: np.ndarray
     return _pair_ratio(p[..., ::2], p[..., 1::2])
 
 
-class AbpTracker:
+class AbpTracker(Tracker):
     """EKF over the auxiliary-beam-pair ratio metric.
 
     The ratio metric is exactly invariant to the complex channel gain, so
@@ -185,8 +179,7 @@ class AbpTracker:
     _FD_STEP = 1e-5
 
     def __init__(self, cfg: ScenarioConfig, state: TrackerState):
-        self.cfg = cfg
-        self.state = state
+        super().__init__(cfg, state)
         self.sigma2, self.sigma2_sq = self.noise_terms(cfg)
         self.axis = axis_angles(cfg.k_beams)
         self.weights = [squinted_weights(self.axis, cfg.squint, n) for n in (cfg.n_x, cfg.n_y)]
@@ -244,7 +237,3 @@ class AbpTracker:
         z_hat, slopes, variances = (np.stack(v, axis=-1) for v in zip(*axes))
         self.state, innovation, _ = update(pred, zeta, diag(slopes), diag(variances), z_hat)
         return step_result(innovation)
-
-    def reinitialize(self, mask: np.ndarray, state: TrackerState):
-        """Restart the trials in mask from state."""
-        self.state = state.where(mask, self.state)

@@ -1,8 +1,11 @@
-"""EKF recursion over the monopulse measurement model.
+"""The tracker protocol and the EKF recursion every tracker runs.
 
-The measurement function is g(u, v) = (tan(u/2), tan(v/2)).  The default
-Jacobian is the small-angle constant 0.5 * I; the exact diagonal
-0.5 * sec^2(./2) form is available for ablation.
+Tracker is the base of the three schemes' trackers, the proposed monopulse
+EKF and the codebook and ABP baselines: one EKF fed by different measurement
+models, each with its own step.  The monopulse measurement function is
+g(u, v) = (tan(u/2), tan(v/2)).  The default Jacobian is the small-angle
+constant 0.5 * I; the exact diagonal 0.5 * sec^2(./2) form is available for
+ablation.
 
 States, measurements and covariances may carry leading batch axes (one
 entry per trial).  An entry without a usable measurement carries NaN: in
@@ -30,6 +33,27 @@ class TrackerState:
         """This state for the batch entries in mask, other's elsewhere."""
         return TrackerState(x=np.where(mask[..., None], self.x, other.x),
                             p=np.where(mask[..., None, None], self.p, other.p))
+
+
+class Tracker:
+    """A scheme's EKF over a batch of trials, the protocol each scheme's tracker keeps.
+
+    A run builds one tracker for a block of trials as Tracker(cfg, state): the scenario
+    config, from which it reads every piece it does not own, and the initial state, with a
+    leading trial axis.  observe(y) turns pilot snapshots with any leading axes into what
+    step reads; a run calls it on a chunk of frames at once.  step(obs) runs once per frame
+    on the batch's observations, leaves the new estimate in `state` and returns
+    step_result's dict; each subclass writes its own.  frame_cost(K^2) gives the
+    (measurement size, pilot slots) per frame that the complexity ledger counts.
+    """
+
+    def __init__(self, cfg, state: TrackerState):
+        self.cfg = cfg
+        self.state = state
+
+    def reinitialize(self, mask: np.ndarray, state: TrackerState):
+        """Restart the trials in mask from state."""
+        self.state = state.where(mask, self.state)
 
 
 def measurement_fn(x: np.ndarray) -> np.ndarray:

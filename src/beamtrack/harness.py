@@ -58,8 +58,8 @@ from .arrays import abs2, mean, norm, ordered_sum, vec
 from .baselines import ABP_SQUINT_FACTOR, AbpTracker, CodebookTracker
 from .channel import (beamforming_weight, channel_matrix, combine, complex_noise, evolve_gain,
                       noise_variance, synthesize_rx)
-from .ekf import (InnovationNoiseEstimator, TrackerState, initial_state, jacobian, predict,
-                  step_result, update)
+from .ekf import (InnovationNoiseEstimator, Tracker, TrackerState, initial_state, jacobian,
+                  predict, step_result, update)
 from .errors import ConfigError
 from .geometry import (
     angles_to_spatial,
@@ -296,14 +296,13 @@ class ComplexityLedger:
     solve_cost: int             # per trial, m^3 proxy
 
 
-class ProposedTracker:
+class ProposedTracker(Tracker):
     """The monopulse-measurement EKF (the scheme under study)."""
 
     frame_cost = staticmethod(lambda k2: (2, 1))  # (measurement size, pilot slots) per frame
 
     def __init__(self, cfg: ScenarioConfig, state: TrackerState):
-        self.cfg = cfg
-        self.state = state
+        super().__init__(cfg, state)
         self.q_n_prior = np.eye(2) * cfg.sigma_n_sq
         # floor the estimate at a tenth of the design prior: an estimate
         # near zero (transient-biased window) would saturate the gain and
@@ -332,7 +331,7 @@ class ProposedTracker:
 
     def reinitialize(self, mask: np.ndarray, state: TrackerState):
         """Restart the trials in mask from state, with an empty Q_n window."""
-        self.state = state.where(mask, self.state)
+        super().reinitialize(mask, state)
         if self.estimator is not None:
             self.estimator.reset(mask)
             # a restarted window floors its estimate at the estimator's default, not the
@@ -340,8 +339,6 @@ class ProposedTracker:
             self.estimator.floor[mask] = InnovationNoiseEstimator.floor
 
 
-# every tracker is built as Tracker(cfg, state); its observe(y) maps pilot snapshots with any
-# leading axes to what its step reads for a batch of trials
 TRACKERS = {"proposed": ProposedTracker, "codebook": CodebookTracker, "abp": AbpTracker}
 SCHEMES = tuple(TRACKERS)
 
@@ -436,11 +433,11 @@ def _frames(cfg: ScenarioConfig, trials) -> dict[str, np.ndarray]:
                 truths[j, idx] = cfg.detect_residual * rngmod.trial_normals(
                     cfg.seed, [keys[i] for i in idx], [k], "realign", 2)[0]
                 tracker.reinitialize(realigned, restart)
-                # the rest of the chunk again, from the residual, with the same draws
-                if j + 1 < len(frames):
-                    rest = (slice(j + 1, None), idx)
-                    truths[rest], gains[rest], h_vec[rest], obs[rest], noise[rest] = _synthesize(
-                        cfg, tracker, truths[j, idx], gains[j, idx], [d[rest] for d in draws])
+                # the rest of the chunk again, from the residual, with the same draws; on the
+                # chunk's last frame the rest is empty, and the next chunk starts from truths[-1]
+                rest = (slice(j + 1, None), idx)
+                truths[rest], gains[rest], h_vec[rest], obs[rest], noise[rest] = _synthesize(
+                    cfg, tracker, truths[j, idx], gains[j, idx], [d[rest] for d in draws])
         truth, gain = truths[-1], gains[-1]
     return cols
 

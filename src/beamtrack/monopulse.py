@@ -41,16 +41,16 @@ def normalize_rx(y: np.ndarray) -> np.ndarray:
     """Divide each snapshot by a single complex reference gain.
 
     The reference is Y(0,0) when it is not vanishingly small, otherwise the
-    largest-magnitude element.  Pairwise ratios are exactly invariant to
-    this scaling; it only conditions the arithmetic.  An all-zero snapshot
-    has no reference and keeps its zeros.
+    largest-magnitude element; each snapshot of a batch picks its own, so a
+    snapshot normalizes as it does alone.  Pairwise ratios are exactly
+    invariant to this scaling; it only conditions the arithmetic.  An
+    all-zero snapshot has no reference and keeps its zeros.
     """
     mags = vec(np.abs(y))
     g = y[..., 0, 0]
     small = np.hypot(g.real, g.imag) < DENOMINATOR_FLOOR * mean(mags)
-    if small.any():
-        peak = np.take_along_axis(vec(y), mags.argmax(axis=-1)[..., None], axis=-1)[..., 0]
-        g = np.where(small, peak, g)
+    peak = np.take_along_axis(vec(y), mags.argmax(axis=-1)[..., None], axis=-1)[..., 0]
+    g = np.where(small, peak, g)
     return y / np.where(g == 0, 1.0, g)[..., None, None]
 
 

@@ -308,6 +308,21 @@ class TestBatch:
                 assert tracker.state.x.tobytes() == pred.x.tobytes()
                 assert tracker.state.p.tobytes() == pred.p.tobytes()
 
+    @pytest.mark.parametrize("scheme", harness.SCHEMES)
+    def test_reinitialize_restarts_only_the_masked_trials(self, scheme):
+        cfg = small_cfg(scheme=scheme)
+        x0 = np.array([[0.1, 0.2], [0.1, 0.1], [-0.2, 0.1]])
+        tracker = harness.TRACKERS[scheme](cfg, initial_state(x0, 0.01))
+        tracker.step(tracker.observe(np.array([rank1_snapshot(*x, cfg) for x in x0 + 0.01])))
+        stepped = tracker.state
+        restart = initial_state(np.zeros(2), cfg.sigma_init)
+        tracker.reinitialize(np.array([False, True, False]), restart)
+        assert tracker.state.x[1].tobytes() == restart.x.tobytes()
+        assert tracker.state.p[1].tobytes() == restart.p.tobytes()
+        for i in (0, 2):
+            assert tracker.state.x[i].tobytes() == stepped.x[i].tobytes()
+            assert tracker.state.p[i].tobytes() == stepped.p[i].tobytes()
+
     def test_singular_s_in_one_trial_fails_only_that_trial(self):
         # trial 1 starts with P = 0 and has no noise: its S = 0 is singular
         cfg = small_cfg(sigma_n_sq=0.0, q_n_mode="fixed")
@@ -389,12 +404,18 @@ class TestSynthesize:
         truth = np.array([[0.1, -0.2], [0.3, 0.0], [-0.4, 0.2], [0.05, 0.5]])
         gain = np.array([1.0 + 0.0j, 0.8 - 0.3j, -0.2 + 0.9j, 0.5 + 0.5j])
         whole = harness._synthesize(cfg, tracker, truth, gain, draws)
-        for a, idx in ((1, [0, 2, 3]), (4, [1]), (5, [3, 0])):
+        # a realignment on the chunk's last frame (a = 6) synthesizes no frame
+        for a, idx in ((1, [0, 2, 3]), (4, [1]), (5, [3, 0]), (6, [2])):
             rest = (slice(a, None), idx)
             again = harness._synthesize(cfg, tracker, whole[0][a - 1, idx],
                                         whole[1][a - 1, idx], [d[rest] for d in draws])
             for name, w, r in zip(("truths", "gains", "h_vec", "obs", "noise"), whole, again):
-                assert r.tobytes() == w[rest].tobytes(), (a, name)
+                assert r.shape == w[rest].shape and r.tobytes() == w[rest].tobytes(), (a, name)
+
+    def test_vec_of_an_empty_stack_keeps_its_leading_axes(self):
+        from beamtrack.arrays import vec
+
+        assert vec(np.zeros((0, 3, 2, 4))).shape == (0, 3, 8)
 
 
 class TestRunExperiment:

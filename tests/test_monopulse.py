@@ -38,6 +38,12 @@ class TestNormalizeRx:
         r1 = extract_measurement(y, cfg).r
         r2 = extract_measurement((3.0 - 2.0j) * y, cfg).r
         assert np.allclose(r1, r2, rtol=0.0, atol=1e-14)
+        # in a batch, only that snapshot takes the peak: each normalizes and measures as alone
+        batch = np.array([rank1_snapshot(0.3, -0.2, cfg), y, rank1_snapshot(-0.1, 0.5, cfg)])
+        normalized, measured = normalize_rx(batch), extract_measurement(batch, cfg).r
+        for i, alone in enumerate(batch):
+            assert normalized[i].tobytes() == normalize_rx(alone).tobytes()
+            assert measured[i].tobytes() == extract_measurement(alone, cfg).r.tobytes()
 
     def test_all_zero_snapshot_is_its_own_nan_row(self, cfg8):
         # it has no reference, keeps its zeros and drops every pair on both axes; the

@@ -158,6 +158,9 @@ def test_bench_pairs_reports_each_metric_with_wins():
     summaries = [line for line in lines if "change/parent" in line]
     assert len(summaries) == 3
     assert all("wins " in line and "/1  gain holds " in line for line in summaries)
+    verdicts = [line for line in lines if "  verdict " in line]
+    assert len(verdicts) == 3
+    assert all(re.search(r"verdict (regression|unresolved|no regression)$", v) for v in verdicts)
     for name in ("tf_per_ref_s", "peak_rss_mb", "setup_s"):
         assert any(line.startswith(f"{name} (") for line in lines)
     # cli-runs runs every scheme, so each has its line of medians
@@ -174,15 +177,47 @@ def test_bench_pairs_unknown_workload_is_a_usage_error():
     assert "Traceback" not in proc.stderr and not proc.stdout
 
 
+def _parent_checkout(root: Path, run_py: str = "") -> Path:
+    """A stand-in parent checkout at root: this BENCHMARK.json and the given bench/run.py."""
+    (root / "bench").mkdir()
+    (root / "bench" / "run.py").write_text(run_py)
+    (root / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+    return root
+
+
+@pytest.mark.parametrize("missing", ["bench/run.py", "BENCHMARK.json"])
+def test_bench_pairs_parent_without_the_benchmark_is_a_usage_error(tmp_path, missing):
+    (_parent_checkout(tmp_path) / missing).unlink()
+    proc = _run("bench_pairs.py", "--parent", str(tmp_path), "--workload", "cli-runs",
+                "--pairs", "1")
+    assert proc.returncode == 2
+    assert f"error: --parent {tmp_path} has no {missing}" in proc.stderr
+    assert "Traceback" not in proc.stderr and not proc.stdout
+
+
+def test_bench_pairs_failed_run_names_side_pair_and_seed_and_prints_its_stderr(tmp_path):
+    _parent_checkout(tmp_path, "import sys\nsys.exit('no such operation')\n")
+    proc = _run("bench_pairs.py", "--parent", str(tmp_path), "--workload", "cli-runs",
+                "--pairs", "2", "--seed", "7")
+    # pair 1 runs the parent first
+    assert proc.returncode == 1
+    assert "the parent run of pair 1 (seed 7) exited with code 1; its stderr:" in proc.stderr
+    assert "no such operation" in proc.stderr
+    assert "Traceback" not in proc.stderr and not proc.stdout
+
+
 def _bench_pairs_report(monkeypatch, capsys, tmp_path, values, seed=101, schemes=None):
     """Run bench_pairs.main in process, its bench_run stubbed to return
     values[metric][side][pair] and, as each scheme's printed tf_per_ref_s,
     schemes[scheme][side][pair] (None: not printed); return the (side, pair) runs in call
-    order and, per metric, the reported wins and gain verdict, and per scheme line, the
-    metric it follows, the two medians and their ratio."""
+    order; per metric, the reported wins and gain verdict, and per scheme line, the
+    metric it follows, the two medians and their ratio; and per metric, the no-regression
+    verdict."""
     spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
     bench_pairs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench_pairs)
+    if not (tmp_path / "BENCHMARK.json").exists():
+        _parent_checkout(tmp_path)
     roots = {tmp_path.resolve(): "parent", bench_pairs.ROOT: "change"}
     runs = []
 
@@ -199,10 +234,12 @@ def _bench_pairs_report(monkeypatch, capsys, tmp_path, values, seed=101, schemes
     monkeypatch.setattr(sys, "argv", ["bench_pairs.py", "--parent", str(tmp_path), "--workload",
                                       "cli-runs", "--pairs", str(pairs), "--seed", str(seed)])
     bench_pairs.main()
-    report, metric = {}, None
+    report, verdicts, metric = {}, {}, None
     for line in capsys.readouterr().out.splitlines():
         if line.endswith(" is better)"):
             metric = line.split()[0]
+        elif m := re.search(r"  verdict (.+)$", line):
+            verdicts[metric] = m[1]
         elif "gain holds" in line:
             wins = re.search(r"wins (\d+)/(\d+)", line)
             assert int(wins[2]) == pairs
@@ -210,7 +247,7 @@ def _bench_pairs_report(monkeypatch, capsys, tmp_path, values, seed=101, schemes
         elif m := re.fullmatch(r"  (\S+)  parent median (\S+)  change median (\S+)  ratio (\S+)",
                                line):
             report[m[1]] = (metric, *map(float, m.groups()[1:]))
-    return runs, report
+    return runs, report, verdicts
 
 
 def _canned(tf_parent, tf_change, lower_parent=1.0, lower_change=1.0):
@@ -222,7 +259,7 @@ def _canned(tf_parent, tf_change, lower_parent=1.0, lower_change=1.0):
 
 
 def test_bench_pairs_alternates_sides_parent_first_on_even_pairs(monkeypatch, capsys, tmp_path):
-    runs, _ = _bench_pairs_report(monkeypatch, capsys, tmp_path, _canned([1.0] * 4, [1.0] * 4))
+    runs, _, _ = _bench_pairs_report(monkeypatch, capsys, tmp_path, _canned([1.0] * 4, [1.0] * 4))
     assert runs == [("parent", 0), ("change", 0), ("change", 1), ("parent", 1),
                     ("parent", 2), ("change", 2), ("change", 3), ("parent", 3)]
 
@@ -237,7 +274,7 @@ def test_bench_pairs_gain_needs_nine_tenths_of_wins_and_a_gap_wider_than_the_qua
         ([p + 1.0 for p in parent], (10, False)),  # every win, medians 1 apart
     ]
     for change, expected in cases:
-        _, report = _bench_pairs_report(monkeypatch, capsys, tmp_path, _canned(parent, change))
+        _, report, _ = _bench_pairs_report(monkeypatch, capsys, tmp_path, _canned(parent, change))
         assert report["tf_per_ref_s"] == expected
 
 
@@ -245,8 +282,28 @@ def test_bench_pairs_lower_is_better_counts_a_lower_value_as_a_win(monkeypatch, 
     values = _canned([1.0] * 10, [1.0] * 10)
     values["peak_rss_mb"] = {"parent": [10.0] * 10, "change": [9.0] * 10}
     values["setup_s"] = {"parent": [1.0] * 10, "change": [1.5] * 10}
-    _, report = _bench_pairs_report(monkeypatch, capsys, tmp_path, values)
+    _, report, _ = _bench_pairs_report(monkeypatch, capsys, tmp_path, values)
     assert report == {"tf_per_ref_s": (0, False), "peak_rss_mb": (10, True), "setup_s": (0, False)}
+
+
+def test_bench_pairs_no_regression_verdict_reads_each_metrics_bound(monkeypatch, capsys, tmp_path):
+    # bounds: tf_per_ref_s 0.25 (higher is better), peak_rss_mb 0.1 and setup_s 0.25 (lower)
+    wide = [60.0, 80.0, 100.0, 120.0, 140.0]    # quartiles 80 and 120: spread 0.4 of the median
+    cases = [
+        # (tf parent, tf change, rss change, setup change) and the three verdicts
+        ([100.0] * 5, [70.0] * 5, 11.5, 1.0, ("regression", "regression", "no regression")),
+        ([100.0] * 5, [75.0] * 5, 11.0, 1.3, ("no regression", "no regression", "regression")),
+        (wide, [100.0] * 5, 10.5, 1.25, ("unresolved", "no regression", "no regression")),
+        (wide, [141.0] * 5, 9.0, 0.5, ("no regression", "no regression", "no regression")),
+        (wide, [60.0] * 5, 10.0, 1.0, ("regression", "no regression", "no regression")),
+    ]
+    for tf_parent, tf_change, rss, setup, expected in cases:
+        values = _canned(tf_parent, tf_change)
+        values["peak_rss_mb"] = {"parent": [10.0] * 5, "change": [rss] * 5}
+        values["setup_s"] = {"parent": [1.0] * 5, "change": [setup] * 5}
+        _, _, verdicts = _bench_pairs_report(monkeypatch, capsys, tmp_path, values)
+        assert tuple(verdicts.values()) == expected, (tf_change, rss, setup)
+        assert list(verdicts) == ["tf_per_ref_s", "peak_rss_mb", "setup_s"]
 
 
 def test_bench_pairs_prints_the_medians_of_each_scheme_every_run_printed(
@@ -256,8 +313,8 @@ def test_bench_pairs_prints_the_medians_of_each_scheme_every_run_printed(
         "abp": {"parent": [5.0] * 3, "change": [4.0] * 3},
         "codebook": {"parent": [8.0] * 3, "change": [12.0, 12.0, None]},  # one run lacks it
     }
-    _, report = _bench_pairs_report(monkeypatch, capsys, tmp_path,
-                                    _canned([1.0] * 3, [1.0] * 3), schemes=schemes)
+    _, report, _ = _bench_pairs_report(monkeypatch, capsys, tmp_path,
+                                       _canned([1.0] * 3, [1.0] * 3), schemes=schemes)
     # under tf_per_ref_s, with no verdict; the gated metrics' verdicts are as before
     assert report == {"tf_per_ref_s": (0, False),
                       "proposed.tf_per_ref_s": ("tf_per_ref_s", 20.0, 21.0, 1.05),
