@@ -28,7 +28,10 @@ def main() -> None:
     if not args.snr_min <= args.snr_max:
         ap.error("--snr-min must not exceed --snr-max")
 
-    schemes = args.schemes.split(",")
+    # as `track compare` reads its list
+    schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
+    if not schemes:
+        ap.error("--schemes names no scheme")
     snrs = np.arange(args.snr_min, args.snr_max + args.step / 2, args.step)
     # every point's config is built, and so checked, before any runs
     try:

@@ -3,7 +3,8 @@
 
 Usage: src_size.py [DIR]
 
-Counts every ``*.py`` file under DIR (default: this checkout's ``src/``).
+Counts every ``*.py`` file under DIR (default: this checkout's ``src/``).  A DIR that
+does not exist or holds no ``*.py`` file is a usage error (exit 2), not a size of zero.
 
 - lines: newline characters, as ``cat src/beamtrack/*.py | wc -l`` counts them;
 - statements: the statement nodes of the syntax tree, without docstrings;
@@ -53,8 +54,11 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("dir", nargs="?", type=Path, default=ROOT / "src")
     args = parser.parse_args()
+    paths = sorted(args.dir.rglob("*.py"))
+    if not paths:
+        parser.error(f"no *.py file under {args.dir}")
     total = {"lines": 0, "statements": 0, "tokens": 0}
-    for path in sorted(args.dir.rglob("*.py")):
+    for path in paths:
         for key, value in measure(path.read_text()).items():
             total[key] += value
     for key, value in total.items():

@@ -46,8 +46,6 @@ def noise_variance(cfg: ScenarioConfig, element_signal_power):
 
 def steering_vector(u, n: int) -> np.ndarray:
     """Array response along one axis: element i is exp(-1j * i * u), shape (*shape(u), n)."""
-    if n < 1:
-        raise ValueError("need at least one element")
     return np.exp(np.multiply.outer(-1j * u, np.arange(n)))
 
 
@@ -62,12 +60,9 @@ def evolve_gain(alpha: complex | np.ndarray, rho: float, z: np.ndarray,
                 innovation_var: float) -> np.ndarray:
     """First-order Gauss-Markov step for the channel gain, for alpha with any leading axes
     and two standard normals per entry in z (..., 2): the innovation's real part from
-    z[..., 0], its imaginary part from z[..., 1].  A run passes its config's gain_var,
-    which resolves the source model's literal default."""
-    if abs(rho) > 1:
-        raise ValueError("|rho| must not exceed 1")
-    if innovation_var < 0:
-        raise ValueError("innovation variance must be non-negative")
+    z[..., 0], its imaginary part from z[..., 1].  A run passes its config's rho_gain and
+    gain_var, which resolves the source model's literal default; the config checks that
+    |rho| <= 1 and that the variance is not negative."""
     scale = np.sqrt(innovation_var / 2.0)
     eps = scale * z[..., 0] + 1j * (scale * z[..., 1]) if scale > 0 else 0.0
     return rho * alpha + eps

@@ -73,15 +73,14 @@ def jacobian(x_pred: np.ndarray, mode: str = "paper-approx") -> np.ndarray:
 
     "paper-approx" returns the constant 0.5 * I; "exact" returns
     diag(0.5 sec^2(u/2), 0.5 sec^2(v/2)), NaN for an entry at the tan
-    singularity, whose measurement fails.
+    singularity, whose measurement fails.  ScenarioConfig allows these two
+    modes only; any other mode is "exact".
     """
     if mode == "paper-approx":
         return 0.5 * np.eye(2)
-    if mode == "exact":
-        singular = np.any(np.abs(x_pred) >= np.pi - 1e-6, axis=-1)
-        d = np.where(singular[..., None], np.nan, 0.5 / np.cos(x_pred / 2.0) ** 2)
-        return diag(d)
-    raise ValueError(f"unknown Jacobian mode {mode!r}")
+    singular = np.any(np.abs(x_pred) >= np.pi - 1e-6, axis=-1)
+    d = np.where(singular[..., None], np.nan, 0.5 / np.cos(x_pred / 2.0) ** 2)
+    return diag(d)
 
 
 def _gain(s: np.ndarray, pgt: np.ndarray) -> np.ndarray:
@@ -162,7 +161,8 @@ class InnovationNoiseEstimator:
     innovation covariance contribution G P^- G^T, in time order, for each
     entry of a batch of shape `batch`; the estimate is the diagonal sample
     covariance of the innovations minus the mean predicted contribution,
-    floored elementwise.
+    floored elementwise.  A sample variance needs a window of at least two; a
+    run's is its config's q_n_window, whose range the config checks.
     """
 
     window: int = 50
@@ -170,8 +170,6 @@ class InnovationNoiseEstimator:
     batch: tuple = ()
 
     def __post_init__(self):
-        if self.window < 2:
-            raise ValueError("window must be at least 2")
         self.floor = np.broadcast_to(self.floor, self.batch).copy()
         # rows of [innovation, diag(G P^- G^T)]; each entry's history is its last `count`
         # rows, and rows grow with the pushes, up to window

@@ -17,10 +17,9 @@ def angles_to_spatial(phi, theta: float, d_over_lambda: float = 0.5) -> np.ndarr
     """Map azimuth/elevation to the spatial-angle pair [..., u, v] in radians.
 
     u = (2*pi*d/lambda) cos(phi) sin(theta), v = (2*pi*d/lambda) sin(phi) sin(theta).
-    With half-wavelength spacing the leading factor is exactly pi.
+    With half-wavelength spacing the leading factor is exactly pi.  d_over_lambda lies in
+    (0, 0.5], the range ScenarioConfig checks: larger spacing aliases.
     """
-    if not (0 < d_over_lambda <= 0.5):
-        raise ValueError("d/lambda must lie in (0, 0.5]; larger spacing aliases")
     scale = 2.0 * np.pi * d_over_lambda
     return np.stack([
         scale * np.cos(phi) * np.sin(theta),
@@ -29,9 +28,8 @@ def angles_to_spatial(phi, theta: float, d_over_lambda: float = 0.5) -> np.ndarr
 
 
 def elevation_from_geometry(station_height: float, flight_radius: float) -> float:
-    """Elevation angle of the circular flight path seen from the station."""
-    if station_height <= 0 or flight_radius <= 0:
-        raise ValueError("height and radius must be positive")
+    """Elevation angle of the circular flight path seen from the station, for a positive
+    height and radius; ScenarioConfig checks that its height_ratio is positive."""
     return float(np.arctan(flight_radius / station_height))
 
 

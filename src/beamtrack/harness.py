@@ -78,8 +78,10 @@ _FIELD_TYPES = {"int": int, "float": (int, float), "str": str, "bool": bool}
 _FLOAT_MAX = sys.float_info.max
 
 # Per-field rules, read after the type check: a closed range (lo, hi[, why]), where a lower
-# limit of +0.0 also rejects -0.0, or the tuple of allowed strings.  A float field without a
-# row must be finite.  A rule that lives in a function the config probes has no row.
+# limit of +0.0 also rejects -0.0 and one of math.ulp(0.0), the smallest positive float,
+# rejects zero, or the tuple of allowed strings.  A float field without a row must be finite.
+# Every rule that reads one field is a row; ScenarioConfig.__post_init__ keeps the rules that
+# read more than one, and the library functions trust the ranges checked here.
 FIELD_RULES = {
     **dict.fromkeys(
         ("n_x", "n_y"), (2, math.inf, "monopulse extraction needs at least 2 elements per axis")),
@@ -97,10 +99,17 @@ FIELD_RULES = {
     # it): a finite square leaves headroom.  -0.0 means no innovations, as in evolve_gain
     "gain_innovation_var": (-0.0, math.sqrt(_FLOAT_MAX)),
     "rho_gain": (-1.0, 1.0),
+    # the station is above the flight path
+    "height_ratio": (math.ulp(0.0), _FLOAT_MAX),
+    "d_over_lambda": (math.ulp(0.0), 0.5, "larger spacing aliases"),
+    "abp_offset": (math.ulp(0.0), math.pi),
+    # the Q_n estimate is a sample variance, which needs two innovations
+    "q_n_window": (2, math.inf),
     # the rng keys mask the seed to 64 bits, so a seed outside would alias one inside
     "seed": (0, 2**64 - 1),
     "snr_reference": ("element", "array"),
     "q_n_mode": ("fixed", "estimated"),
+    "jacobian_mode": ("paper-approx", "exact"),
     "abp_q_n": ("fixed", "delta"),
 }
 
@@ -171,9 +180,7 @@ class ScenarioConfig:
         if self.gain_var < sys.float_info.min and abs(self.rho_gain) < 1:
             raise ConfigError(
                 "gain_innovation_var below the smallest normal float needs |rho_gain| = 1")
-        # the pieces a run reads check their own values; build them now
         try:
-            self.theta  # elevation_from_geometry rejects a height_ratio that is not positive
             # numpy describes no array of more bytes than an intp counts: the complex snapshot
             # (K^2 of them as a baseline's codebook weights), the float frames-long sums
             beams = 1 if self.scheme == "proposed" else self.k_beams**2
@@ -181,11 +188,6 @@ class ScenarioConfig:
                 raise ValueError("n_x, n_y, codebook_k or frames size an array numpy cannot address")
             if not 0 < self.threshold <= search_grid(self.n_x)[1]:
                 raise ValueError("detect_threshold must lie in (0, the search grid extent]")
-            if not 0 < self.squint <= math.pi:
-                raise ValueError("the ABP squint offset must lie in (0, pi]")
-            InnovationNoiseEstimator(window=self.q_n_window)
-            jacobian(np.zeros(2), self.jacobian_mode)
-            angles_to_spatial(0.0, 0.0, self.d_over_lambda)
             # the baselines' measurement noise terms must stay in the float range
             AbpTracker.noise_terms(self)
             if not math.isfinite(CodebookTracker.noise_var(self)):

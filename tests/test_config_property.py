@@ -18,7 +18,10 @@ the prediction where P^+ is not finite, so the check rebuilds P^+ from K).
 
 A third test pins the accept/reject verdict of ScenarioConfig on each field,
 scheme and value of a fixed grid by hash, as tests/test_golden.py pins output
-bytes, so a change to a rule shows as a changed verdict.
+bytes, so a change to a rule shows as a changed verdict.  A fourth requires
+that, on the same grid, ScenarioConfig accepts a field that no rule reads
+together with another field exactly when its FIELD_RULES row does: every rule
+on one field is a row.
 """
 
 import dataclasses
@@ -55,8 +58,7 @@ WRONG_TYPES = st.one_of(
 EXTREMES = st.sampled_from([1e308, -1e308, math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324])
 HUGE_INTS = st.one_of(st.integers(min_value=2**63), st.integers(max_value=-2**63))
 CHOICES = [c for rule in FIELD_RULES.values() if isinstance(rule[0], str) for c in rule]
-# ekf.jacobian owns the Jacobian modes, so the table has no row for them
-MODE_STRINGS = list(dict.fromkeys([*SCHEMES, *CHOICES, "paper-approx", "exact"]))
+MODE_STRINGS = [*SCHEMES, *CHOICES]
 MODES = st.sampled_from(MODE_STRINGS)
 ANY_VALUE = st.one_of(
     WRONG_TYPES,
@@ -236,17 +238,22 @@ VERDICT_VALUES = list({(type(v), repr(v)): v for v in [
 ]}.values())
 
 
+def _accepts(check, *args) -> bool:
+    try:
+        check(*args)
+    except ConfigError:
+        return False
+    return True
+
+
+def _config_accepts(scheme: str, field: str, value) -> bool:
+    return _accepts(lambda: ScenarioConfig(**{"scheme": scheme, field: value}))
+
+
 def _verdicts(field: str) -> list:
     """Whether ScenarioConfig accepts each value of the field on each scheme, sorted."""
-    out = []
-    for scheme in SCHEMES:
-        for value in VERDICT_VALUES:
-            try:
-                ScenarioConfig(**{"scheme": scheme, field: value})
-                out.append((scheme, repr(value), "accept"))
-            except ConfigError:
-                out.append((scheme, repr(value), "reject"))
-    return sorted(out)
+    return sorted((scheme, repr(value), "accept" if _config_accepts(scheme, field, value)
+                   else "reject") for scheme in SCHEMES for value in VERDICT_VALUES)
 
 
 def _digest(verdicts: list) -> str:
@@ -256,36 +263,36 @@ def _digest(verdicts: list) -> str:
 # sha256 prefixes of each field's sorted verdicts on VERDICT_VALUES.  A changed rule changes
 # its field's hash; a changed limit also changes the values, and so every hash
 GOLDEN_VERDICTS = {
-    "n_x": "7041365f7efb762f",
-    "n_y": "7041365f7efb762f",
-    "scheme": "f422a2fb9e1b6859",
-    "frames": "717fdbad57566172",
-    "trials": "4f98c1498d711bb2",
-    "snr_db": "5d2ff93e45d44f97",
-    "snr_reference": "d4e219d8778b8f28",
-    "sigma_u": "87ea81ba1275917d",
-    "sigma_v": "87ea81ba1275917d",
-    "sigma_init": "87ea81ba1275917d",
-    "psi": "1ef7bf5ba46d25f0",
-    "height_ratio": "3df5d39029b82209",
-    "azimuth_range_deg": "675b98052661ecb2",
-    "d_over_lambda": "be6e21cb4f4c3601",
-    "rho_gain": "72d866011804db0b",
-    "gain_innovation_var": "db2bd0e483a188e5",
-    "sigma_n_sq": "675b98052661ecb2",
-    "q_n_mode": "6b1d790fb2fc0094",
-    "q_n_window": "52fc6f562357b462",
-    "jacobian_mode": "6ba19b7ae89a675c",
-    "codebook_k": "99c57c22cae52f6e",
-    "abp_offset": "641faa14af8dc965",
-    "abp_q_n": "5378f7449c08799d",
-    "gain_uncertainty_var": "a4f58728b74998b4",
-    "sigma_nb_sq": "432dcff4dcd1bb5c",
-    "detect_enabled": "296ea6080134614f",
-    "detect_threshold": "81e8c9ae3e7962a7",
-    "detect_consecutive": "4f98c1498d711bb2",
-    "detect_residual": "87ea81ba1275917d",
-    "seed": "f776ca8e23cef4b2",
+    "n_x": "1aa75232d318354a",
+    "n_y": "1aa75232d318354a",
+    "scheme": "8c853788adade6eb",
+    "frames": "943f679ac51be931",
+    "trials": "3ab3ce2d30475025",
+    "snr_db": "7386ec57b50b1620",
+    "snr_reference": "c43e969dcebc62b7",
+    "sigma_u": "044a08ca9429582d",
+    "sigma_v": "044a08ca9429582d",
+    "sigma_init": "044a08ca9429582d",
+    "psi": "b02f02d893d2ca17",
+    "height_ratio": "03166c1c8e16a3d1",
+    "azimuth_range_deg": "5284b14c90588f4d",
+    "d_over_lambda": "86d040db9da9440b",
+    "rho_gain": "baa8628e656bb39f",
+    "gain_innovation_var": "029e17e647bf06f9",
+    "sigma_n_sq": "5284b14c90588f4d",
+    "q_n_mode": "78e006a2adbf96a7",
+    "q_n_window": "2c916bbed52d9a9a",
+    "jacobian_mode": "da217fd209d9aa64",
+    "codebook_k": "5750e83e45b6ad12",
+    "abp_offset": "36f6cc98199d5e54",
+    "abp_q_n": "c9aab7c50357e0a2",
+    "gain_uncertainty_var": "67e8aba5ba61095e",
+    "sigma_nb_sq": "f5be45c0c15b7db1",
+    "detect_enabled": "3cffea2833b58794",
+    "detect_threshold": "76c551ff08b4fe88",
+    "detect_consecutive": "3ab3ce2d30475025",
+    "detect_residual": "044a08ca9429582d",
+    "seed": "f5c0fd0d44d2d8c6",
 }
 
 
@@ -294,3 +301,28 @@ def test_config_verdicts_match_golden():
     changed = {field: [f"{scheme} {value}" for scheme, value, v in verdicts[field] if v == "accept"]
                for field in FIELDS if _digest(verdicts[field]) != GOLDEN_VERDICTS.get(field)}
     assert not changed, f"fields whose verdicts changed, with the cases they accept: {changed}"
+
+
+# the fields that a rule reads together with another field, which __post_init__ checks
+CROSS_FIELD = {
+    "n_x", "n_y", "frames", "codebook_k",  # the arrays they size must be addressable
+    "snr_db",  # with n_x and n_y, the baselines' noise terms must stay finite
+    "gain_innovation_var",  # below the smallest normal float it needs |rho_gain| = 1
+    "gain_uncertainty_var",  # with n and codebook_k, the codebook noise variance stays finite
+    "detect_threshold",  # lies in (0, the extent of n_x's search grid]
+}
+
+
+def test_every_single_field_rule_is_a_row():
+    # a field outside CROSS_FIELD is accepted exactly when its FIELD_RULES row passes it
+    # (a scheme also when SCHEMES holds it): no rule on one field lives anywhere else
+    wrong = []
+    for f in dataclasses.fields(ScenarioConfig):
+        if f.name in CROSS_FIELD:
+            continue
+        for value in VERDICT_VALUES:
+            row = (_accepts(harness._check_field, f.name, f.type, value)
+                   and (f.name != "scheme" or value in SCHEMES))
+            wrong += [(f.name, scheme, value) for scheme in SCHEMES
+                      if _config_accepts(scheme, f.name, value) != row]
+    assert not wrong, f"(field, scheme, value) the config and the row disagree on: {wrong}"

@@ -80,6 +80,22 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError):
             ScenarioConfig(n_x=1)
 
+    # the ranges the library functions take on trust: aliasing spacing, a station not above
+    # the flight path, an unknown Jacobian, a Q_n window too short for a sample variance, a
+    # growing gain, a negative gain innovation variance and an array too small to steer
+    @pytest.mark.parametrize("field, value", [
+        *(("d_over_lambda", v) for v in (0.0, -0.1, 0.50001, 1.0)),
+        ("height_ratio", 0.0),
+        ("jacobian_mode", "bogus"),
+        ("q_n_window", 1),
+        ("rho_gain", 1.5),
+        ("gain_innovation_var", -1e-12),
+        ("n_x", 1),
+    ])
+    def test_rejects_a_value_outside_its_row(self, field, value):
+        with pytest.raises(ConfigError):
+            ScenarioConfig(**{field: value})
+
     def test_rejects_gain_decaying_to_zero(self):
         for rho in (0.0, 0.5, -0.999):
             with pytest.raises(ConfigError):

@@ -73,6 +73,21 @@ def test_snr_sweep_unknown_scheme_is_a_usage_error():
     assert "Traceback" not in proc.stderr and not proc.stdout
 
 
+def test_snr_sweep_reads_the_scheme_list_as_track_compare_does():
+    # each name stripped and empty ones dropped
+    lines = run_script("snr_sweep.py", "--snr-min", "6", "--snr-max", "6", "--trials", "2",
+                       "--schemes", "proposed, abp,")
+    assert lines[1].split() == ["snr_db", "proposed", "abp"]
+
+
+@pytest.mark.parametrize("schemes", ["", " , ,"])
+def test_snr_sweep_list_without_a_scheme_is_a_usage_error(schemes):
+    proc = _run("snr_sweep.py", "--trials", "2", "--schemes", schemes)
+    assert proc.returncode == 2
+    assert "error: --schemes names no scheme" in proc.stderr
+    assert "Traceback" not in proc.stderr and not proc.stdout
+
+
 def test_snr_sweep_zero_step_is_a_usage_error():
     proc = _run("snr_sweep.py", "--step", "0", "--trials", "2")
     assert proc.returncode == 2
@@ -329,6 +344,17 @@ def test_src_size_counts_lines_statements_and_tokens(tmp_path):
     lines = run_script("src_size.py")
     assert [line.split()[0] for line in lines] == ["lines", "statements", "tokens"]
     assert all(int(line.split()[1]) > 0 for line in lines)
+
+
+@pytest.mark.parametrize("name", ["missing", "empty"])
+def test_src_size_dir_without_python_files_is_a_usage_error(tmp_path, name):
+    # a zero size from a mistyped path would pass for a measurement
+    (tmp_path / "empty").mkdir()
+    (tmp_path / "empty" / "notes.txt").write_text("x = 1\n")
+    proc = _run("src_size.py", str(tmp_path / name))
+    assert proc.returncode == 2
+    assert "error: no *.py file under" in proc.stderr
+    assert "Traceback" not in proc.stderr and not proc.stdout
 
 
 def test_frame_cost_prints_a_cost_per_row():
