@@ -14,7 +14,10 @@ acceptance criterion from the junit XML of a tier-1 run, made with
 Each run's ``conditions`` (core count, BLAS threads, Python and numpy
 versions, src line count, load before and after, whether other work
 overlapped it) are kept beside its metrics.  ``--tiny`` passes ``--tiny`` to
-every run, for a quick smoke run whose numbers mean nothing.
+every run, for a quick smoke run whose numbers mean nothing.  A ``--junit`` file
+that cannot be read or is not XML is a usage error, before any run.  A run
+that exits non-zero stops the script with exit code 1, naming its workload and
+trace level and printing its stderr.
 """
 
 import argparse
@@ -33,7 +36,10 @@ def bench_run(workload: str, trace: int, seconds: float, tiny: bool) -> dict:
     """One bench/run.py run: its conditions, verdict and declared metrics."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--trace", str(trace),
            "--seconds", str(seconds)] + (["--tiny"] if tiny else [])
-    proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, check=True)
+    proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
+    if proc.returncode:
+        sys.exit(f"the {workload} run at --trace {trace} exited with code {proc.returncode}; "
+                 f"its stderr:\n{proc.stderr}")
     lines = proc.stdout.splitlines()
     details = json.loads(next(line for line in lines if line.startswith("details "))[8:])
     result = json.loads(lines[-1])
@@ -72,8 +78,11 @@ def main() -> None:
     ap.add_argument("--tiny", action="store_true")
     args = ap.parse_args()
 
-    record = {"seconds": args.seconds, "tiny": args.tiny,
-              "tier1": criterion_seconds(args.junit), "workloads": {}}
+    try:
+        tier1 = criterion_seconds(args.junit)
+    except (OSError, ET.ParseError) as exc:
+        ap.error(f"--junit {args.junit}: {exc}")
+    record = {"seconds": args.seconds, "tiny": args.tiny, "tier1": tier1, "workloads": {}}
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     for workload in (w["name"] for w in benchmark["workloads"]):
         record["workloads"][workload] = {

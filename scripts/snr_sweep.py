@@ -32,7 +32,14 @@ def main() -> None:
     schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
     if not schemes:
         ap.error("--schemes names no scheme")
-    snrs = np.arange(args.snr_min, args.snr_max + args.step / 2, args.step)
+    # the grid runs to snr_max + step/2, so that round-off keeps snr_max in it
+    try:
+        snrs = np.arange(args.snr_min, args.snr_max + args.step / 2, args.step)
+    except (ValueError, MemoryError) as exc:
+        ap.error(f"--snr-min, --snr-max and --step give a grid numpy cannot build: {exc}")
+    if not len(snrs):
+        ap.error("--snr-min, --snr-max and --step give a grid without a point: "
+                 f"{args.snr_max} + {args.step}/2 rounds to {args.snr_max + args.step / 2}")
     # every point's config is built, and so checked, before any runs
     try:
         base = replace(get_preset("fig9"), trials=args.trials)

@@ -1,11 +1,14 @@
-"""The tracker protocol and the EKF recursion every tracker runs.
+"""The tracker protocol, the EKF recursion every tracker runs, and the proposed tracker.
 
 Tracker is the base of the three schemes' trackers, the proposed monopulse
 EKF and the codebook and ABP baselines: one EKF fed by different measurement
-models, each with its own step.  The monopulse measurement function is
-g(u, v) = (tan(u/2), tan(v/2)).  The default Jacobian is the small-angle
-constant 0.5 * I; the exact diagonal 0.5 * sec^2(./2) form is available for
-ablation.
+models, each with its own step.  ProposedTracker, the scheme under study,
+lives here beside its filter: it measures the monopulse signal
+(beamtrack.monopulse) and reports the MSE bound (beamtrack.analysis); the
+baselines, which measure beamformed signals, are in beamtrack.baselines.  The
+monopulse measurement function is g(u, v) = (tan(u/2), tan(v/2)).  The default
+Jacobian is the small-angle constant 0.5 * I; the exact diagonal
+0.5 * sec^2(./2) form is available for ablation.
 
 States, measurements and covariances may carry leading batch axes (one
 entry per trial).  An entry without a usable measurement carries NaN: in
@@ -19,7 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analysis import bound_step
 from .arrays import diag, matvec, norm
+from .monopulse import extract_measurement
 
 
 @dataclass(frozen=True)
@@ -201,6 +206,49 @@ class InnovationNoiseEstimator:
         raw = self._history[..., :2].var(axis=-2, ddof=1) - self._history[..., 2:].mean(axis=-2)
         est = diag(np.maximum(raw, self.floor[..., None]))
         return np.where(ready[..., None, None], est, prior)
+
+
+class ProposedTracker(Tracker):
+    """The monopulse-measurement EKF (the scheme under study)."""
+
+    frame_cost = staticmethod(lambda k2: (2, 1))  # (measurement size, pilot slots) per frame
+
+    def __init__(self, cfg, state: TrackerState):
+        super().__init__(cfg, state)
+        self.q_n_prior = np.eye(2) * cfg.sigma_n_sq
+        # floor the estimate at a tenth of the design prior: an estimate
+        # near zero (transient-biased window) would saturate the gain and
+        # inject raw measurement noise into the state.  A fixed Q_n reads no
+        # window, so that mode keeps none
+        self.estimator = InnovationNoiseEstimator(
+            window=cfg.q_n_window, floor=cfg.sigma_n_sq / 10.0, batch=state.x.shape[:-1]
+        ) if cfg.q_n_mode == "estimated" else None
+        self.q_n_relaxed = np.eye(2) * cfg.sigma_nb_sq   # the bound's Q_n'
+
+    def observe(self, y: np.ndarray) -> np.ndarray:
+        """The monopulse measurements r of pilot snapshots y, shape (..., 2)."""
+        return extract_measurement(y, self.cfg).r
+
+    def step(self, r: np.ndarray) -> dict:
+        """One frame from the monopulse measurements r (observe) of the batch's snapshots."""
+        cfg = self.cfg
+        p_prev = self.state.p
+        pred = predict(self.state, cfg.f, cfg.q_p)
+        g = jacobian(pred.x, cfg.jacobian_mode)
+        q_n = self.q_n_prior if self.estimator is None else self.estimator.estimate(self.q_n_prior)
+        self.state, innovation, k = update(pred, r, g, q_n)
+        if self.estimator is not None:
+            self.estimator.push(innovation, g, pred.p)
+        return step_result(innovation, bound_step(p_prev, k, g, cfg.f, cfg.q_p, self.q_n_relaxed))
+
+    def reinitialize(self, mask: np.ndarray, state: TrackerState):
+        """Restart the trials in mask from state, with an empty Q_n window."""
+        super().reinitialize(mask, state)
+        if self.estimator is not None:
+            self.estimator.reset(mask)
+            # a restarted window floors its estimate at the estimator's default, not the
+            # prior's tenth; outputs since the first release depend on it
+            self.estimator.floor[mask] = InnovationNoiseEstimator.floor
 
 
 def initial_state(x0: np.ndarray, sigma_init: float) -> TrackerState:

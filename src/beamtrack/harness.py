@@ -28,7 +28,9 @@ residual and with the draws already made: _synthesize is the one place the
 truth advances.  Only the initial draw, the detector's table lookup and
 the codebook's 2K^2 x 2K^2 update stay per trial.  A block builds one
 tracker, which builds its own tables (the baselines' beam weights), so a
-config holds none.
+config holds none.  This module holds no tracker: TRACKERS maps each scheme to
+its class (ekf.ProposedTracker, the baselines' two) and precedes the config,
+whose FIELD_RULES row for scheme is its keys.
 
 Same bytes when batching: a trial's records do not depend on the batch it runs
 in or on the chunk length, and equal those of the per-trial loop this
@@ -53,13 +55,11 @@ from functools import cached_property
 import numpy as np
 
 from . import rng as rngmod
-from .analysis import bound_step
 from .arrays import abs2, mean, norm, ordered_sum, vec
 from .baselines import ABP_SQUINT_FACTOR, AbpTracker, CodebookTracker
 from .channel import (beamforming_weight, channel_matrix, combine, complex_noise, evolve_gain,
                       noise_variance, synthesize_rx)
-from .ekf import (InnovationNoiseEstimator, Tracker, TrackerState, initial_state, jacobian,
-                  predict, step_result, update)
+from .ekf import ProposedTracker, initial_state
 from .errors import ConfigError
 from .geometry import (
     angles_to_spatial,
@@ -68,7 +68,6 @@ from .geometry import (
     rotation_matrix,
 )
 from .misalign import detect_step, search_grid
-from .monopulse import extract_measurement
 
 SCHEMA_VERSION = 1
 
@@ -76,6 +75,9 @@ SCHEMA_VERSION = 1
 _FIELD_TYPES = {"int": int, "float": (int, float), "str": str, "bool": bool}
 
 _FLOAT_MAX = sys.float_info.max
+
+TRACKERS = {"proposed": ProposedTracker, "codebook": CodebookTracker, "abp": AbpTracker}
+SCHEMES = tuple(TRACKERS)
 
 # Per-field rules, read after the type check: a closed range (lo, hi[, why]), where a lower
 # limit of +0.0 also rejects -0.0 and one of math.ulp(0.0), the smallest positive float,
@@ -107,6 +109,7 @@ FIELD_RULES = {
     "q_n_window": (2, math.inf),
     # the rng keys mask the seed to 64 bits, so a seed outside would alias one inside
     "seed": (0, 2**64 - 1),
+    "scheme": SCHEMES,
     "snr_reference": ("element", "array"),
     "q_n_mode": ("fixed", "estimated"),
     "jacobian_mode": ("paper-approx", "exact"),
@@ -173,8 +176,6 @@ class ScenarioConfig:
     def __post_init__(self):
         for f in fields(self):
             _check_field(f.name, f.type, getattr(self, f.name))
-        if self.scheme not in SCHEMES:
-            raise ConfigError(f"unknown scheme {self.scheme!r}, not one of {SCHEMES}")
         # without innovations the gain decays to zero and the received power with it; below
         # the smallest normal float |alpha|^2 underflows to zero all the same
         if self.gain_var < sys.float_info.min and abs(self.rho_gain) < 1:
@@ -296,53 +297,6 @@ class ComplexityLedger:
     m: int
     pilot_slots: int            # per trial, units of T_s
     solve_cost: int             # per trial, m^3 proxy
-
-
-class ProposedTracker(Tracker):
-    """The monopulse-measurement EKF (the scheme under study)."""
-
-    frame_cost = staticmethod(lambda k2: (2, 1))  # (measurement size, pilot slots) per frame
-
-    def __init__(self, cfg: ScenarioConfig, state: TrackerState):
-        super().__init__(cfg, state)
-        self.q_n_prior = np.eye(2) * cfg.sigma_n_sq
-        # floor the estimate at a tenth of the design prior: an estimate
-        # near zero (transient-biased window) would saturate the gain and
-        # inject raw measurement noise into the state.  A fixed Q_n reads no
-        # window, so that mode keeps none
-        self.estimator = InnovationNoiseEstimator(
-            window=cfg.q_n_window, floor=cfg.sigma_n_sq / 10.0, batch=state.x.shape[:-1]
-        ) if cfg.q_n_mode == "estimated" else None
-        self.q_n_relaxed = np.eye(2) * cfg.sigma_nb_sq   # the bound's Q_n'
-
-    def observe(self, y: np.ndarray) -> np.ndarray:
-        """The monopulse measurements r of pilot snapshots y, shape (..., 2)."""
-        return extract_measurement(y, self.cfg).r
-
-    def step(self, r: np.ndarray) -> dict:
-        """One frame from the monopulse measurements r (observe) of the batch's snapshots."""
-        cfg = self.cfg
-        p_prev = self.state.p
-        pred = predict(self.state, cfg.f, cfg.q_p)
-        g = jacobian(pred.x, cfg.jacobian_mode)
-        q_n = self.q_n_prior if self.estimator is None else self.estimator.estimate(self.q_n_prior)
-        self.state, innovation, k = update(pred, r, g, q_n)
-        if self.estimator is not None:
-            self.estimator.push(innovation, g, pred.p)
-        return step_result(innovation, bound_step(p_prev, k, g, cfg.f, cfg.q_p, self.q_n_relaxed))
-
-    def reinitialize(self, mask: np.ndarray, state: TrackerState):
-        """Restart the trials in mask from state, with an empty Q_n window."""
-        super().reinitialize(mask, state)
-        if self.estimator is not None:
-            self.estimator.reset(mask)
-            # a restarted window floors its estimate at the estimator's default, not the
-            # prior's tenth; outputs since the first release depend on it
-            self.estimator.floor[mask] = InnovationNoiseEstimator.floor
-
-
-TRACKERS = {"proposed": ProposedTracker, "codebook": CodebookTracker, "abp": AbpTracker}
-SCHEMES = tuple(TRACKERS)
 
 
 def _for_scheme(cfg: ScenarioConfig, scheme: str | None) -> ScenarioConfig:

@@ -58,8 +58,7 @@ WRONG_TYPES = st.one_of(
 EXTREMES = st.sampled_from([1e308, -1e308, math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324])
 HUGE_INTS = st.one_of(st.integers(min_value=2**63), st.integers(max_value=-2**63))
 CHOICES = [c for rule in FIELD_RULES.values() if isinstance(rule[0], str) for c in rule]
-MODE_STRINGS = [*SCHEMES, *CHOICES]
-MODES = st.sampled_from(MODE_STRINGS)
+MODES = st.sampled_from(CHOICES)
 ANY_VALUE = st.one_of(
     WRONG_TYPES,
     EXTREMES,
@@ -160,13 +159,14 @@ def checked_update(monkeypatch):
     """Wraps ekf.update where the trackers look it up, as the benchmark's tracer does;
     the list collects every problem its checks find."""
     problems = []
+    update = ekf.update  # the original, before it is patched below
 
     def checked(pred, r, g_mat, q_n, r_hat=None, s=None):
-        out = ekf.update(pred, r, g_mat, q_n, r_hat, s)
+        out = update(pred, r, g_mat, q_n, r_hat, s)
         problems.extend(_batch_problems(pred, r, g_mat, q_n, r_hat, out))
         return out
 
-    for module in (harness, baselines):
+    for module in (ekf, baselines):
         monkeypatch.setattr(module, "update", checked)
     return problems
 
@@ -232,7 +232,7 @@ def test_batch_check_flags_a_finite_gain_whose_posterior_overflows():
 # every limit in FIELD_RULES with the floats (and, for an int limit, the ints) beside it
 LIMITS = [limit for pair in RANGES.values() for limit in pair]
 VERDICT_VALUES = list({(type(v), repr(v)): v for v in [
-    *SINGLE_EXTREMES, *MODE_STRINGS, 2**63,
+    *SINGLE_EXTREMES, *CHOICES, 2**63,
     *(v for x in LIMITS for v in (x, math.nextafter(x, -math.inf), math.nextafter(x, math.inf))),
     *(v for x in LIMITS if isinstance(x, int) for v in (x - 1, x + 1)),
 ]}.values())
@@ -314,15 +314,14 @@ CROSS_FIELD = {
 
 
 def test_every_single_field_rule_is_a_row():
-    # a field outside CROSS_FIELD is accepted exactly when its FIELD_RULES row passes it
-    # (a scheme also when SCHEMES holds it): no rule on one field lives anywhere else
+    # a field outside CROSS_FIELD is accepted exactly when its FIELD_RULES row passes it:
+    # no rule on one field lives anywhere else
     wrong = []
     for f in dataclasses.fields(ScenarioConfig):
         if f.name in CROSS_FIELD:
             continue
         for value in VERDICT_VALUES:
-            row = (_accepts(harness._check_field, f.name, f.type, value)
-                   and (f.name != "scheme" or value in SCHEMES))
+            row = _accepts(harness._check_field, f.name, f.type, value)
             wrong += [(f.name, scheme, value) for scheme in SCHEMES
                       if _config_accepts(scheme, f.name, value) != row]
     assert not wrong, f"(field, scheme, value) the config and the row disagree on: {wrong}"

@@ -17,13 +17,12 @@ import pytest
 from beamtrack import baselines, ekf, harness
 from beamtrack.analysis import bound_step
 from beamtrack.baselines import ABP_SQUINT_FACTOR
-from beamtrack.ekf import initial_state, jacobian, predict, step_result, update
+from beamtrack.ekf import ProposedTracker, initial_state, jacobian, predict, step_result, update
 from beamtrack.errors import ConfigError
 from beamtrack.geometry import rotation_matrix
 from beamtrack.harness import (
     ExperimentSummary,
     FrameRecord,
-    ProposedTracker,
     ScenarioConfig,
     TRACE_COLUMNS,
     emit_summary,
@@ -209,11 +208,12 @@ class TestRunTrial:
         assert realigned_any
 
     def test_unknown_scheme_raises_config_error(self):
-        with pytest.raises(ConfigError, match="unknown scheme"):
+        message = r"scheme must be one of \('proposed', 'codebook', 'abp'\), got 'bogus'"
+        with pytest.raises(ConfigError, match=message):
             run_trial(small_cfg(), 0, "bogus")
-        with pytest.raises(ConfigError, match="unknown scheme"):
+        with pytest.raises(ConfigError, match=message):
             run_experiment(small_cfg(), "bogus")
-        with pytest.raises(ConfigError, match="unknown scheme"):
+        with pytest.raises(ConfigError, match=message):
             trial_ledger(small_cfg(), "bogus")
 
     def test_scheme_override_is_checked_before_anything_is_allocated(self):

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -14,12 +15,13 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _run(name: str, *args: str) -> subprocess.CompletedProcess:
+def _run(name: str, *args: str, root: Path = ROOT) -> subprocess.CompletedProcess:
+    """Run the script of that name in root's scripts/ with this checkout's src/."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     # a RuntimeWarning fails a script as pyproject.toml's filter fails a test
     return subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", str(ROOT / "scripts" / name), *args],
+        [sys.executable, "-W", "error::RuntimeWarning", str(root / "scripts" / name), *args],
         capture_output=True, text=True, env=env, timeout=120,
     )
 
@@ -69,7 +71,7 @@ def test_snr_sweep_prints_one_row_per_snr():
 def test_snr_sweep_unknown_scheme_is_a_usage_error():
     proc = _run("snr_sweep.py", "--trials", "2", "--schemes", "proposed,bogus")
     assert proc.returncode == 2
-    assert "error: unknown scheme 'bogus'" in proc.stderr
+    assert "error: scheme must be one of ('proposed', 'codebook', 'abp'), got 'bogus'" in proc.stderr
     assert "Traceback" not in proc.stderr and not proc.stdout
 
 
@@ -99,6 +101,19 @@ def test_snr_sweep_empty_snr_range_is_a_usage_error():
     proc = _run("snr_sweep.py", "--snr-min", "10", "--snr-max", "0", "--trials", "2")
     assert proc.returncode == 2
     assert "error: --snr-min must not exceed --snr-max" in proc.stderr
+    assert "Traceback" not in proc.stderr and not proc.stdout
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--step", "inf"], "give a grid numpy cannot build: arange: cannot compute length"),
+    (["--step", "1e-300"], "give a grid numpy cannot build: Maximum allowed size exceeded"),
+    # 1e308 + 2.0/2 rounds to 1e308, so arange's half-open range is empty
+    (["--snr-min", "1e308", "--snr-max", "1e308"], "give a grid without a point"),
+], ids=["infinite-step", "tiny-step", "max-plus-half-step-rounds-to-max"])
+def test_snr_sweep_grid_without_a_buildable_point_is_a_usage_error(args, message):
+    proc = _run("snr_sweep.py", "--trials", "2", *args)
+    assert proc.returncode == 2
+    assert f"error: --snr-min, --snr-max and --step {message}" in proc.stderr
     assert "Traceback" not in proc.stderr and not proc.stdout
 
 
@@ -219,6 +234,42 @@ def test_bench_pairs_failed_run_names_side_pair_and_seed_and_prints_its_stderr(t
     assert "the parent run of pair 1 (seed 7) exited with code 1; its stderr:" in proc.stderr
     assert "no such operation" in proc.stderr
     assert "Traceback" not in proc.stderr and not proc.stdout
+
+
+def _bench_record_checkout(root: Path, run_py: str) -> Path:
+    """A stand-in checkout at root (_parent_checkout) with a copy of bench_record.py, which
+    runs the bench/run.py of the checkout it sits in."""
+    _parent_checkout(root, run_py)
+    (root / "scripts").mkdir()
+    shutil.copy(ROOT / "scripts" / "bench_record.py", root / "scripts")
+    return root
+
+
+@pytest.mark.parametrize("content", [None, "not xml"], ids=["missing", "not-xml"])
+def test_bench_record_unreadable_junit_is_a_usage_error_before_any_run(tmp_path, content):
+    # a run of this checkout would exit with code 1, not 2
+    _bench_record_checkout(tmp_path, "import sys\nsys.exit('a run started')\n")
+    junit, out = tmp_path / "tier1.xml", tmp_path / "BENCH_0.json"
+    if content is not None:
+        junit.write_text(content)
+    proc = _run("bench_record.py", "--out", str(out), "--junit", str(junit), root=tmp_path)
+    assert proc.returncode == 2
+    assert f"error: --junit {junit}: " in proc.stderr
+    assert "Traceback" not in proc.stderr and not proc.stdout
+    assert not out.exists()
+
+
+def test_bench_record_failed_run_names_workload_and_trace_and_prints_its_stderr(tmp_path):
+    _bench_record_checkout(tmp_path, "import sys\nsys.exit('no such operation')\n")
+    junit, out = tmp_path / "tier1.xml", tmp_path / "BENCH_0.json"
+    junit.write_text("<testsuites/>")
+    proc = _run("bench_record.py", "--out", str(out), "--junit", str(junit), root=tmp_path)
+    # BENCHMARK.json's first workload, run untraced first
+    assert proc.returncode == 1
+    assert "the fig9-sweep run at --trace 0 exited with code 1; its stderr:" in proc.stderr
+    assert "no such operation" in proc.stderr
+    assert "Traceback" not in proc.stderr and not proc.stdout
+    assert not out.exists()
 
 
 def _bench_pairs_report(monkeypatch, capsys, tmp_path, values, seed=101, schemes=None):
