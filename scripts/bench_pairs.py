@@ -23,14 +23,16 @@ Under ``tf_per_ref_s`` it also prints, for each scheme whose
 ratio, with no verdict: a gate that moves when only one scheme's operations
 move (fig9-sweep's codebook, say) shows it there.
 ``--tiny`` passes ``--tiny`` to every run, for a smoke run whose numbers mean
-nothing.  A workload that BENCHMARK.json does not name, or a parent directory
-without ``bench/run.py`` or ``BENCHMARK.json``, is a usage error, before any
-run.  A run that exits non-zero stops the script with exit code 1, naming its
-side, pair and seed and printing its stderr.
+nothing.  A workload that BENCHMARK.json does not name, a parent directory
+without ``bench/run.py`` or ``BENCHMARK.json``, or a ``--seconds`` that is not
+finite and positive, is a usage error, before any run.  A run that exits
+non-zero stops the script with exit code 1, naming its side, pair and seed and
+printing its stderr.
 """
 
 import argparse
 import json
+import math
 import re
 import statistics
 import subprocess
@@ -87,6 +89,9 @@ def main() -> None:
     args = ap.parse_args()
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
+    # a run stops once its time is up: never for nan or inf, at once for 0 or less
+    if not (math.isfinite(args.seconds) and args.seconds > 0):
+        ap.error(f"--seconds must be finite and positive, got {args.seconds!r}")
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in benchmark["workloads"]]
     if args.workload not in workloads:

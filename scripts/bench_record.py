@@ -15,13 +15,15 @@ Each run's ``conditions`` (core count, BLAS threads, Python and numpy
 versions, src line count, load before and after, whether other work
 overlapped it) are kept beside its metrics.  ``--tiny`` passes ``--tiny`` to
 every run, for a quick smoke run whose numbers mean nothing.  A ``--junit`` file
-that cannot be read or is not XML is a usage error, before any run.  A run
-that exits non-zero stops the script with exit code 1, naming its workload and
-trace level and printing its stderr.
+that cannot be read or is not XML, or a ``--seconds`` that is not finite and
+positive, is a usage error, before any run.  A run that exits non-zero stops the
+script with exit code 1, naming its workload and trace level and printing its
+stderr.
 """
 
 import argparse
 import json
+import math
 import re
 import subprocess
 import sys
@@ -77,6 +79,9 @@ def main() -> None:
     ap.add_argument("--seconds", type=float, default=25.0)
     ap.add_argument("--tiny", action="store_true")
     args = ap.parse_args()
+    # a run stops once its time is up: never for nan or inf, at once for 0 or less
+    if not (math.isfinite(args.seconds) and args.seconds > 0):
+        ap.error(f"--seconds must be finite and positive, got {args.seconds!r}")
 
     try:
         tier1 = criterion_seconds(args.junit)

@@ -21,7 +21,10 @@ rng.trial_normals, a stream per (frame, trial); the truth and gain steps run
 frame by frame; the channel, noise level, pilot snapshot, each tracker's
 observation of it (Tracker.observe) and the data-phase noise are one call
 each.  Then a frame loop keeps what reads the estimate: the tracker step, the
-data-phase combiner, the detector and the record.  A trial realigned in a
+data-phase combiner, the detector and the record.  With the detector off only
+the trials whose records the caller reads (all of run_batch's, trial 0 of
+run_experiment's) run the data phase; the others hold NaN and False there.
+A trial realigned in a
 chunk restarts its truth from a residual drawn with trial_normals too, and
 _synthesize runs again on the realigned trials' rest of the chunk, from the
 residual and with the draws already made: _synthesize is the one place the
@@ -312,11 +315,11 @@ CHUNK_ENTRIES = 4096
 
 def _synthesize(cfg: ScenarioConfig, tracker, truth, gain, draws):
     """Everything a block of frames reads that does not depend on the estimate, from the
-    truth and gain before its first frame (any leading axes) and its (process, gain,
+    truth and gain before its first frame (a leading trial axis) and its (process, gain,
     pilot, data) draws, each with a leading frame axis: the truth and gain of each frame,
-    stepped with evolve_state and evolve_gain, then the channel vectors, the tracker's
-    observations of the pilot snapshots and the data-phase element noise.  The one place
-    the truth and the gain advance."""
+    stepped with evolve_state and evolve_gain, the tracker's observations of the pilot
+    snapshots, then the channel vectors and data-phase element noise of the leading trials
+    the data draws cover.  The one place the truth and the gain advance."""
     process, innovation, pilot, data = draws
     truths = np.empty(process.shape)
     gains = np.empty(innovation.shape[:-1], complex)
@@ -326,21 +329,27 @@ def _synthesize(cfg: ScenarioConfig, tracker, truth, gain, draws):
     h = channel_matrix(gains, truths, cfg)
     var = noise_variance(cfg, mean(np.abs(vec(h)) ** 2))
     obs = tracker.observe(synthesize_rx(h, var, pilot))
-    return truths, gains, vec(h), obs, complex_noise(vec(h).shape, var[..., None], data)
+    h_vec, var = vec(h)[:, :data.shape[1]], var[:, :data.shape[1], None]
+    return truths, gains, h_vec, obs, complex_noise(h_vec.shape, var, data)
 
 
-def _frames(cfg: ScenarioConfig, trials) -> dict[str, np.ndarray]:
+def _frames(cfg: ScenarioConfig, trials, read: int) -> dict[str, np.ndarray]:
     """Simulate the trials as one batch: each FrameRecord field after `frame` by name, a
     (frames, trials) array whose row k - 1 holds frame k.  Each chunk of frames first
     synthesizes everything that does not depend on the estimate, then steps the trackers
     frame by frame; a trial realigned mid-chunk has the rest of the chunk synthesized again
-    from its residual truth.  The next chunk starts from the last frame's truth and gain."""
+    from its residual truth.  The next chunk starts from the last frame's truth and gain.
+    With the detector off only the first `read` trials, whose records the caller reads, run
+    the data phase: the others' p_r and err_norm_hat hold NaN, detected and realigned False."""
     try:
         x_hat0 = np.empty((len(trials), 2))
         cols = {f.name: np.empty((cfg.frames, len(trials)), bool if f.type == "bool" else float)
                 for f in fields(FrameRecord)[1:]}
     except (ValueError, OverflowError) as exc:
         raise MemoryError(f"the batch of trials does not fit in an array: {exc}") from exc
+    data = len(trials) if cfg.detect_enabled else min(read, len(trials))
+    cols["p_r"][:, data:] = cols["err_norm_hat"][:, data:] = np.nan
+    cols["detected"][:, data:] = cols["realigned"][:, data:] = False
     lim = np.deg2rad(float(cfg.azimuth_range_deg))
     phi = np.empty(len(trials))
     for i, t in enumerate(trials):
@@ -356,21 +365,22 @@ def _frames(cfg: ScenarioConfig, trials) -> dict[str, np.ndarray]:
     gain = np.full(len(trials), 1.0 + 0.0j)
     keys = rngmod.trial_keys(cfg.seed, trials)
     # the truth drift, the gain innovation: 2 normals; the pilot and data noise: 2 per element
-    counts = {"process": 2, "gain": 2, "pilot": 2 * cfg.n, "data": 2 * cfg.n}
+    draws_of = {"process": (2, keys), "gain": (2, keys), "pilot": (2 * cfg.n, keys),
+                "data": (2 * cfg.n, keys[:data])}
     chunk = max(1, CHUNK_ENTRIES // (len(trials) * cfg.n))
 
     for first in range(1, cfg.frames + 1, chunk):
         frames = range(first, min(first + chunk, cfg.frames + 1))
-        draws = [rngmod.trial_normals(cfg.seed, keys, frames, p, c) for p, c in counts.items()]
+        draws = [rngmod.trial_normals(cfg.seed, k, frames, p, c) for p, (c, k) in draws_of.items()]
         truths, gains, h_vec, obs, noise = _synthesize(cfg, tracker, truth, gain, draws)
-        power = cfg.n * abs2(gains)
+        power = cfg.n * abs2(gains[:, :data])
 
         for j, k in enumerate(frames):
             out = tracker.step(obs[j])
             x_hat = tracker.state.x
 
-            # data transmission phase: beamformed power toward the estimate
-            p_r = abs2(combine(beamforming_weight(x_hat, cfg), h_vec[j], noise[j])) / power[j]
+            # data transmission phase, in the first `data` trials: beamformed power toward x_hat
+            p_r = abs2(combine(beamforming_weight(x_hat[:data], cfg), h_vec[j], noise[j])) / power[j]
 
             est = [detect_step(p, cfg, consecutive, i) for i, p in enumerate(p_r.tolist())]
             row = dict(u_true=truths[j, :, 0], v_true=truths[j, :, 1], u_hat=x_hat[:, 0],
@@ -380,7 +390,7 @@ def _frames(cfg: ScenarioConfig, trials) -> dict[str, np.ndarray]:
                        bound=out["bound"], innov_norm=out["innovation_norm"],
                        meas_valid=out["meas_valid"])
             for name, values in row.items():
-                cols[name][k - 1] = values
+                cols[name][k - 1, :len(values)] = values
 
             realigned = cols["realigned"][k - 1]
             if realigned.any():
@@ -414,7 +424,7 @@ def run_batch(cfg: ScenarioConfig, trials, scheme: str | None = None) -> list[li
     bad = [t for t in trials if not 0 <= t < 2**64]
     if bad or not trials:
         raise ValueError(f"trial indices must be one or more in [0, 2**64), got {bad or 'none'}")
-    cols = _frames(_for_scheme(cfg, scheme), trials)
+    cols = _frames(_for_scheme(cfg, scheme), trials, len(trials))
     return [_records(cols, i) for i in range(len(trials))]
 
 
@@ -485,7 +495,7 @@ def _experiment(cfg: ScenarioConfig, shards: int) -> ExperimentSummary:
     try:
         for block in blocks[1:]:
             children.append(_Child(cfg, block))
-        first = _frames(cfg, blocks[0])
+        first = _frames(cfg, blocks[0], 1)
         parts = [first] + [child.result() for child in children]
     finally:
         for child in children:
@@ -546,7 +556,7 @@ def _child_main(sender, cfg: ScenarioConfig, block: range) -> None:
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupted parent stops its children
     try:
-        cols = _frames(cfg, block)
+        cols = _frames(cfg, block, 0)
         result = {name: cols[name] for name in _FOLDED}
     except BaseException as exc:
         result = exc

@@ -7,6 +7,7 @@ block of trials mixes each trial's half of the key once (trial_keys) and
 draws each purpose of a chunk of frames, and each realignment residual, as
 one array of standard normals (trial_normals), a stream per (frame, trial);
 the steps that use them scale them.  Only the initial draw uses stream alone.
+Both re-key one Philox generator from Python ints (_keyed), not build one each.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ def _philox_key(lo: int, hi: int):
 
 # a Philox stream is its key and counter, so re-keying draws what a new generator would
 _GENERATOR = np.random.Generator(np.random.Philox(key=(0, 0)))
-_ZEROS = np.zeros(4, dtype=np.uint64)
+_ZEROS = (0, 0, 0, 0)  # the state setter reads Python ints faster than numpy uint64s
 _STATE = {"bit_generator": "Philox", "state": {"counter": _ZEROS, "key": (0, 0)},
           "buffer": _ZEROS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 

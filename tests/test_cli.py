@@ -93,9 +93,9 @@ def test_run_simulates_each_trial_once(runner, tiny_config, tmp_path, monkeypatc
     calls = []
     original = harness._frames
 
-    def counting(cfg, trials):
+    def counting(cfg, trials, read):
         calls.extend(trials)
-        return original(cfg, trials)
+        return original(cfg, trials, read)
 
     monkeypatch.setattr(harness, "_frames", counting)
     result = runner.invoke(main, ["run", "--config", str(tiny_config), "--out", str(tmp_path)])

@@ -510,9 +510,9 @@ def _in_block(hook):
     """A _frames stand-in that calls hook(trials) before it runs the block."""
     frames = harness._frames
 
-    def patched(cfg, trials):
+    def patched(cfg, trials, read):
         hook(trials)
-        return frames(cfg, trials)
+        return frames(cfg, trials, read)
 
     return patched
 
@@ -644,7 +644,7 @@ class TestChunkLength:
         runs = []
         for frames in (1, 3, 7, cfg.frames):
             monkeypatch.setattr(harness, "CHUNK_ENTRIES", frames * cfg.trials * cfg.n)
-            runs.append(harness._frames(cfg, trials))
+            runs.append(harness._frames(cfg, trials, cfg.trials))
         for cols in runs[1:]:
             for name, column in runs[0].items():
                 assert cols[name].tobytes() == column.tobytes(), name
@@ -680,17 +680,58 @@ class TestChunkLength:
         assert not valid[:, 1].any() and valid[:, [0, 2]].all()
 
 
+class TestDataPhase:
+    """With the detector off, the data phase runs only in the trials whose records are read."""
+
+    @pytest.mark.parametrize("detect", [False, True])
+    def test_detector_runs_per_frame_of_trial_0_only_when_off(self, monkeypatch, detect):
+        calls = []
+        original = harness.detect_step
+        monkeypatch.setattr(harness, "detect_step",
+                            lambda *args: calls.append(args[-1]) or original(*args))
+        cfg = small_cfg(trials=4, frames=6, detect_enabled=detect)
+        harness._experiment(cfg, 1)
+        assert calls == (list(range(4)) if detect else [0]) * cfg.frames
+
+    @pytest.mark.parametrize("scheme", ["proposed", "codebook", "abp"])
+    def test_unread_trials_skip_only_the_data_phase_columns(self, scheme):
+        from beamtrack.presets import get_preset
+
+        cfg = dataclasses.replace(get_preset("fig9"), trials=4, frames=12, scheme=scheme)
+        full = harness._frames(cfg, range(4), 4)
+        for read in (0, 1, 3):
+            cols = harness._frames(cfg, range(4), read)
+            for name, column in full.items():
+                if name in ("p_r", "err_norm_hat"):
+                    assert np.isnan(cols[name][:, read:]).all(), name
+                elif name in ("detected", "realigned"):
+                    assert not cols[name][:, read:].any(), name
+                else:
+                    assert cols[name].tobytes() == column.tobytes(), name
+                assert cols[name][:, :read].tobytes() == column[:, :read].tobytes(), name
+
+    def test_detector_on_runs_the_data_phase_in_every_trial(self):
+        cfg = dataclasses.replace(_fig6_8x16(), trials=4)
+        full, unread = (harness._frames(cfg, range(4), read) for read in (4, 0))
+        assert full["realigned"].any()
+        for name, column in full.items():
+            assert unread[name].tobytes() == column.tobytes(), name
+
+
 def _fig6_8x16():
     from beamtrack.presets import get_preset
 
     return dataclasses.replace(get_preset("fig6"), n_y=16, trials=9)
 
 
-# realignments in several trials; NaN bounds where the exact Jacobian meets its singularity
+# realignments in several trials; NaN bounds where the exact Jacobian meets its singularity;
+# the detector off, so that a block runs the data phase for the trials it reads alone
 RECORD_CONFIGS = {
     "fig6-8x16": _fig6_8x16,
     "exact-low-flight": lambda: ScenarioConfig(jacobian_mode="exact", height_ratio=0.01,
                                                frames=20, trials=6, seed=3),
+    "fig9-detect-off": lambda: ScenarioConfig(frames=20, trials=7, snr_db=10.0, sigma_u=0.01,
+                                              sigma_v=0.01, detect_enabled=False, seed=5),
 }
 
 
@@ -723,8 +764,10 @@ class TestRecords:
         # each case reaches the branch it is here for
         if name == "fig6-8x16":
             assert detections
-        else:
+        elif name == "exact-low-flight":
             assert any(math.isnan(r.bound) for records in batch for r in records)
+        else:
+            assert not cfg.detect_enabled and not any(math.isnan(r.p_r) for r in batch[-1])
         summary = harness._experiment(cfg, shards)
         assert summary.per_frame_mse == mse
         assert summary.per_frame_bound == bounds

@@ -225,6 +225,17 @@ def test_bench_pairs_parent_without_the_benchmark_is_a_usage_error(tmp_path, mis
     assert "Traceback" not in proc.stderr and not proc.stdout
 
 
+@pytest.mark.parametrize("seconds", ["nan", "inf", "0", "-1"])
+def test_bench_pairs_seconds_not_finite_and_positive_is_a_usage_error(tmp_path, seconds):
+    # a run of the stand-in parent, which goes first, would exit with code 1, not 2
+    _parent_checkout(tmp_path, "import sys\nsys.exit('a run started')\n")
+    proc = _run("bench_pairs.py", "--parent", str(tmp_path), "--workload", "cli-runs",
+                "--pairs", "1", f"--seconds={seconds}")
+    assert proc.returncode == 2
+    assert f"error: --seconds must be finite and positive, got {float(seconds)!r}" in proc.stderr
+    assert "Traceback" not in proc.stderr and not proc.stdout
+
+
 def test_bench_pairs_failed_run_names_side_pair_and_seed_and_prints_its_stderr(tmp_path):
     _parent_checkout(tmp_path, "import sys\nsys.exit('no such operation')\n")
     proc = _run("bench_pairs.py", "--parent", str(tmp_path), "--workload", "cli-runs",
@@ -255,6 +266,20 @@ def test_bench_record_unreadable_junit_is_a_usage_error_before_any_run(tmp_path,
     proc = _run("bench_record.py", "--out", str(out), "--junit", str(junit), root=tmp_path)
     assert proc.returncode == 2
     assert f"error: --junit {junit}: " in proc.stderr
+    assert "Traceback" not in proc.stderr and not proc.stdout
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seconds", ["nan", "inf", "0", "-1"])
+def test_bench_record_seconds_not_finite_and_positive_is_a_usage_error(tmp_path, seconds):
+    # a run of this checkout would exit with code 1, not 2
+    _bench_record_checkout(tmp_path, "import sys\nsys.exit('a run started')\n")
+    junit, out = tmp_path / "tier1.xml", tmp_path / "BENCH_0.json"
+    junit.write_text("<testsuites/>")
+    proc = _run("bench_record.py", "--out", str(out), "--junit", str(junit),
+                f"--seconds={seconds}", root=tmp_path)
+    assert proc.returncode == 2
+    assert f"error: --seconds must be finite and positive, got {float(seconds)!r}" in proc.stderr
     assert "Traceback" not in proc.stderr and not proc.stdout
     assert not out.exists()
 
