@@ -15,8 +15,10 @@ Each tracker's observe(y) turns pilot snapshots with any leading axes into what 
 step reads, and a run observes a chunk of frames at once: the codebook tracker its
 stacked beam outputs, ABP the snapshot itself, as its beams follow the prediction.
 Both step a batch of trials at once: states and observations carry a leading batch
-axis.  An entry whose measurement fails has a NaN measurement row, which ekf.update
-turns into a predict-only frame.
+axis.  ABP updates the batch in one ekf.update call, the codebook tracker in blocks of
+consecutive trials, each block's 2K^2 x 2K^2 S stack formed in one reused array
+(S_STACK_ENTRIES).  An entry whose measurement fails has a NaN measurement row, which
+ekf.update turns into a predict-only frame.
 """
 
 from __future__ import annotations
@@ -40,6 +42,9 @@ _POWER_FLOOR = 1e-30
 
 # Lower limit of each delta-method ratio variance.
 _Q_N_FLOOR = 1e-8
+
+# Most float64 entries in the codebook tracker's S stack (1 MiB): 8 trials at K = 8, 1 from K = 12.
+S_STACK_ENTRIES = 2**17
 
 
 def axis_angles(k: int) -> np.ndarray:
@@ -105,10 +110,11 @@ class CodebookTracker(Tracker):
     def __init__(self, cfg: ScenarioConfig, state: TrackerState):
         super().__init__(cfg, state)
         self.alpha_pred = 1.0 + 0.0j
-        self.q_n = self.noise_var(cfg) * np.eye(2 * cfg.k_beams**2)
-        # update forms each trial's S here: a fresh 2K^2 x 2K^2 array per update costs more
-        # in the allocator's mapping and trimming than in the arithmetic
-        self.s = np.empty_like(self.q_n)
+        m = 2 * cfg.k_beams**2
+        self.q_n = self.noise_var(cfg) * np.eye(m)
+        # update forms each block's S stack here (S_STACK_ENTRIES): a fresh stack per update
+        # costs more in the allocator's mapping and trimming than in the arithmetic
+        self.s = np.empty((max(1, min(state.x.size // 2, S_STACK_ENTRIES // m**2)), m, m))
         self.w_h = build_codebook(cfg)
 
     frame_cost = staticmethod(lambda k2: (2 * k2, k2))  # (measurement size, pilot slots) per frame
@@ -132,15 +138,18 @@ class CodebookTracker(Tracker):
         self.alpha_pred *= cfg.rho_gain
         pred = predict(self.state, cfg.f, cfg.q_p)
         z_hat, g = codebook_model(pred.x, cfg, self.w_h, self.alpha_pred)
-        # the 2K^2 x 2K^2 update is BLAS-bound and large: one trial at a time
-        x, p = np.empty_like(pred.x), np.empty_like(pred.p)
+        # update runs per block of len(self.s) consecutive trials, leading axes flattened; a
+        # stacked matmul or solve calls the 2-D routine per matrix, so bytes ignore the block
+        x, p = pred.x.reshape(-1, 2), pred.p.reshape(-1, 2, 2)
+        z, z_hat, g = (a.reshape(len(x), *a.shape[pred.x.ndim - 1:]) for a in (z, z_hat, g))
         innovation = np.empty(z.shape)
-        for i in np.ndindex(x.shape[:-1]):
-            new, innovation[i], _ = update(TrackerState(pred.x[i], pred.p[i]), z[i], g[i],
-                                           self.q_n, z_hat[i], self.s)
-            x[i], p[i] = new.x, new.p
-        self.state = TrackerState(x, p)
-        return step_result(innovation)
+        for i in range(0, len(x), len(self.s)):
+            b = slice(i, i + len(self.s))
+            new, innovation[b], _ = update(TrackerState(x[b], p[b]), z[b], g[b], self.q_n,
+                                           z_hat[b], self.s[:len(x[b])])
+            x[b], p[b] = new.x, new.p
+        self.state = TrackerState(x.reshape(pred.x.shape), p.reshape(pred.p.shape))
+        return step_result(innovation.reshape(pred.x.shape[:-1] + z.shape[-1:]))
 
 
 def _axis_pair_powers(u, beams: np.ndarray):

@@ -28,8 +28,8 @@ A trial realigned in a
 chunk restarts its truth from a residual drawn with trial_normals too, and
 _synthesize runs again on the realigned trials' rest of the chunk, from the
 residual and with the draws already made: _synthesize is the one place the
-truth advances.  Only the initial draw, the detector's table lookup and
-the codebook's 2K^2 x 2K^2 update stay per trial.  A block builds one
+truth advances.  Only the initial draw and the detector's table lookup stay
+per trial; the codebook's update goes a block of trials at a time.  A block builds one
 tracker, which builds its own tables (the baselines' beam weights), so a
 config holds none.  This module holds no tracker: TRACKERS maps each scheme to
 its class (ekf.ProposedTracker, the baselines' two) and precedes the config,
@@ -455,9 +455,10 @@ class ExperimentSummary:
 
 
 # a run gives each process at least this many trial-frames (a fork costs the same for every
-# run, the work it moves grows with them): on 2 cores, proposed (the lightest scheme) ran
-# 1.19-1.36x faster in two processes of 400 than in one on fig9, fig4a, fig6 8x16 and a
-# 2-trial fig6 8x16 run, 1.08-1.18x at 200 and 0.95-1.03x at 100 (scripts/shard_crossover.py)
+# run, the work it moves grows with them).  Speedup of two processes over one on 2 cores for
+# proposed, the lightest scheme, at 100/200/400/1000/2500 trial-frames each: fig9 0.50/0.53/
+# 0.62/0.79/1.61 (detection off, so it loses below ~2,500), fig4a 0.95/1.03/0.92/1.41/1.58,
+# fig6 8x16 0.97/1.10/1.25/1.57/1.65, 2-trial 0.94/1.09/1.13/1.22/1.16 (shard_crossover.py)
 MIN_SHARD_TRIAL_FRAMES = 400
 # the columns the summary folds; a trial block run in a child process returns only these
 _FOLDED = ("err_norm", "bound", "realigned")

@@ -1,6 +1,10 @@
 """Codebook-beamforming and auxiliary-beam-pair baseline trackers."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -221,6 +225,84 @@ class TestCodebookTracker:
         assert out["meas_valid"] is False
         assert np.isnan(out["innovation_norm"])
         assert tracker.state.x.tobytes() == predict(start, cfg.f, cfg.q_p).x.tobytes()
+
+    def test_block_of_trials_equals_each_trial_alone(self):
+        # 11 trials on 8x8 (K = 8): blocks of 8 and 3 trials
+        batched, alone = _blocked_and_alone()
+        assert batched == alone
+
+    def test_singular_innovation_covariance_predicts_only_across_blocks(self):
+        cfg = _cfg(rho_gain=1.0, gain_innovation_var=0.0, gain_uncertainty_var=0.0,
+                   sigma_u=0.0, sigma_v=0.0)
+        start = initial_state(np.tile([0.1, 0.2], (11, 1)), 0.0)
+        tracker = CodebookTracker(cfg, start)
+        assert len(tracker.s) == 8
+        y = np.broadcast_to(rank1_snapshot(0.1, 0.2, cfg), (11, 8, 8))
+        out = tracker.step(tracker.observe(y))
+        assert out["meas_valid"] == [False] * 11
+        assert np.isnan(out["innovation_norm"]).all()
+        assert tracker.state.x.tobytes() == predict(start, cfg.f, cfg.q_p).x.tobytes()
+
+    def test_update_runs_once_per_block(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(len(args[0].x))
+            return update(*args, **kwargs)
+
+        monkeypatch.setattr(baselines, "update", counting)
+        cfg = _cfg(snr_db=10.0)
+        tracker = CodebookTracker(cfg, initial_state(np.zeros((11, 2)), 0.01))
+        y = np.broadcast_to(rank1_snapshot(0.1, 0.2, cfg), (11, 8, 8))
+        for _ in range(3):
+            tracker.step(tracker.observe(y))
+        assert calls == [8, 3] * 3
+
+    @pytest.mark.parametrize("k, trials, block", [(8, 11, 8), (8, 2, 2), (8, 1, 1),
+                                                   (12, 3, 1), (16, 3, 1)])
+    def test_s_stack_fits_its_budget(self, k, trials, block):
+        cfg = _cfg(16, 16, codebook_k=k)
+        tracker = CodebookTracker(cfg, initial_state(np.zeros((trials, 2)), 0.01))
+        m = 2 * k**2
+        assert tracker.s.shape == (block, m, m)
+        assert block == 1 or tracker.s.size <= baselines.S_STACK_ENTRIES
+
+    def test_blocks_add_no_thread_dependence(self):
+        # the solve's bytes depend on the BLAS thread count (tests/conftest.py); a trial's
+        # update must not also depend on its block with two threads
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="2")
+        here = Path(__file__).resolve().parent
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(here.parent / "src"), str(here), env.get("PYTHONPATH")]))
+        # numpy first, so OpenBLAS reads two threads before conftest pins one
+        code = ("import numpy\nimport test_baselines as t\n"
+                "batched, alone = t._blocked_and_alone()\nprint(batched == alone)\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "True\n", "")
+
+
+def _blocked_and_alone(trials=11, frames=5):
+    """The states and step results of `trials` trials from distinct starts stepped `frames`
+    noisy frames by one codebook tracker and by one tracker per trial, as bytes and reprs."""
+    cfg = _cfg(snr_db=10.0)
+    rng = np.random.default_rng(31)
+    truth = rng.uniform(-0.3, 0.3, (trials, 2))
+    starts = truth + rng.normal(0.0, 0.02, (trials, 2))
+    h = np.stack([rank1_snapshot(u, v, cfg) for u, v in truth])
+    scale = np.sqrt(noise_variance(cfg, 1.0) / 2)
+    ys = [h + scale * (rng.standard_normal(h.shape) + 1j * rng.standard_normal(h.shape))
+          for _ in range(frames)]
+    tracker = CodebookTracker(cfg, initial_state(starts, 0.02))
+    outs = [tracker.step(tracker.observe(y)) for y in ys]
+    batched = [outs, tracker.state.x.tobytes(), tracker.state.p.tobytes()]
+    solos = [CodebookTracker(cfg, initial_state(start, 0.02)) for start in starts]
+    steps = [[solo.step(solo.observe(y[i])) for i, solo in enumerate(solos)] for y in ys]
+    # each frame's step results as the batch returns them: a list per key, one entry per trial
+    alone = [[{key: [out[key] for out in frame] for key in frame[0]} for frame in steps],
+             np.stack([solo.state.x for solo in solos]).tobytes(),
+             np.stack([solo.state.p for solo in solos]).tobytes()]
+    return repr(batched), repr(alone)
 
 
 class TestAbpRatio:

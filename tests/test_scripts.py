@@ -435,9 +435,10 @@ def test_src_size_dir_without_python_files_is_a_usage_error(tmp_path, name):
 
 def test_frame_cost_prints_a_cost_per_row():
     lines = run_script("frame_cost.py", "--tiny")
-    assert lines[1].split() == ["row", "scheme", "trials", "frames", "us/tf"]
+    assert lines[1].split() == ["row", "scheme", "trials", "frames", "us/tf", "minflt/tf"]
     rows = [line.split() for line in lines[2:]]
     assert [(r[2], int(r[3]), int(r[4])) for r in rows] == [
         (scheme, trials, 5) for _ in range(2) for scheme in ("proposed", "codebook", "abp")
         for trials in (1, 2)]
     assert all(float(r[5]) > 0 for r in rows)
+    assert all(float(r[6]) >= 0 for r in rows)
