@@ -13,8 +13,14 @@ acceptance criterion from the junit XML of a tier-1 run, made with
 
 Each run's ``conditions`` (core count, BLAS threads, Python and numpy
 versions, src line count, load before and after, whether other work
-overlapped it) are kept beside its metrics.  ``--tiny`` passes ``--tiny`` to
-every run, for a quick smoke run whose numbers mean nothing.  A ``--junit`` file
+overlapped it) are kept beside its metrics.  Before each workload the script
+waits, at most ``SETTLE_S`` seconds, until the 1-min load average falls below
+the level at which ``bench/run.py`` flags a run as overlapped: an earlier
+workload's processes weigh in that average for a minute or more.  The load it
+found, the seconds it waited and the load the workload started at are kept
+under the workload's ``settle``.
+``--tiny`` passes ``--tiny`` to every run and does not wait, for a quick smoke
+run whose numbers mean nothing.  A ``--junit`` file
 that cannot be read or is not XML, or a ``--seconds`` that is not finite and
 positive, is a usage error, before any run.  A run that exits non-zero stops the
 script with exit code 1, naming its workload and trace level and printing its
@@ -24,14 +30,33 @@ stderr.
 import argparse
 import json
 import math
+import os
 import re
 import subprocess
 import sys
+import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 CRITERION = re.compile(r"test_criterion_(\d+)_")
+# bench/run.py flags a run as overlapped when the 1-min load average exceeds 1 + its
+# OVERLAP_LOAD; before each workload the script waits at most SETTLE_S for it to fall below
+OVERLAP_LEVEL = 1.5
+SETTLE_S = 120.0
+SETTLE_STEP_S = 5.0
+
+
+def settle_load(limit: float) -> dict:
+    """Wait until the 1-min load average is below OVERLAP_LEVEL, at most `limit` seconds: the
+    load found, the seconds waited and the load the workload starts at."""
+    found = load = os.getloadavg()[0]
+    waited = 0.0
+    while load >= OVERLAP_LEVEL and waited < limit:
+        time.sleep(SETTLE_STEP_S)
+        waited += SETTLE_STEP_S
+        load = os.getloadavg()[0]
+    return {"load_1min_found": found, "waited_s": waited, "load_1min_start": load}
 
 
 def bench_run(workload: str, trace: int, seconds: float, tiny: bool) -> dict:
@@ -90,10 +115,10 @@ def main() -> None:
     record = {"seconds": args.seconds, "tiny": args.tiny, "tier1": tier1, "workloads": {}}
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     for workload in (w["name"] for w in benchmark["workloads"]):
-        record["workloads"][workload] = {
-            f"trace{trace}": bench_run(workload, trace, args.seconds, args.tiny)
-            for trace in (0, 1)
-        }
+        record["workloads"][workload] = {"settle": settle_load(0.0 if args.tiny else SETTLE_S)}
+        for trace in (0, 1):
+            record["workloads"][workload][f"trace{trace}"] = bench_run(
+                workload, trace, args.seconds, args.tiny)
         print(f"{workload}: done", file=sys.stderr)
     args.out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
 

@@ -5,11 +5,13 @@ Usage: shard_crossover.py [--repeats N] [--per-process TF,TF,...] [--tiny]
 
 For each row and each value TF of ``--per-process`` the script builds a run
 in which each of two processes would get TF trial-frames, and times
-``harness._experiment`` on it with one block and with two, alternating which
-goes first.  It prints the median wall time of each over ``--repeats`` runs
-and their ratio (one process over two; above 1 means two are faster).  The
+``harness._experiment`` on it with one block and twice with two: cold, when the
+run forks its worker process, and warm, when it reuses the worker an earlier
+run left idle.  The order of the three alternates from repeat to repeat.  It
+prints the median wall time of each over ``--repeats`` runs and the ratio of
+one process's time to each two-process time (above 1 means two are faster).  The
 rows are the proposed scheme (the lightest, so the one with the least work
-per fork) on fig9 (8x8, 50 frames), fig4a (8x8, 100 frames) and fig6 on an
+per process) on fig9 (8x8, 50 frames), fig4a (8x8, 100 frames) and fig6 on an
 8x16 array (100 frames), each with 2·TF/frames trials, and a long run of
 fig6 8x16 with 2 trials of TF frames.  ``harness.MIN_SHARD_TRIAL_FRAMES`` is
 the smallest TF at which every row gains.
@@ -52,15 +54,20 @@ def row_config(preset: str, overrides: dict, long_run: bool, per_process: int, t
     return replace(cfg, trials=trials) if trials >= 2 else None
 
 
-def median_ms(cfg, repeats: int) -> tuple[float, float]:
-    """Median wall ms of cfg's run in one process and in two, alternating the order."""
-    times = {1: [], 2: []}
+def median_ms(cfg, repeats: int) -> tuple[float, float, float]:
+    """Median wall ms of cfg's run in one process, in two with a worker forked for the run
+    (cold) and in two with a worker an earlier run left (warm), alternating the order."""
+    times = {"one": [], "cold": [], "warm": []}
+    order = ("one", "cold", "warm")
     for i in range(repeats):
-        for shards in ((1, 2) if i % 2 == 0 else (2, 1)):
+        # cold comes second either way, so warm always finds the worker of an earlier run
+        for run in (order if i % 2 == 0 else order[::-1]):
+            if run == "cold":
+                harness._stop_workers()
             t0 = time.perf_counter()
-            harness._experiment(cfg, shards)
-            times[shards].append(1e3 * (time.perf_counter() - t0))
-    return statistics.median(times[1]), statistics.median(times[2])
+            harness._experiment(cfg, 1 if run == "one" else 2)
+            times[run].append(1e3 * (time.perf_counter() - t0))
+    return tuple(statistics.median(times[run]) for run in order)
 
 
 def main() -> None:
@@ -84,15 +91,16 @@ def main() -> None:
           f"OPENBLAS_NUM_THREADS {os.environ['OPENBLAS_NUM_THREADS']}  repeats {args.repeats}  "
           f"MIN_SHARD_TRIAL_FRAMES {harness.MIN_SHARD_TRIAL_FRAMES}")
     print(f"{'row':18s} {'tf/proc':>7s} {'trials':>6s} {'frames':>6s} "
-          f"{'1 proc ms':>9s} {'2 proc ms':>9s} {'ratio':>6s}")
+          f"{'1 proc ms':>9s} {'2 cold ms':>9s} {'2 warm ms':>9s} {'cold':>5s} {'warm':>5s}")
     for label, preset, overrides, long_run in ROWS:
         for per_process in columns:
             cfg = row_config(preset, overrides, long_run, per_process, args.tiny)
             if cfg is None:
                 continue
-            one, two = median_ms(cfg, args.repeats)
+            one, cold, warm = median_ms(cfg, args.repeats)
             print(f"{label:18s} {per_process:7d} {cfg.trials:6d} {cfg.frames:6d} "
-                  f"{one:9.1f} {two:9.1f} {one / two:6.2f}")
+                  f"{one:9.1f} {cold:9.1f} {warm:9.1f} {one / cold:5.2f} {one / warm:5.2f}",
+                  flush=True)
 
 
 if __name__ == "__main__":

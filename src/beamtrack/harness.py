@@ -10,7 +10,11 @@ run_experiment splits a run's trials into contiguous blocks, one per process
 (shard_count: the usable cores over the BLAS threads, at most one per
 MIN_SHARD_TRIAL_FRAMES trial-frames and one per trial, one process when no BLAS
 thread count is set); the first block runs in the calling process, each other
-in a forked child that sends back the columns the summary folds.  The trials
+in a worker process that sends back the columns the summary folds.  A worker is
+forked (fork context, daemonic) by the first run that needs it and serves later
+runs of this process, one run at a time; a run that fails ends its workers, a
+dead one is replaced, and each ends with this process or reads EOF once it has
+gone.  A forked process forgets its parent's workers.  The trials
 of a block advance together: truth, gain, estimate, covariance, Q_n window,
 detector counters and measurement validity are arrays with a leading trial
 axis, and run_trial is a batch of one.  The frames go in chunks of up to
@@ -454,13 +458,16 @@ class ExperimentSummary:
         }
 
 
-# a run gives each process at least this many trial-frames (a fork costs the same for every
-# run, the work it moves grows with them).  Speedup of two processes over one on 2 cores for
-# proposed, the lightest scheme, at 100/200/400/1000/2500 trial-frames each: fig9 0.50/0.53/
-# 0.62/0.79/1.61 (detection off, so it loses below ~2,500), fig4a 0.95/1.03/0.92/1.41/1.58,
-# fig6 8x16 0.97/1.10/1.25/1.57/1.65, 2-trial 0.94/1.09/1.13/1.22/1.16 (shard_crossover.py)
+# a run gives each process at least this many trial-frames (a second process costs the same
+# for every run, the work it moves grows with them).  Speedup of two processes over one on 2
+# cores for proposed, the lightest scheme, at 100/200/400/1000/2500 trial-frames each, when
+# the run forks its worker (cold) and when it reuses one (warm), shard_crossover.py: fig9
+# cold 0.78/0.89/1.10/1.32/1.47, warm 1.05/1.14/1.34/1.51/1.48; fig4a cold 0.81/0.89/0.99/
+# 1.15/1.22, warm 0.92/0.99/1.12/1.24/1.23; fig6 8x16 cold 0.78/1.00/1.20/1.11/1.07, warm
+# 0.84/1.10/1.30/1.12/1.08; 2-trial cold 0.92/0.94/0.87/0.86/0.81, warm 1.12/1.03/0.90/0.80/
+# 0.88.  Single cells move by up to 0.4 between runs on that host
 MIN_SHARD_TRIAL_FRAMES = 400
-# the columns the summary folds; a trial block run in a child process returns only these
+# the columns the summary folds; a trial block run in a worker process returns only these
 _FOLDED = ("err_norm", "bound", "realigned")
 
 
@@ -488,19 +495,25 @@ def run_experiment(cfg: ScenarioConfig, scheme: str | None = None) -> Experiment
 
 def _experiment(cfg: ScenarioConfig, shards: int) -> ExperimentSummary:
     """run_experiment on `shards` contiguous blocks of trials: the first runs in this process
-    and keeps trial 0's trace, each other in a forked child (_Child).  The summary sums the
-    blocks' columns side by side, in trial order, so it equals one batch's."""
+    and keeps trial 0's trace, each other in a worker process (_Worker), which the run takes
+    from this process's idle ones or forks, and gives back once it has read their results.
+    A failure, of this process or of a worker, ends the run's workers, so none keeps a
+    result no one reads.  The summary sums the blocks' columns side by side, in trial order,
+    so it equals one batch's."""
     blocks = [range(cfg.trials * i // shards, cfg.trials * (i + 1) // shards)
               for i in range(shards)]
-    children: list[_Child] = []
+    workers: list[_Worker] = []
     try:
         for block in blocks[1:]:
-            children.append(_Child(cfg, block))
+            workers.append(_Worker.take())
+            workers[-1].send(cfg, block)
         first = _frames(cfg, blocks[0], 1)
-        parts = [first] + [child.result() for child in children]
-    finally:
-        for child in children:
-            child.stop()
+        parts = [first] + [worker.result() for worker in workers]
+    except BaseException:
+        for worker in workers:
+            worker.stop()
+        raise
+    _idle.extend(workers)
     err_norm, bound, realigned = (np.concatenate([part[name] for part in parts], axis=1)
                                   for name in _FOLDED)
     finite = np.isfinite(bound)
@@ -517,24 +530,42 @@ def _experiment(cfg: ScenarioConfig, shards: int) -> ExperimentSummary:
     )
 
 
-class _Child:
-    """A forked process that runs one block of trials and sends back its _FOLDED columns by
-    name, as (frames, block) arrays, or the exception that stopped it."""
+class _Worker:
+    """A forked daemonic process that runs blocks of trials for this process's runs, one run
+    at a time: it receives (cfg, block) and sends back the block's _FOLDED columns by name,
+    as (frames, block) arrays, or the exception that stopped it.  It ends when stopped, when
+    this process exits, or when its pipe reads EOF because this process has gone."""
 
-    def __init__(self, cfg: ScenarioConfig, block: range):
+    def __init__(self):
         import multiprocessing  # a serial run does not pay for the import
 
         ctx = multiprocessing.get_context("fork")
-        self.block = block
-        self.receiver, sender = ctx.Pipe(duplex=False)
+        self.conn, end = ctx.Pipe()
         # the fork context flushes stdout first; a bare os.fork would copy its buffer
-        self.process = ctx.Process(target=_child_main, args=(sender, cfg, block))
+        self.process = ctx.Process(target=_worker_main, args=(end, self.conn), daemon=True)
         self.process.start()
-        sender.close()
+        end.close()
+        _workers.append(self)
+
+    @staticmethod
+    def take() -> _Worker:
+        """An idle worker, or a new one if none is left; one found dead is replaced."""
+        while True:
+            try:
+                worker = _idle.pop()  # one step, so no two runs in threads take one worker
+            except IndexError:
+                return _Worker()
+            if worker.process.is_alive():
+                return worker
+            worker.stop()
+
+    def send(self, cfg: ScenarioConfig, block: range) -> None:
+        self.block = block
+        self.conn.send((cfg, block))
 
     def result(self) -> dict[str, np.ndarray]:
         try:
-            result = self.receiver.recv()
+            result = self.conn.recv()
         except EOFError:
             self.process.join()
             raise RuntimeError(f"the process running trials {self.block.start} to "
@@ -545,26 +576,59 @@ class _Child:
         return result
 
     def stop(self) -> None:
-        """End the process, wait for it, then close its pipe: a child still running when its
-        pipe closes would fail to send.  One that has sent its result is only exiting."""
+        """End the process, wait for it, then close its pipe and forget it: a worker still
+        running when its pipe closes would fail to send."""
         self.process.terminate()
         self.process.join()
-        self.receiver.close()
+        self.conn.close()
+        _workers.remove(self)
 
 
-def _child_main(sender, cfg: ScenarioConfig, block: range) -> None:
+# every worker this process has forked and not stopped, and those of them no run is using
+_workers: list[_Worker] = []
+_idle: list[_Worker] = []
+
+
+def _stop_workers() -> None:
+    """End every worker of this process; the next sharded run forks its own."""
+    _idle.clear()
+    while _workers:
+        _workers[-1].stop()
+
+
+def _forget_workers() -> None:
+    """In a forked process: close the parent's ends of its workers' pipes and forget them, so
+    that no other process uses or stops them, and each reads EOF once its parent has gone."""
+    for worker in _workers:
+        worker.conn.close()
+    _workers.clear()
+    _idle.clear()
+
+
+if hasattr(os, "register_at_fork"):  # POSIX only; elsewhere a run stays in one process
+    os.register_at_fork(after_in_child=_forget_workers)
+
+
+def _worker_main(conn, parent_end) -> None:
     import signal
 
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupted parent stops its children
-    try:
-        cols = _frames(cfg, block, 0)
-        result = {name: cols[name] for name in _FOLDED}
-    except BaseException as exc:
-        result = exc
-    try:
-        sender.send(result)
-    except Exception as exc:  # an exception that does not pickle
-        sender.send(RuntimeError(f"{type(result).__name__}: {result} ({exc})"))
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupted parent stops its workers
+    # this worker's own parent-side end: the table did not hold it yet at the fork
+    parent_end.close()
+    while True:
+        try:
+            cfg, block = conn.recv()
+        except EOFError:  # the parent has gone
+            return
+        try:
+            cols = _frames(cfg, block, 0)
+            result = {name: cols[name] for name in _FOLDED}
+        except BaseException as exc:
+            result = exc
+        try:
+            conn.send(result)
+        except Exception as exc:  # an exception that does not pickle
+            conn.send(RuntimeError(f"{type(result).__name__}: {result} ({exc})"))
 
 
 def trial_ledger(cfg: ScenarioConfig, scheme: str | None = None) -> ComplexityLedger:

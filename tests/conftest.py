@@ -12,8 +12,17 @@ os.environ["OPENBLAS_NUM_THREADS"] = "1"
 import numpy as np  # noqa: E402
 import pytest
 
+from beamtrack import harness
 from beamtrack.channel import channel_matrix
 from beamtrack.harness import ScenarioConfig
+
+
+@pytest.fixture(autouse=True)
+def end_shard_workers():
+    """End the shard workers each test's runs forked: a worker runs the code as it was when it
+    was forked, so the next test's runs fork their own, which see that test's monkeypatches."""
+    yield
+    harness._stop_workers()
 
 
 def rank1_snapshot(u: float, v: float, cfg: ScenarioConfig, gain: complex = 1.0 + 0.0j) -> np.ndarray:

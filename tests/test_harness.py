@@ -5,6 +5,7 @@ import json
 import math
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -796,13 +797,87 @@ class TestRecords:
         assert all(type(v) is int for pair in summary.detection_frames for v in pair)
 
 
-class TestShardLifecycle:
-    """Children report their failures, print nothing and never outlive the run."""
+def _alive(pid: int) -> bool:
+    """Whether process pid runs: a zombie has ended, though no one has reaped it yet."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rpartition(")")[2].split()[0] != "Z"
 
-    def test_normal_return_leaves_no_child_and_prints_nothing(self, capfd):
+
+def _worker_pids() -> list[int]:
+    return [worker.process.pid for worker in harness._workers]
+
+
+class TestShardLifecycle:
+    """Workers report their failures and print nothing; a worker serves one run at a time,
+    outlives no failed run, and ends with the interpreter that forked it."""
+
+    @staticmethod
+    def _next_run_gives_the_serial_bytes(monkeypatch):
+        """After a failed run: it left no worker, and once the patches are undone the next
+        sharded run, of another seed, gives the serial bytes."""
+        assert multiprocessing.active_children() == []
+        monkeypatch.undo()
+        serial, sharded = _serial_and_sharded(small_cfg(trials=6, seed=7), 2)
+        assert sharded == serial
+
+    def test_run_leaves_its_workers_idle_and_prints_nothing(self, capfd):
         harness._experiment(small_cfg(trials=6), 3)
+        assert sorted(p.pid for p in multiprocessing.active_children()) == sorted(_worker_pids())
+        assert len(harness._idle) == 2
+        harness._stop_workers()
         assert multiprocessing.active_children() == []
         assert capfd.readouterr() == ("", "")
+
+    def test_sharded_runs_reuse_one_worker(self):
+        pids = []
+        for seed, scheme in enumerate(["proposed", "codebook", "abp"]):
+            serial, sharded = _serial_and_sharded(small_cfg(trials=4, seed=seed, scheme=scheme), 2)
+            assert sharded == serial
+            pids.append(_worker_pids())
+        assert len(pids[0]) == 1 and pids[0] == pids[1] == pids[2]
+
+    def test_run_inside_a_run_takes_no_busy_worker(self, monkeypatch):
+        outer_cfg, inner_cfg = small_cfg(trials=6), small_cfg(trials=4, seed=7)
+        expected = [_serial_and_sharded(cfg, 1)[0] for cfg in (outer_cfg, inner_cfg)]
+        frames, inner = harness._frames, []
+
+        def run_inside_first_block(cfg, trials, read):
+            # the outer run's first block, while the outer run's worker runs the second
+            if trials.start == 0 and not inner:
+                inner.append(None)
+                inner[0] = harness._experiment(inner_cfg, 2)
+            return frames(cfg, trials, read)
+
+        monkeypatch.setattr(harness, "_frames", run_inside_first_block)
+        outer = harness._experiment(outer_cfg, 2)
+        runs = [(json.dumps(s.to_dict(), sort_keys=True), repr(s.trace)) for s in (outer, inner[0])]
+        assert runs == expected
+        assert len(harness._workers) == len(harness._idle) == 2
+
+    def test_killed_worker_is_replaced(self):
+        cfg = small_cfg(trials=6)
+        harness._experiment(cfg, 2)
+        [pid] = _worker_pids()
+        os.kill(pid, signal.SIGKILL)
+        deadline = time.monotonic() + 10
+        while _alive(pid) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        serial, sharded = _serial_and_sharded(cfg, 2)
+        assert sharded == serial
+        assert len(_worker_pids()) == 1 and _worker_pids() != [pid]
+
+    def test_forked_process_forgets_its_parents_workers(self):
+        harness._experiment(small_cfg(trials=6), 2)
+        pid = os.fork()
+        if pid == 0:
+            os._exit(0 if harness._workers == harness._idle == [] else 1)
+        assert os.waitpid(pid, 0)[1] == 0
+        # the child closed its copies of the pipe ends, not this process's
+        serial, sharded = _serial_and_sharded(small_cfg(trials=6, seed=7), 2)
+        assert sharded == serial and len(_worker_pids()) == 1
 
     @pytest.mark.parametrize("exc_type", [ZeroDivisionError, ConfigError, MemoryError])
     def test_child_exception_reaches_the_caller_with_its_type(self, monkeypatch, capfd, exc_type):
@@ -813,8 +888,8 @@ class TestShardLifecycle:
         monkeypatch.setattr(harness, "_frames", _in_block(fail_late_blocks))
         with pytest.raises(exc_type, match="a child failed"):
             harness._experiment(small_cfg(trials=6), 3)
-        assert multiprocessing.active_children() == []
         assert capfd.readouterr() == ("", "")
+        self._next_run_gives_the_serial_bytes(monkeypatch)
 
     def test_child_exception_that_does_not_pickle_is_a_runtime_error(self, monkeypatch, capfd):
         class LocalError(Exception):  # pickle cannot name a class defined in a function
@@ -827,8 +902,8 @@ class TestShardLifecycle:
         monkeypatch.setattr(harness, "_frames", _in_block(fail_late_blocks))
         with pytest.raises(RuntimeError, match="LocalError: a child failed"):
             harness._experiment(small_cfg(trials=6), 2)
-        assert multiprocessing.active_children() == []
         assert capfd.readouterr() == ("", "")
+        self._next_run_gives_the_serial_bytes(monkeypatch)
 
     def test_failing_parent_stops_running_children(self, monkeypatch, capfd):
         def children_hang(trials):
@@ -841,8 +916,30 @@ class TestShardLifecycle:
         with pytest.raises(ValueError, match="the first block failed"):
             harness._experiment(small_cfg(trials=6), 3)
         assert time.perf_counter() - t0 < 30
-        assert multiprocessing.active_children() == []
         assert capfd.readouterr() == ("", "")
+        self._next_run_gives_the_serial_bytes(monkeypatch)
+
+    def test_failing_parent_leaves_no_result_in_a_pipe(self, monkeypatch):
+        # the worker sends its block's result, which no one reads; a reused worker would
+        # hand it to the next run
+        def first_block_fails(trials):
+            if trials.start == 0:
+                raise ValueError("the first block failed")
+
+        monkeypatch.setattr(harness, "_frames", _in_block(first_block_fails))
+        with pytest.raises(ValueError, match="the first block failed"):
+            harness._experiment(small_cfg(trials=6), 2)
+        self._next_run_gives_the_serial_bytes(monkeypatch)
+
+    def test_interrupted_parent_stops_its_workers(self, monkeypatch):
+        def interrupt_first_block(trials):
+            if trials.start == 0:
+                raise KeyboardInterrupt
+
+        monkeypatch.setattr(harness, "_frames", _in_block(interrupt_first_block))
+        with pytest.raises(KeyboardInterrupt):
+            harness._experiment(small_cfg(trials=6), 3)
+        self._next_run_gives_the_serial_bytes(monkeypatch)
 
     def test_child_that_dies_is_an_error(self, monkeypatch):
         def die(trials):
@@ -852,7 +949,7 @@ class TestShardLifecycle:
         monkeypatch.setattr(harness, "_frames", _in_block(die))
         with pytest.raises(RuntimeError, match="trials 3 to 5 ended with exit code 7"):
             harness._experiment(small_cfg(trials=6), 2)
-        assert multiprocessing.active_children() == []
+        self._next_run_gives_the_serial_bytes(monkeypatch)
 
     def test_child_memory_error_exits_track_run_with_2(self, monkeypatch, tmp_path):
         from click.testing import CliRunner
@@ -873,14 +970,45 @@ class TestShardLifecycle:
         assert "Traceback" not in result.output
         assert multiprocessing.active_children() == []
 
-    def _python(self, code):
+    # a run in a fresh interpreter whose workers write their PIDs on stdout
+    SHARDED_RUN = ("from beamtrack import harness\n"
+                   "harness._experiment(harness.ScenarioConfig(trials=6, frames=3), 3)\n"
+                   "print([w.process.pid for w in harness._workers], flush=True)\n")
+
+    @staticmethod
+    def _python_argv(code):
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
         env.pop("PYTHONUNBUFFERED", None)
         src = str(Path(__file__).resolve().parents[1] / "src")
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        return dict(args=[sys.executable, "-c", code], env=env, text=True)
+
+    def _python(self, code):
         # stdout is a pipe, so the parent's print is still in its buffer when it forks
-        return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env=env, timeout=120)
+        return subprocess.run(**self._python_argv(code), capture_output=True, timeout=120)
+
+    def test_workers_end_with_their_interpreter(self):
+        proc = self._python(self.SHARDED_RUN)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        pids = json.loads(proc.stdout)
+        assert len(pids) == 2
+        assert not any(_alive(pid) for pid in pids)
+
+    def test_workers_end_soon_after_their_parent_is_killed(self):
+        with subprocess.Popen(**self._python_argv(self.SHARDED_RUN + "import time\n"
+                                                  "time.sleep(120)\n"),
+                              stdout=subprocess.PIPE) as proc:
+            pids = json.loads(proc.stdout.readline())
+            proc.kill()
+        assert len(pids) == 2
+        deadline = time.monotonic() + 10
+        try:
+            while any(_alive(pid) for pid in pids) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not any(_alive(pid) for pid in pids)
+        finally:  # a worker left behind would hold this run's stderr open
+            for pid in filter(_alive, pids):
+                os.kill(pid, signal.SIGKILL)
 
     def test_piped_stdout_is_not_copied_into_children(self):
         proc = self._python(

@@ -137,13 +137,15 @@ def test_shard_crossover_prints_a_ratio_per_row():
     lines = run_script("shard_crossover.py", "--tiny")
     assert lines[0].startswith("cores ")
     assert lines[1].split() == ["row", "tf/proc", "trials", "frames", "1", "proc", "ms", "2",
-                                "proc", "ms", "ratio"]
-    rows = [line.rsplit(None, 6) for line in lines[2:]]
+                                "cold", "ms", "2", "warm", "ms", "cold", "warm"]
+    rows = [line.rsplit(None, 8) for line in lines[2:]]
     assert [r[0] for r in rows] == ["fig9 8x8", "fig4a 8x8", "fig6 8x16", "fig6 8x16 2-trial"]
-    for _, per_process, trials, frames, one, two, ratio in rows:
+    for _, per_process, trials, frames, one, cold, warm, *ratios in rows:
         # each of the two processes gets the row's trial-frames
         assert int(trials) * int(frames) == 2 * int(per_process)
-        assert float(one) > 0 and float(two) > 0 and math.isfinite(float(ratio))
+        assert min(float(one), float(cold), float(warm)) > 0
+        assert float(ratios[0]) == pytest.approx(float(one) / float(cold), rel=0.1)
+        assert float(ratios[1]) == pytest.approx(float(one) / float(warm), rel=0.1)
 
 
 def test_shard_crossover_bad_per_process_is_a_usage_error():
@@ -288,13 +290,63 @@ def test_bench_record_failed_run_names_workload_and_trace_and_prints_its_stderr(
     _bench_record_checkout(tmp_path, "import sys\nsys.exit('no such operation')\n")
     junit, out = tmp_path / "tier1.xml", tmp_path / "BENCH_0.json"
     junit.write_text("<testsuites/>")
-    proc = _run("bench_record.py", "--out", str(out), "--junit", str(junit), root=tmp_path)
+    # --tiny, so that the script does not wait for the load of the test run to settle
+    proc = _run("bench_record.py", "--out", str(out), "--junit", str(junit), "--tiny",
+                root=tmp_path)
     # BENCHMARK.json's first workload, run untraced first
     assert proc.returncode == 1
     assert "the fig9-sweep run at --trace 0 exited with code 1; its stderr:" in proc.stderr
     assert "no such operation" in proc.stderr
     assert "Traceback" not in proc.stderr and not proc.stdout
     assert not out.exists()
+
+
+def _bench_record_module():
+    spec = importlib.util.spec_from_file_location("bench_record",
+                                                  ROOT / "scripts" / "bench_record.py")
+    bench_record = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_record)
+    return bench_record
+
+
+@pytest.mark.parametrize("loads, sleeps", [([0.4], 0), ([2.0, 1.7, 1.5, 1.49], 3),
+                                           ([3.0] * 30, 24)], ids=["low", "settles", "never"])
+def test_bench_record_waits_a_bounded_time_for_the_load_to_settle(monkeypatch, loads, sleeps):
+    bench_record = _bench_record_module()
+    readings, slept = iter(loads), []
+    monkeypatch.setattr(os, "getloadavg", lambda: (next(readings), 0.0, 0.0))
+    monkeypatch.setattr(bench_record.time, "sleep", slept.append)
+    settle = bench_record.settle_load(bench_record.SETTLE_S)
+    assert slept == [bench_record.SETTLE_STEP_S] * sleeps
+    assert settle == {"load_1min_found": loads[0], "waited_s": sum(slept),
+                      "load_1min_start": loads[sleeps]}
+
+
+def test_bench_record_overlap_level_is_bench_runs():
+    run_py = (ROOT / "bench" / "run.py").read_text()
+    overlap_load = float(re.search(r"^OVERLAP_LOAD = (\S+)$", run_py, re.M).group(1))
+    assert _bench_record_module().OVERLAP_LEVEL == 1 + overlap_load
+
+
+@pytest.mark.parametrize("tiny", [False, True])
+def test_bench_record_settles_before_each_workload(monkeypatch, capsys, tmp_path, tiny):
+    bench_record = _bench_record_module()
+    calls = []
+    monkeypatch.setattr(bench_record, "settle_load",
+                        lambda limit: calls.append(("settle", limit)) or {"waited_s": limit})
+    monkeypatch.setattr(bench_record, "bench_run",
+                        lambda workload, trace, seconds, tiny: calls.append((workload, trace)) or {})
+    junit, out = tmp_path / "tier1.xml", tmp_path / "BENCH_0.json"
+    junit.write_text("<testsuites/>")
+    monkeypatch.setattr(sys, "argv", ["bench_record.py", "--out", str(out), "--junit", str(junit)]
+                        + (["--tiny"] if tiny else []))
+    bench_record.main()
+    # a smoke run does not wait
+    limit = 0.0 if tiny else bench_record.SETTLE_S
+    workloads = ["fig9-sweep", "detect-8x16", "cli-runs"]
+    assert calls == [call for w in workloads for call in [("settle", limit), (w, 0), (w, 1)]]
+    record = json.loads(out.read_text())
+    assert all(record["workloads"][w]["settle"] == {"waited_s": limit} for w in workloads)
 
 
 def _bench_pairs_report(monkeypatch, capsys, tmp_path, values, seed=101, schemes=None):
