@@ -40,19 +40,24 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 CRITERION = re.compile(r"test_criterion_(\d+)_")
-# bench/run.py flags a run as overlapped when the 1-min load average exceeds 1 + its
-# OVERLAP_LOAD; before each workload the script waits at most SETTLE_S for it to fall below
-OVERLAP_LEVEL = 1.5
+# before each workload the script waits at most SETTLE_S for the load to settle
 SETTLE_S = 120.0
 SETTLE_STEP_S = 5.0
 
 
-def settle_load(limit: float) -> dict:
-    """Wait until the 1-min load average is below OVERLAP_LEVEL, at most `limit` seconds: the
-    load found, the seconds waited and the load the workload starts at."""
+def overlap_level() -> float:
+    """The 1-min load average above which bench/run.py flags a run as overlapped, 1 + its
+    OVERLAP_LOAD, read from its source: importing it would set its BLAS thread count here."""
+    run_py = (ROOT / "bench" / "run.py").read_text()
+    return 1 + float(re.search(r"^OVERLAP_LOAD = (\S+)$", run_py, re.M).group(1))
+
+
+def settle_load(limit: float, level: float) -> dict:
+    """Wait until the 1-min load average is below `level`, at most `limit` seconds: the load
+    found, the seconds waited and the load the workload starts at."""
     found = load = os.getloadavg()[0]
     waited = 0.0
-    while load >= OVERLAP_LEVEL and waited < limit:
+    while load >= level and waited < limit:
         time.sleep(SETTLE_STEP_S)
         waited += SETTLE_STEP_S
         load = os.getloadavg()[0]
@@ -114,8 +119,10 @@ def main() -> None:
         ap.error(f"--junit {args.junit}: {exc}")
     record = {"seconds": args.seconds, "tiny": args.tiny, "tier1": tier1, "workloads": {}}
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    level = overlap_level()
     for workload in (w["name"] for w in benchmark["workloads"]):
-        record["workloads"][workload] = {"settle": settle_load(0.0 if args.tiny else SETTLE_S)}
+        record["workloads"][workload] = {
+            "settle": settle_load(0.0 if args.tiny else SETTLE_S, level)}
         for trace in (0, 1):
             record["workloads"][workload][f"trace{trace}"] = bench_run(
                 workload, trace, args.seconds, args.tiny)

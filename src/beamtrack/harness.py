@@ -532,7 +532,7 @@ def _experiment(cfg: ScenarioConfig, shards: int) -> ExperimentSummary:
 
 class _Worker:
     """A forked daemonic process that runs blocks of trials for this process's runs, one run
-    at a time: it receives (cfg, block) and sends back the block's _FOLDED columns by name,
+    at a time: it receives (cfg's fields, block) and sends back the block's _FOLDED columns by name,
     as (frames, block) arrays, or the exception that stopped it.  It ends when stopped, when
     this process exits, or when its pipe reads EOF because this process has gone."""
 
@@ -561,7 +561,9 @@ class _Worker:
 
     def send(self, cfg: ScenarioConfig, block: range) -> None:
         self.block = block
-        self.conn.send((cfg, block))
+        # the fields, not the config: pickling a ScenarioConfig caches copyreg's __slotnames__
+        # on its class, so a run would change the program's objects
+        self.conn.send((cfg.to_dict(), block))
 
     def result(self) -> dict[str, np.ndarray]:
         try:
@@ -601,6 +603,9 @@ def _forget_workers() -> None:
     that no other process uses or stops them, and each reads EOF once its parent has gone."""
     for worker in _workers:
         worker.conn.close()
+        # nor end them at exit: multiprocessing ends the children it lists for this process
+        import multiprocessing.process  # imported already, as the worker was forked
+        multiprocessing.process._children.discard(worker.process)
     _workers.clear()
     _idle.clear()
 
@@ -617,11 +622,11 @@ def _worker_main(conn, parent_end) -> None:
     parent_end.close()
     while True:
         try:
-            cfg, block = conn.recv()
+            values, block = conn.recv()
         except EOFError:  # the parent has gone
             return
         try:
-            cols = _frames(cfg, block, 0)
+            cols = _frames(ScenarioConfig(**values), block, 0)
             result = {name: cols[name] for name in _FOLDED}
         except BaseException as exc:
             result = exc

@@ -869,16 +869,6 @@ class TestShardLifecycle:
         assert sharded == serial
         assert len(_worker_pids()) == 1 and _worker_pids() != [pid]
 
-    def test_forked_process_forgets_its_parents_workers(self):
-        harness._experiment(small_cfg(trials=6), 2)
-        pid = os.fork()
-        if pid == 0:
-            os._exit(0 if harness._workers == harness._idle == [] else 1)
-        assert os.waitpid(pid, 0)[1] == 0
-        # the child closed its copies of the pipe ends, not this process's
-        serial, sharded = _serial_and_sharded(small_cfg(trials=6, seed=7), 2)
-        assert sharded == serial and len(_worker_pids()) == 1
-
     @pytest.mark.parametrize("exc_type", [ZeroDivisionError, ConfigError, MemoryError])
     def test_child_exception_reaches_the_caller_with_its_type(self, monkeypatch, capfd, exc_type):
         def fail_late_blocks(trials):
@@ -1009,6 +999,34 @@ class TestShardLifecycle:
         finally:  # a worker left behind would hold this run's stderr open
             for pid in filter(_alive, pids):
                 os.kill(pid, signal.SIGKILL)
+
+    def test_forked_process_forgets_its_parents_workers(self):
+        # the child exits through the interpreter's exit handlers, multiprocessing's among them
+        proc = self._python(self.SHARDED_RUN + (
+            "import os, sys\n"
+            "if os.fork() == 0:\n"
+            "    sys.exit(0 if harness._workers == harness._idle == [] else 1)\n"
+            "print(os.wait()[1], flush=True)\n"
+            "cfg = harness.ScenarioConfig(trials=6, frames=3, seed=7)\n"
+            "sharded = harness._experiment(cfg, 3).to_dict()\n"
+            "print(sharded == harness._experiment(cfg, 1).to_dict(), flush=True)\n"
+            "print([w.process.pid for w in harness._workers], flush=True)\n"))
+        assert proc.stderr == ""
+        pids, status, same, reused = proc.stdout.splitlines()
+        # the child closed its copies of the pipe ends and stopped no worker
+        assert (status, same, reused) == ("0", "True", pids)
+
+    def test_sharded_run_leaves_the_program_as_it_found_it(self):
+        # the benchmark's traced run checks that beamtrack's module globals and class
+        # attributes are the same objects after its runs as before them
+        bench = str(Path(__file__).resolve().parents[1] / "bench")
+        proc = self._python(
+            f"import sys\nsys.path.insert(0, {bench!r})\nimport tracing\n"
+            "from beamtrack import harness\n"
+            "before = tracing.snapshot()\n"
+            "harness._experiment(harness.ScenarioConfig(trials=6, frames=3), 2)\n"
+            "print(tracing.same_objects(before, tracing.snapshot()))\n")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "True\n", "")
 
     def test_piped_stdout_is_not_copied_into_children(self):
         proc = self._python(

@@ -251,8 +251,8 @@ def test_bench_pairs_failed_run_names_side_pair_and_seed_and_prints_its_stderr(t
 
 def _bench_record_checkout(root: Path, run_py: str) -> Path:
     """A stand-in checkout at root (_parent_checkout) with a copy of bench_record.py, which
-    runs the bench/run.py of the checkout it sits in."""
-    _parent_checkout(root, run_py)
+    runs the bench/run.py of the checkout it sits in and reads its OVERLAP_LOAD."""
+    _parent_checkout(root, "OVERLAP_LOAD = 0.5\n" + run_py)
     (root / "scripts").mkdir()
     shutil.copy(ROOT / "scripts" / "bench_record.py", root / "scripts")
     return root
@@ -316,16 +316,10 @@ def test_bench_record_waits_a_bounded_time_for_the_load_to_settle(monkeypatch, l
     readings, slept = iter(loads), []
     monkeypatch.setattr(os, "getloadavg", lambda: (next(readings), 0.0, 0.0))
     monkeypatch.setattr(bench_record.time, "sleep", slept.append)
-    settle = bench_record.settle_load(bench_record.SETTLE_S)
+    settle = bench_record.settle_load(bench_record.SETTLE_S, 1.5)
     assert slept == [bench_record.SETTLE_STEP_S] * sleeps
     assert settle == {"load_1min_found": loads[0], "waited_s": sum(slept),
                       "load_1min_start": loads[sleeps]}
-
-
-def test_bench_record_overlap_level_is_bench_runs():
-    run_py = (ROOT / "bench" / "run.py").read_text()
-    overlap_load = float(re.search(r"^OVERLAP_LOAD = (\S+)$", run_py, re.M).group(1))
-    assert _bench_record_module().OVERLAP_LEVEL == 1 + overlap_load
 
 
 @pytest.mark.parametrize("tiny", [False, True])
@@ -333,7 +327,7 @@ def test_bench_record_settles_before_each_workload(monkeypatch, capsys, tmp_path
     bench_record = _bench_record_module()
     calls = []
     monkeypatch.setattr(bench_record, "settle_load",
-                        lambda limit: calls.append(("settle", limit)) or {"waited_s": limit})
+                        lambda limit, level: calls.append(("settle", limit)) or {"waited_s": limit})
     monkeypatch.setattr(bench_record, "bench_run",
                         lambda workload, trace, seconds, tiny: calls.append((workload, trace)) or {})
     junit, out = tmp_path / "tier1.xml", tmp_path / "BENCH_0.json"
