@@ -532,9 +532,10 @@ def _experiment(cfg: ScenarioConfig, shards: int) -> ExperimentSummary:
 
 class _Worker:
     """A forked daemonic process that runs blocks of trials for this process's runs, one run
-    at a time: it receives (cfg's fields, block) and sends back the block's _FOLDED columns by name,
-    as (frames, block) arrays, or the exception that stopped it.  It ends when stopped, when
-    this process exits, or when its pipe reads EOF because this process has gone."""
+    at a time: it receives (cfg's fields, block) and sends back the block's _FOLDED columns
+    by name, as (frames, block) arrays, or the exception that stopped it.  It ends when
+    stopped, when this process exits, or when its pipe reads EOF because this process has
+    gone."""
 
     def __init__(self):
         import multiprocessing  # a serial run does not pay for the import

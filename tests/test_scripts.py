@@ -326,8 +326,8 @@ def test_bench_record_waits_a_bounded_time_for_the_load_to_settle(monkeypatch, l
 def test_bench_record_settles_before_each_workload(monkeypatch, capsys, tmp_path, tiny):
     bench_record = _bench_record_module()
     calls = []
-    monkeypatch.setattr(bench_record, "settle_load",
-                        lambda limit, level: calls.append(("settle", limit)) or {"waited_s": limit})
+    monkeypatch.setattr(bench_record, "settle_load", lambda limit, level:
+                        calls.append(("settle", limit)) or {"waited_s": limit})
     monkeypatch.setattr(bench_record, "bench_run",
                         lambda workload, trace, seconds, tiny: calls.append((workload, trace)) or {})
     junit, out = tmp_path / "tier1.xml", tmp_path / "BENCH_0.json"
